@@ -49,6 +49,20 @@ def _default_fuel():
     return int(os.environ.get("CLARITH_FUEL_DEFAULT", "2000"))
 
 
+def _fuel(args):
+    return _default_fuel() if args.fuel is None else args.fuel
+
+
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _parse_consts(text):
     env = {}
     if not text:
@@ -57,7 +71,11 @@ def _parse_consts(text):
         name, _, val = part.partition("=")
         if not _ or not name.strip():
             raise FileProblem(f"bad assignment {part!r}, want name=value")
-        env[name.strip()] = int(val)
+        try:
+            env[name.strip()] = int(val)
+        except ValueError:
+            raise FileProblem(
+                f"bad value in {part!r}, want a decimal integer") from None
     return env
 
 
@@ -97,12 +115,21 @@ def _make_env(spec_text):
 
 
 def _script_env(entries):
+    """Environment callable playing each (after, move) entry once at least
+    `after` T-moves are visible.  The run it is called with only extends,
+    so T-moves are counted over the new entries alone."""
     pending = list(entries)
+    nxt = seen = tops = 0
 
     def env(run):
-        tops = sum(1 for label, _ in run if label == "T")
-        if pending and pending[0][0] <= tops:
-            return pending.pop(0)[1]
+        nonlocal nxt, seen, tops
+        for label, _ in run[seen:]:
+            if label == "T":
+                tops += 1
+        seen = len(run)
+        if nxt < len(pending) and pending[nxt][0] <= tops:
+            nxt += 1
+            return pending[nxt - 1][1]
         return None
 
     return env
@@ -130,8 +157,8 @@ def _winner(f, run):
             continue
         tail.append((label, move))
     tail = tuple(tail)
-    if game.first_illegal_index(f, c_env, tail) is not None:
-        bad = game.first_illegal_index(f, c_env, tail)
+    bad = game.first_illegal_index(f, c_env, tail)
+    if bad is not None:
         label = tail[bad][0]
         return f"{'B' if label == 'T' else 'T'} (first illegal move by {label})"
     return game.wins(f, c_env, tail)
@@ -179,12 +206,12 @@ def cmd_play(args):
     f = _load_formula(args.formula)
     runner = hpm.StrategyRunner(hpm.HPMStrategy(spec))
     env = _make_env(args.env)
-    _play_and_report(runner, f, env, args.fuel or _default_fuel())
+    _play_and_report(runner, f, env, _fuel(args))
     return 0
 
 
 def cmd_transform(args):
-    fuel = args.fuel or _default_fuel()
+    fuel = _fuel(args)
     if args.kind == "reason":
         spec = _load_machine(args.machine)
         f = _load_formula(args.formula)
@@ -199,7 +226,10 @@ def cmd_transform(args):
         spec = _load_machine(args.machine)
         f = _load_formula(args.formula)
         c_env = _parse_consts(args.consts)
-        runner = wrappers.build_unconditional_wrapper(spec, f, c_env)
+        try:
+            runner = wrappers.build_unconditional_wrapper(spec, f, c_env)
+        except KeyError as exc:
+            raise FileProblem(f"--consts: {exc.args[0]}") from exc
         print(f"unconditional wrapper built over {args.machine}")
         if args.play:
             _play_and_report(runner, f, _make_env(args.env), fuel)
@@ -476,7 +506,7 @@ def build_parser():
     pl.add_argument("machine")
     pl.add_argument("formula")
     pl.add_argument("--env", default=None)
-    pl.add_argument("--fuel", type=int, default=None)
+    pl.add_argument("--fuel", type=_positive_int, default=None)
     pl.set_defaults(fn=cmd_play)
 
     tr = sub.add_parser("transform", help="apply a strategy transformer")
@@ -485,7 +515,7 @@ def build_parser():
     def common(p):
         p.add_argument("--play", action="store_true")
         p.add_argument("--env", default=None)
-        p.add_argument("--fuel", type=int, default=None)
+        p.add_argument("--fuel", type=_positive_int, default=None)
         p.set_defaults(fn=cmd_transform)
 
     reason = tr_sub.add_parser("reason")

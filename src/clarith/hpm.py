@@ -4,6 +4,21 @@ sketches, and the stepper contract scripted strategies also satisfy.
 Run tape layout: each labmove occupies 1 + len(move) cells, the first
 cell holding the label character 'T' or 'B'.  The blank is '_'.  The
 run-tape head is clamped so it can never pass the leftmost blank.
+
+A run only ever extends, one labmove at a time, so the per-cycle code
+never rescans it:
+
+- A `Configuration` carries its run tape as a flat string of
+  `label + move` cells plus the number of run entries that string
+  covers.  Moves enter a configuration's run through
+  `Configuration.extend`, which hands the cells on; the cells of
+  entries added since are appended when `tape()` is next read.  (A
+  run set by `replace(run=...)` gets its cells built afresh.)  `step`
+  then reads the run symbol by index and the tape length with `len`.
+  `run_tape_length` and `run_symbol` are the rescanning twins.
+- `Meter.record_cycle` keeps a running background maximum and the
+  number of run entries it has seen.  Its contract: each run it is
+  given extends the previous one.
 """
 
 from __future__ import annotations
@@ -98,9 +113,18 @@ def _parse_delta_line(rest, lineno):
 # ---------------------------------------------------------------------------
 # configurations and stepping
 
+_FIELDS = ("state", "tapes", "heads", "run", "runhead", "buffer",
+           "cycle", "moves_made", "last_append", "last_move")
+
+
 class Configuration:
-    __slots__ = ("state", "tapes", "heads", "run", "runhead", "buffer",
-                 "cycle", "moves_made", "last_append", "last_move")
+    """A machine configuration; a value, compared on its ten fields.
+
+    `_cells` is the run tape as a string covering the first `_covered`
+    run entries, a cache excluded from equality.
+    """
+
+    __slots__ = _FIELDS + ("_cells", "_covered")
 
     def __init__(self, state, tapes, heads, run, runhead, buffer, cycle,
                  moves_made, last_append="", last_move=None):
@@ -114,15 +138,38 @@ class Configuration:
         self.moves_made = moves_made
         self.last_append = last_append
         self.last_move = last_move
+        self._cells = ""
+        self._covered = 0
 
     def replace(self, **kw):
-        vals = {name: getattr(self, name) for name in self.__slots__}
+        vals = {name: getattr(self, name) for name in _FIELDS}
         vals.update(kw)
-        return Configuration(**vals)
+        nxt = Configuration(**vals)
+        if "run" not in kw:
+            nxt._cells, nxt._covered = self._cells, self._covered
+        return nxt
+
+    def extend(self, labmoves, **kw):
+        """A copy with labmoves appended to the run and kw fields replaced.
+
+        The run's cells so far carry over, since the old run is a prefix
+        of the new one.
+        """
+        nxt = self.replace(run=self.run + tuple(labmoves), **kw)
+        nxt._cells, nxt._covered = self._cells, self._covered
+        return nxt
+
+    def tape(self) -> str:
+        """The run tape's cells, label then move for each run entry."""
+        if self._covered < len(self.run):
+            self._cells += "".join(
+                label + move for label, move in self.run[self._covered:])
+            self._covered = len(self.run)
+        return self._cells
 
     def __eq__(self, other):
         return isinstance(other, Configuration) and all(
-            getattr(self, n) == getattr(other, n) for n in self.__slots__)
+            getattr(self, n) == getattr(other, n) for n in _FIELDS)
 
     def __repr__(self):
         return (f"Configuration(state={self.state}, cycle={self.cycle}, "
@@ -180,44 +227,55 @@ def _move_head(h: int, d: str, limit: int) -> int:
     return h
 
 
+def _transition(spec: HPMSpec, state, runsym, tapes, heads, runhead, run_len):
+    """Apply the transition keyed by (state, runsym, work symbols).
+
+    -> None when no transition matches, else (q2, tapes, heads, runhead,
+    append) after the work-tape writes and all head moves; the run-tape
+    head stays within [0, run_len].
+    """
+    worksyms = tuple(t[h] if h < len(t) else BLANK for t, h in zip(tapes, heads))
+    row = spec.delta.get((state, runsym, worksyms))
+    if row is None:
+        return None
+    q2, writes, d_run, dirs, append = row
+    tapes2 = []
+    heads2 = []
+    for t, h, w, d in zip(tapes, heads, writes, dirs):
+        t2 = _write_cell(t, h, w)
+        heads2.append(_move_head(h, d, _leftmost_blank(t2)))
+        tapes2.append(t2)
+    return (q2, tuple(tapes2), tuple(heads2),
+            _move_head(runhead, d_run, run_len), append)
+
+
 def step(spec: HPMSpec, cfg: Configuration, incoming=()) -> Configuration:
     """One machine cycle: absorb incoming ⊥-moves, apply one transition."""
-    run = cfg.run + tuple(incoming)
-    run_len = run_tape_length(run)
+    if incoming:
+        cfg = cfg.extend(incoming)
+    tape = cfg.tape()
+    run_len = len(tape)
     runhead = min(cfg.runhead, run_len)
-    runsym = run_symbol(run, runhead)
-    worksyms = tuple(
-        t[h] if h < len(t) else BLANK for t, h in zip(cfg.tapes, cfg.heads))
-    key = (cfg.state, runsym, worksyms)
-    row = spec.delta.get(key)
-    if row is None:
-        return cfg.replace(run=run, runhead=runhead, cycle=cfg.cycle + 1,
+    runsym = tape[runhead] if runhead < run_len else BLANK
+    moved = _transition(spec, cfg.state, runsym, cfg.tapes, cfg.heads,
+                        runhead, run_len)
+    if moved is None:
+        return cfg.replace(runhead=runhead, cycle=cfg.cycle + 1,
                            last_append="", last_move=None)
-    q2, writes, d_run, dirs, append = row
-    tapes = []
-    heads = []
-    for t, h, w, d in zip(cfg.tapes, cfg.heads, writes, dirs):
-        t2 = _write_cell(t, h, w)
-        heads.append(_move_head(h, d, _leftmost_blank(t2)))
-        tapes.append(t2)
-    runhead2 = _move_head(runhead, d_run, run_len)
+    q2, tapes, heads, runhead2, append = moved
     buffer = cfg.buffer + append
-    moves_made = cfg.moves_made
-    last_move = None
+    fields = dict(state=q2, tapes=tapes, heads=heads, runhead=runhead2,
+                  cycle=cfg.cycle + 1, last_append=append)
     if q2 in spec.move_states:
-        last_move = buffer
-        run = run + (("T", buffer),)
-        buffer = ""
-        moves_made += 1
-    return Configuration(
-        state=q2, tapes=tuple(tapes), heads=tuple(heads), run=run,
-        runhead=runhead2, buffer=buffer, cycle=cfg.cycle + 1,
-        moves_made=moves_made, last_append=append, last_move=last_move)
+        return cfg.extend((("T", buffer),), buffer="",
+                          moves_made=cfg.moves_made + 1, last_move=buffer,
+                          **fields)
+    return cfg.replace(buffer=buffer, last_move=None, **fields)
 
 
 def spacecost(cfg: Configuration) -> int:
     """Max count of non-blank cells on any one work tape."""
-    return max((sum(1 for c in t if c != BLANK) for t in cfg.tapes), default=0)
+    return max((len(t) - t.count(BLANK) for t in cfg.tapes), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +309,7 @@ class HPMStrategy(Strategy):
         return initial_configuration(self.spec)
 
     def feed(self, cfg, labmoves):
-        return cfg.replace(run=cfg.run + tuple(labmoves))
+        return cfg.extend(labmoves)
 
     def step(self, cfg):
         nxt = step(self.spec, cfg)
@@ -312,7 +370,11 @@ class StrategyRunner:
 # metering
 
 class Meter:
-    """Per-branch resource records per the amplitude/space/time reading."""
+    """Per-branch resource records per the amplitude/space/time reading.
+
+    The run given to successive `record_cycle` calls only extends; the
+    background is a running maximum over the run entries seen so far.
+    """
 
     def __init__(self):
         self.amplitude_events = []   # (cycle, magnitude, background)
@@ -320,9 +382,15 @@ class Meter:
         self.timecosts = []          # (cycle, elapsed) per own move
         self.backgrounds = []
         self._last_event_cycle = 0
+        self._background = 1
+        self._seen = 0
 
     def record_cycle(self, cycle, run, cells, made, env_moved):
-        bg = max([1] + [magnitude(m) for l, m in run if l == "B"])
+        for label, m in run[self._seen:]:
+            if label == "B":
+                self._background = max(self._background, magnitude(m))
+        self._seen = len(run)
+        bg = self._background
         self.backgrounds.append(bg)
         self.spacecosts.append((cycle, cells, bg))
         if env_moved:
@@ -499,24 +567,15 @@ def sketch_advance(spec: HPMSpec, s: Sketch, history, symbol_source,
             ordinals[label] += 1
             cum += 1 + size
         assert runsym is not None
-    worksyms = tuple(
-        t[h] if h < len(t) else BLANK for t, h in zip(s.tapes, s.heads))
-    row = spec.delta.get((s.state, runsym, worksyms))
-    if row is None:
+    moved = _transition(spec, s.state, runsym, s.tapes, s.heads, min(q, p), p)
+    if moved is None:
         return Sketch(
             state=s.state, tapes=s.tapes, heads=s.heads,
             runhead=min(q, p), moves_made=s.moves_made,
             buffer_len=s.buffer_len, last_append="", trunc=s.trunc,
             _live=s._live, _numer_first=s._numer_first,
             _numer_len=s._numer_len)
-    q2, writes, d_run, dirs, append = row
-    tapes = []
-    heads = []
-    for t, h, w, d in zip(s.tapes, s.heads, writes, dirs):
-        t2 = _write_cell(t, h, w)
-        heads.append(_move_head(h, d, _leftmost_blank(t2)))
-        tapes.append(t2)
-    runhead2 = _move_head(min(q, p), d_run, p)
+    q2, tapes, heads, runhead2, append = moved
     buffer_len = s.buffer_len + len(append)
     trunc, live, nf, nl = _track_append(
         s.trunc, s._live, s._numer_first, s._numer_len, append, ctx)
@@ -532,7 +591,7 @@ def sketch_advance(spec: HPMSpec, s: Sketch, history, symbol_source,
         buffer_len = 0
         trunc, live, nf, nl = "", True, None, None
     return Sketch(
-        state=q2, tapes=tuple(tapes), heads=tuple(heads), runhead=runhead2,
+        state=q2, tapes=tapes, heads=heads, runhead=runhead2,
         moves_made=moves_made, buffer_len=buffer_len, last_append=append,
         trunc=trunc, _live=live, _numer_first=nf, _numer_len=nl,
         flushed=flushed, flushed_trunc=flushed_trunc, flushed_len=flushed_len)

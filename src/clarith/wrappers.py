@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from . import formula as fm
 from .game import (
+    GamePosition,
+    IllegalMove,
     Semiposition,
     TruncationContext,
-    first_illegal_index,
     numer_value,
     split_move,
     windup,
@@ -159,7 +160,12 @@ def build_reason_wrapper(spec: HPMSpec, f, instrument=None) -> ReasonRunner:
 
 
 class VasaRunner:
-    """The retire-on-illegality wrapper, with constants fixed up front."""
+    """The retire-on-illegality wrapper, with constants fixed up front.
+
+    Legality is tracked incrementally: the game position of the run seen
+    so far is kept, and each poll applies only the entries added since,
+    so the visible run must only extend from poll to poll.
+    """
 
     def __init__(self, spec: HPMSpec, f, c_env):
         self.spec = spec
@@ -167,11 +173,24 @@ class VasaRunner:
         self.c_env = dict(c_env)
         self.cfg = initial_configuration(spec)
         self.retired = False
+        self.position = GamePosition.start(f, self.c_env)
+        self.checked = 0
+
+    def _turned_illegal(self, visible_run):
+        """Apply the entries not yet checked; whether one is illegal."""
+        for i in range(self.checked, len(visible_run)):
+            label, move = visible_run[i]
+            try:
+                self.position = self.position.apply(label, move, i)
+            except IllegalMove:
+                return True
+        self.checked = len(visible_run)
+        return False
 
     def poll(self, visible_run):
         if self.retired:
             return []
-        if first_illegal_index(self.formula, self.c_env, visible_run) is not None:
+        if self._turned_illegal(visible_run):
             self.retired = True
             buf = self.cfg.buffer
             tops = tuple(lm for lm in self.cfg.run if lm[0] == "T")
@@ -185,7 +204,7 @@ class VasaRunner:
             return [buf + omega]
         delta = visible_run[len(self.cfg.run):]
         if delta:
-            self.cfg = self.cfg.replace(run=self.cfg.run + tuple(delta))
+            self.cfg = self.cfg.extend(delta)
         self.cfg = step(self.spec, self.cfg)
         return [self.cfg.last_move] if self.cfg.last_move is not None else []
 
@@ -194,6 +213,8 @@ class VasaRunner:
 
 
 def build_unconditional_wrapper(spec: HPMSpec, f, c_env) -> VasaRunner:
+    """Raises ValueError for a choice-free formula and KeyError when
+    c_env misses one of f's free variables."""
     if not fm.units(f):
         raise ValueError("wrapper needs a formula with at least one choice operator")
     return VasaRunner(spec, f, c_env)
