@@ -5,6 +5,13 @@ Bound expressions are closed syntax (literals, size-of-variable atoms,
 monotonicity.  A UnaryBound is a bound over the single placeholder
 variable "z" that is applied directly to a natural number rather than
 to the size of anything.
+
+The superaggregate G(z) = max(f(z), ..., f^n(z)) and its partial family
+S_i are evaluated numerically: iterate_max wraps f in one IteratedMax
+node that applies f to a number n times, so evaluating G costs n
+evaluations of f.  UnaryBound.compose stays symbolic (it substitutes
+the inner expression for z), so f^i written out by composition, whose
+tree grows as (z-occurrences)^i, serves as the slow twin.
 """
 
 from __future__ import annotations
@@ -196,9 +203,6 @@ class UnaryBound:
     def compose(self, inner: "UnaryBound") -> "UnaryBound":
         return UnaryBound(self.expr.substitute({self.VAR: inner.expr}))
 
-    def pointwise_max(self, other: "UnaryBound") -> "UnaryBound":
-        return UnaryBound(Max((self.expr, other.expr)))
-
     def __eq__(self, other):
         return isinstance(other, UnaryBound) and self.expr == other.expr
 
@@ -216,16 +220,41 @@ def unarify(b: BoundExpr) -> UnaryBound:
     return UnaryBound(b.substitute(mapping))
 
 
+class IteratedMax(BoundExpr):
+    """max(f(v), f(f(v)), ..., f^n(v)) where v is the value of arg.
+
+    f is applied to numbers, never substituted into itself, so the node
+    stays one node whatever n is.  variables() and substitute() act on
+    arg alone: f is closed over its own placeholder.
+    """
+
+    def __init__(self, f: UnaryBound, n: int, arg: BoundExpr):
+        self.f, self.n, self.arg = f, n, arg
+
+    def evaluate(self, env):
+        expr, var = self.f.expr, UnaryBound.VAR
+        v = self.arg.evaluate(env)
+        best = 0
+        for _ in range(self.n):
+            v = expr.evaluate({var: v})
+            best = max(best, v)
+        return best
+
+    def variables(self):
+        return self.arg.variables()
+
+    def substitute(self, mapping):
+        return IteratedMax(self.f, self.n, self.arg.substitute(mapping))
+
+    def __repr__(self):
+        return f"itermax[{self.f.expr!r}, {self.n}]({self.arg!r})"
+
+
 def iterate_max(f: UnaryBound, n: int) -> UnaryBound:
     """max(f(z), f(f(z)), ..., f^n(z)); the constant 0 when n = 0."""
     if n <= 0:
         return ZERO_BOUND
-    acc = None
-    power = f
-    for _ in range(n):
-        acc = power if acc is None else acc.pointwise_max(power)
-        power = f.compose(power)
-    return acc
+    return UnaryBound(IteratedMax(f, n, RawVar(UnaryBound.VAR)))
 
 
 def bound_leq(a: UnaryBound, b: UnaryBound, grid=None) -> bool:
@@ -233,25 +262,6 @@ def bound_leq(a: UnaryBound, b: UnaryBound, grid=None) -> bool:
     if grid is None:
         grid = range(0, 1025)
     return all(a(z) <= b(z) for z in grid)
-
-
-class TricomplexityTriple:
-    """(amplitude, space, time) budget of unary bounds."""
-
-    def __init__(self, amplitude: UnaryBound, space: UnaryBound, time: UnaryBound):
-        self.amplitude = amplitude
-        self.space = space
-        self.time = time
-
-    def dominated_by(self, other: "TricomplexityTriple", grid=None) -> bool:
-        return (
-            bound_leq(self.amplitude, other.amplitude, grid)
-            and bound_leq(self.space, other.space, grid)
-            and bound_leq(self.time, other.time, grid)
-        )
-
-    def __repr__(self):
-        return f"Tricomplexity(a={self.amplitude!r}, s={self.space!r}, t={self.time!r})"
 
 
 def statute_limit(w: int, u: int, params) -> int:

@@ -45,12 +45,8 @@ def _load_machine(path):
         raise FileProblem(f"{path}: {exc}") from exc
 
 
-def _default_fuel():
-    return int(os.environ.get("CLARITH_FUEL_DEFAULT", "2000"))
-
-
 def _fuel(args):
-    return _default_fuel() if args.fuel is None else args.fuel
+    return hpm.fuel_from_env(2000) if args.fuel is None else args.fuel
 
 
 def _positive_int(text):
@@ -215,7 +211,10 @@ def cmd_transform(args):
     if args.kind == "reason":
         spec = _load_machine(args.machine)
         f = _load_formula(args.formula)
-        runner = wrappers.build_reason_wrapper(spec, f)
+        try:
+            runner = wrappers.build_reason_wrapper(spec, f)
+        except ValueError as exc:
+            raise FileProblem(f"{args.formula}: {exc}") from exc
         print(f"reason wrapper built over {args.machine}")
         if args.play:
             _play_and_report(runner, f, _make_env(args.env), fuel)
@@ -230,6 +229,8 @@ def cmd_transform(args):
             runner = wrappers.build_unconditional_wrapper(spec, f, c_env)
         except KeyError as exc:
             raise FileProblem(f"--consts: {exc.args[0]}") from exc
+        except ValueError as exc:
+            raise FileProblem(f"{args.formula}: {exc}") from exc
         print(f"unconditional wrapper built over {args.machine}")
         if args.play:
             _play_and_report(runner, f, _make_env(args.env), fuel)
@@ -237,7 +238,10 @@ def cmd_transform(args):
     if args.kind == "compr":
         premise = hpm.HPMStrategy(_load_machine(args.premise))
         p = _load_formula(args.p)
-        bound = parse_bound(args.bound)
+        try:
+            bound = parse_bound(args.bound)
+        except SyntaxError as exc:
+            raise FileProblem(f"--bound: {exc}") from exc
         runner = cp.build_comprehension_solver(premise, p, args.y, bound)
         conclusion = cp.comprehension_conclusion(p, args.y, bound)
         print("conclusion:", fm.to_text(conclusion))
@@ -567,7 +571,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except FileProblem as exc:
+    except (FileProblem, hpm.BadFuelSetting) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

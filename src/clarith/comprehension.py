@@ -10,20 +10,16 @@ with Bit(y, d) true exactly where the premise answered yes.
 
 from __future__ import annotations
 
-import os
-
 from . import formula as fm
 from .bounds import BoundExpr
 from .game import int_to_numer, numer_value, split_move
+from .hpm import fuel_from_env
 
 FALLBACK_FUEL = 10000
 
 
 def default_fuel() -> int:
-    raw = os.environ.get("CLARITH_FUEL_DEFAULT")
-    if raw is None:
-        return FALLBACK_FUEL
-    return int(raw)
+    return fuel_from_env(FALLBACK_FUEL)
 
 
 def comprehension_conclusion(p: fm.Formula, y: str, bound: BoundExpr,

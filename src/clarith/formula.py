@@ -15,7 +15,7 @@ disjunction operator only in operator position.
 
 from __future__ import annotations
 
-from .bounds import BoundExpr, Nat, SizeVar, bitsize, parse_bound, unarify, Max, iterate_max, ZERO_BOUND
+from .bounds import BoundExpr, SizeVar, bitsize, parse_bound, unarify, Max, iterate_max, ZERO_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -552,34 +552,54 @@ def free_vars(f: Formula):
     return seen
 
 
+class Analysis:
+    """Everything the game checks read off a formula's shape.
+
+    units (preorder), the address -> unit map, the free variables, the
+    move census and the aggregate bounds.  Get it with analysis(f),
+    which builds it once per formula object.
+    """
+
+    def __init__(self, f: Formula):
+        self.units = units(f)
+        self.by_addr = {u.address: u for u in self.units}
+        self.addresses = tuple(u.address for u in self.units)
+        self.free = tuple(free_vars(f))
+        n, v = len(self.units), len(self.free)
+        e_top = sum(1 for u in self.units if u.mover == "T")
+        self.census = {
+            "e_top": e_top,
+            "e_bot": n - e_top,
+            "e": n,
+            "D": n + v,
+            "h": max(map(len, self.addresses), default=0),
+            "v": v,
+        }
+        sub = unarify(Max(tuple(u.bound for u in self.units))) if n else ZERO_BOUND
+        family = {i: iterate_max(sub, i) for i in range(n + 1)}
+        self.aggregate = {"f": sub, "G": family[n], "S": family, "n": n}
+
+
+def analysis(f: Formula) -> Analysis:
+    """f's Analysis, built on first use and kept on f itself.
+
+    Formula nodes are never mutated after construction, so the cache
+    cannot go stale, and it is freed together with the formula.
+    """
+    a = f.__dict__.get("_analysis")
+    if a is None:
+        a = f._analysis = Analysis(f)
+    return a
+
+
 def choice_census(f: Formula):
     """Move-count census: e_top, e_bot, e, D, h (longest address), v."""
-    us = units(f)
-    e_top = sum(1 for u in us if u.mover == "T")
-    e_bot = sum(1 for u in us if u.mover == "B")
-    v = len(free_vars(f))
-    h = max((len(u.address) for u in us), default=0)
-    e = e_top + e_bot
-    return {
-        "e_top": e_top,
-        "e_bot": e_bot,
-        "e": e,
-        "D": e + v,
-        "h": h,
-        "v": v,
-    }
+    return dict(analysis(f).census)
 
 
 def aggregate_bounds(f: Formula):
     """Subaggregate bound f, superaggregate G, and the partial family S_i."""
-    us = units(f)
-    n = len(us)
-    if n == 0:
-        sub = ZERO_BOUND
-    else:
-        sub = unarify(Max(tuple(u.bound for u in us)))
-    family = {i: iterate_max(sub, i) for i in range(0, n + 1)}
-    return {"f": sub, "G": iterate_max(sub, n), "S": family, "n": n}
+    return dict(analysis(f).aggregate)
 
 
 def classify_units(f: Formula, run, c_env):
@@ -591,8 +611,8 @@ def classify_units(f: Formula, run, c_env):
     """
     from .game import split_move, numer_value  # local to avoid a cycle
 
-    us = units(f)
-    by_addr = {u.address: u for u in us}
+    a = analysis(f)
+    us, by_addr = a.units, a.by_addr
     resolvent = {}
     for label, move in run:
         addr, numer = split_move(move)

@@ -164,8 +164,7 @@ def first_illegal_index(f, c_env, run):
 
 def is_quasilegal(f, run, player):
     """Whether the player's moves in run embed into some legal run of f."""
-    us = fm.units(f)
-    by_addr = {u.address: u for u in us}
+    by_addr = fm.analysis(f).by_addr
     own = [m for l, m in run if l == player]
     seen = {}
     for i, m in enumerate(own):
@@ -259,11 +258,11 @@ class TruncationContext:
     def __init__(self, f, c_env):
         self.formula = f
         self.c_env = dict(c_env)
-        self.units = fm.units(f)
-        self.addresses = tuple(u.address for u in self.units)
-        agg = fm.aggregate_bounds(f)
+        self.analysis = fm.analysis(f)
+        self.units = self.analysis.units
+        self.addresses = self.analysis.addresses
         top = max(self.c_env.values(), default=0)
-        self.threshold = agg["G"](bitsize(top))
+        self.threshold = self.analysis.aggregate["G"](bitsize(top))
 
     def addresses_for(self, player):
         return tuple(u.address for u in self.units if u.mover == player)
@@ -331,10 +330,7 @@ def _completion_candidates(last_string, addresses):
 
 def analyze_semiposition(s: Semiposition, f, c_env):
     """complete?, legitimate?, quasilegitimate?, compression."""
-    ctx = TruncationContext(f, c_env)
-
-    def spells_ok(run, check):
-        return check(run)
+    addresses = fm.analysis(f).addresses
 
     def legal_check(run):
         return first_illegal_index(f, c_env, run) is None
@@ -344,11 +340,11 @@ def analyze_semiposition(s: Semiposition, f, c_env):
 
     def exists_completion(check):
         if not s.open_last:
-            return spells_ok(s.pairs, check)
+            return check(s.pairs)
         head = s.pairs[:-1]
         label, w = s.pairs[-1]
-        for m in _completion_candidates(w, ctx.addresses):
-            if spells_ok(head + ((label, m),), check):
+        for m in _completion_candidates(w, addresses):
+            if check(head + ((label, m),)):
                 return True
         return False
 
@@ -381,12 +377,11 @@ def windup(v: Semiposition, f, c_env) -> str:
         raise ValueError("windup needs an incomplete semiposition")
     if any(label != "T" for label, _ in v.pairs):
         raise ValueError("windup is defined for all-T semipositions")
-    ctx = TruncationContext(f, c_env)
     head = v.pairs[:-1]
     _, buf = v.pairs[-1]
 
     candidates = []
-    for m in _completion_candidates(buf, ctx.addresses):
+    for m in _completion_candidates(buf, fm.analysis(f).addresses):
         run = head + (("T", m),)
         if is_quasilegal(f, run, "T"):
             candidates.append(m[len(buf):])
@@ -400,7 +395,7 @@ def windup_oracle(v: Semiposition, f, c_env, max_len=None) -> str:
     head = v.pairs[:-1]
     _, buf = v.pairs[-1]
     if max_len is None:
-        max_len = fm.choice_census(f)["h"] + 2
+        max_len = fm.analysis(f).census["h"] + 2
     alphabet = sorted(_WINDUP_ORDER, key=_WINDUP_ORDER.get)
 
     best = None

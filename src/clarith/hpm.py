@@ -23,6 +23,8 @@ never rescans it:
 
 from __future__ import annotations
 
+import os
+
 from .game import (
     TruncationContext,
     is_quasilegal_move_prefix,
@@ -415,6 +417,30 @@ def meter_report(meter: Meter):
         "max_timecost": max((t for _, t in meter.timecosts), default=0),
         "backgrounds": list(meter.backgrounds),
     }
+
+
+FUEL_ENV = "CLARITH_FUEL_DEFAULT"
+
+
+class BadFuelSetting(ValueError):
+    pass
+
+
+def fuel_from_env(fallback: int) -> int:
+    """The cycle budget CLARITH_FUEL_DEFAULT names, or fallback if unset.
+
+    Raises BadFuelSetting unless the setting is an integer of at least 1.
+    """
+    raw = os.environ.get(FUEL_ENV)
+    if raw is None:
+        return fallback
+    try:
+        fuel = int(raw)
+    except ValueError:
+        raise BadFuelSetting(f"{FUEL_ENV}={raw!r} is not an integer") from None
+    if fuel < 1:
+        raise BadFuelSetting(f"{FUEL_ENV} must be at least 1, got {fuel}")
+    return fuel
 
 
 def play(runner, env, fuel: int):

@@ -353,15 +353,15 @@ class InductionRunner:
         game_env = dict(c_env)
         game_env[self.var] = k
         ctx = TruncationContext(self.body_formula, game_env)
-        census = fm.choice_census(self.body_formula)
-        agg = fm.aggregate_bounds(self.body_formula)
+        census = ctx.analysis.census
+        agg = ctx.analysis.aggregate
         ell = bitsize(max([k] + list(c_env.values()), default=0))
         statute_params = {
             "r": self.machine_census["r"],
             "g": self.machine_census["g"],
             "q": self.machine_census["q"],
             "e": census["e"],
-            "v": len([v for v in fm.free_vars(self.body_formula) if v != self.var]),
+            "v": len([v for v in ctx.analysis.free if v != self.var]),
             "h": census["h"],
             "G": agg["G"],
         }

@@ -154,7 +154,7 @@ class ReasonRunner:
 
 
 def build_reason_wrapper(spec: HPMSpec, f, instrument=None) -> ReasonRunner:
-    if not fm.units(f):
+    if not fm.analysis(f).units:
         raise ValueError("wrapper needs a formula with at least one choice operator")
     return ReasonRunner(spec, f, instrument)
 
@@ -215,6 +215,6 @@ class VasaRunner:
 def build_unconditional_wrapper(spec: HPMSpec, f, c_env) -> VasaRunner:
     """Raises ValueError for a choice-free formula and KeyError when
     c_env misses one of f's free variables."""
-    if not fm.units(f):
+    if not fm.analysis(f).units:
         raise ValueError("wrapper needs a formula with at least one choice operator")
     return VasaRunner(spec, f, c_env)

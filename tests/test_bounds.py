@@ -1,11 +1,17 @@
-from hypothesis import given
+import time
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clarith.formula as fm
 from clarith.bounds import (
     IDENTITY,
     Add,
+    Log,
+    Max,
     Mul,
     Nat,
+    RawVar,
     SizeVar,
     UnaryBound,
     bitsize,
@@ -105,6 +111,78 @@ class TestUnarification:
     def test_iterate_max_dominates_single_application(self, z):
         f = unarify(parse_bound("|x| + 1"))
         assert iterate_max(f, 3)(z) >= f(z)
+
+
+def bound_exprs(leaf, max_leaves):
+    """Small bound expressions over Nat literals and the given leaf."""
+    leaves = st.one_of(st.integers(min_value=0, max_value=3).map(Nat),
+                       st.just(leaf))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda p: Add(*p)),
+        st.tuples(kids, kids).map(lambda p: Mul(*p)),
+        st.lists(kids, min_size=1, max_size=3).map(Max),
+        kids.map(Log),
+    ), max_leaves=max_leaves)
+
+
+def composed_iterate_max(f, n, z):
+    """Slow twin of iterate_max: each f^i written out by symbolic compose."""
+    best, power = 0, f
+    for _ in range(n):
+        best = max(best, power(z))
+        power = f.compose(power)
+    return best
+
+
+def nested_units(bounds):
+    """ade x0 [b0] ada x1 [b1] ... p(): one unit per bound, in order."""
+    body = fm.Atom("p", ())
+    for i in reversed(range(len(bounds))):
+        cls = fm.ChoiceEx if i % 2 == 0 else fm.ChoiceAll
+        body = cls(f"x{i}", bounds[i], body)
+    return body
+
+
+class TestNumericIteration:
+    @settings(deadline=None)
+    @given(bound_exprs(RawVar("z"), 4), st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=64))
+    def test_matches_symbolic_composition(self, expr, n, z):
+        f = UnaryBound(expr)
+        assert iterate_max(f, n)(z) == composed_iterate_max(f, n, z)
+
+    @settings(deadline=None)
+    @given(st.lists(bound_exprs(SizeVar("s"), 2), min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=64))
+    def test_aggregate_family_matches_symbolic_composition(self, bounds, z):
+        agg = fm.aggregate_bounds(nested_units(bounds))
+        sub = unarify(Max(tuple(bounds)))
+        assert agg["n"] == len(bounds)
+        assert agg["f"](z) == sub(z)
+        for i, s_i in agg["S"].items():
+            assert s_i(z) == composed_iterate_max(sub, i, z)
+        assert agg["G"](z) == agg["S"][len(bounds)](z)
+
+    def test_iterated_node_acts_on_its_argument_only(self):
+        g = iterate_max(unarify(parse_bound("|x| + 1")), 3)
+        assert g.expr.variables() == {"z"}
+        assert g.compose(unarify(parse_bound("|x| * 2")))(5) == 13
+        assert unarify(parse_bound("|x| * 2")).compose(g)(5) == 16
+
+    def test_twelve_nested_units_stay_fast(self):
+        # f(z) = max(z, z) + 1; written out by composition, f^12 has
+        # 2^12 occurrences of z
+        text = "p(s)"
+        for i in reversed(range(12)):
+            q = "ade" if i % 2 == 0 else "ada"
+            text = f"{q} x{i} [max(|s|, |s|) + 1] {text}"
+        f = fm.parse_formula(text)
+        start = time.perf_counter()
+        agg = fm.aggregate_bounds(f)
+        samples = [agg["G"](z) for z in range(9)]
+        assert time.perf_counter() - start < 0.5
+        assert agg["n"] == 12
+        assert samples == [z + 12 for z in range(9)]
 
 
 class TestComparison:

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -131,6 +133,71 @@ class TestTransform:
         out = capsys.readouterr().out
         assert "rank strictly increasing: yes" in out
         assert "birthtimes:" in out
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def run_cli(args, **env):
+    """Run the CLI in a fresh interpreter; (exit code, stderr)."""
+    full_env = dict(os.environ, PYTHONPATH=SRC, **env)
+    proc = subprocess.run([sys.executable, "-m", "clarith.cli", *args],
+                          capture_output=True, text=True, env=full_env,
+                          timeout=60)
+    return proc.returncode, proc.stderr
+
+
+class TestInputErrorsExitOne:
+    @pytest.fixture
+    def choice_free(self, tmp_path):
+        p = tmp_path / "flat.clf"
+        p.write_text("p(x)\n")
+        return str(p)
+
+    def assert_clean_error(self, rc, err):
+        assert rc == 1
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_reason_on_choice_free_formula(self, choice_free):
+        rc, err = run_cli(["transform", "reason", "--machine",
+                           fixture("bigmove.hpm"), "--f", choice_free])
+        self.assert_clean_error(rc, err)
+        assert "choice operator" in err
+
+    def test_vasa_on_choice_free_formula(self, choice_free):
+        rc, err = run_cli(["transform", "vasa", "--machine",
+                           fixture("legal.hpm"), "--f", choice_free,
+                           "--consts", "x=9"])
+        self.assert_clean_error(rc, err)
+        assert "choice operator" in err
+
+    @pytest.mark.parametrize("value", ["lots", "0", "-5"])
+    def test_bad_fuel_default(self, formula_file, value):
+        rc, err = run_cli(["play", fixture("bigmove.hpm"), formula_file,
+                           "--env", "x=9"], CLARITH_FUEL_DEFAULT=value)
+        self.assert_clean_error(rc, err)
+        assert "CLARITH_FUEL_DEFAULT" in err
+
+    def test_bad_fuel_default_in_comprehension(self, tmp_path):
+        # --fuel is given, so only the comprehension runner reads the setting
+        p = tmp_path / "p.clf"
+        p.write_text("p(y)\n")
+        rc, err = run_cli(["transform", "compr", "--premise",
+                           fixture("always_yes.hpm"), "--p", str(p),
+                           "--y", "y", "--bound", "3", "--fuel", "50"],
+                          CLARITH_FUEL_DEFAULT="many")
+        self.assert_clean_error(rc, err)
+
+    def test_unparsable_comprehension_bound(self, tmp_path):
+        p = tmp_path / "p.clf"
+        p.write_text("p(y)\n")
+        rc, err = run_cli(["transform", "compr", "--premise",
+                           fixture("always_yes.hpm"), "--p", str(p),
+                           "--y", "y", "--bound", "max("])
+        self.assert_clean_error(rc, err)
+        assert "--bound" in err
 
 
 class TestMeter:

@@ -14,7 +14,7 @@ from clarith.comprehension import (
     default_fuel,
 )
 from clarith.game import int_to_numer, is_canonical_numer, numer_value, wins
-from clarith.hpm import ScriptStrategy
+from clarith.hpm import BadFuelSetting, ScriptStrategy
 
 
 def bit_premise(mask, n_constants=1):
@@ -161,3 +161,10 @@ class TestFuelDefault:
     def test_environment_override(self, monkeypatch):
         monkeypatch.setenv("CLARITH_FUEL_DEFAULT", "123")
         assert default_fuel() == 123
+
+    @pytest.mark.parametrize("value", ["", "1e3", "0", "-1"])
+    def test_rejects_values_that_are_not_positive_integers(self, monkeypatch,
+                                                           value):
+        monkeypatch.setenv("CLARITH_FUEL_DEFAULT", value)
+        with pytest.raises(BadFuelSetting):
+            default_fuel()

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -241,6 +243,41 @@ class TestWindup:
             assert got == want, (buf, got, want)
             checked += 1
         assert checked > 50
+
+
+class TestSharedAnalysis:
+    def test_units_are_derived_once_per_formula(self, monkeypatch):
+        calls = []
+        walk = fm.units
+
+        def counting(f):
+            calls.append(f)
+            return walk(f)
+
+        monkeypatch.setattr(fm, "units", counting)
+        f = fm.parse_formula(TWO_DISJUNCT_TEXT)
+        ctx = TruncationContext(f, {"x": 9})
+        v = Semiposition((("T", "1."),), open_last=True)
+        assert windup(v, f, {"x": 9}) == "1.#"
+        assert windup_oracle(v, f, {"x": 9}) == "1.#"
+        assert analyze_semiposition(v, f, {"x": 9})["quasilegitimate"]
+        assert legal_status(f, {"x": 9}, (("T", "0.1.#1"),)) == "T-quasilegal"
+        assert fm.choice_census(f)["e"] == fm.aggregate_bounds(f)["n"] == 4
+        assert TruncationContext(f, {"x": 3}).analysis is ctx.analysis
+        assert len(calls) == 1
+
+    def test_compiled_formula_is_freed_once_dropped(self):
+        # the root unit's node is the formula itself, so the analysis it
+        # carries refers back to it; the pair must still be collectable
+        f = fm.parse_formula("ade y [|x| + 1] ada z [|y|] p(y, z)")
+        ctx = TruncationContext(f, {"x": 9})
+        v = Semiposition((("T", ""),), open_last=True)
+        assert windup(v, f, {"x": 9}) == "#"
+        assert ctx.units[0].node is f
+        ref = weakref.ref(f)
+        del f, ctx
+        gc.collect()
+        assert ref() is None
 
 
 class TestDelays:
