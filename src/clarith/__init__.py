@@ -5,7 +5,6 @@ from .bounds import (
     BoundExpr,
     UnaryBound,
     bitsize,
-    evaluate_bound,
     parse_bound,
     statute_limit,
     unarify,

@@ -181,11 +181,6 @@ class Log(BoundExpr):
         return f"log({self.arg})"
 
 
-def evaluate_bound(b: BoundExpr, env) -> int:
-    """Value of b with each game variable assigned a natural by env."""
-    return b.evaluate(env)
-
-
 class UnaryBound:
     """A monotone bound in the single direct variable z."""
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 file or input problem, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -15,8 +16,8 @@ import sys
 
 from . import comprehension as cp
 from . import formula as fm
-from . import game, hpm, induction, wrappers, zoo
-from .bounds import Nat, parse_bound
+from . import game, hpm, induction, oracles, wrappers
+from .bounds import parse_bound
 
 
 class FileProblem(Exception):
@@ -179,7 +180,7 @@ def _play_and_report(runner, f, env, fuel, trace_path=None, trace_rows=None):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands (the oracle suites live in oracles.py)
 
 def cmd_fmt(args):
     f = _load_formula(args.file)
@@ -315,175 +316,12 @@ def cmd_diag(args):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# oracle suites
-
-def _suite_fetch(rng, cases):
-    f = fm.parse_formula("ada x [|s|] (ade y [|s|] p(x,y))")
-    done = 0
-    while done < cases:
-        spec = zoo.random_machine(rng)
-        schedule = zoo.random_schedule(rng, spec)
-        scenario = zoo.run_scenario(spec, schedule, 60)
-        own = scenario["own_moves"]
-        sized = [(k, m) for k, m in enumerate(own) if m]
-        if not sized:
-            continue
-        k, move = sized[rng.randrange(len(sized))]
-        n = rng.randint(1, len(move))
-        ctx = game.TruncationContext(f, {"s": 5})
-        got = wrappers.fetch_symbol(spec, scenario["history"], k, n,
-                                    scenario["env_moves"], ctx)
-        if got != move[n - 1]:
-            return (f"fetch mismatch: k={k} n={n} expected {move[n-1]!r} "
-                    f"got {got!r} (moves {own!r}, schedule {schedule!r})")
-        done += 1
-    return None
-
-
-def _zoo_formulas():
-    texts = [
-        "ada x [|s|] (ade y [|s|] p(x,y))",
-        "(ade y [|s|] p(y)) v (ada u [|s|] q(u))",
-        "ada y [|s|] (p(y) -> ade w [|s|] q(w))",
-    ]
-    return [fm.parse_formula(t) for t in texts]
-
-
-def _iter_open_buffers(addresses, max_len):
-    """Every string that stays a quasilegal-move prefix, up to max_len."""
-    frontier = [""]
-    while frontier:
-        s = frontier.pop()
-        yield s
-        if len(s) < max_len:
-            for c in "#01.":
-                if game.is_quasilegal_move_prefix(s + c, addresses):
-                    frontier.append(s + c)
-
-
-def _suite_windup(rng, cases):
-    checked = 0
-    for f in _zoo_formulas():
-        c_env = {"s": 5}
-        ctx = game.TruncationContext(f, c_env)
-        heads = [()]
-        for addr in ctx.addresses:
-            heads.append((("T", addr + "#1"),))
-        for head in heads:
-            for buf in _iter_open_buffers(ctx.addresses, 6):
-                v = game.Semiposition(head + (("T", buf),), open_last=True)
-                info = game.analyze_semiposition(v, f, c_env)
-                if not info["quasilegitimate"]:
-                    continue
-                got = game.windup(v, f, c_env)
-                want = game.windup_oracle(v, f, c_env)
-                if got != want:
-                    return (f"windup mismatch on {v!r}: structural {got!r}, "
-                            f"search {want!r}")
-                checked += 1
-    if checked == 0:
-        return "windup suite found nothing to check"
-    return None
-
-
-def _suite_sim(rng, cases):
-    for _ in range(cases):
-        a, b, n = zoo.random_sim_triple(rng)
-        cap = rng.randint(1, 3)
-        strat = zoo.random_script(rng, cap, 3, n)
-        out = induction.sim(a, b, n, strat)
-        sign = out[0][0]
-        if sign == "-":
-            b2 = b + zoo.random_body(rng, max_size=2)
-            if induction.sim(a, b2, n, strat) != out:
-                return f"extension of B changed a negative-bullet sim: {(a, b, n)!r}"
-        elif n != 0:
-            a2 = a + zoo.random_body(rng, max_size=2)
-            if induction.sim(a2, b, n, strat) != out:
-                return f"extension of A changed a positive-bullet sim: {(a, b, n)!r}"
-        if sign == "+" and len(b) > cap:
-            return f"positive bullet with body larger than the move cap: {(a, b, n)!r}"
-    return None
-
-
-class _TablePremise:
-    """Premise strategy answering from a truth table over y."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def initial(self):
-        return ((), False)
-
-    def feed(self, st, labmoves):
-        run, answered = st
-        return (run + tuple(labmoves), answered)
-
-    def step(self, st):
-        run, answered = st
-        bots = [m for label, m in run if label == "B"]
-        if answered or not bots:
-            return st, None
-        _, numer = game.split_move(bots[-1])
-        y = game.numer_value(numer or "")
-        verdict = "0." if (y < len(self.table) and self.table[y]) else "1."
-        return ((run + (("T", verdict),), True)), verdict
-
-    def space(self, st):
-        return 0
-
-    def run_view(self, st):
-        return st[0]
-
-
-def _suite_compr(rng, cases):
-    for c in range(0, 9):
-        for mask in range(2 ** c):
-            table = [(mask >> y) & 1 == 1 for y in range(c)]
-            err = _one_compr_case(table, c)
-            if err:
-                return err
-    for _ in range(cases):
-        c = rng.randint(4, 8)
-        table = [rng.random() < 0.5 for _ in range(c)]
-        err = _one_compr_case(table, c)
-        if err:
-            return err
-    return None
-
-
-def _one_compr_case(table, c):
-    p = fm.Atom("tbl", (fm.TVar("y"),))
-    runner = cp.build_comprehension_solver(
-        _TablePremise(table), p, "y", Nat(c), var_order=[])
-    moves = runner.poll(())
-    if len(moves) != 1:
-        return f"comprehension made {len(moves)} moves for table {table!r}"
-    _, numer = game.split_move(moves[0])
-    got = game.numer_value(numer or "")
-    want = sum(1 << y for y in range(c) if y < len(table) and table[y])
-    if got != want:
-        return f"comprehension value {got} != {want} for table {table!r} c={c}"
-    if numer and not game.is_canonical_numer(numer):
-        return f"non-canonical numer {numer!r} for table {table!r}"
-    return None
-
-
-_SUITES = {
-    "fetch": (_suite_fetch, 1000),
-    "windup": (_suite_windup, 0),
-    "sim": (_suite_sim, 500),
-    "compr": (_suite_compr, 200),
-}
-
-
 def cmd_oracle(args):
-    if args.suite not in _SUITES:
-        print(f"unknown suite {args.suite!r}; have {', '.join(sorted(_SUITES))}",
-              file=sys.stderr)
+    if args.suite not in oracles.SUITES:
+        print(f"unknown suite {args.suite!r}; have "
+              f"{', '.join(sorted(oracles.SUITES))}", file=sys.stderr)
         return 2
-    fn, default_cases = _SUITES[args.suite]
+    fn, default_cases = oracles.SUITES[args.suite]
     rng = random.Random(args.seed)
     counterexample = fn(rng, args.cases or default_cases)
     if counterexample:
@@ -496,7 +334,9 @@ def cmd_oracle(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process (parsing leaves it as is)."""
     ap = argparse.ArgumentParser(prog="clarith")
     sub = ap.add_subparsers(dest="command", required=True)
 

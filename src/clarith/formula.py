@@ -552,18 +552,70 @@ def free_vars(f: Formula):
     return seen
 
 
+class MoveShapes:
+    """The move-shape automaton of a set of unit addresses.
+
+    A deterministic automaton whose live states are exactly the prefixes
+    of the moves addr + "#" + canonical numer: one trie state per prefix
+    of an address (state 0 is the empty string), then three numer states
+    shared by every address: just after "#" (`self.numer`), numer "0",
+    and numer starting with "1".  States are ints, None is dead, and a
+    state at or past `self.numer` is a whole move.  (With no addresses
+    the empty string stays live; it truncates to "" all the same.)
+    """
+
+    def __init__(self, addresses):
+        trie = {"": 0}
+        for addr in addresses:
+            for i in range(1, len(addr) + 1):
+                trie.setdefault(addr[:i], len(trie))
+        n = self.numer = len(trie)
+        self.delta = [{} for _ in trie] + [{"0": n + 1, "1": n + 2}, {},
+                                           {"0": n + 2, "1": n + 2}]
+        for prefix, state in trie.items():
+            if prefix:
+                self.delta[trie[prefix[:-1]]][prefix[-1]] = state
+        for addr in addresses:
+            self.delta[trie[addr]]["#"] = n
+
+    def scan(self, s, state=0):
+        """(state after s, len(s)), or (None, n) when s leaves every move
+        shape after its first n characters."""
+        delta = self.delta
+        for n, c in enumerate(s):
+            state = delta[state].get(c)
+            if state is None:
+                return None, n
+        return state, len(s)
+
+    def completions(self, s):
+        """Suffixes closing s into a move, least first in the order
+        # < 0 < 1 < .: "" if s is a move already, else the rest of
+        addr + "#" for each address s can still become."""
+        def close(state):
+            if state >= self.numer:
+                return [""]
+            return [c + rest for c in "#01." if c in self.delta[state]
+                    for rest in close(self.delta[state][c])]
+
+        state, _ = self.scan(s)
+        return [] if state is None else close(state)
+
+
 class Analysis:
     """Everything the game checks read off a formula's shape.
 
     units (preorder), the address -> unit map, the free variables, the
-    move census and the aggregate bounds.  Get it with analysis(f),
-    which builds it once per formula object.
+    move census, the aggregate bounds and the move-shape automaton
+    `shapes`.  Get it with analysis(f), which builds it once per
+    formula object.
     """
 
     def __init__(self, f: Formula):
         self.units = units(f)
         self.by_addr = {u.address: u for u in self.units}
         self.addresses = tuple(u.address for u in self.units)
+        self.shapes = MoveShapes(self.addresses)
         self.free = tuple(free_vars(f))
         n, v = len(self.units), len(self.free)
         e_top = sum(1 for u in self.units if u.mover == "T")

@@ -20,15 +20,6 @@ class IllegalMove(Exception):
 # ---------------------------------------------------------------------------
 # move anatomy
 
-def numer_and_magnitude(m: str):
-    """Numer (suffix after the last '#', if binary) and its length."""
-    i = m.rfind("#")
-    if i >= 0 and all(c in "01" for c in m[i + 1:]):
-        numer = m[i + 1:]
-        return numer, len(numer)
-    return "", 0
-
-
 def split_move(m: str):
     """(address, numer) for a clean choice move, else (address-prefix, None)."""
     addr_len = 0
@@ -55,7 +46,9 @@ def is_canonical_numer(numer: str) -> bool:
 
 
 def magnitude(m: str) -> int:
-    return numer_and_magnitude(m)[1]
+    """Length of the numer: the suffix after the last '#', if binary."""
+    i = m.rfind("#")
+    return len(m) - i - 1 if i >= 0 and all(c in "01" for c in m[i + 1:]) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +254,21 @@ class TruncationContext:
         self.analysis = fm.analysis(f)
         self.units = self.analysis.units
         self.addresses = self.analysis.addresses
+        self.shapes = self.analysis.shapes
         top = max(self.c_env.values(), default=0)
         self.threshold = self.analysis.aggregate["G"](bitsize(top))
-
-    def addresses_for(self, player):
-        return tuple(u.address for u in self.units if u.mover == player)
 
 
 def prudentize(m: str, threshold: int) -> str:
     """Trim the numer to at most threshold bits."""
-    i = m.rfind("#")
-    if i < 0 or not all(c in "01" for c in m[i + 1:]):
-        return m
-    numer = m[i + 1:]
-    if len(numer) <= threshold:
-        return m
-    return m[: i + 1] + numer[:threshold]
+    size = magnitude(m)
+    return m[:len(m) - size + threshold] if size > threshold else m
 
 
 def is_quasilegal_move_prefix(s: str, addresses) -> bool:
-    """Whether s is a prefix of some string addr + '#' + canonical numer."""
+    """Whether s is a prefix of some string addr + '#' + canonical numer.
+
+    The slow twin of `MoveShapes`, kept for the tests."""
     for addr in addresses:
         full = addr + "#"
         if full.startswith(s):
@@ -294,10 +282,8 @@ def is_quasilegal_move_prefix(s: str, addresses) -> bool:
 
 def truncate(m: str, ctx: TruncationContext) -> str:
     """Prudentization of the longest quasilegal-move prefix of m."""
-    for cut in range(len(m), -1, -1):
-        if is_quasilegal_move_prefix(m[:cut], ctx.addresses):
-            return prudentize(m[:cut], ctx.threshold)
-    return ""
+    _, cut = ctx.shapes.scan(m)
+    return prudentize(m[:cut], ctx.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -315,22 +301,9 @@ class Semiposition:
         return f"Semiposition({list(self.pairs)}{tail})"
 
 
-def _completion_candidates(last_string, addresses):
-    """Full moves some extension of last_string could spell."""
-    out = []
-    for addr in addresses:
-        full = addr + "#"
-        if full.startswith(last_string):
-            out.append(full)
-    addr, numer = split_move(last_string)
-    if numer is not None and addr + "#" + numer == last_string and is_canonical_numer(numer):
-        out.append(last_string)
-    return out
-
-
 def analyze_semiposition(s: Semiposition, f, c_env):
     """complete?, legitimate?, quasilegitimate?, compression."""
-    addresses = fm.analysis(f).addresses
+    shapes = fm.analysis(f).shapes
 
     def legal_check(run):
         return first_illegal_index(f, c_env, run) is None
@@ -343,10 +316,8 @@ def analyze_semiposition(s: Semiposition, f, c_env):
             return check(s.pairs)
         head = s.pairs[:-1]
         label, w = s.pairs[-1]
-        for m in _completion_candidates(w, addresses):
-            if check(head + ((label, m),)):
-                return True
-        return False
+        return any(check(head + ((label, w + rest),))
+                   for rest in shapes.completions(w))
 
     compression = []
     for i, (label, m) in enumerate(s.pairs):
@@ -364,15 +335,12 @@ def analyze_semiposition(s: Semiposition, f, c_env):
     }
 
 
-_WINDUP_ORDER = {"#": 0, "0": 1, "1": 2, ".": 3}
-
-
-def _lex_key(s):
-    return tuple(_WINDUP_ORDER[c] for c in s)
+_WINDUP_ORDER = "#01."
 
 
 def windup(v: Semiposition, f, c_env) -> str:
-    """Smallest string closing v's open buffer into a T-quasilegal position."""
+    """Smallest string closing v's open buffer into a T-quasilegal position:
+    the first passing completion, as a move's numer never decides it."""
     if not v.open_last:
         raise ValueError("windup needs an incomplete semiposition")
     if any(label != "T" for label, _ in v.pairs):
@@ -380,14 +348,10 @@ def windup(v: Semiposition, f, c_env) -> str:
     head = v.pairs[:-1]
     _, buf = v.pairs[-1]
 
-    candidates = []
-    for m in _completion_candidates(buf, fm.analysis(f).addresses):
-        run = head + (("T", m),)
-        if is_quasilegal(f, run, "T"):
-            candidates.append(m[len(buf):])
-    if not candidates:
-        raise ValueError("semiposition is not quasilegitimate")
-    return min(candidates, key=_lex_key)
+    for rest in fm.analysis(f).shapes.completions(buf):
+        if is_quasilegal(f, head + (("T", buf + rest),), "T"):
+            return rest
+    raise ValueError("semiposition is not quasilegitimate")
 
 
 def windup_oracle(v: Semiposition, f, c_env, max_len=None) -> str:
@@ -396,9 +360,7 @@ def windup_oracle(v: Semiposition, f, c_env, max_len=None) -> str:
     _, buf = v.pairs[-1]
     if max_len is None:
         max_len = fm.analysis(f).census["h"] + 2
-    alphabet = sorted(_WINDUP_ORDER, key=_WINDUP_ORDER.get)
 
-    best = None
     stack = [""]
     # depth-first in lex order; the first hit is the smallest because a
     # prefix is tried before any of its extensions
@@ -408,7 +370,7 @@ def windup_oracle(v: Semiposition, f, c_env, max_len=None) -> str:
         if is_quasilegal(f, run, "T"):
             return cur
         if len(cur) < max_len:
-            for c in reversed(alphabet):
+            for c in reversed(_WINDUP_ORDER):
                 stack.append(cur + c)
     raise ValueError("no windup found within the probe length")
 

@@ -25,11 +25,7 @@ from __future__ import annotations
 
 import os
 
-from .game import (
-    TruncationContext,
-    is_quasilegal_move_prefix,
-    magnitude,
-)
+from .game import TruncationContext, magnitude, prudentize
 
 BLANK = "_"
 DIRS = ("L", "R", "S")
@@ -54,8 +50,14 @@ class HPMSpec:
 
 
 def parse_hpm(text: str) -> HPMSpec:
+    """Parse a machine file; a bad line raises ValueError naming it.
+
+    Each delta row must read and write exactly `worktapes` work symbols
+    from the alphabet (or the blank) and go to a declared state, and no
+    two rows may share a key: the machine must be deterministic.
+    """
     fields = {}
-    delta = {}
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -74,13 +76,30 @@ def parse_hpm(text: str) -> HPMSpec:
         elif key == "alphabet":
             fields["alphabet"] = rest.split()
         elif key == "delta":
-            delta.update(_parse_delta_line(rest, lineno))
+            rows.append((lineno, *_parse_delta_line(rest, lineno)))
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     for need in ("states", "start", "worktapes", "alphabet"):
         if need not in fields:
             raise ValueError(f"missing {need!r} declaration")
     fields.setdefault("move_states", [])
+    symbols = set(fields["alphabet"]) | {BLANK}
+    delta, first_line = {}, {}
+    for lineno, key, row in rows:
+        worksyms, (q2, writes) = key[2], row[:2]
+        if len(worksyms) != fields["worktapes"]:
+            raise ValueError(f"line {lineno}: {len(worksyms)} work symbols, "
+                             f"but worktapes is {fields['worktapes']}")
+        for sym in worksyms + writes:
+            if sym not in symbols:
+                raise ValueError(f"line {lineno}: work symbol {sym!r} "
+                                 "not in the alphabet")
+        if q2 not in fields["states"]:
+            raise ValueError(f"line {lineno}: target state {q2!r} not declared")
+        if key in delta:
+            raise ValueError(f"line {lineno}: a second transition for "
+                             f"{key!r}, first given on line {first_line[key]}")
+        delta[key], first_line[key] = row, lineno
     return HPMSpec(delta=delta, **fields)
 
 
@@ -109,7 +128,7 @@ def _parse_delta_line(rest, lineno):
     for d in (d_run,) + dirs:
         if d not in DIRS:
             raise ValueError(f"line {lineno}: bad direction {d!r}")
-    return {(state, runsym, worksyms): (q2, writes, d_run, dirs, append)}
+    return (state, runsym, worksyms), (q2, writes, d_run, dirs, append)
 
 
 # ---------------------------------------------------------------------------
@@ -460,35 +479,22 @@ def play(runner, env, fuel: int):
         for m in made:
             run = run + (("T", m),)
         meter.record_cycle(cycle, run, runner.spacecost(), made, env_moved)
-    return {"run": run, "meter": meter, "truncated_by_fuel": True}
+    return {"run": run, "meter": meter}
 
 
 # ---------------------------------------------------------------------------
 # sketches
 
-def _track_append(trunc, live, numer_first, numer_len, s, ctx):
-    """Advance the buffer-truncation tracker by appended string s."""
-    for c in s:
-        if not live:
-            continue
-        if numer_len is None:
-            cand = trunc + c
-            if is_quasilegal_move_prefix(cand, ctx.addresses):
-                trunc = cand
-                if c == "#":
-                    numer_len = 0
-            else:
-                live = False
-        else:
-            if c not in "01" or (numer_len >= 1 and numer_first == "0"):
-                live = False
-                continue
-            if numer_len == 0:
-                numer_first = c
-            numer_len += 1
-            if numer_len <= ctx.threshold:
-                trunc = trunc + c
-    return trunc, live, numer_first, numer_len
+def _track_append(trunc, shape, s, ctx):
+    """Advance the buffer-truncation tracker by appended string s.
+
+    shape is the move-shape state of the buffer so far, None once the
+    buffer has left every move shape; from then on trunc stays put.
+    """
+    if shape is None or not s:
+        return trunc, shape
+    shape, kept = ctx.shapes.scan(s, shape)
+    return prudentize(trunc + s[:kept], ctx.threshold), shape
 
 
 class Sketch:
@@ -497,19 +503,18 @@ class Sketch:
     Components: (1) state, (2) work-tape contents, (3) work-tape heads,
     (4) run-tape head, (5) moves made, (6) buffer length, (7) string
     appended on the last transition, (8) truncation of the buffer move.
-    The tracker fields (prefixed _) carry just enough to keep component
-    8 incrementally correct; they are excluded from equality.
+    `_shape`, the buffer's state in the formula's move-shape automaton
+    (None once the buffer has left every move shape), keeps component 8
+    incrementally correct; it is excluded from equality.
     """
 
     __slots__ = ("state", "tapes", "heads", "runhead", "moves_made",
-                 "buffer_len", "last_append", "trunc",
-                 "_live", "_numer_first", "_numer_len",
+                 "buffer_len", "last_append", "trunc", "_shape",
                  "flushed", "flushed_trunc", "flushed_len")
 
     def __init__(self, state, tapes, heads, runhead, moves_made, buffer_len,
-                 last_append, trunc, _live=True, _numer_first=None,
-                 _numer_len=None, flushed=False, flushed_trunc=None,
-                 flushed_len=0):
+                 last_append, trunc, _shape=0, flushed=False,
+                 flushed_trunc=None, flushed_len=0):
         self.state = state
         self.tapes = tuple(tapes)
         self.heads = tuple(heads)
@@ -518,9 +523,7 @@ class Sketch:
         self.buffer_len = buffer_len
         self.last_append = last_append
         self.trunc = trunc
-        self._live = _live
-        self._numer_first = _numer_first
-        self._numer_len = _numer_len
+        self._shape = _shape
         self.flushed = flushed
         self.flushed_trunc = flushed_trunc
         self.flushed_len = flushed_len
@@ -544,12 +547,12 @@ def initial_sketch(spec: HPMSpec) -> Sketch:
 
 
 def sketch_of_configuration(cfg: Configuration, ctx: TruncationContext) -> Sketch:
-    trunc, live, nf, nl = _track_append("", True, None, None, cfg.buffer, ctx)
+    trunc, shape = _track_append("", 0, cfg.buffer, ctx)
     return Sketch(
         state=cfg.state, tapes=cfg.tapes, heads=cfg.heads,
         runhead=cfg.runhead, moves_made=cfg.moves_made,
         buffer_len=len(cfg.buffer), last_append=cfg.last_append,
-        trunc=trunc, _live=live, _numer_first=nf, _numer_len=nl)
+        trunc=trunc, _shape=shape)
 
 
 def history_prefix(history, m: int):
@@ -595,29 +598,14 @@ def sketch_advance(spec: HPMSpec, s: Sketch, history, symbol_source,
         assert runsym is not None
     moved = _transition(spec, s.state, runsym, s.tapes, s.heads, min(q, p), p)
     if moved is None:
-        return Sketch(
-            state=s.state, tapes=s.tapes, heads=s.heads,
-            runhead=min(q, p), moves_made=s.moves_made,
-            buffer_len=s.buffer_len, last_append="", trunc=s.trunc,
-            _live=s._live, _numer_first=s._numer_first,
-            _numer_len=s._numer_len)
+        return Sketch(s.state, s.tapes, s.heads, min(q, p), s.moves_made,
+                      s.buffer_len, "", s.trunc, s._shape)
     q2, tapes, heads, runhead2, append = moved
     buffer_len = s.buffer_len + len(append)
-    trunc, live, nf, nl = _track_append(
-        s.trunc, s._live, s._numer_first, s._numer_len, append, ctx)
-    moves_made = s.moves_made
-    flushed = False
-    flushed_trunc = None
-    flushed_len = 0
+    trunc, shape = _track_append(s.trunc, s._shape, append, ctx)
     if q2 in spec.move_states:
-        flushed = True
-        flushed_trunc = trunc
-        flushed_len = buffer_len
-        moves_made += 1
-        buffer_len = 0
-        trunc, live, nf, nl = "", True, None, None
-    return Sketch(
-        state=q2, tapes=tapes, heads=heads, runhead=runhead2,
-        moves_made=moves_made, buffer_len=buffer_len, last_append=append,
-        trunc=trunc, _live=live, _numer_first=nf, _numer_len=nl,
-        flushed=flushed, flushed_trunc=flushed_trunc, flushed_len=flushed_len)
+        return Sketch(q2, tapes, heads, runhead2, s.moves_made + 1, 0, append,
+                      "", flushed=True, flushed_trunc=trunc,
+                      flushed_len=buffer_len)
+    return Sketch(q2, tapes, heads, runhead2, s.moves_made, buffer_len,
+                  append, trunc, shape)

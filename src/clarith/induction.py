@@ -123,19 +123,16 @@ def _drain(gen):
             return fin.value
 
 
-def sim_full(a, b, n, strategy):
-    return _drain(_sim_stepping(a, b, n, strategy))
-
-
 def sim(a, b, n, strategy):
     """Replay strategy against the adversary the two bodies encode."""
-    s, u, _, _, _ = sim_full(a, b, n, strategy)
+    s, u, _, _, _ = _drain(_sim_stepping(a, b, n, strategy))
     return s, u
 
 
 def sim_views(a, b, n, strategy):
     """bullet = final signed organ; left/right = the interleaved bodies."""
-    s, u, svalues, fetched_a, fetched_b = sim_full(a, b, n, strategy)
+    s, u, svalues, fetched_a, fetched_b = _drain(
+        _sim_stepping(a, b, n, strategy))
     negatives = [org for sign, org in svalues if sign == "-"]
     positives = [org for sign, org in svalues if sign == "+"]
     left = []
@@ -254,8 +251,7 @@ class InductionRunner:
     iteration earned; ranks are computed over these start states.
     """
 
-    def __init__(self, n_strategy, k_strategy, conclusion, machine_census=None,
-                 poll_every=1, space_bound=None):
+    def __init__(self, n_strategy, k_strategy, conclusion, machine_census=None):
         root = conclusion
         while isinstance(root, (fm.BlindAll, fm.BlindEx)):
             root = root.body
@@ -270,8 +266,6 @@ class InductionRunner:
         self.n_strategy = n_strategy
         self.k_strategy = k_strategy
         self.machine_census = dict(DEFAULT_MACHINE_CENSUS, **(machine_census or {}))
-        self.poll_every = max(1, poll_every)
-        self.space_bound = space_bound
         self.trace = []
         self.faults = []
         self.run = ()
@@ -394,21 +388,17 @@ class InductionRunner:
             strategy = self._strategy_for(n, c_moves)
             gen = _sim_stepping(body_project(left, "even"),
                                 body_project(right, "odd"), n, strategy)
-            result = None
-            interrupted = False
-            steps = 0
-            while result is None and not interrupted:
+            result = None  # stays None when a new move interrupts the sim
+            while True:
                 try:
                     next(gen)
                 except StopIteration as fin:
                     result = fin.value
                     break
-                steps += 1
-                if steps % self.poll_every == 0:
-                    yield
-                    if len(self._env_consequent_moves()) > self._master_q(entries):
-                        interrupted = True
-            if interrupted:
+                yield
+                if len(self._env_consequent_moves()) > self._master_q(entries):
+                    break
+            if result is None:
                 absorb_new_move()
                 u_total = 0
                 restart()
@@ -484,16 +474,13 @@ def build_induction_solver(n_strategy, k_strategy, conclusion, **kw) -> Inductio
 # ---------------------------------------------------------------------------
 # diagnostics
 
-def rank_base(ell, census, agg, statute_params, space_bound=None,
-              f_induction=None):
+def rank_base(ell, census, agg, statute_params, f_induction=None):
     """The digit base for iteration ranks.
 
     f_induction caps the induction variable, so every index digit
     stays below the base; without it the body's subaggregate is used.
     """
-    g_of_ell = agg["G"](ell)
-    s_of = space_bound(g_of_ell) if space_bound is not None else 0
-    limit = statute_limit(ell, s_of, statute_params)
+    limit = statute_limit(ell, 0, statute_params)
     d = 2 * census["e_top"] + 1
     f = f_induction if f_induction is not None else agg["f"]
     return max(bitsize(limit), f(ell), d, census["e_bot"]) + 1
@@ -523,8 +510,7 @@ def diagnostics(runner: InductionRunner):
                 "locking": [], "rank_base": None}
     base_info = runner._diag_base
     base = rank_base(base_info["ell"], base_info["census"], base_info["agg"],
-                     base_info["statute_params"], runner.space_bound,
-                     base_info["f_induction"])
+                     base_info["statute_params"], base_info["f_induction"])
     ranks = [iteration_rank(rec, base, base_info["census"])
              for rec in runner.trace]
     classifications = [rec["classification"] for rec in runner.trace]

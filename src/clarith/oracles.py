@@ -1,0 +1,170 @@
+"""Brute-force oracle suites for `clarith oracle <suite>`: `SUITES` maps
+a name to (fn, default cases); fn(rng, cases) returns None when every
+check passes, else the first counterexample."""
+
+from __future__ import annotations
+
+from . import comprehension as cp
+from . import formula as fm
+from . import game, induction, wrappers, zoo
+from .bounds import Nat
+
+
+def _suite_fetch(rng, cases):
+    f = fm.parse_formula("ada x [|s|] (ade y [|s|] p(x,y))")
+    done = 0
+    while done < cases:
+        spec = zoo.random_machine(rng)
+        schedule = zoo.random_schedule(rng, spec)
+        scenario = zoo.run_scenario(spec, schedule, 60)
+        own = scenario["own_moves"]
+        sized = [(k, m) for k, m in enumerate(own) if m]
+        if not sized:
+            continue
+        k, move = sized[rng.randrange(len(sized))]
+        n = rng.randint(1, len(move))
+        ctx = game.TruncationContext(f, {"s": 5})
+        got = wrappers.fetch_symbol(spec, scenario["history"], k, n,
+                                    scenario["env_moves"], ctx)
+        if got != move[n - 1]:
+            return (f"fetch mismatch: k={k} n={n} expected {move[n-1]!r} "
+                    f"got {got!r} (moves {own!r}, schedule {schedule!r})")
+        done += 1
+    return None
+
+
+def _zoo_formulas():
+    texts = [
+        "ada x [|s|] (ade y [|s|] p(x,y))",
+        "(ade y [|s|] p(y)) v (ada u [|s|] q(u))",
+        "ada y [|s|] (p(y) -> ade w [|s|] q(w))",
+    ]
+    return [fm.parse_formula(t) for t in texts]
+
+
+def _iter_open_buffers(addresses, max_len):
+    """Every string that stays a quasilegal-move prefix, up to max_len:
+    a depth-first walk of the addresses' move-shape automaton."""
+    delta = fm.MoveShapes(addresses).delta
+    frontier = [("", 0)]
+    while frontier:
+        s, state = frontier.pop()
+        yield s
+        if len(s) < max_len:
+            for c in "#01.":
+                if c in delta[state]:
+                    frontier.append((s + c, delta[state][c]))
+
+
+def _suite_windup(rng, cases):
+    checked = 0
+    for f in _zoo_formulas():
+        c_env = {"s": 5}
+        addresses = fm.analysis(f).addresses
+        heads = [()] + [(("T", addr + "#1"),) for addr in addresses]
+        for head in heads:
+            for buf in _iter_open_buffers(addresses, 6):
+                v = game.Semiposition(head + (("T", buf),), open_last=True)
+                info = game.analyze_semiposition(v, f, c_env)
+                if not info["quasilegitimate"]:
+                    continue
+                got = game.windup(v, f, c_env)
+                want = game.windup_oracle(v, f, c_env)
+                if got != want:
+                    return (f"windup mismatch on {v!r}: structural {got!r}, "
+                            f"search {want!r}")
+                checked += 1
+    if checked == 0:
+        return "windup suite found nothing to check"
+    return None
+
+
+def _suite_sim(rng, cases):
+    for _ in range(cases):
+        a, b, n = zoo.random_sim_triple(rng)
+        cap = rng.randint(1, 3)
+        strat = zoo.random_script(rng, cap, 3, n)
+        out = induction.sim(a, b, n, strat)
+        sign = out[0][0]
+        if sign == "-":
+            b2 = b + zoo.random_body(rng, max_size=2)
+            if induction.sim(a, b2, n, strat) != out:
+                return f"extension of B changed a negative-bullet sim: {(a, b, n)!r}"
+        elif n != 0:
+            a2 = a + zoo.random_body(rng, max_size=2)
+            if induction.sim(a2, b, n, strat) != out:
+                return f"extension of A changed a positive-bullet sim: {(a, b, n)!r}"
+        if sign == "+" and len(b) > cap:
+            return f"positive bullet with body larger than the move cap: {(a, b, n)!r}"
+    return None
+
+
+class _TablePremise:
+    """Premise strategy answering from a truth table over y."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def initial(self):
+        return ((), False)
+
+    def feed(self, st, labmoves):
+        run, answered = st
+        return (run + tuple(labmoves), answered)
+
+    def step(self, st):
+        run, answered = st
+        bots = [m for label, m in run if label == "B"]
+        if answered or not bots:
+            return st, None
+        _, numer = game.split_move(bots[-1])
+        y = game.numer_value(numer or "")
+        verdict = "0." if (y < len(self.table) and self.table[y]) else "1."
+        return ((run + (("T", verdict),), True)), verdict
+
+    def space(self, st):
+        return 0
+
+    def run_view(self, st):
+        return st[0]
+
+
+def _suite_compr(rng, cases):
+    for c in range(0, 9):
+        for mask in range(2 ** c):
+            table = [(mask >> y) & 1 == 1 for y in range(c)]
+            err = _one_compr_case(table, c)
+            if err:
+                return err
+    for _ in range(cases):
+        c = rng.randint(4, 8)
+        table = [rng.random() < 0.5 for _ in range(c)]
+        err = _one_compr_case(table, c)
+        if err:
+            return err
+    return None
+
+
+def _one_compr_case(table, c):
+    p = fm.Atom("tbl", (fm.TVar("y"),))
+    runner = cp.build_comprehension_solver(
+        _TablePremise(table), p, "y", Nat(c), var_order=[])
+    moves = runner.poll(())
+    if len(moves) != 1:
+        return f"comprehension made {len(moves)} moves for table {table!r}"
+    _, numer = game.split_move(moves[0])
+    got = game.numer_value(numer or "")
+    want = sum(1 << y for y in range(c) if y < len(table) and table[y])
+    if got != want:
+        return f"comprehension value {got} != {want} for table {table!r} c={c}"
+    if numer and not game.is_canonical_numer(numer):
+        return f"non-canonical numer {numer!r} for table {table!r}"
+    return None
+
+
+SUITES = {
+    "fetch": (_suite_fetch, 1000),
+    "windup": (_suite_windup, 0),
+    "sim": (_suite_sim, 500),
+    "compr": (_suite_compr, 200),
+}

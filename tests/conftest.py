@@ -1,9 +1,17 @@
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 import clarith.formula as fm
-from clarith.game import TruncationContext, int_to_numer, numer_value, split_move
+from clarith.bounds import parse_bound
+from clarith.game import (
+    TruncationContext,
+    int_to_numer,
+    is_quasilegal_move_prefix,
+    numer_value,
+    split_move,
+)
 from clarith.hpm import ScriptStrategy, parse_hpm
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -37,6 +45,46 @@ def bigmove_machine():
 @pytest.fixture
 def legal_machine():
     return parse_hpm(read_fixture("legal.hpm"))
+
+
+_SIZE_S = parse_bound("|s|")
+
+
+def _grow(kids):
+    return st.one_of(
+        st.tuples(st.sampled_from((fm.And, fm.Or, fm.Implies)), kids, kids)
+        .map(lambda t: t[0](t[1], t[2])),
+        kids.map(fm.Not),
+        st.tuples(st.sampled_from((fm.ChoiceAll, fm.ChoiceEx)), kids)
+        .map(lambda t: t[0]("y", _SIZE_S, t[1])),
+        kids.map(lambda body: fm.BlindAll("w", _SIZE_S, body)),
+    )
+
+
+# random formulas over the free variable s, mixing every connective
+formulas = st.recursive(st.just(fm.Atom("p", (fm.TVar("s"),))), _grow,
+                        max_leaves=6)
+
+
+@st.composite
+def shape_cases(draw):
+    """(formula with a choice operator, constant for s, string over
+    01#.x), the string usually starting with one of the formula's
+    addresses so moves get spelled."""
+    f = draw(formulas)
+    if not fm.analysis(f).units:
+        f = fm.ChoiceEx("y", _SIZE_S, f)
+    head = draw(st.sampled_from(
+        ("",) + tuple(a + tail for a in fm.analysis(f).addresses
+                      for tail in ("", "#"))))
+    return f, draw(st.integers(0, 300)), head + draw(
+        st.text(alphabet="01#.x", max_size=10))
+
+
+def longest_good_prefix(m, addresses):
+    """The backward scan with the slow prefix test."""
+    return next(m[:cut] for cut in range(len(m), -1, -1)
+                if is_quasilegal_move_prefix(m[:cut], addresses))
 
 
 def make_scripted_env(entries):

@@ -38,7 +38,7 @@ from clarith.wrappers import (
     fetch_symbol,
     update_sketch,
 )
-from clarith.cli import _TablePremise, _iter_open_buffers, _zoo_formulas
+from clarith.oracles import _TablePremise, _iter_open_buffers, _zoo_formulas
 
 from conftest import (
     COUNTER_TEXT,

@@ -17,7 +17,6 @@ from clarith.bounds import (
     bitsize,
     bound_leq,
     ceil_log2,
-    evaluate_bound,
     iterate_max,
     parse_bound,
     statute_limit,
@@ -49,19 +48,19 @@ class TestBitsize:
 class TestParseAndEvaluate:
     def test_size_variable(self):
         b = parse_bound("|x|")
-        assert evaluate_bound(b, {"x": 9}) == 4
+        assert b.evaluate({"x": 9}) == 4
 
     def test_arithmetic(self):
         b = parse_bound("|x| * 2 + 3")
-        assert evaluate_bound(b, {"x": 9}) == 11
+        assert b.evaluate({"x": 9}) == 11
 
     def test_max_and_log(self):
         b = parse_bound("max(|x|, log(|y| + 1))")
-        assert evaluate_bound(b, {"x": 1, "y": 200}) == 4
+        assert b.evaluate({"x": 1, "y": 200}) == 4
 
     def test_parentheses(self):
         b = parse_bound("(|x| + 1) * (|x| + 1)")
-        assert evaluate_bound(b, {"x": 9}) == 25
+        assert b.evaluate({"x": 9}) == 25
 
     def test_trailing_garbage_rejected(self):
         try:
@@ -74,7 +73,7 @@ class TestParseAndEvaluate:
     @given(st.integers(min_value=0, max_value=2**30))
     def test_evaluation_is_on_sizes_not_values(self, n):
         b = parse_bound("|x|")
-        assert evaluate_bound(b, {"x": n}) == bitsize(n)
+        assert b.evaluate({"x": n}) == bitsize(n)
 
 
 class TestUnarification:
@@ -220,13 +219,13 @@ class TestExprAlgebra:
     def test_substitute_keeps_unrelated_nodes(self):
         b = Add(SizeVar("x"), Nat(3))
         b2 = b.substitute({"x": Nat(5)})
-        assert evaluate_bound(b2, {}) == 8
+        assert b2.evaluate({}) == 8
 
     def test_mul_repr_round_trips(self):
         b = Mul(SizeVar("x"), Add(Nat(1), SizeVar("y")))
         again = parse_bound(repr(b))
         env = {"x": 5, "y": 2}
-        assert evaluate_bound(again, env) == evaluate_bound(b, env)
+        assert again.evaluate(env) == b.evaluate(env)
 
     def test_unary_bound_rejects_foreign_variables(self):
         try:

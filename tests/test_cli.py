@@ -4,10 +4,10 @@ import sys
 
 import pytest
 
-import clarith.cli as cli
+from clarith import oracles
 from clarith.cli import main
 
-from conftest import COUNTER_TEXT, FIXTURES, TWO_DISJUNCT_TEXT
+from conftest import COUNTER_TEXT, FIXTURES, TWO_DISJUNCT_TEXT, read_fixture
 
 
 @pytest.fixture
@@ -46,6 +46,23 @@ class TestFmt:
         p = tmp_path / "bad.clf"
         p.write_text("ada [ oops\n")
         assert main(["fmt", "check", str(p)]) == 1
+
+
+class TestRepeatedCalls:
+    def test_successive_commands_in_one_process(self, formula_file,
+                                                monkeypatch, capsys):
+        play = ["play", fixture("bigmove.hpm"), formula_file, "--env", "x=9"]
+        assert main(["fmt", "check", formula_file]) == 0
+        census = capsys.readouterr().out
+        assert main(play + ["--fuel", "30"]) == 0
+        played = capsys.readouterr().out
+        # a --fuel given before must not stick to a later call
+        monkeypatch.setenv("CLARITH_FUEL_DEFAULT", "30")
+        assert main(play) == 0
+        assert capsys.readouterr().out == played
+        assert main(["fmt", "check", formula_file]) == 0
+        assert capsys.readouterr().out == census
+        assert "e_top: 2" in census and "winner:" in played
 
 
 class TestUsageErrors:
@@ -199,6 +216,14 @@ class TestInputErrorsExitOne:
         self.assert_clean_error(rc, err)
         assert "--bound" in err
 
+    def test_malformed_machine_file(self, tmp_path, formula_file):
+        p = tmp_path / "twice.hpm"
+        p.write_text(read_fixture("legal.hpm")
+                     + "delta: a0, _, _ -> halt, _, S, S\n")
+        rc, err = run_cli(["play", str(p), formula_file, "--env", "x=9"])
+        self.assert_clean_error(rc, err)
+        assert "line 20: a second transition" in err
+
 
 class TestMeter:
     def test_report_from_run_file(self, tmp_path, capsys):
@@ -228,7 +253,7 @@ class TestOracle:
         assert main(["oracle", "no-such-suite"]) == 2
 
     def test_violation_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setitem(cli._SUITES, "doomed",
+        monkeypatch.setitem(oracles.SUITES, "doomed",
                             (lambda rng, cases: "planted counterexample", 1))
         assert main(["oracle", "doomed"]) == 3
         assert "FAIL: planted counterexample" in capsys.readouterr().out

@@ -33,7 +33,7 @@ from clarith.game import (
     wins,
 )
 
-from conftest import TWO_DISJUNCT_TEXT
+from conftest import TWO_DISJUNCT_TEXT, longest_good_prefix, shape_cases
 
 
 class TestMoveAnatomy:
@@ -157,7 +157,8 @@ class TestTruncation:
 
     def test_addresses(self, two_disjunct_ctx):
         assert two_disjunct_ctx.addresses == ("0.", "0.1.", "1.", "1.1.")
-        assert two_disjunct_ctx.addresses_for("T") == ("0.1.", "1.1.")
+        assert tuple(u.address for u in two_disjunct_ctx.units
+                     if u.mover == "T") == ("0.1.", "1.1.")
 
     def test_prudentize_trims_numer(self):
         assert prudentize("0.1.#1111111", 4) == "0.1.#1111"
@@ -183,6 +184,33 @@ class TestTruncation:
         ctx = TruncationContext(fm.parse_formula(TWO_DISJUNCT_TEXT), {"x": 9})
         out = truncate(s, ctx)
         assert out == "" or is_quasilegal_move_prefix(out, ctx.addresses)
+
+
+class TestMoveShapes:
+    """The move-shape automaton against the slow prefix test."""
+
+    @given(shape_cases())
+    def test_accepts_exactly_the_quasilegal_move_prefixes(self, case):
+        f, _, s = case
+        a = fm.analysis(f)
+        for cut in range(len(s) + 1):
+            state, _ = a.shapes.scan(s[:cut])
+            assert (state is not None) == is_quasilegal_move_prefix(
+                s[:cut], a.addresses), s[:cut]
+
+    @given(shape_cases())
+    def test_truncate_matches_the_backward_scan(self, case):
+        f, c, s = case
+        ctx = TruncationContext(f, {"s": c})
+        want = prudentize(longest_good_prefix(s, ctx.addresses), ctx.threshold)
+        assert truncate(s, ctx) == want
+
+    def test_completions_in_windup_order(self, two_disjunct_ctx):
+        shapes = two_disjunct_ctx.shapes
+        assert shapes.completions("") == ["0.#", "0.1.#", "1.#", "1.1.#"]
+        assert shapes.completions("1.1") == [".#"]
+        assert shapes.completions("0.1.#10") == [""]
+        assert shapes.completions("0.1.#01") == []
 
 
 class TestSemipositions:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from clarith.game import project
+from clarith.game import TruncationContext, project, truncate
 from clarith.hpm import (
     BLANK,
     Configuration,
@@ -8,6 +10,7 @@ from clarith.hpm import (
     Meter,
     ScriptStrategy,
     StrategyRunner,
+    _track_append,
     history_prefix,
     initial_configuration,
     initial_sketch,
@@ -22,7 +25,7 @@ from clarith.hpm import (
     step,
 )
 
-from conftest import make_scripted_env, read_fixture
+from conftest import make_scripted_env, read_fixture, shape_cases
 
 
 class TestParsing:
@@ -55,6 +58,21 @@ class TestParsing:
     def test_undeclared_start(self):
         with pytest.raises(ValueError):
             parse_hpm("states: a\nstart: b\nworktapes: 0\nalphabet: 0\n")
+
+    @pytest.mark.parametrize("row, complaint", [
+        ("a0, _, _ -> halt, _, S, S", "first given on line 7"),
+        ("halt, _ -> halt, S", "0 work symbols, but worktapes is 1"),
+        ("halt, _, Y -> halt, _, S, S", "work symbol 'Y' not in the alphabet"),
+        ("halt, _, _ -> halt, Y, S, S", "work symbol 'Y' not in the alphabet"),
+        ("halt, _, _ -> nowhere, _, S, S", "target state 'nowhere' not declared"),
+    ], ids=["duplicate-key", "work-arity", "read-symbol", "write-symbol",
+            "target-state"])
+    def test_rejects_malformed_rows_by_line(self, row, complaint):
+        text = read_fixture("legal.hpm") + f"delta: {row}\n"
+        with pytest.raises(ValueError) as err:
+            parse_hpm(text)
+        assert str(err.value).startswith(f"line {len(text.splitlines())}: ")
+        assert complaint in str(err.value)
 
 
 class TestRunTape:
@@ -238,3 +256,22 @@ class TestSketch:
         cfg = initial_configuration(bigmove_machine).replace(buffer="0.x1")
         sk = sketch_of_configuration(cfg, two_disjunct_ctx)
         assert sk.trunc == "0." and sk.buffer_len == 4
+
+
+class TestTruncationTracker:
+    """The sketch's incremental truncation against `truncate`."""
+
+    CFG = initial_configuration(parse_hpm(read_fixture("bigmove.hpm")))
+
+    @given(shape_cases(), st.lists(st.integers(1, 4), max_size=8))
+    def test_sketch_and_chunked_tracker_match_truncate(self, case, chunks):
+        f, c, s = case
+        ctx = TruncationContext(f, {"s": c})
+        want = truncate(s, ctx)
+        cfg = self.CFG.replace(buffer=s)
+        assert sketch_of_configuration(cfg, ctx).trunc == want
+        trunc, shape, i = "", 0, 0
+        for size in chunks + [len(s)]:
+            trunc, shape = _track_append(trunc, shape, s[i:i + size], ctx)
+            i += size
+        assert trunc == want
