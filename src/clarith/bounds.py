@@ -252,13 +252,6 @@ def iterate_max(f: UnaryBound, n: int) -> UnaryBound:
     return UnaryBound(IteratedMax(f, n, RawVar(UnaryBound.VAR)))
 
 
-def bound_leq(a: UnaryBound, b: UnaryBound, grid=None) -> bool:
-    """Sampled pointwise comparison a(z) <= b(z); default grid 0..1024."""
-    if grid is None:
-        grid = range(0, 1025)
-    return all(a(z) <= b(z) for z in grid)
-
-
 def statute_limit(w: int, u: int, params) -> int:
     """Explicit silence threshold for the synchronizer's doubling test.
 

@@ -132,20 +132,12 @@ def _script_env(entries):
     return env
 
 
-def _print_run(run):
-    for label, move in run:
-        print(f"{label} {move}")
-
-
 def _winner(f, run):
     free = fm.free_vars(f)
-    bots = [m for label, m in run if label == "B"]
-    if len(bots) < len(free):
+    consts = game.leading_constants(run, len(free))
+    if consts is None:
         return "T (environment never instantiated the game)"
-    c_env = {}
-    for var, move in zip(free, bots):
-        _, numer = game.split_move(move)
-        c_env[var] = game.numer_value(numer or "")
+    c_env = dict(zip(free, consts))
     tail = []
     skipped = 0
     for label, move in run:
@@ -163,14 +155,12 @@ def _winner(f, run):
 
 def _play_and_report(runner, f, env, fuel, trace_path=None, trace_rows=None):
     out = hpm.play(runner, env, fuel)
-    _print_run(out["run"])
+    print(game.format_run(out["run"]), end="")
     try:
         print("winner:", _winner(f, out["run"]))
     except KeyError as exc:
         print(f"winner: undecided (no evaluator for atom {exc})")
-    report = hpm.meter_report(out["meter"])
-    print("meter:", json.dumps({k: v for k, v in report.items()
-                                if k != "backgrounds"}))
+    print("meter:", json.dumps(hpm.meter_report(out["meter"])))
     if trace_path and trace_rows is not None:
         with open(trace_path, "w", encoding="utf-8") as fh:
             for row in trace_rows():
@@ -255,7 +245,10 @@ def cmd_transform(args):
         n_strat = hpm.HPMStrategy(_load_machine(args.n))
         k_strat = hpm.HPMStrategy(_load_machine(args.k))
         f = _load_formula(args.formula)
-        runner = induction.build_induction_solver(n_strat, k_strat, f)
+        try:
+            runner = induction.build_induction_solver(n_strat, k_strat, f)
+        except ValueError as exc:
+            raise FileProblem(f"{args.formula}: {exc}") from exc
         print("induction synchronizer built")
         if args.play:
             def rows():
@@ -279,26 +272,41 @@ def cmd_transform(args):
 
 
 def cmd_meter(args):
-    run = game.parse_run(_read(args.trace))
+    try:
+        run = game.parse_run(_read(args.trace))
+    except ValueError as exc:
+        raise FileProblem(f"{args.trace}: {exc}") from exc
     meter = hpm.Meter()
-    partial = ()
+    seen = []
     for cycle, (label, move) in enumerate(run):
-        partial = partial + ((label, move),)
+        seen.append((label, move))
         made = [move] if label == "T" else []
-        meter.record_cycle(cycle, partial, 0, made, label == "B")
-    report = hpm.meter_report(meter)
-    for key in ("amplitude", "max_spacecost", "spacecost_by_background",
-                "max_timecost"):
-        print(f"{key}: {json.dumps(report[key])}")
+        meter.record_cycle(cycle, seen, 0, made, label == "B")
+    for key, value in hpm.meter_report(meter).items():
+        print(f"{key}: {json.dumps(value)}")
     return 0
+
+
+_DIAG_KEYS = ("iteration", "rank", "master_scale", "U", "classification",
+              "entries")
 
 
 def cmd_diag(args):
     rows = []
-    for line in _read(args.trace).splitlines():
+    for lineno, line in enumerate(_read(args.trace).splitlines(), 1):
         line = line.strip()
-        if line:
-            rows.append(json.loads(line))
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError:
+            raise FileProblem(f"{args.trace}: line {lineno} is not JSON") from None
+        missing = ([key for key in _DIAG_KEYS if key not in row]
+                   if isinstance(row, dict) else _DIAG_KEYS)
+        if missing:
+            raise FileProblem(f"{args.trace}: line {lineno} lacks "
+                              f"{', '.join(missing)}")
+        rows.append(row)
     if not rows:
         print("empty trace")
         return 0
@@ -400,7 +408,7 @@ def build_parser():
     orc = sub.add_parser("oracle", help="run a brute-force oracle suite")
     orc.add_argument("suite")
     orc.add_argument("--seed", type=int, default=0)
-    orc.add_argument("--cases", type=int, default=None)
+    orc.add_argument("--cases", type=_positive_int, default=None)
     orc.set_defaults(fn=cmd_oracle)
 
     return ap

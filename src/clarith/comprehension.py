@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import formula as fm
 from .bounds import BoundExpr
-from .game import int_to_numer, numer_value, split_move
+from .game import int_to_numer, leading_constants
 from .hpm import fuel_from_env
 
 FALLBACK_FUEL = 10000
@@ -22,15 +22,14 @@ def default_fuel() -> int:
     return fuel_from_env(FALLBACK_FUEL)
 
 
-def comprehension_conclusion(p: fm.Formula, y: str, bound: BoundExpr,
-                             result_var: str = "d") -> fm.Formula:
+def comprehension_conclusion(p: fm.Formula, y: str,
+                             bound: BoundExpr) -> fm.Formula:
     """The game the built runner plays: pick d, sized within the bound,
     whose bits below the bound agree with p everywhere."""
-    dv, yv = fm.TVar(result_var), fm.TVar(y)
-    bit = fm.Atom("Bit", (yv, dv))
+    bit = fm.Atom("Bit", (fm.TVar(y), fm.TVar("d")))
     agree = fm.And(fm.Implies(bit, p), fm.Implies(p, bit))
     body = fm.BlindAll(y, bound, agree)
-    return fm.ChoiceEx(result_var, bound, body, kind="size")
+    return fm.ChoiceEx("d", bound, body, kind="size")
 
 
 class SimulationFault(Exception):
@@ -62,7 +61,7 @@ class ComprehensionRunner:
     """
 
     def __init__(self, premise, p: fm.Formula, y: str, bound: BoundExpr,
-                 var_order=None, fuel=None):
+                 var_order=None):
         self.premise = premise
         self.p = p
         self.y = y
@@ -76,19 +75,13 @@ class ComprehensionRunner:
                 if v != y and v not in var_order:
                     var_order.append(v)
         self.var_order = list(var_order)
-        self.fuel = default_fuel() if fuel is None else fuel
+        self.fuel = default_fuel()
         self.faults = []
         self.done = False
 
     def _constants(self, visible_run):
-        bots = [m for label, m in visible_run if label == "B"]
-        if len(bots) < len(self.var_order):
-            return None
-        env = {}
-        for var, move in zip(self.var_order, bots):
-            _, numer = split_move(move)
-            env[var] = numer_value(numer or "")
-        return env
+        consts = leading_constants(visible_run, len(self.var_order))
+        return None if consts is None else dict(zip(self.var_order, consts))
 
     def _probe(self, env, j):
         others = [v for v in self.var_order if v != self.y]

@@ -652,63 +652,3 @@ def choice_census(f: Formula):
 def aggregate_bounds(f: Formula):
     """Subaggregate bound f, superaggregate G, and the partial family S_i."""
     return dict(analysis(f).aggregate)
-
-
-def classify_units(f: Formula, run, c_env):
-    """Resolution status of every unit against a (quasilegal) run.
-
-    run is a sequence of (label, move) pairs; c_env assigns the free
-    variables.  Returns a list of (Unit, status, resolvent-or-None)
-    with status in {unresolved, well-resolved, ill-resolved, critical}.
-    """
-    from .game import split_move, numer_value  # local to avoid a cycle
-
-    a = analysis(f)
-    us, by_addr = a.units, a.by_addr
-    resolvent = {}
-    for label, move in run:
-        addr, numer = split_move(move)
-        if numer is None or addr not in by_addr:
-            raise ValueError(f"run is not quasilegal: move {move!r}")
-        u = by_addr[addr]
-        if label != u.mover or u.address in resolvent:
-            raise ValueError(f"run is not quasilegal at {move!r}")
-        resolvent[u.address] = numer_value(numer)
-
-    results = []
-    well = {}
-    for u in us:
-        if u.address not in resolvent:
-            results.append((u, "unresolved", None))
-            well[u.address] = None
-            continue
-        a = resolvent[u.address]
-        env = dict(c_env)
-        for other in us:
-            if other.address in resolvent:
-                env[other.var] = resolvent[other.address]
-        try:
-            limit = u.bound.evaluate(env)
-            measured = bitsize(a) if u.kind == "size" else a
-            ok = measured <= limit
-        except KeyError:
-            ok = False
-        status = "well-resolved" if ok else "ill-resolved"
-        well[u.address] = ok
-        results.append((u, status, a))
-
-    # upgrade ill-resolved to critical where all proper superunits are well
-    final = []
-    for u, status, a in results:
-        if status == "ill-resolved":
-            supers_ok = True
-            for other, st2, _ in results:
-                if other is u:
-                    continue
-                if u.address.startswith(other.address) and other.var in u.path_vars:
-                    if st2 != "well-resolved":
-                        supers_ok = False
-            if supers_ok:
-                status = "critical"
-        final.append((u, status, a))
-    return final

@@ -51,21 +51,14 @@ def magnitude(m: str) -> int:
     return len(m) - i - 1 if i >= 0 and all(c in "01" for c in m[i + 1:]) else 0
 
 
-# ---------------------------------------------------------------------------
-# projections
-
-def project(run, kind):
-    if kind == "top":
-        return tuple(lm for lm in run if lm[0] == "T")
-    if kind == "bot":
-        return tuple(lm for lm in run if lm[0] == "B")
-    if kind == "negate":
-        return tuple(("B" if l == "T" else "T", m) for l, m in run)
-    if kind == "sub0":
-        return tuple((l, m[2:]) for l, m in run if m.startswith("0."))
-    if kind == "sub1":
-        return tuple((l, m[2:]) for l, m in run if m.startswith("1."))
-    raise ValueError(f"unknown projection {kind!r}")
+def leading_constants(run, n):
+    """The values the run's first n ⊥ moves name, each its numer's value
+    (0 for a move without a clean numer), or None while the run has
+    fewer than n ⊥ moves."""
+    bots = [m for label, m in run if label == "B"]
+    if len(bots) < n:
+        return None
+    return [numer_value(split_move(m)[1] or "") for m in bots[:n]]
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +347,12 @@ def windup(v: Semiposition, f, c_env) -> str:
     raise ValueError("semiposition is not quasilegitimate")
 
 
-def windup_oracle(v: Semiposition, f, c_env, max_len=None) -> str:
-    """Brute-force reference: try every string up to max_len in lex order."""
+def windup_oracle(v: Semiposition, f, c_env) -> str:
+    """Brute-force reference: try every string in lex order, up to two
+    characters longer than the formula's longest address."""
     head = v.pairs[:-1]
     _, buf = v.pairs[-1]
-    if max_len is None:
-        max_len = fm.analysis(f).census["h"] + 2
+    max_len = fm.analysis(f).census["h"] + 2
 
     stack = [""]
     # depth-first in lex order; the first hit is the smallest because a
@@ -373,31 +366,6 @@ def windup_oracle(v: Semiposition, f, c_env, max_len=None) -> str:
             for c in reversed(_WINDUP_ORDER):
                 stack.append(cur + c)
     raise ValueError("no windup found within the probe length")
-
-
-# ---------------------------------------------------------------------------
-# delays
-
-def is_p_delay(delta, omega) -> bool:
-    """Whether delta postpones T's moves of omega without reordering either side."""
-    if project(delta, "top") != project(omega, "top"):
-        return False
-    if project(delta, "bot") != project(omega, "bot"):
-        return False
-
-    def positions(run):
-        tops, bots = [], []
-        for i, (label, _) in enumerate(run):
-            (tops if label == "T" else bots).append(i)
-        return tops, bots
-
-    tops_o, bots_o = positions(omega)
-    tops_d, bots_d = positions(delta)
-    for bi, bo in enumerate(bots_o):
-        for ti, to in enumerate(tops_o):
-            if bo < to and not (bots_d[bi] < tops_d[ti]):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

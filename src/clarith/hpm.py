@@ -16,9 +16,10 @@ never rescans it:
   run set by `replace(run=...)` gets its cells built afresh.)  `step`
   then reads the run symbol by index and the tape length with `len`.
   `run_tape_length` and `run_symbol` are the rescanning twins.
-- `Meter.record_cycle` keeps a running background maximum and the
-  number of run entries it has seen.  Its contract: each run it is
-  given extends the previous one.
+- `Meter.record_cycle` keeps a running background maximum, the number
+  of run entries it has seen, and per-background maxima, so a meter
+  does not grow with the cycles.  Its contract: each run it is given
+  extends the previous one.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def parse_hpm(text: str) -> HPMSpec:
     """Parse a machine file; a bad line raises ValueError naming it.
 
     Each delta row must read and write exactly `worktapes` work symbols
-    from the alphabet (or the blank) and go to a declared state, and no
-    two rows may share a key: the machine must be deterministic.
+    from the alphabet (or the blank) and go from and to declared states,
+    and no two rows may share a key: the machine must be deterministic.
     """
     fields = {}
     rows = []
@@ -94,8 +95,9 @@ def parse_hpm(text: str) -> HPMSpec:
             if sym not in symbols:
                 raise ValueError(f"line {lineno}: work symbol {sym!r} "
                                  "not in the alphabet")
-        if q2 not in fields["states"]:
-            raise ValueError(f"line {lineno}: target state {q2!r} not declared")
+        for role, q in (("source", key[0]), ("target", q2)):
+            if q not in fields["states"]:
+                raise ValueError(f"line {lineno}: {role} state {q!r} not declared")
         if key in delta:
             raise ValueError(f"line {lineno}: a second transition for "
                              f"{key!r}, first given on line {first_line[key]}")
@@ -391,50 +393,45 @@ class StrategyRunner:
 # metering
 
 class Meter:
-    """Per-branch resource records per the amplitude/space/time reading.
+    """Per-background resource maxima per the amplitude/space/time reading.
 
-    The run given to successive `record_cycle` calls only extends; the
-    background is a running maximum over the run entries seen so far.
+    `amplitude` and `spacecost` map each background to the largest own
+    move magnitude and work-tape cell count seen under it; `max_timecost`
+    is the most cycles any own move took since the last event.  The run
+    given to successive `record_cycle` calls only extends; `background`
+    is a running maximum over the run entries seen so far.
     """
 
     def __init__(self):
-        self.amplitude_events = []   # (cycle, magnitude, background)
-        self.spacecosts = []         # (cycle, cells, background)
-        self.timecosts = []          # (cycle, elapsed) per own move
-        self.backgrounds = []
+        self.amplitude = {}
+        self.spacecost = {}
+        self.max_timecost = 0
+        self.background = 1
         self._last_event_cycle = 0
-        self._background = 1
         self._seen = 0
 
     def record_cycle(self, cycle, run, cells, made, env_moved):
         for label, m in run[self._seen:]:
             if label == "B":
-                self._background = max(self._background, magnitude(m))
+                self.background = max(self.background, magnitude(m))
         self._seen = len(run)
-        bg = self._background
-        self.backgrounds.append(bg)
-        self.spacecosts.append((cycle, cells, bg))
+        bg = self.background
+        self.spacecost[bg] = max(self.spacecost.get(bg, 0), cells)
         if env_moved:
             self._last_event_cycle = cycle
         for m in made:
-            self.amplitude_events.append((cycle, magnitude(m), bg))
-            self.timecosts.append((cycle, cycle - self._last_event_cycle))
+            self.amplitude[bg] = max(self.amplitude.get(bg, 0), magnitude(m))
+            self.max_timecost = max(self.max_timecost,
+                                    cycle - self._last_event_cycle)
             self._last_event_cycle = cycle
 
 
 def meter_report(meter: Meter):
-    by_bg_amp = {}
-    for _, mag, bg in meter.amplitude_events:
-        by_bg_amp[bg] = max(by_bg_amp.get(bg, 0), mag)
-    by_bg_space = {}
-    for _, cells, bg in meter.spacecosts:
-        by_bg_space[bg] = max(by_bg_space.get(bg, 0), cells)
     return {
-        "amplitude": by_bg_amp,
-        "max_spacecost": max((c for _, c, _ in meter.spacecosts), default=0),
-        "spacecost_by_background": by_bg_space,
-        "max_timecost": max((t for _, t in meter.timecosts), default=0),
-        "backgrounds": list(meter.backgrounds),
+        "amplitude": dict(meter.amplitude),
+        "max_spacecost": max(meter.spacecost.values(), default=0),
+        "spacecost_by_background": dict(meter.spacecost),
+        "max_timecost": meter.max_timecost,
     }
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import formula as fm
 from .bounds import bitsize, statute_limit, unarify
-from .game import TruncationContext, int_to_numer, numer_value, prudentize, split_move
+from .game import TruncationContext, int_to_numer, leading_constants, prudentize
 
 DEFAULT_MACHINE_CENSUS = {"r": 1, "g": 1, "q": 2}
 
@@ -25,28 +25,12 @@ def organ(payload, scale):
     return (tuple(payload), int(scale))
 
 
-def body_relate(b1, b2):
-    b1, b2 = tuple(b1), tuple(b2)
-    ext = len(b1) >= len(b2) and b1[: len(b2)] == b2
-    res = len(b1) <= len(b2) and b2[: len(b1)] == b1
-    return {"extension": ext, "restriction": res, "consistent": ext or res}
-
-
 def body_project(b, parity):
     if parity == "odd":
         return tuple(b[i] for i in range(0, len(b), 2))
     if parity == "even":
         return tuple(b[i] for i in range(1, len(b), 2))
     raise ValueError(f"parity must be odd or even, got {parity!r}")
-
-
-def body_run(b):
-    """Flatten payloads into a run, odd positions ⊥, even positions ⊤."""
-    out = []
-    for i, (payload, _) in enumerate(b):
-        label = "B" if i % 2 == 0 else "T"
-        out.extend((label, m) for m in payload)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +50,7 @@ def check_sim_triple(a, b, n):
 def _sim_stepping(a, b, n, strategy):
     """The replay loop, yielding once per simulated step.
 
-    Returns (final signed organ, max work-tape cells, all signed organs
-    in production order, organs fetched from a, organs fetched from b).
+    Returns (final signed organ, max work-tape cells).
     """
     check_sim_triple(a, b, n)
     w = strategy.initial()
@@ -75,7 +58,6 @@ def _sim_stepping(a, b, n, strategy):
     nu, psi = [], []
     ai, bi = 0, 1
     sign, org = "+", b[0]
-    svalues = []
     while True:
         payload, p = org
         prefix = "" if n == 0 else ("1." if sign == "+" else "0.")
@@ -99,17 +81,15 @@ def _sim_stepping(a, b, n, strategy):
             yield
         if nu:
             s = ("+", organ(nu, p))
-            svalues.append(s)
             if bi == len(b):
-                return s, u, svalues, ai, bi
+                return s, u
             bi += 1
             sign, org = "+", b[bi - 1]
             nu = []
         else:
             s = ("-", organ(psi, p))
-            svalues.append(s)
             if ai == len(a):
-                return s, u, svalues, ai, bi
+                return s, u
             ai += 1
             sign, org = "-", a[ai - 1]
             psi = []
@@ -125,44 +105,7 @@ def _drain(gen):
 
 def sim(a, b, n, strategy):
     """Replay strategy against the adversary the two bodies encode."""
-    s, u, _, _, _ = _drain(_sim_stepping(a, b, n, strategy))
-    return s, u
-
-
-def sim_views(a, b, n, strategy):
-    """bullet = final signed organ; left/right = the interleaved bodies."""
-    s, u, svalues, fetched_a, fetched_b = _drain(
-        _sim_stepping(a, b, n, strategy))
-    negatives = [org for sign, org in svalues if sign == "-"]
-    positives = [org for sign, org in svalues if sign == "+"]
-    left = []
-    for i, neg in enumerate(negatives):
-        left.append(neg)
-        if i < fetched_a:
-            left.append(a[i])
-    right = []
-    for i in range(fetched_b):
-        right.append(b[i])
-        if i < len(positives):
-            right.append(positives[i])
-    return {"bullet": s, "left": tuple(left), "right": tuple(right), "u": u,
-            "negatives": len(negatives), "positives": len(positives),
-            "fetched_a": fetched_a, "fetched_b": fetched_b}
-
-
-def is_saturated(a, b, n, strategy):
-    s, _ = sim(a, b, n, strategy)
-    if s[0] == "-":
-        for cut in range(1, len(b)):
-            s2, _ = sim(a, b[:cut], n, strategy)
-            if s2[0] != "+":
-                return False
-        return True
-    for cut in range(0, len(a)):
-        s2, _ = sim(a[:cut], b, n, strategy)
-        if s2[0] != "-":
-            return False
-    return True
+    return _drain(_sim_stepping(a, b, n, strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +273,10 @@ class InductionRunner:
     # -- the generator -------------------------------------------------------
 
     def _main(self):
-        while len(self._bots()) < len(self.free) + 1:
+        while (consts := leading_constants(self.run, len(self.free) + 1)) is None:
             yield
-        bots = self._bots()
-        c_env = {}
-        for var, move in zip(self.free, bots):
-            _, numer = split_move(move)
-            c_env[var] = numer_value(numer or "")
-        _, k_numer = split_move(bots[len(self.free)])
-        k = numer_value(k_numer or "")
+        *values, k = consts
+        c_env = dict(zip(self.free, values))
         limit = self.bound.evaluate(c_env)
         if k > limit:
             return  # the antecedent fails; an empty T-run wins
@@ -404,7 +342,7 @@ class InductionRunner:
                 restart()
                 self._record(start, u_total, "restarting(new-move)", k)
                 continue
-            s, u, _, _, _ = result
+            s, u = result
             u_total = max(u, u_total)
             sign, (omega, scale) = s
             if sign == "+":

@@ -18,8 +18,7 @@ from .game import (
     IllegalMove,
     Semiposition,
     TruncationContext,
-    numer_value,
-    split_move,
+    leading_constants,
     windup,
 )
 from .hpm import (
@@ -34,6 +33,10 @@ from .hpm import (
 )
 
 
+# replay cycles fetch_symbol tries before giving up on a symbol
+FETCH_CAP = 200000
+
+
 class FetchError(Exception):
     pass
 
@@ -44,12 +47,11 @@ def h_index(history, m: int) -> int:
 
 
 def update_sketch(spec: HPMSpec, history, s: Sketch, own_bot_moves,
-                  ctx: TruncationContext, instrument=None,
-                  fetch_cap=200000) -> Sketch:
+                  ctx: TruncationContext, instrument=None) -> Sketch:
     """One resimulated cycle; ⊥ symbols come from own_bot_moves, ⊤ symbols
     from recursive fetch_symbol calls."""
-    caller_index = h_index(history, s.moves_made)
     if instrument is not None:
+        caller_index = h_index(history, s.moves_made)
         instrument.append(("update", caller_index))
 
     def source(entry_index, label, ordinal, offset):
@@ -59,28 +61,27 @@ def update_sketch(spec: HPMSpec, history, s: Sketch, own_bot_moves,
             instrument.append(
                 ("update->fetch", caller_index, h_index(history, ordinal)))
         return fetch_symbol(spec, history, ordinal, offset, own_bot_moves,
-                            ctx, instrument, fetch_cap)
+                            ctx, instrument)
 
     return sketch_advance(spec, s, history, source, ctx)
 
 
 def fetch_symbol(spec: HPMSpec, history, k: int, n: int, own_bot_moves,
-                 ctx: TruncationContext, instrument=None,
-                 fetch_cap=200000) -> str:
+                 ctx: TruncationContext, instrument=None) -> str:
     """The n-th symbol (1-based) of the (k+1)-th 'T' move, by replay."""
     top_sizes = [size for label, size in history if label == "T"]
     if k >= len(top_sizes):
         raise FetchError(f"only {len(top_sizes)} T-moves recorded, asked for {k}")
     if not (1 <= n <= top_sizes[k]):
         raise FetchError(f"offset {n} outside move of size {top_sizes[k]}")
-    my_index = h_index(history, k)
+    if instrument is not None:
+        my_index = h_index(history, k)
     s = initial_sketch(spec)
-    for _ in range(fetch_cap):
+    for _ in range(FETCH_CAP):
         if instrument is not None:
             instrument.append(
                 ("fetch->update", my_index, h_index(history, s.moves_made)))
-        nxt = update_sketch(spec, history, s, own_bot_moves, ctx,
-                            instrument, fetch_cap)
+        nxt = update_sketch(spec, history, s, own_bot_moves, ctx, instrument)
         sigma = nxt.last_append
         a, b = s.moves_made, s.buffer_len
         if a == k and b < n <= b + len(sigma):
@@ -102,7 +103,6 @@ class ReasonRunner:
     def __init__(self, spec: HPMSpec, f, instrument=None):
         self.spec = spec
         self.formula = f
-        self.arity = len(fm.free_vars(f))
         self.history = []
         self.own_bots = []
         self.ctx = None
@@ -117,14 +117,12 @@ class ReasonRunner:
     def poll(self, visible_run):
         bots = [m for label, m in visible_run if label == "B"]
         self.own_bots = bots
-        if len(bots) < self.arity:
-            return []
         if self.ctx is None:
-            c_env = {}
-            for var, move in zip(fm.free_vars(self.formula), bots):
-                _, numer = split_move(move)
-                c_env[var] = numer_value(numer or "")
-            self.ctx = TruncationContext(self.formula, c_env)
+            free = fm.free_vars(self.formula)
+            consts = leading_constants(visible_run, len(free))
+            if consts is None:
+                return []
+            self.ctx = TruncationContext(self.formula, dict(zip(free, consts)))
             self.history = [("B", len(m)) for m in bots]
             self.sketch = initial_sketch(self.spec)
             self.restarts += 1

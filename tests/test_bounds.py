@@ -15,7 +15,6 @@ from clarith.bounds import (
     SizeVar,
     UnaryBound,
     bitsize,
-    bound_leq,
     ceil_log2,
     iterate_max,
     parse_bound,
@@ -182,18 +181,6 @@ class TestNumericIteration:
         assert time.perf_counter() - start < 0.5
         assert agg["n"] == 12
         assert samples == [z + 12 for z in range(9)]
-
-
-class TestComparison:
-    def test_bound_leq_reflexive(self):
-        f = unarify(parse_bound("|x| * 2"))
-        assert bound_leq(f, f)
-
-    def test_bound_leq_orders(self):
-        f = unarify(parse_bound("|x|"))
-        g = unarify(parse_bound("|x| + 1"))
-        assert bound_leq(f, g)
-        assert not bound_leq(g, f)
 
 
 class TestStatuteLimit:

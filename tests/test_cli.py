@@ -76,6 +76,13 @@ class TestUsageErrors:
             main(["transform", "mystery"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("cases", ["-3", "0"])
+    def test_oracle_cases_below_one(self, cases, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "fetch", "--cases", cases])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
 
 class TestPlay:
     def test_match_with_scripted_environment(self, formula_file, env_file,
@@ -223,6 +230,38 @@ class TestInputErrorsExitOne:
         rc, err = run_cli(["play", str(p), formula_file, "--env", "x=9"])
         self.assert_clean_error(rc, err)
         assert "line 20: a second transition" in err
+
+    def test_undeclared_source_state(self, tmp_path, formula_file):
+        p = tmp_path / "ghost.hpm"
+        p.write_text(read_fixture("legal.hpm")
+                     + "delta: ghost, _, _ -> halt, _, S, S\n")
+        rc, err = run_cli(["play", str(p), formula_file, "--env", "x=9"])
+        self.assert_clean_error(rc, err)
+        assert "line 20: source state 'ghost' not declared" in err
+
+    def test_meter_bad_label(self, tmp_path):
+        p = tmp_path / "run.txt"
+        p.write_text("B #1\nX 0.#1\n")
+        rc, err = run_cli(["meter", str(p)])
+        self.assert_clean_error(rc, err)
+        assert "line 2: label must be T or B" in err
+
+    @pytest.mark.parametrize("line, complaint", [
+        ("not json", "line 1 is not JSON"),
+        ('{"a": 1}', "line 1 lacks iteration"),
+    ], ids=["not-json", "no-trace-key"])
+    def test_diag_bad_trace_line(self, tmp_path, line, complaint):
+        p = tmp_path / "trace.jsonl"
+        p.write_text(line + "\n")
+        rc, err = run_cli(["diag", "induct", str(p)])
+        self.assert_clean_error(rc, err)
+        assert complaint in err
+
+    def test_induct_conclusion_without_value_bounded_ada(self, formula_file):
+        rc, err = run_cli(["transform", "induct", "--n", fixture("n_const.hpm"),
+                           "--k", fixture("k_const.hpm"), "--f", formula_file])
+        self.assert_clean_error(rc, err)
+        assert "value-bounded" in err
 
 
 class TestMeter:

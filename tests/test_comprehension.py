@@ -52,11 +52,6 @@ class TestConclusionShape:
         census = fm.choice_census(g)
         assert (census["e_top"], census["e_bot"]) == (1, 0)
 
-    def test_result_variable_can_be_renamed(self):
-        p = fm.parse_formula("Bit(y, 101)")
-        g = comprehension_conclusion(p, "y", Nat(3), result_var="out")
-        assert g.var == "out"
-
 
 class TestVerdicts:
     def test_left_disjunct_means_true(self):
@@ -106,9 +101,10 @@ class TestRunner:
         assert moves == ["#11"]
         assert runner.poll(()) == []
 
-    def test_fault_recorded_and_silent(self):
+    def test_fault_recorded_and_silent(self, monkeypatch):
+        monkeypatch.setenv("CLARITH_FUEL_DEFAULT", "20")
         p = fm.parse_formula("Bit(y, 101)")
-        runner = ComprehensionRunner(silent_premise(), p, "y", Nat(2), fuel=20)
+        runner = ComprehensionRunner(silent_premise(), p, "y", Nat(2))
         assert runner.poll(()) == []
         assert len(runner.faults) == 1
 
@@ -124,8 +120,8 @@ class TestRunner:
     def test_builder_passes_options(self):
         p = fm.parse_formula("Bit(y, 11)")
         runner = build_comprehension_solver(bit_premise(3), p, "y", Nat(2),
-                                            fuel=17)
-        assert runner.fuel == 17
+                                            var_order=[])
+        assert runner.var_order == []
 
 
 class TestAgainstDirectComputation:

@@ -96,7 +96,7 @@ class TestMeter:
             prefix = tuple(run[:end])
             meter.record_cycle(cycle, prefix, 0, [], False)
             want = max([1] + [magnitude(m) for label, m in prefix if label == "B"])
-            assert meter.backgrounds[-1] == want
+            assert meter.background == want
 
 
 class TestScriptEnv:

@@ -3,7 +3,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import clarith.formula as fm
@@ -17,14 +17,12 @@ from clarith.game import (
     format_run,
     int_to_numer,
     is_canonical_numer,
-    is_p_delay,
     is_quasilegal,
     is_quasilegal_move_prefix,
     legal_status,
     magnitude,
     numer_value,
     parse_run,
-    project,
     prudentize,
     split_move,
     truncate,
@@ -63,21 +61,6 @@ class TestMoveAnatomy:
     @given(st.integers(min_value=1, max_value=10**6))
     def test_positive_numers_have_no_leading_zero(self, n):
         assert int_to_numer(n).startswith("1")
-
-
-class TestProjections:
-    RUN = (("T", "1.#1"), ("B", "0.#0"), ("T", "0.1.#"))
-
-    def test_top_and_bot(self):
-        assert project(self.RUN, "top") == (("T", "1.#1"), ("T", "0.1.#"))
-        assert project(self.RUN, "bot") == (("B", "0.#0"),)
-
-    def test_negate_swaps_labels(self):
-        assert project(project(self.RUN, "negate"), "negate") == self.RUN
-
-    def test_subgame_projections_strip_prefix(self):
-        assert project(self.RUN, "sub0") == (("B", "#0"), ("T", "1.#"))
-        assert project(self.RUN, "sub1") == (("T", "#1"),)
 
 
 class TestLegality:
@@ -308,28 +291,11 @@ class TestSharedAnalysis:
         assert ref() is None
 
 
-class TestDelays:
-    OMEGA = (("B", "a"), ("T", "b"), ("B", "c"), ("T", "d"))
-
-    def test_identity_is_a_delay(self):
-        assert is_p_delay(self.OMEGA, self.OMEGA)
-
-    def test_postponing_machine_moves(self):
-        delta = (("B", "a"), ("B", "c"), ("T", "b"), ("T", "d"))
-        assert is_p_delay(delta, self.OMEGA)
-
-    def test_hastening_machine_moves_is_not(self):
-        delta = (("T", "b"), ("B", "a"), ("B", "c"), ("T", "d"))
-        assert not is_p_delay(delta, self.OMEGA)
-
-    def test_reordering_one_side_is_not(self):
-        delta = (("B", "c"), ("T", "b"), ("B", "a"), ("T", "d"))
-        assert not is_p_delay(delta, self.OMEGA)
-
-
 class TestRunText:
-    def test_round_trip(self):
-        run = (("T", "0.1.#11"), ("B", "1.#"))
+    @given(st.lists(st.tuples(st.sampled_from("TB"), st.text("01#.")))
+           .map(tuple))
+    @example((("T", "0.1.#11"), ("B", "1.#")))
+    def test_round_trip(self, run):
         assert parse_run(format_run(run)) == run
 
     def test_comments_and_blanks_skipped(self):

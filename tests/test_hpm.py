@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clarith.game import TruncationContext, project, truncate
+from clarith.game import TruncationContext, truncate
 from clarith.hpm import (
     BLANK,
     Configuration,
@@ -65,8 +65,9 @@ class TestParsing:
         ("halt, _, Y -> halt, _, S, S", "work symbol 'Y' not in the alphabet"),
         ("halt, _, _ -> halt, Y, S, S", "work symbol 'Y' not in the alphabet"),
         ("halt, _, _ -> nowhere, _, S, S", "target state 'nowhere' not declared"),
+        ("ghost, _, _ -> halt, _, S, S", "source state 'ghost' not declared"),
     ], ids=["duplicate-key", "work-arity", "read-symbol", "write-symbol",
-            "target-state"])
+            "target-state", "source-state"])
     def test_rejects_malformed_rows_by_line(self, row, complaint):
         text = read_fixture("legal.hpm") + f"delta: {row}\n"
         with pytest.raises(ValueError) as err:
@@ -105,13 +106,13 @@ class TestStepping:
     def test_buffer_flush_on_move_state(self, bigmove_machine):
         env = make_scripted_env([(0, "#1001"), (0, "0.#10")])
         out = play(StrategyRunner(HPMStrategy(bigmove_machine)), env, fuel=40)
-        tops = project(out["run"], "top")
+        tops = tuple(lm for lm in out["run"] if lm[0] == "T")
         assert tops == (("T", "0.1.#1111111"),)
 
     def test_full_exchange(self, bigmove_machine):
         env = make_scripted_env([(0, "#1001"), (0, "0.#10"), (1, "1.#1")])
         out = play(StrategyRunner(HPMStrategy(bigmove_machine)), env, fuel=60)
-        tops = project(out["run"], "top")
+        tops = tuple(lm for lm in out["run"] if lm[0] == "T")
         assert tops == (("T", "0.1.#1111111"), ("T", "1.1.#0"))
 
     def test_runhead_clamped_at_frontier(self, bigmove_machine):
@@ -176,24 +177,28 @@ class TestMeter:
     def test_amplitude_tracks_own_magnitude_per_background(self):
         m = Meter()
         m.record_cycle(0, (("B", "#101"),), 0, [], True)
+        assert m.background == 3
         m.record_cycle(5, (("B", "#101"), ("T", "#11")), 2, ["#11"], False)
         rep = meter_report(m)
         assert rep["amplitude"] == {3: 2}
         assert rep["max_spacecost"] == 2
         assert rep["max_timecost"] == 5
-        assert rep["backgrounds"] == [3, 3]
+        assert m.background == 3
 
     def test_background_floor_is_one(self):
         m = Meter()
         m.record_cycle(0, (), 0, [], False)
-        assert meter_report(m)["backgrounds"] == [1]
+        assert m.background == 1
 
     def test_timecost_measured_from_last_event(self):
         m = Meter()
         m.record_cycle(0, (), 0, [], True)
         m.record_cycle(3, (), 0, ["#"], False)
+        assert m.max_timecost == 3
         m.record_cycle(4, (), 0, ["#1"], False)
-        assert [t for _, t in m.timecosts] == [3, 1]
+        assert m.max_timecost == 3      # 1 since the move at cycle 3, not 4
+        m.record_cycle(9, (), 0, ["#1"], False)
+        assert m.max_timecost == 5
 
 
 class TestHistoryPrefix:

@@ -8,19 +8,15 @@ from clarith.induction import (
     PrefixedStrategy,
     SimContractError,
     body_project,
-    body_relate,
-    body_run,
     build_induction_solver,
     central_triple,
     check_sim_triple,
     diagnostics,
-    is_saturated,
     iteration_rank,
     master_parts,
     organ,
     rank_base,
     sim,
-    sim_views,
     validate_aggregation,
 )
 
@@ -69,23 +65,10 @@ class TestOrgansAndBodies:
         with pytest.raises(ValueError):
             organ((), 0)
 
-    def test_body_relate(self):
-        b1 = (organ(("#1",), 1), organ((), 2))
-        b2 = (organ(("#1",), 1),)
-        assert body_relate(b1, b2) == {
-            "extension": True, "restriction": False, "consistent": True}
-        assert body_relate(b2, b1)["restriction"]
-        b3 = (organ(("#0",), 1),)
-        assert not body_relate(b1, b3)["consistent"]
-
     def test_body_project(self):
         body = (organ((), 1), organ((), 2), organ((), 3))
         assert body_project(body, "odd") == (organ((), 1), organ((), 3))
         assert body_project(body, "even") == (organ((), 2),)
-
-    def test_body_run_alternates_labels(self):
-        body = (organ(("#1", "#0"), 1), organ(("#11",), 1))
-        assert body_run(body) == (("B", "#1"), ("B", "#0"), ("T", "#11"))
 
 
 class TestSimContract:
@@ -123,24 +106,11 @@ class TestSim:
         s2, _ = sim((), (organ(("#",), 9),), 1, waits)
         assert s2[0] == "+"
 
-    def test_views_interleave_the_exchange(self):
+    def test_answer_after_an_antecedent_query(self):
         a = (organ(("#1",), 4),)
         b = (organ(("#0",), 4),)
-        views = sim_views(a, b, 1, ask_then_answer())
-        assert views["bullet"] == ("+", (("#1",), 4))
-        assert views["left"] == ((("#0",), 4), a[0])
-        assert views["right"] == (b[0], (("#1",), 4))
-        assert views["fetched_a"] == 1 and views["fetched_b"] == 1
-
-    def test_saturation_of_an_immediate_answer(self):
-        assert is_saturated((), (organ(("#",), 3),), 1, once("1.#1"))
-
-    def test_unsaturated_silence_on_two_organs(self):
-        b = (organ(("#",), 3), organ(("#1",), 3))
-        assert not is_saturated((), b, 1, SILENT)
-
-    def test_saturated_silence_on_one_organ(self):
-        assert is_saturated((), (organ(("#",), 3),), 1, SILENT)
+        s, _ = sim(a, b, 1, ask_then_answer())
+        assert s == ("+", (("#1",), 4))
 
 
 def entry(idx, *sizes_and_scales):

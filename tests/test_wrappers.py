@@ -1,7 +1,7 @@
 import pytest
 
 import clarith.formula as fm
-from clarith.game import TruncationContext, first_illegal_index, is_quasilegal, project
+from clarith.game import TruncationContext, first_illegal_index, is_quasilegal
 from clarith.hpm import HPMStrategy, StrategyRunner, initial_sketch, play
 from clarith.wrappers import (
     FetchError,
@@ -68,7 +68,7 @@ class TestReasonRunner:
     def test_emits_truncated_moves(self, bigmove_machine, two_disjunct_formula):
         runner = build_reason_wrapper(bigmove_machine, two_disjunct_formula)
         out = play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
-        tops = project(out["run"], "top")
+        tops = tuple(lm for lm in out["run"] if lm[0] == "T")
         assert tops == (("T", "0.1.#1111"), ("T", "1.1.#0"))
         assert runner.faults == []
 
@@ -96,7 +96,7 @@ class TestReasonRunner:
         for _ in range(2):
             runner = build_reason_wrapper(bigmove_machine, two_disjunct_formula)
             out = play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
-            outs.append(project(out["run"], "top"))
+            outs.append(tuple(lm for lm in out["run"] if lm[0] == "T"))
         assert outs[0] == outs[1]
 
     def test_reports_no_storage_spacecost(self, bigmove_machine,
