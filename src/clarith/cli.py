@@ -242,11 +242,14 @@ def cmd_transform(args):
                 print("faults:", *runner.faults, sep="\n  ")
         return 0
     if args.kind == "induct":
-        n_strat = hpm.HPMStrategy(_load_machine(args.n))
-        k_strat = hpm.HPMStrategy(_load_machine(args.k))
+        n_spec, k_spec = _load_machine(args.n), _load_machine(args.k)
         f = _load_formula(args.formula)
+        n_census, k_census = n_spec.census(), k_spec.census()
+        census = {key: max(n_census[key], k_census[key]) for key in n_census}
         try:
-            runner = induction.build_induction_solver(n_strat, k_strat, f)
+            runner = induction.build_induction_solver(
+                hpm.HPMStrategy(n_spec), hpm.HPMStrategy(k_spec), f,
+                machine_census=census)
         except ValueError as exc:
             raise FileProblem(f"{args.formula}: {exc}") from exc
         print("induction synchronizer built")
@@ -287,8 +290,21 @@ def cmd_meter(args):
     return 0
 
 
-_DIAG_KEYS = ("iteration", "rank", "master_scale", "U", "classification",
-              "entries")
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# each trace row key, with a check of its value and what the check wants
+_DIAG_KEYS = {
+    "iteration": (_is_int, "an integer"),
+    "rank": (_is_int, "an integer"),
+    "master_scale": (_is_int, "an integer"),
+    "U": (_is_int, "an integer"),
+    "classification": (lambda x: isinstance(x, str), "a string"),
+    "entries": (lambda x: isinstance(x, list) and all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+        for e in x), "a list of [int, int] pairs"),
+}
 
 
 def cmd_diag(args):
@@ -306,6 +322,10 @@ def cmd_diag(args):
         if missing:
             raise FileProblem(f"{args.trace}: line {lineno} lacks "
                               f"{', '.join(missing)}")
+        for key, (ok, wanted) in _DIAG_KEYS.items():
+            if not ok(row[key]):
+                raise FileProblem(f"{args.trace}: line {lineno}: "
+                                  f"{key} is not {wanted}")
         rows.append(row)
     if not rows:
         print("empty trace")

@@ -27,9 +27,9 @@ def organ(payload, scale):
 
 def body_project(b, parity):
     if parity == "odd":
-        return tuple(b[i] for i in range(0, len(b), 2))
+        return tuple(b[0::2])
     if parity == "even":
-        return tuple(b[i] for i in range(1, len(b), 2))
+        return tuple(b[1::2])
     raise ValueError(f"parity must be odd or even, got {parity!r}")
 
 
@@ -111,32 +111,33 @@ def sim(a, b, n, strategy):
 # ---------------------------------------------------------------------------
 # aggregations
 
+_LATER_CONDITIONS = ("violated-iii", "violated-iv", "violated-v", "violated-vi", "ok")
+
+
 def validate_aggregation(entries, k) -> str:
-    """'ok' or the first violated condition among i..vi."""
-    if not entries:
+    """'ok' or the first violated condition among i..vi, in one pass."""
+    if not entries or entries[-1][0] != k or len(entries[-1][1]) % 2 == 0:
         return "violated-i"
-    last_index, last_body = entries[-1]
-    if last_index != k or len(last_body) % 2 == 0:
-        return "violated-i"
-    indices = [idx for idx, _ in entries]
-    if any(x >= y for x, y in zip(indices, indices[1:])):
-        return "violated-ii"
-    sizes = [len(body) for _, body in entries]
-    seen_odd = False
-    for sz in sizes:
-        if sz % 2 == 1:
-            seen_odd = True
-        elif seen_odd:
-            return "violated-iii"
-    evens = [sz for sz in sizes if sz % 2 == 0]
-    if any(x <= y for x, y in zip(evens, evens[1:])):
-        return "violated-iv"
-    common_odds = [sz for sz in sizes[:-1] if sz % 2 == 1]
-    if any(x >= y for x, y in zip(common_odds, common_odds[1:])):
-        return "violated-v"
-    if any(sz == 0 for sz in sizes):
-        return "violated-vi"
-    return "ok"
+    first = 4  # index into _LATER_CONDITIONS of the first one broken so far
+    prev_idx = prev_even = prev_odd = None
+    last = len(entries) - 1
+    for pos, (idx, body) in enumerate(entries):
+        if prev_idx is not None and idx <= prev_idx:
+            return "violated-ii"
+        prev_idx, size = idx, len(body)
+        if size % 2 == 0:
+            if prev_odd is not None:
+                first = 0
+            elif prev_even is not None and prev_even <= size:
+                first = min(first, 1)
+            elif size == 0:
+                first = min(first, 3)
+            prev_even = size
+        elif pos < last:
+            if prev_odd is not None and prev_odd >= size:
+                first = min(first, 2)
+            prev_odd = size
+    return _LATER_CONDITIONS[first]
 
 
 def central_triple(entries, k):
@@ -145,12 +146,10 @@ def central_triple(entries, k):
         raise ValueError(f"invalid aggregation: {status}")
     for pos, (idx, body) in enumerate(entries):
         if len(body) % 2 == 1:
-            n = idx
-            right = tuple(body)
             left = ()
-            if pos > 0 and entries[pos - 1][0] == n - 1:
+            if pos > 0 and entries[pos - 1][0] == idx - 1:
                 left = tuple(entries[pos - 1][1])
-            return left, right, n
+            return left, tuple(body), idx
     raise AssertionError("aggregation has no odd-size entry")
 
 
@@ -192,6 +191,12 @@ class InductionRunner:
     The trace records, per completed iteration, the aggregation as it
     stood when the iteration began plus the classification the
     iteration earned; ranks are computed over these start states.
+    Bodies are immutable tuples, replaced on every change, so a record
+    shares them with the live aggregation and later iterations never
+    alter it.  Each iteration validates its start aggregation once.
+    The visible run given to successive polls only extends: each poll
+    reads just the entries added since the last one.  `locked` turns
+    true when a locking iteration is recorded.
     """
 
     def __init__(self, n_strategy, k_strategy, conclusion, machine_census=None):
@@ -211,7 +216,11 @@ class InductionRunner:
         self.machine_census = dict(DEFAULT_MACHINE_CENSUS, **(machine_census or {}))
         self.trace = []
         self.faults = []
+        self.locked = False
         self.run = ()
+        # environment moves inside the consequent, beyond the constants
+        self._consequent = []
+        self._constants_unseen = len(self.free) + 1
         self._out = []
         self._gen = self._main()
         self._done = False
@@ -220,6 +229,13 @@ class InductionRunner:
     # -- harness protocol --------------------------------------------------
 
     def poll(self, visible_run):
+        for label, m in visible_run[len(self.run):]:
+            if label != "B":
+                continue
+            if self._constants_unseen:
+                self._constants_unseen -= 1
+            elif m.startswith("1."):
+                self._consequent.append(m[2:])
         self.run = visible_run
         if self._done:
             return []
@@ -235,38 +251,22 @@ class InductionRunner:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _bots(self):
-        return [m for label, m in self.run if label == "B"]
-
-    def _env_consequent_moves(self):
-        """Environment moves inside the consequent, beyond the constants."""
-        out = []
-        for m in self._bots()[len(self.free) + 1:]:
-            if m.startswith("1."):
-                out.append(m[2:])
-        return out
-
     def _strategy_for(self, n, c_moves):
         if n == 0:
             return PrefixedStrategy(self.n_strategy, c_moves)
         pre = list(c_moves) + ["#" + int_to_numer(n - 1)]
         return PrefixedStrategy(self.k_strategy, pre)
 
-    @staticmethod
-    def _master_q(entries):
-        body = entries[-1][1]
-        return sum(len(payload) for payload, _ in body_project(tuple(body), "odd"))
-
-    def _record(self, start_entries, u, classification, k):
-        master = master_parts(start_entries)
+    def _record(self, start, u, classification, k):
+        master = master_parts(start)
         self.trace.append({
-            "entries": [(idx, tuple(body)) for idx, body in start_entries],
+            "entries": start,
             "U": u,
             "classification": classification,
             "master_scale": master["scale"],
             "master_payload_moves": len(master["payload"]),
             "master_body_size": len(master["body"]),
-            "validity": validate_aggregation(start_entries, k),
+            "validity": "ok",  # central_triple rejects anything else
             "k": k,
         })
 
@@ -307,22 +307,23 @@ class InductionRunner:
             yield from self._replay_zero(c_moves)
             return
 
-        entries = [[k, [organ((), 1)]]]
+        # (index, body) pairs; each body a tuple of organs
+        entries = [(k, (organ((), 1),))]
+        consequent = self._consequent
         u_total = 0
 
-        def absorb_new_move():
-            theta = self._env_consequent_moves()[self._master_q(entries)]
-            theta_p = prudentize(theta, ctx.threshold)
-            _, body = entries[-1]
+        def absorb_new_move(q):
+            theta_p = prudentize(consequent[q], ctx.threshold)
+            body = entries[-1][1]
             payload, _ = body[-1]
-            body[-1] = organ(payload + (theta_p,), 1)
-
-        def restart():
-            del entries[:-1]
+            entries[-1] = (k, body[:-1] + (organ(payload + (theta_p,), 1),))
 
         while True:
-            start = [(idx, tuple(body)) for idx, body in entries]
+            start = entries[:]
             left, right, n = central_triple(start, k)
+            master = start[-1][1]
+            # consequent moves already absorbed into the master body
+            q = sum(len(payload) for payload, _ in body_project(master, "odd"))
             strategy = self._strategy_for(n, c_moves)
             gen = _sim_stepping(body_project(left, "even"),
                                 body_project(right, "odd"), n, strategy)
@@ -334,68 +335,58 @@ class InductionRunner:
                     result = fin.value
                     break
                 yield
-                if len(self._env_consequent_moves()) > self._master_q(entries):
+                if len(consequent) > q:
                     break
+            if result is not None:
+                (sign, (omega, scale)), u = result
+                u_total = max(u, u_total)
             if result is None:
-                absorb_new_move()
-                u_total = 0
-                restart()
-                self._record(start, u_total, "restarting(new-move)", k)
-                continue
-            s, u = result
-            u_total = max(u, u_total)
-            sign, (omega, scale) = s
-            if sign == "+":
-                if n < k:
-                    pos = next(i for i, (idx, _) in enumerate(entries) if idx == n)
-                    entries[pos][1].append(organ(omega, scale))
-                    size_n = len(entries[pos][1])
-                    entries[:] = [e for e in entries
-                                  if e[0] >= n or len(e[1]) > size_n]
-                    self._record(start, u_total, "repeating(2.1.1)", k)
+                absorb_new_move(q)
+                classification = "restarting(new-move)"
+            elif sign == "+" and n < k:
+                pos = next(i for i, (idx, _) in enumerate(entries) if idx == n)
+                body = entries[pos][1] + (organ(omega, scale),)
+                entries[pos] = (n, body)
+                entries[:] = [e for e in entries
+                              if e[0] >= n or len(e[1]) > len(body)]
+                classification = "repeating(2.1.1)"
+            elif sign == "+":
+                entries[-1] = (k, master + (organ(omega, scale), organ((), scale)))
+                self._out.extend("1." + m for m in omega)
+                classification = "locking(2.1.2)"
+                self.locked = True
+            elif n > 0:
+                pos = next(i for i, (idx, _) in enumerate(entries) if idx == n)
+                if pos > 0 and entries[pos - 1][0] == n - 1:
+                    body = entries[pos - 1][1] + (organ(omega, scale),)
+                    entries[pos - 1] = (n - 1, body)
                 else:
-                    entries[-1][1].append(organ(omega, scale))
-                    entries[-1][1].append(organ((), scale))
-                    for m in omega:
-                        self._out.append("1." + m)
-                    self._record(start, u_total, "locking(2.1.2)", k)
+                    body = (organ(omega, scale),)
+                    entries.insert(pos, (n - 1, body))
+                entries[:] = [e for i, e in enumerate(entries)
+                              if i == len(entries) - 1 or e[0] < n
+                              or len(e[1]) > len(body)]
+                classification = "repeating(2.2.1)"
+            elif master[-1][1] < statute_limit(ell, u_total, statute_params):
+                payload, v = master[-1]
+                entries[-1] = (k, master[:-1] + (organ(payload, v * 2),))
+                classification = "restarting(2.2.2.1)"
             else:
-                if n > 0:
-                    pos = next(i for i, (idx, _) in enumerate(entries) if idx == n)
-                    if pos > 0 and entries[pos - 1][0] == n - 1:
-                        entries[pos - 1][1].append(organ(omega, scale))
-                        tsize = len(entries[pos - 1][1])
-                    else:
-                        entries.insert(pos, [n - 1, [organ(omega, scale)]])
-                        tsize = 1
-                    entries[:] = [e for i, e in enumerate(entries)
-                                  if i == len(entries) - 1 or e[0] < n
-                                  or len(e[1]) > tsize]
-                    self._record(start, u_total, "repeating(2.2.1)", k)
-                else:
-                    v = master_parts(start)["scale"]
-                    threshold = statute_limit(ell, u_total, statute_params)
-                    if v < threshold:
-                        _, body = entries[-1]
-                        payload, sc = body[-1]
-                        body[-1] = organ(payload, sc * 2)
-                        u_total = 0
-                        restart()
-                        self._record(start, u_total, "restarting(2.2.2.1)", k)
-                    else:
-                        while len(self._env_consequent_moves()) <= self._master_q(entries):
-                            yield
-                        absorb_new_move()
-                        u_total = 0
-                        restart()
-                        self._record(start, u_total, "restarting(2.2.2.2)", k)
+                while len(consequent) <= q:
+                    yield
+                absorb_new_move(q)
+                classification = "restarting(2.2.2.2)"
+            if classification.startswith("restarting"):
+                u_total = 0
+                del entries[:-1]
+            self._record(start, u_total, classification, k)
 
     def _replay_zero(self, c_moves):
         strategy = PrefixedStrategy(self.n_strategy, c_moves)
         st = strategy.initial()
         fed = 0
         while True:
-            env_moves = self._env_consequent_moves()
+            env_moves = self._consequent
             if len(env_moves) > fed:
                 st = strategy.feed(st, tuple(("B", m) for m in env_moves[fed:]))
                 fed = len(env_moves)

@@ -133,8 +133,7 @@ def drive_solver(runner, env_moves, max_cycles=500000, settle=50):
             run = run + (("B", pending.pop(0)[1]),)
         for m in runner.poll(run):
             run = run + (("T", m),)
-        if any(rec["classification"].startswith("locking")
-               for rec in runner.trace):
+        if runner.locked:
             for _ in range(settle):
                 for m in runner.poll(run):
                     run = run + (("T", m),)

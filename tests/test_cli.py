@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from clarith import oracles
+from clarith import induction, oracles
 from clarith.cli import main
 
 from conftest import COUNTER_TEXT, FIXTURES, TWO_DISJUNCT_TEXT, read_fixture
@@ -158,6 +158,25 @@ class TestTransform:
         assert "rank strictly increasing: yes" in out
         assert "birthtimes:" in out
 
+    def test_induction_statute_uses_the_loaded_machines(
+            self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = induction.build_induction_solver
+
+        def capture(*args, **kw):
+            built.append(real(*args, **kw))
+            return built[-1]
+
+        monkeypatch.setattr(induction, "build_induction_solver", capture)
+        concl = tmp_path / "concl.clf"
+        concl.write_text("ada x [val 100] ade v [1] (v = 0)\n")
+        # bigmove.hpm has r=8, g=0, q=5; legal.hpm has r=7, g=1, q=6
+        assert main(["transform", "induct", "--n", fixture("bigmove.hpm"),
+                     "--k", fixture("legal.hpm"), "--f", str(concl),
+                     "--env", "k=2", "--play", "--fuel", "20"]) == 0
+        params = built[0]._diag_base["statute_params"]
+        assert (params["r"], params["g"], params["q"]) == (8, 1, 6)
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -249,7 +268,16 @@ class TestInputErrorsExitOne:
     @pytest.mark.parametrize("line, complaint", [
         ("not json", "line 1 is not JSON"),
         ('{"a": 1}', "line 1 lacks iteration"),
-    ], ids=["not-json", "no-trace-key"])
+        ('{"iteration":0,"rank":1,"master_scale":1,"U":0,"classification":"x",'
+         '"entries":5}', "line 1: entries is not a list of [int, int] pairs"),
+        ('{"iteration":0,"rank":"1","master_scale":1,"U":0,'
+         '"classification":"x","entries":[]}', "line 1: rank is not an integer"),
+        ('{"iteration":0,"rank":1,"master_scale":1,"U":0,"classification":3,'
+         '"entries":[[0,1]]}', "line 1: classification is not a string"),
+        ('{"iteration":0,"rank":1,"master_scale":1,"U":0,"classification":"x",'
+         '"entries":[[0,"1"]]}', "line 1: entries is not a list of [int, int] pairs"),
+    ], ids=["not-json", "no-trace-key", "entries-not-a-list", "rank-not-int",
+            "classification-not-str", "entry-not-int-pair"])
     def test_diag_bad_trace_line(self, tmp_path, line, complaint):
         p = tmp_path / "trace.jsonl"
         p.write_text(line + "\n")

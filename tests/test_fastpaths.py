@@ -1,13 +1,17 @@
-"""Each linear-time fast path of the play loop against its rescanning twin."""
+"""Each linear-time fast path of the play loop and the induction
+synchronizer against its rescanning twin."""
 
+import copy
 import random
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clarith.formula as fm
 from clarith import zoo
 from clarith.cli import _script_env, main
-from clarith.game import first_illegal_index, magnitude
+from clarith.game import first_illegal_index, int_to_numer, magnitude
 from clarith.hpm import (
     Configuration,
     Meter,
@@ -17,9 +21,22 @@ from clarith.hpm import (
     run_tape_length,
     step,
 )
+from clarith.induction import (
+    build_induction_solver,
+    organ,
+    validate_aggregation,
+)
 from clarith.wrappers import VasaRunner
 
-from conftest import FIXTURES, TWO_DISJUNCT_TEXT, make_scripted_env
+from conftest import (
+    COUNTER_TEXT,
+    FIXTURES,
+    TWO_DISJUNCT_TEXT,
+    counter_k_script,
+    counter_n_script,
+    drive_solver,
+    make_scripted_env,
+)
 
 labmoves = st.tuples(st.sampled_from("TB"), st.text(alphabet="01#.", max_size=6))
 runs = st.lists(labmoves, max_size=12)
@@ -218,3 +235,121 @@ class TestCliBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert "x" in err
+
+
+# ---------------------------------------------------------------------------
+# the induction synchronizer
+
+def validate_aggregation_spec(entries, k):
+    """The list-based statement of conditions i..vi, one list per condition."""
+    if not entries:
+        return "violated-i"
+    last_index, last_body = entries[-1]
+    if last_index != k or len(last_body) % 2 == 0:
+        return "violated-i"
+    indices = [idx for idx, _ in entries]
+    if any(x >= y for x, y in zip(indices, indices[1:])):
+        return "violated-ii"
+    sizes = [len(body) for _, body in entries]
+    seen_odd = False
+    for sz in sizes:
+        if sz % 2 == 1:
+            seen_odd = True
+        elif seen_odd:
+            return "violated-iii"
+    evens = [sz for sz in sizes if sz % 2 == 0]
+    if any(x <= y for x, y in zip(evens, evens[1:])):
+        return "violated-iv"
+    common_odds = [sz for sz in sizes[:-1] if sz % 2 == 1]
+    if any(x >= y for x, y in zip(common_odds, common_odds[1:])):
+        return "violated-v"
+    if any(sz == 0 for sz in sizes):
+        return "violated-vi"
+    return "ok"
+
+
+def shaped(*pairs):
+    """Entries with the given (index, body size) shape."""
+    return [(idx, (organ((), 1),) * size) for idx, size in pairs]
+
+
+aggregations = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 5)), max_size=6
+).map(lambda pairs: shaped(*pairs))
+
+
+# one aggregation per outcome at k=5: ok, then conditions i..vi broken
+CONDITION_EXAMPLES = [
+    shaped((2, 4), (3, 2), (5, 1)), [], shaped((2, 4), (2, 2), (5, 1)),
+    shaped((1, 1), (2, 2), (5, 1)), shaped((1, 2), (2, 2), (5, 1)),
+    shaped((1, 3), (2, 1), (5, 1)), shaped((2, 0), (5, 1)),
+]
+
+
+class TestValidateAggregation:
+    @given(aggregations, st.integers(0, 6))
+    def test_single_pass_matches_the_spec(self, entries, k):
+        assert validate_aggregation(entries, k) == validate_aggregation_spec(entries, k)
+
+    def test_single_pass_matches_the_spec_on_every_condition(self):
+        want = [validate_aggregation_spec(e, 5) for e in CONDITION_EXAMPLES]
+        assert want == ["ok"] + [f"violated-{c}" for c in
+                                 ("i", "ii", "iii", "iv", "v", "vi")]
+        assert [validate_aggregation(e, 5) for e in CONDITION_EXAMPLES] == want
+
+
+env_moves = st.tuples(
+    st.sampled_from("TB"),
+    st.builds(str.__add__, st.sampled_from(["", "0.", "1.", "1.1."]),
+              st.text(alphabet="01#", max_size=4)))
+
+
+class TestInductionRunner:
+    @pytest.mark.parametrize("conclusion", [
+        COUNTER_TEXT, "ada x [val 1000] ade v [|x| + 1] (v = y)",
+    ], ids=["no-constant", "one-constant"])
+    @given(run=st.lists(env_moves, max_size=12),
+           chunks=st.lists(st.integers(0, 3), max_size=20))
+    def test_consequent_moves_match_rescan(self, conclusion, run, chunks):
+        f = fm.parse_formula(conclusion)
+        runner = build_induction_solver(counter_n_script(), counter_k_script(), f)
+        skip = len(fm.free_vars(f)) + 1
+        run = tuple(run)
+        end = 0
+        for size in chunks + [len(run)]:
+            end = min(len(run), end + size)
+            runner.poll(run[:end])
+            bots = [m for label, m in run[:end] if label == "B"]
+            assert runner._consequent == [m[2:] for m in bots[skip:]
+                                          if m.startswith("1.")]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 9), st.sampled_from([0, 2, 3]))
+    def test_locked_matches_a_trace_scan(self, k, delay):
+        concl = fm.parse_formula(COUNTER_TEXT)
+        runner = build_induction_solver(
+            counter_n_script(), counter_k_script(delay), concl)
+        run = (("B", "#" + int_to_numer(k)),)
+        for _ in range(400):
+            for m in runner.poll(run):
+                run += (("T", m),)
+            assert runner.locked == any(
+                rec["classification"].startswith("locking") for rec in runner.trace)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 9), st.sampled_from([0, 2, 3]))
+    def test_records_keep_their_entries_after_locking(self, k, delay):
+        snapshots = []
+
+        class Snapshots(list):
+            def append(self, rec):
+                snapshots.append(copy.deepcopy(rec["entries"]))
+                super().append(rec)
+
+        concl = fm.parse_formula(COUNTER_TEXT)
+        runner = build_induction_solver(
+            counter_n_script(), counter_k_script(delay), concl)
+        runner.trace = Snapshots()
+        drive_solver(runner, [(0, "#" + int_to_numer(k))])
+        assert runner.locked
+        assert [rec["entries"] for rec in runner.trace] == snapshots

@@ -350,6 +350,57 @@ class TestMidRunEnvironmentMove:
         assert all(v == "ok" for v in d["validity"])
 
 
+class TestIterationCounts:
+    """Iterations, polls and classifications at k=32, as recorded before
+    the synchronizer's bookkeeping became incremental: making each
+    iteration cheaper must not change how many there are."""
+
+    # 50 settle polls after the lock run this many further iterations
+    AFTER_LOCK = (["locking(2.1.2)"] + ["repeating(2.2.1)"] * 32
+                  + ["repeating(2.1.1)"] + ["repeating(2.2.1)"] * 15)
+
+    @staticmethod
+    def countdown(k):
+        """Each index from k down to 1 answered after as many 2.2.1 steps."""
+        out = []
+        for j in range(k, 0, -1):
+            out += ["repeating(2.2.1)"] * j + ["repeating(2.1.1)"]
+        return out
+
+    @staticmethod
+    def drive(runner, env):
+        polls = 0
+        inner = runner.poll
+
+        def poll(run):
+            nonlocal polls
+            polls += 1
+            return inner(run)
+
+        runner.poll = poll
+        drive_solver(runner, env)
+        assert runner.locked
+        return polls, [rec["classification"] for rec in runner.trace]
+
+    def test_counter_game(self):
+        runner = build_induction_solver(
+            counter_n_script(), counter_k_script(0), fm.parse_formula(COUNTER_TEXT))
+        polls, classes = self.drive(runner, [(0, "#" + int_to_numer(32))])
+        assert (polls, len(classes)) == (644, 609)
+        assert classes == self.countdown(32) + self.AFTER_LOCK
+
+    def test_mid_run_game(self):
+        game = TestMidRunEnvironmentMove
+        runner = build_induction_solver(
+            ScriptStrategy(game._n_fn), ScriptStrategy(game._k_fn),
+            fm.parse_formula(game.CONCL_TEXT))
+        polls, classes = self.drive(
+            runner, [(0, "#" + int_to_numer(32)), (5, "1.#10")])
+        assert (polls, len(classes)) == (649, 614)
+        assert classes == (["repeating(2.2.1)"] * 4 + ["restarting(new-move)"]
+                           + self.countdown(32) + self.AFTER_LOCK)
+
+
 class TestDiagnostics:
     def test_empty_trace(self):
         concl = fm.parse_formula(COUNTER_TEXT)
