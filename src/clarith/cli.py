@@ -47,7 +47,7 @@ def _load_machine(path):
 
 
 def _fuel(args):
-    return hpm.fuel_from_env(2000) if args.fuel is None else args.fuel
+    return hpm.fuel_from_env() if args.fuel is None else args.fuel
 
 
 def _positive_int(text):
@@ -161,6 +161,8 @@ def _play_and_report(runner, f, env, fuel, trace_path=None, trace_rows=None):
     except KeyError as exc:
         print(f"winner: undecided (no evaluator for atom {exc})")
     print("meter:", json.dumps(hpm.meter_report(out["meter"])))
+    if getattr(runner, "faults", None):
+        print("faults:", *runner.faults, sep="\n  ")
     if trace_path and trace_rows is not None:
         with open(trace_path, "w", encoding="utf-8") as fh:
             for row in trace_rows():
@@ -209,8 +211,6 @@ def cmd_transform(args):
         print(f"reason wrapper built over {args.machine}")
         if args.play:
             _play_and_report(runner, f, _make_env(args.env), fuel)
-            if runner.faults:
-                print("faults:", *runner.faults, sep="\n  ")
         return 0
     if args.kind == "vasa":
         spec = _load_machine(args.machine)
@@ -238,8 +238,6 @@ def cmd_transform(args):
         print("conclusion:", fm.to_text(conclusion))
         if args.play:
             _play_and_report(runner, conclusion, _make_env(args.env), fuel)
-            if runner.faults:
-                print("faults:", *runner.faults, sep="\n  ")
         return 0
     if args.kind == "induct":
         n_spec, k_spec = _load_machine(args.n), _load_machine(args.k)

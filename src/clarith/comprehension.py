@@ -15,12 +15,6 @@ from .bounds import BoundExpr
 from .game import int_to_numer, leading_constants
 from .hpm import fuel_from_env
 
-FALLBACK_FUEL = 10000
-
-
-def default_fuel() -> int:
-    return fuel_from_env(FALLBACK_FUEL)
-
 
 def comprehension_conclusion(p: fm.Formula, y: str,
                              bound: BoundExpr) -> fm.Formula:
@@ -75,7 +69,7 @@ class ComprehensionRunner:
                 if v != y and v not in var_order:
                     var_order.append(v)
         self.var_order = list(var_order)
-        self.fuel = default_fuel()
+        self.fuel = fuel_from_env()
         self.faults = []
         self.done = False
 

@@ -157,17 +157,6 @@ class BlindEx(Formula):
         self.var, self.bound, self.body = var, bound, body
 
 
-class ChosenCond(Formula):
-    """The folded condition left behind by resolving a choice quantifier.
-
-    Evaluates |var| <= bound (size kind) or var <= bound (value kind)
-    against the accumulated environment.
-    """
-
-    def __init__(self, var, bound: BoundExpr, kind):
-        self.var, self.bound, self.kind = var, bound, kind
-
-
 # ---------------------------------------------------------------------------
 # printing
 
@@ -206,9 +195,6 @@ def _print(f, ctx):
         return f"cla {f.var} < {f.bound} : {_print(f.body, 4)}"
     if isinstance(f, BlindEx):
         return f"cle {f.var} < {f.bound} : {_print(f.body, 4)}"
-    if isinstance(f, ChosenCond):
-        op = "<=" if f.kind == "value" else "size<="
-        return f"[{f.var} {op} {f.bound}]"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -478,47 +464,43 @@ def _rename_bound(b, ren):
 class Unit:
     """One choice quantifier occurrence, with its address in move space."""
 
-    def __init__(self, address, node, mover, depth, path_vars):
+    def __init__(self, address, node, mover, ancestors):
         self.address = address          # e.g. "0.1."
         self.node = node
         self.var = node.var
         self.bound = node.bound
-        self.kind = node.kind
         self.mover = mover              # 'T' or 'B': who resolves it
-        self.depth = depth
-        self.path_vars = tuple(path_vars)  # enclosing unit variables, outermost first
+        self.ancestors = ancestors      # addresses of the enclosing units
 
     def __repr__(self):
-        return f"Unit({self.address!r}, var={self.var}, mover={self.mover}, depth={self.depth})"
+        return f"Unit({self.address!r}, var={self.var}, mover={self.mover})"
 
 
 def units(f: Formula):
-    """All choice-quantifier units in preorder, with addresses and depths."""
+    """All choice-quantifier units in preorder, with addresses and movers."""
     out = []
 
-    def walk(g, addr, pos, depth, path):
-        if isinstance(g, (Atom, ChosenCond)):
+    def walk(g, addr, pos, ancestors):
+        if isinstance(g, Atom):
             return
         if isinstance(g, Not):
-            walk(g.body, addr, not pos, depth, path)
+            walk(g.body, addr, not pos, ancestors)
         elif isinstance(g, (And, Or)):
-            walk(g.left, addr + "0.", pos, depth, path)
-            walk(g.right, addr + "1.", pos, depth, path)
+            walk(g.left, addr + "0.", pos, ancestors)
+            walk(g.right, addr + "1.", pos, ancestors)
         elif isinstance(g, Implies):
-            walk(g.left, addr + "0.", not pos, depth, path)
-            walk(g.right, addr + "1.", pos, depth, path)
+            walk(g.left, addr + "0.", not pos, ancestors)
+            walk(g.right, addr + "1.", pos, ancestors)
         elif isinstance(g, (ChoiceAll, ChoiceEx)):
-            is_ex = isinstance(g, ChoiceEx)
-            mover = "T" if (is_ex == pos) else "B"
-            u = Unit(addr, g, mover, depth + 1, path)
-            out.append(u)
-            walk(g.body, addr + "1.", pos, depth + 1, path + [g.var])
+            mover = "T" if isinstance(g, ChoiceEx) == pos else "B"
+            out.append(Unit(addr, g, mover, ancestors))
+            walk(g.body, addr + "1.", pos, ancestors + (addr,))
         elif isinstance(g, (BlindAll, BlindEx)):
-            walk(g.body, addr, pos, depth, path)
+            walk(g.body, addr, pos, ancestors)
         else:
             raise TypeError(f"not a formula: {g!r}")
 
-    walk(f, "", True, 0, [])
+    walk(f, "", True, ())
     return out
 
 
@@ -543,8 +525,6 @@ def free_vars(f: Formula):
         elif isinstance(g, (ChoiceAll, ChoiceEx, BlindAll, BlindEx)):
             note(g.bound.variables(), bound)
             walk(g.body, bound | {g.var})
-        elif isinstance(g, ChosenCond):
-            note(g.bound.variables(), bound)
         else:
             raise TypeError(f"not a formula: {g!r}")
 

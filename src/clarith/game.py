@@ -2,7 +2,10 @@
 
 A move is a plain string: an address made of "0."/"1." tokens, then
 optionally '#' followed by a binary numer.  A labmove is a (label, move)
-pair with label 'T' or 'B'.  A run is a tuple of labmoves.
+pair with label 'T' or 'B'.  A run is a tuple of labmoves.  A game
+position is the formula plus the addresses of the choice units resolved
+so far; legality and winning are read off the formula's analysis, and
+the formula itself is never rewritten.
 """
 
 from __future__ import annotations
@@ -65,18 +68,24 @@ def leading_constants(run, n):
 # evolving game positions
 
 class GamePosition:
-    """A formula with some choice quantifiers already resolved."""
+    """A formula with some choice quantifiers already resolved: the
+    formula, the set of resolved unit addresses, and env, the constants
+    plus each resolved unit's value.  A legal move, read off
+    analysis(formula), resolves an open unit of its mover, every
+    enclosing unit being resolved already.  `apply` returns a new
+    position."""
 
-    def __init__(self, tree, env):
-        self.tree = tree
-        self.env = dict(env)
+    def __init__(self, formula, resolved, env):
+        self.formula = formula
+        self.resolved = resolved
+        self.env = env
 
     @classmethod
     def start(cls, f, c_env):
-        missing = [v for v in fm.free_vars(f) if v not in c_env]
+        missing = [v for v in fm.analysis(f).free if v not in c_env]
         if missing:
             raise KeyError(f"free variables without constants: {missing}")
-        return cls(f, c_env)
+        return cls(f, frozenset(), dict(c_env))
 
     def apply(self, label, move, index=0):
         addr, numer = split_move(move)
@@ -84,41 +93,14 @@ class GamePosition:
             raise IllegalMove(index, f"not a choice move: {move!r}")
         if not is_canonical_numer(numer):
             raise IllegalMove(index, f"non-canonical numer in {move!r}")
-        tokens = [addr[i:i + 2] for i in range(0, len(addr), 2)]
-        new_tree, var, kind, bound = self._resolve(self.tree, tokens, True, label, move, index)
-        env = dict(self.env)
-        env[var] = numer_value(numer)
-        pos = GamePosition(new_tree, env)
-        return pos
-
-    def _resolve(self, node, tokens, pos, label, move, index):
-        if isinstance(node, (fm.ChoiceAll, fm.ChoiceEx)):
-            if tokens:
-                raise IllegalMove(index, f"address descends into unresolved quantifier: {move!r}")
-            is_ex = isinstance(node, fm.ChoiceEx)
-            mover = "T" if (is_ex == pos) else "B"
-            if mover != label:
-                raise IllegalMove(index, f"{label} may not resolve this quantifier: {move!r}")
-            cond = fm.ChosenCond(node.var, node.bound, node.kind)
-            wrap = fm.And if is_ex else fm.Implies
-            return wrap(cond, node.body), node.var, node.kind, node.bound
-        if isinstance(node, fm.Not):
-            new, *rest = self._resolve(node.body, tokens, not pos, label, move, index)
-            return (fm.Not(new), *rest)
-        if isinstance(node, (fm.BlindAll, fm.BlindEx)):
-            new, *rest = self._resolve(node.body, tokens, pos, label, move, index)
-            return (type(node)(node.var, node.bound, new), *rest)
-        if isinstance(node, (fm.And, fm.Or, fm.Implies)):
-            if not tokens:
-                raise IllegalMove(index, f"address stops at a connective: {move!r}")
-            tok, rest_tokens = tokens[0], tokens[1:]
-            if tok == "0.":
-                sub_pos = not pos if isinstance(node, fm.Implies) else pos
-                new, *rest = self._resolve(node.left, rest_tokens, sub_pos, label, move, index)
-                return (type(node)(new, node.right), *rest)
-            new, *rest = self._resolve(node.right, rest_tokens, pos, label, move, index)
-            return (type(node)(node.left, new), *rest)
-        raise IllegalMove(index, f"address leads into an atom: {move!r}")
+        u = fm.analysis(self.formula).by_addr.get(addr)
+        resolved = self.resolved
+        if u is None or addr in resolved or not resolved.issuperset(u.ancestors):
+            raise IllegalMove(index, f"no open choice quantifier at {move!r}")
+        if u.mover != label:
+            raise IllegalMove(index, f"{label} may not resolve this quantifier: {move!r}")
+        return GamePosition(self.formula, resolved | {addr},
+                            {**self.env, u.var: numer_value(numer)})
 
 
 class LegalityResult:
@@ -161,12 +143,9 @@ def is_quasilegal(f, run, player):
         if u is None or u.mover != player or addr in seen:
             return False
         seen[addr] = i
-    # an ancestor unit resolved by the same player must come first
-    for addr, i in seen.items():
-        for other, j in seen.items():
-            if other != addr and addr.startswith(other) and j > i:
-                return False
-    return True
+    # an enclosing unit resolved by the same player must come first
+    return not any(seen.get(a, -1) > i for addr, i in seen.items()
+                   for a in by_addr[addr].ancestors)
 
 
 def legal_status(f, c_env, run):
@@ -197,42 +176,46 @@ def wins(f, c_env, run, atoms=None):
     pos = GamePosition.start(f, c_env)
     for i, (label, move) in enumerate(run):
         pos = pos.apply(label, move, i)
-    return "T" if evaluate(pos.tree, pos.env, atoms) else "B"
+    return "T" if evaluate(pos, atoms) else "B"
 
 
-def evaluate(node, env, atoms=None):
-    """Truth of a position's formula; unresolved choices favor their owner."""
-    if isinstance(node, fm.Atom):
-        args = tuple(fm.eval_term(t, env) for t in node.args)
-        if node.name in _BUILTIN_ATOMS:
-            return _BUILTIN_ATOMS[node.name](args)
-        if atoms is None:
-            raise KeyError(f"no evaluator for atom {node.name!r}")
-        return bool(atoms(node.name, args))
-    if isinstance(node, fm.ChosenCond):
-        limit = node.bound.evaluate(env)
-        val = env[node.var]
-        measured = bitsize(val) if node.kind == "size" else val
-        return measured <= limit
-    if isinstance(node, fm.Not):
-        return not evaluate(node.body, env, atoms)
-    if isinstance(node, fm.And):
-        return evaluate(node.left, env, atoms) and evaluate(node.right, env, atoms)
-    if isinstance(node, fm.Or):
-        return evaluate(node.left, env, atoms) or evaluate(node.right, env, atoms)
-    if isinstance(node, fm.Implies):
-        return (not evaluate(node.left, env, atoms)) or evaluate(node.right, env, atoms)
-    if isinstance(node, fm.ChoiceAll):
-        return True
-    if isinstance(node, fm.ChoiceEx):
-        return False
-    if isinstance(node, fm.BlindAll):
-        limit = node.bound.evaluate(env)
-        return all(evaluate(node.body, dict(env, **{node.var: w}), atoms) for w in range(limit))
-    if isinstance(node, fm.BlindEx):
-        limit = node.bound.evaluate(env)
-        return any(evaluate(node.body, dict(env, **{node.var: w}), atoms) for w in range(limit))
-    raise TypeError(f"not a formula: {node!r}")
+def evaluate(pos: GamePosition, atoms=None):
+    """Truth of pos's formula, walked with its resolved unit addresses.
+
+    A choice that is unresolved, or resolved to a value breaking its
+    size or value condition, makes ada true and ade false: it favours
+    its owner, or goes against the player who broke the condition.
+    """
+    def ev(node, env, addr):
+        if isinstance(node, fm.Atom):
+            args = tuple(fm.eval_term(t, env) for t in node.args)
+            if node.name in _BUILTIN_ATOMS:
+                return _BUILTIN_ATOMS[node.name](args)
+            if atoms is None:
+                raise KeyError(f"no evaluator for atom {node.name!r}")
+            return bool(atoms(node.name, args))
+        if isinstance(node, fm.Not):
+            return not ev(node.body, env, addr)
+        if isinstance(node, fm.And):
+            return ev(node.left, env, addr + "0.") and ev(node.right, env, addr + "1.")
+        if isinstance(node, fm.Or):
+            return ev(node.left, env, addr + "0.") or ev(node.right, env, addr + "1.")
+        if isinstance(node, fm.Implies):
+            return not ev(node.left, env, addr + "0.") or ev(node.right, env, addr + "1.")
+        if isinstance(node, (fm.ChoiceAll, fm.ChoiceEx)):
+            if addr in pos.resolved:
+                limit = node.bound.evaluate(env)
+                val = env[node.var]
+                if (bitsize(val) if node.kind == "size" else val) <= limit:
+                    return ev(node.body, env, addr + "1.")
+            return isinstance(node, fm.ChoiceAll)
+        if isinstance(node, (fm.BlindAll, fm.BlindEx)):
+            values = (ev(node.body, {**env, node.var: w}, addr)
+                      for w in range(node.bound.evaluate(env)))
+            return all(values) if isinstance(node, fm.BlindAll) else any(values)
+        raise TypeError(f"not a formula: {node!r}")
+
+    return ev(pos.formula, pos.env, "")
 
 
 # ---------------------------------------------------------------------------

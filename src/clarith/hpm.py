@@ -320,9 +320,6 @@ class Strategy:
     def space(self, st) -> int:
         return 0
 
-    def run_view(self, st):
-        raise NotImplementedError
-
 
 class HPMStrategy(Strategy):
     def __init__(self, spec: HPMSpec):
@@ -340,9 +337,6 @@ class HPMStrategy(Strategy):
 
     def space(self, cfg):
         return spacecost(cfg)
-
-    def run_view(self, cfg):
-        return cfg.run
 
 
 class ScriptStrategy(Strategy):
@@ -366,23 +360,26 @@ class ScriptStrategy(Strategy):
             return (run, waited + 1), None
         return (run + (("T", mv),), 0), mv
 
-    def run_view(self, st):
-        return st[0]
-
 
 class StrategyRunner:
-    """Stateful per-cycle driver around a Strategy, for the play harness."""
+    """Stateful per-cycle driver around a Strategy, for the play harness.
+
+    The harness appends each returned move to the run before the next
+    poll, so `seen`, the length of the last visible run plus the move
+    returned, is how much of the run the strategy has been fed.
+    """
 
     def __init__(self, strategy: Strategy):
         self.strategy = strategy
         self.st = strategy.initial()
+        self.seen = 0
 
     def poll(self, visible_run):
-        seen = self.strategy.run_view(self.st)
-        delta = visible_run[len(seen):]
+        delta = visible_run[self.seen:]
         if delta:
             self.st = self.strategy.feed(self.st, delta)
         self.st, mv = self.strategy.step(self.st)
+        self.seen = len(visible_run) + (mv is not None)
         return [mv] if mv is not None else []
 
     def spacecost(self):
@@ -436,20 +433,21 @@ def meter_report(meter: Meter):
 
 
 FUEL_ENV = "CLARITH_FUEL_DEFAULT"
+DEFAULT_FUEL = 2000
 
 
 class BadFuelSetting(ValueError):
     pass
 
 
-def fuel_from_env(fallback: int) -> int:
-    """The cycle budget CLARITH_FUEL_DEFAULT names, or fallback if unset.
+def fuel_from_env() -> int:
+    """The cycle budget CLARITH_FUEL_DEFAULT names, or DEFAULT_FUEL if unset.
 
     Raises BadFuelSetting unless the setting is an integer of at least 1.
     """
     raw = os.environ.get(FUEL_ENV)
     if raw is None:
-        return fallback
+        return DEFAULT_FUEL
     try:
         fuel = int(raw)
     except ValueError:

@@ -181,9 +181,6 @@ class PrefixedStrategy:
     def space(self, st):
         return self.inner.space(st)
 
-    def run_view(self, st):
-        return self.inner.run_view(st)
-
 
 class InductionRunner:
     """The synchronizing machine, packaged for the play harness.
@@ -196,7 +193,8 @@ class InductionRunner:
     alter it.  Each iteration validates its start aggregation once.
     The visible run given to successive polls only extends: each poll
     reads just the entries added since the last one.  `locked` turns
-    true when a locking iteration is recorded.
+    true when a locking iteration is recorded.  `faults` stays empty:
+    an invalid aggregation raises rather than being recorded as a fault.
     """
 
     def __init__(self, n_strategy, k_strategy, conclusion, machine_census=None):

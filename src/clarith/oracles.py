@@ -125,9 +125,6 @@ class _TablePremise:
     def space(self, st):
         return 0
 
-    def run_view(self, st):
-        return st[0]
-
 
 def _suite_compr(rng, cases):
     for c in range(0, 9):

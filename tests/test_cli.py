@@ -177,6 +177,22 @@ class TestTransform:
         params = built[0]._diag_base["statute_params"]
         assert (params["r"], params["g"], params["q"]) == (8, 1, 6)
 
+    def test_induction_prints_runner_faults(self, tmp_path, capsys, monkeypatch):
+        real = induction.build_induction_solver
+
+        def faulted(*args, **kw):
+            runner = real(*args, **kw)
+            runner.faults.append("premise went silent")
+            return runner
+
+        monkeypatch.setattr(induction, "build_induction_solver", faulted)
+        concl = tmp_path / "concl.clf"
+        concl.write_text("ada x [val 100] ade v [1] (v = 0)\n")
+        assert main(["transform", "induct", "--n", fixture("n_const.hpm"),
+                     "--k", fixture("k_const.hpm"), "--f", str(concl),
+                     "--env", "k=2", "--play", "--fuel", "20"]) == 0
+        assert "faults:\n  premise went silent\n" in capsys.readouterr().out
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")

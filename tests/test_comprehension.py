@@ -5,16 +5,14 @@ from hypothesis import strategies as st
 import clarith.formula as fm
 from clarith.bounds import Nat, parse_bound
 from clarith.comprehension import (
-    FALLBACK_FUEL,
     ComprehensionRunner,
     SimulationFault,
     _one_verdict,
     build_comprehension_solver,
     comprehension_conclusion,
-    default_fuel,
 )
 from clarith.game import int_to_numer, is_canonical_numer, numer_value, wins
-from clarith.hpm import BadFuelSetting, ScriptStrategy
+from clarith.hpm import DEFAULT_FUEL, BadFuelSetting, ScriptStrategy
 
 
 def bit_premise(mask, n_constants=1):
@@ -149,18 +147,23 @@ class TestAgainstDirectComputation:
         assert wins(g, {}, (("T", move),)) == "T"
 
 
+def runner_fuel():
+    return ComprehensionRunner(silent_premise(), fm.Atom("p", (fm.TVar("y"),)),
+                               "y", Nat(2)).fuel
+
+
 class TestFuelDefault:
     def test_fallback(self, monkeypatch):
         monkeypatch.delenv("CLARITH_FUEL_DEFAULT", raising=False)
-        assert default_fuel() == FALLBACK_FUEL
+        assert runner_fuel() == DEFAULT_FUEL
 
     def test_environment_override(self, monkeypatch):
         monkeypatch.setenv("CLARITH_FUEL_DEFAULT", "123")
-        assert default_fuel() == 123
+        assert runner_fuel() == 123
 
     @pytest.mark.parametrize("value", ["", "1e3", "0", "-1"])
     def test_rejects_values_that_are_not_positive_integers(self, monkeypatch,
                                                            value):
         monkeypatch.setenv("CLARITH_FUEL_DEFAULT", value)
         with pytest.raises(BadFuelSetting):
-            default_fuel()
+            runner_fuel()

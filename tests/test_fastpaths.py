@@ -1,5 +1,6 @@
 """Each linear-time fast path of the play loop and the induction
-synchronizer against its rescanning twin."""
+synchronizer against its rescanning twin, and game positions read off
+the formula's analysis against positions kept as rewritten trees."""
 
 import copy
 import random
@@ -11,7 +12,20 @@ from hypothesis import strategies as st
 import clarith.formula as fm
 from clarith import zoo
 from clarith.cli import _script_env, main
-from clarith.game import first_illegal_index, int_to_numer, magnitude
+from clarith.bounds import bitsize, parse_bound
+from clarith.game import (
+    IllegalMove,
+    LegalityResult,
+    first_illegal_index,
+    int_to_numer,
+    is_canonical_numer,
+    is_quasilegal,
+    legal_status,
+    magnitude,
+    numer_value,
+    split_move,
+    wins,
+)
 from clarith.hpm import (
     Configuration,
     Meter,
@@ -35,6 +49,7 @@ from conftest import (
     counter_k_script,
     counter_n_script,
     drive_solver,
+    formulas,
     make_scripted_env,
 )
 
@@ -187,6 +202,182 @@ class TestVasaLegality:
                 spec, two_disjunct_formula, {"x": 9}, entries)
             retired_at.add(cycle)
         assert len(retired_at - {None}) > 1
+
+
+# ---------------------------------------------------------------------------
+# The spec for game positions: each move rewrites the formula tree, folding
+# the resolved choice into a condition node ahead of its body.
+
+SIZE_S = parse_bound("|s|")
+
+
+class _Chosen:
+    """|var| <= bound (size kind) or var <= bound (value kind)."""
+
+    def __init__(self, var, bound, kind):
+        self.var, self.bound, self.kind = var, bound, kind
+
+
+def _resolve(node, tokens, pos, label):
+    """(rewritten node, resolved variable); raises IllegalMove."""
+    if isinstance(node, (fm.ChoiceAll, fm.ChoiceEx)):
+        if tokens:
+            raise IllegalMove(0, "address descends into an unresolved quantifier")
+        is_ex = isinstance(node, fm.ChoiceEx)
+        if ("T" if is_ex == pos else "B") != label:
+            raise IllegalMove(0, "wrong mover")
+        wrap = fm.And if is_ex else fm.Implies
+        return wrap(_Chosen(node.var, node.bound, node.kind), node.body), node.var
+    if isinstance(node, fm.Not):
+        new, var = _resolve(node.body, tokens, not pos, label)
+        return fm.Not(new), var
+    if isinstance(node, (fm.BlindAll, fm.BlindEx)):
+        new, var = _resolve(node.body, tokens, pos, label)
+        return type(node)(node.var, node.bound, new), var
+    if isinstance(node, (fm.And, fm.Or, fm.Implies)):
+        if not tokens:
+            raise IllegalMove(0, "address stops at a connective")
+        if tokens[0] == "0.":
+            sub_pos = not pos if isinstance(node, fm.Implies) else pos
+            new, var = _resolve(node.left, tokens[1:], sub_pos, label)
+            return type(node)(new, node.right), var
+        new, var = _resolve(node.right, tokens[1:], pos, label)
+        return type(node)(node.left, new), var
+    raise IllegalMove(0, "address leads into an atom or a resolved choice")
+
+
+def _spec_apply(tree, env, label, move):
+    addr, numer = split_move(move)
+    if numer is None or addr + "#" + numer != move or not is_canonical_numer(numer):
+        raise IllegalMove(0, "not a canonical choice move")
+    tokens = [addr[i:i + 2] for i in range(0, len(addr), 2)]
+    tree, var = _resolve(tree, tokens, True, label)
+    return tree, dict(env, **{var: numer_value(numer)})
+
+
+def _spec_first_illegal(f, c_env, run):
+    tree, env = f, dict(c_env)
+    for i, (label, move) in enumerate(run):
+        try:
+            tree, env = _spec_apply(tree, env, label, move)
+        except IllegalMove:
+            return i
+    return None
+
+
+def _spec_evaluate(node, env, atoms):
+    if isinstance(node, fm.Atom):
+        return bool(atoms(node.name, tuple(fm.eval_term(t, env) for t in node.args)))
+    if isinstance(node, _Chosen):
+        val = env[node.var]
+        measured = bitsize(val) if node.kind == "size" else val
+        return measured <= node.bound.evaluate(env)
+    if isinstance(node, fm.Not):
+        return not _spec_evaluate(node.body, env, atoms)
+    if isinstance(node, fm.And):
+        return _spec_evaluate(node.left, env, atoms) and _spec_evaluate(node.right, env, atoms)
+    if isinstance(node, fm.Or):
+        return _spec_evaluate(node.left, env, atoms) or _spec_evaluate(node.right, env, atoms)
+    if isinstance(node, fm.Implies):
+        return not _spec_evaluate(node.left, env, atoms) or _spec_evaluate(node.right, env, atoms)
+    if isinstance(node, (fm.ChoiceAll, fm.ChoiceEx)):
+        return isinstance(node, fm.ChoiceAll)
+    values = (_spec_evaluate(node.body, dict(env, **{node.var: w}), atoms)
+              for w in range(node.bound.evaluate(env)))
+    return all(values) if isinstance(node, fm.BlindAll) else any(values)
+
+
+def _spec_wins(f, c_env, run, atoms):
+    tree, env = f, dict(c_env)
+    for label, move in run:
+        tree, env = _spec_apply(tree, env, label, move)
+    return "T" if _spec_evaluate(tree, env, atoms) else "B"
+
+
+def _spec_is_quasilegal(f, run, player):
+    by_addr = fm.analysis(f).by_addr
+    seen = {}
+    for i, m in enumerate(m for label, m in run if label == player):
+        addr, numer = split_move(m)
+        if numer is None or addr + "#" + numer != m or not is_canonical_numer(numer):
+            return False
+        u = by_addr.get(addr)
+        if u is None or u.mover != player or addr in seen:
+            return False
+        seen[addr] = i
+    return not any(other != addr and addr.startswith(other) and j > i
+                   for addr, i in seen.items() for other, j in seen.items())
+
+
+def _spec_legal_status(f, c_env, run):
+    bad = _spec_first_illegal(f, c_env, run)
+    if bad is None:
+        return LegalityResult("legal")
+    for player in "TB":
+        if _spec_is_quasilegal(f, run, player):
+            return LegalityResult(f"{player}-quasilegal")
+    return LegalityResult("illegal-at-index", bad)
+
+
+@st.composite
+def game_runs(draw):
+    """(formula over s, constant for s, run, stub atom table).
+
+    The formula gets one or two enclosing choices on y, each joined to
+    an atom p(y), so units nest and share variable names.  A move
+    resolves an open unit by its mover with a canonical numer, names any
+    unit by either player, names an address prefix or extension, or is
+    junk; numers are canonical or not, within the bound |s| or past it.
+    """
+    f = draw(formulas)
+    wraps = st.tuples(st.sampled_from((fm.ChoiceAll, fm.ChoiceEx)),
+                      st.sampled_from((fm.And, fm.Or, fm.Implies)))
+    for choice, conn in draw(st.lists(wraps, min_size=1, max_size=2)):
+        f = choice("y", SIZE_S, conn(f, fm.Atom("p", (fm.TVar("y"),))))
+    units = fm.analysis(f).units
+    canonical = st.integers(0, 40).map(int_to_numer)
+    any_numer = st.one_of(canonical, st.text(alphabet="01", max_size=4))
+    run, resolved = [], set()
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("open",) * 6 + ("unit", "prefix", "extension", "junk")))
+        label = draw(st.sampled_from("TB"))
+        addr = draw(st.sampled_from(units)).address
+        numer = any_numer
+        open_units = [u for u in units if u.address not in resolved
+                      and resolved.issuperset(u.ancestors)]
+        if kind == "open" and open_units:
+            u = draw(st.sampled_from(open_units))
+            addr, label, numer = u.address, u.mover, canonical
+            resolved.add(addr)
+        elif kind == "prefix":
+            addr = addr[:2 * draw(st.integers(0, len(addr) // 2))]
+        elif kind == "extension":
+            addr += draw(st.sampled_from(("0.", "1.", "1.1.", "0.1.")))
+        move = addr + "#" + draw(numer)
+        if kind == "junk":
+            move = draw(st.text(alphabet="01#.x", max_size=6))
+        run.append((label, move))
+    table = draw(st.lists(st.booleans(), min_size=8, max_size=8))
+    return f, draw(st.integers(0, 40)), tuple(run), table
+
+
+class TestGamePosition:
+    @settings(max_examples=400, deadline=None)
+    @given(game_runs())
+    def test_analysis_position_matches_the_tree_spec(self, case):
+        f, s, run, table = case
+        c_env = {"s": s}
+
+        def atoms(name, args):
+            return table[args[0] % len(table)]
+
+        bad = _spec_first_illegal(f, c_env, run)
+        assert first_illegal_index(f, c_env, run) == bad
+        assert legal_status(f, c_env, run) == _spec_legal_status(f, c_env, run)
+        for player in "TB":
+            assert is_quasilegal(f, run, player) == _spec_is_quasilegal(f, run, player)
+        legal = run[:bad]
+        assert wins(f, c_env, legal, atoms) == _spec_wins(f, c_env, legal, atoms)
 
 
 class TestCliBoundary:

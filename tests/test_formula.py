@@ -76,9 +76,11 @@ class TestUnits:
         (u,) = fm.units(f)
         assert u.mover == "B"
 
-    def test_path_vars(self, two_disjunct_formula):
+    def test_ancestors(self, two_disjunct_formula):
         us = fm.units(two_disjunct_formula)
-        assert us[1].path_vars == ("y",)
+        assert [u.ancestors for u in us] == [(), ("0.",), (), ("1.",)]
+        f = fm.parse_formula("ada x [1] ~cla w < 2 : (p(x) & ade y [1] ada z [1] q(y, z))")
+        assert [u.ancestors for u in fm.units(f)] == [(), ("",), ("", "1.1.")]
 
     def test_blind_quantifiers_are_transparent(self):
         f = fm.parse_formula("cla y < 4 : ade z [1] p(z, y)")
