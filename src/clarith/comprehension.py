@@ -10,6 +10,8 @@ with Bit(y, d) true exactly where the premise answered yes.
 
 from __future__ import annotations
 
+from itertools import count
+
 from . import formula as fm
 from .bounds import BoundExpr
 from .game import int_to_numer, leading_constants
@@ -19,11 +21,16 @@ from .hpm import fuel_from_env
 def comprehension_conclusion(p: fm.Formula, y: str,
                              bound: BoundExpr) -> fm.Formula:
     """The game the built runner plays: pick d, sized within the bound,
-    whose bits below the bound agree with p everywhere."""
-    bit = fm.Atom("Bit", (fm.TVar(y), fm.TVar("d")))
+    whose bits below the bound agree with p everywhere.  d is the first
+    of d, d1, d2, ... that is not y and occurs free in neither p nor the
+    bound, so no free variable of p is captured."""
+    taken = {y, *fm.free_vars(p), *bound.variables()}
+    d = next(name for name in ("d" + (str(i) if i else "") for i in count())
+             if name not in taken)
+    bit = fm.Atom("Bit", (fm.TVar(y), fm.TVar(d)))
     agree = fm.And(fm.Implies(bit, p), fm.Implies(p, bit))
     body = fm.BlindAll(y, bound, agree)
-    return fm.ChoiceEx("d", bound, body, kind="size")
+    return fm.ChoiceEx(d, bound, body, kind="size")
 
 
 class SimulationFault(Exception):

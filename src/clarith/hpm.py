@@ -20,11 +20,20 @@ never rescans it:
   of run entries it has seen, and per-background maxima, so a meter
   does not grow with the cycles.  Its contract: each run it is given
   extends the previous one.
+
+A sketch reads the run through a `History`, the reason wrapper's
+append-only list of (label, size) records.  Next to the records it keeps
+running indexes, numbers only and never move contents: the cell offset
+where each record starts, each record's ordinal within its label, the
+positions of the T records, and the T and B counts.  `sketch_advance`
+takes the tape length and the run symbol's record off them with one
+bisection; `history_prefix` is the rescanning twin.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 
 from .game import TruncationContext, magnitude, prudentize
 
@@ -227,37 +236,17 @@ def run_symbol(run, pos: int) -> str:
     return BLANK
 
 
-def _leftmost_blank(content: str) -> int:
-    i = content.find(BLANK)
-    return i if i >= 0 else len(content)
-
-
-def _write_cell(content: str, pos: int, sym: str) -> str:
-    if pos >= len(content):
-        if sym == BLANK:
-            return content
-        content = content + BLANK * (pos - len(content)) + sym
-    else:
-        content = content[:pos] + sym + content[pos + 1:]
-    return content.rstrip(BLANK)
-
-
-def _move_head(h: int, d: str, limit: int) -> int:
-    if d == "L":
-        return max(0, h - 1)
-    if d == "R":
-        return min(h + 1, limit)
-    return h
-
-
 def _transition(spec: HPMSpec, state, runsym, tapes, heads, runhead, run_len):
     """Apply the transition keyed by (state, runsym, work symbols).
 
     -> None when no transition matches, else (q2, tapes, heads, runhead,
-    append) after the work-tape writes and all head moves; the run-tape
-    head stays within [0, run_len].
+    append) after the work-tape writes and all head moves.  A written
+    tape loses its trailing blanks; a head moves left down to 0 and
+    right up to its tape's leftmost blank, the run-tape head up to
+    run_len.
     """
-    worksyms = tuple(t[h] if h < len(t) else BLANK for t, h in zip(tapes, heads))
+    worksyms = tuple([t[h] if h < len(t) else BLANK
+                      for t, h in zip(tapes, heads)])
     row = spec.delta.get((state, runsym, worksyms))
     if row is None:
         return None
@@ -265,11 +254,25 @@ def _transition(spec: HPMSpec, state, runsym, tapes, heads, runhead, run_len):
     tapes2 = []
     heads2 = []
     for t, h, w, d in zip(tapes, heads, writes, dirs):
-        t2 = _write_cell(t, h, w)
-        heads2.append(_move_head(h, d, _leftmost_blank(t2)))
-        tapes2.append(t2)
-    return (q2, tuple(tapes2), tuple(heads2),
-            _move_head(runhead, d_run, run_len), append)
+        if h < len(t):
+            if t[h] != w:
+                t = t[:h] + w + t[h + 1:]
+            if t[-1] == BLANK:
+                t = t.rstrip(BLANK)
+        elif w != BLANK:
+            t = t + BLANK * (h - len(t)) + w
+        tapes2.append(t)
+        if d == "L":
+            h = h - 1 if h > 0 else 0
+        elif d == "R":
+            blank = t.find(BLANK)
+            h = min(h + 1, blank if blank >= 0 else len(t))
+        heads2.append(h)
+    if d_run == "L":
+        runhead = runhead - 1 if runhead > 0 else 0
+    elif d_run == "R":
+        runhead = min(runhead + 1, run_len)
+    return q2, tuple(tapes2), tuple(heads2), runhead, append
 
 
 def step(spec: HPMSpec, cfg: Configuration, incoming=()) -> Configuration:
@@ -563,37 +566,90 @@ def history_prefix(history, m: int):
     return out
 
 
+class History:
+    """The reason wrapper's append-only history of (label, size) records,
+    with running indexes.
+
+    Labels are 'T' or 'B'.  It reads as a sequence of its records, and
+    each append brings up to date: `starts`, the run-tape cell offset
+    at which each record begins, followed by the tape length (prefix
+    sums of 1 + size); `ordinals`, each record's place among the records
+    of its label; `top_at`, the position of each T record; and `bots`,
+    the count of B records.  Like the records, the indexes are numbers
+    only: no move contents are kept.
+    """
+
+    __slots__ = ("_records", "starts", "ordinals", "top_at", "bots")
+
+    def __init__(self, records=()):
+        self._records = []
+        self.starts = [0]
+        self.ordinals = []
+        self.top_at = []
+        self.bots = 0
+        for record in records:
+            self.append(record)
+
+    def append(self, record):
+        label, size = record
+        if label == "T":
+            self.ordinals.append(len(self.top_at))
+            self.top_at.append(len(self._records))
+        else:
+            self.ordinals.append(self.bots)
+            self.bots += 1
+        self._records.append((label, size))
+        self.starts.append(self.starts[-1] + 1 + size)
+
+    def visible(self, m: int) -> int:
+        """Number of records before the (m+1)-th T record."""
+        return self.top_at[m] if m < len(self.top_at) else len(self._records)
+
+    def locate(self, pos: int):
+        """(record index, offset in the record, ordinal of the record) of
+        run-tape cell pos, which must lie below the tape length."""
+        idx = bisect_right(self.starts, pos) - 1
+        return idx, pos - self.starts[idx], self.ordinals[idx]
+
+    def __len__(self):
+        return len(self._records)
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __getitem__(self, i):
+        return self._records[i]
+
+
+def indexed(history) -> History:
+    """history itself if it is a History, else a History of its records."""
+    return history if isinstance(history, History) else History(history)
+
+
 def sketch_advance(spec: HPMSpec, s: Sketch, history, symbol_source,
                    ctx: TruncationContext) -> Sketch:
     """One simulated cycle driven by move sizes instead of move contents.
 
-    history: sequence of (label, size) entries; symbol_source(entry_index,
-    label, ordinal, offset) resolves the offset-th symbol (1-based) of the
-    ordinal-th same-label move.
+    history: a History or a sequence of (label, size) records;
+    symbol_source(entry_index, label, ordinal, offset) resolves the
+    offset-th symbol (1-based) of the ordinal-th same-label move.  The
+    records visible to the sketch (those before its (moves_made+1)-th T
+    record) and the run symbol's record are read off the history's
+    indexes, `history_prefix` being the rescanning twin.
     """
-    visible = history_prefix(history, s.moves_made)
-    p = sum(1 + size for _, size in visible)
+    history = indexed(history)
+    p = history.starts[history.visible(s.moves_made)]
     q = s.runhead
     if q >= p:
-        runsym = BLANK
+        q, runsym = p, BLANK
     else:
-        cum = 0
-        runsym = None
-        ordinals = {"T": 0, "B": 0}
-        for idx, (label, size) in enumerate(visible):
-            if q < cum + 1 + size:
-                offset = q - cum
-                if offset == 0:
-                    runsym = label
-                else:
-                    runsym = symbol_source(idx, label, ordinals[label], offset)
-                break
-            ordinals[label] += 1
-            cum += 1 + size
-        assert runsym is not None
-    moved = _transition(spec, s.state, runsym, s.tapes, s.heads, min(q, p), p)
+        idx, offset, ordinal = history.locate(q)
+        label = history[idx][0]
+        runsym = label if offset == 0 else symbol_source(
+            idx, label, ordinal, offset)
+    moved = _transition(spec, s.state, runsym, s.tapes, s.heads, q, p)
     if moved is None:
-        return Sketch(s.state, s.tapes, s.heads, min(q, p), s.moves_made,
+        return Sketch(s.state, s.tapes, s.heads, q, s.moves_made,
                       s.buffer_len, "", s.trunc, s._shape)
     q2, tapes, heads, runhead2, append = moved
     buffer_len = s.buffer_len + len(append)

@@ -3,7 +3,11 @@
 The reason wrapper turns a machine into a provident and prudent one: it
 keeps only a global history of (label, size) records and replays the
 wrapped machine sketch-by-sketch, re-deriving its own past moves through
-recursive resimulation instead of storing them.
+recursive resimulation instead of storing them.  The history is an
+`hpm.History`: next to the records it keeps, as numbers only, the cell
+offset at which each record starts, each record's ordinal within its
+label and the positions of the T records, so a resimulated cycle finds
+its run symbol without rescanning the history.
 
 The unconditional wrapper mimics a machine move for move while the seen
 run stays legal, and retires (optionally after one windup move) as soon
@@ -22,9 +26,11 @@ from .game import (
     windup,
 )
 from .hpm import (
+    History,
     HPMSpec,
     Sketch,
     history_prefix,
+    indexed,
     initial_configuration,
     initial_sketch,
     sketch_advance,
@@ -50,6 +56,7 @@ def update_sketch(spec: HPMSpec, history, s: Sketch, own_bot_moves,
                   ctx: TruncationContext, instrument=None) -> Sketch:
     """One resimulated cycle; ⊥ symbols come from own_bot_moves, ⊤ symbols
     from recursive fetch_symbol calls."""
+    history = indexed(history)
     if instrument is not None:
         caller_index = h_index(history, s.moves_made)
         instrument.append(("update", caller_index))
@@ -69,11 +76,13 @@ def update_sketch(spec: HPMSpec, history, s: Sketch, own_bot_moves,
 def fetch_symbol(spec: HPMSpec, history, k: int, n: int, own_bot_moves,
                  ctx: TruncationContext, instrument=None) -> str:
     """The n-th symbol (1-based) of the (k+1)-th 'T' move, by replay."""
-    top_sizes = [size for label, size in history if label == "T"]
-    if k >= len(top_sizes):
-        raise FetchError(f"only {len(top_sizes)} T-moves recorded, asked for {k}")
-    if not (1 <= n <= top_sizes[k]):
-        raise FetchError(f"offset {n} outside move of size {top_sizes[k]}")
+    history = indexed(history)
+    top_at = history.top_at
+    if k >= len(top_at):
+        raise FetchError(f"only {len(top_at)} T-moves recorded, asked for {k}")
+    size = history[top_at[k]][1]
+    if not (1 <= n <= size):
+        raise FetchError(f"offset {n} outside move of size {size}")
     if instrument is not None:
         my_index = h_index(history, k)
     s = initial_sketch(spec)
@@ -97,38 +106,46 @@ class ReasonRunner:
     variables, then repeatedly resimulates the wrapped machine from its
     initial sketch, restarting whenever a globally new move (its own or
     the environment's) enters the history, and emitting the truncation
-    of each globally new move of the wrapped machine.
+    of each globally new move of the wrapped machine.  Each poll reads
+    only the run entries added since the last one, so the visible run
+    must only extend from poll to poll.
     """
 
     def __init__(self, spec: HPMSpec, f, instrument=None):
         self.spec = spec
         self.formula = f
-        self.history = []
+        self.history = History()
         self.own_bots = []
+        self.seen = 0
         self.ctx = None
         self.sketch = None
         self.restarts = 0
         self.instrument = instrument
         self.faults = []
 
-    def _recorded_bots(self):
-        return sum(1 for label, _ in self.history if label == "B")
+    def _record_bots(self):
+        """Append the B records not yet in the history; whether any were."""
+        history = self.history
+        fresh = self.own_bots[history.bots:]
+        for m in fresh:
+            history.append(("B", len(m)))
+        return bool(fresh)
 
     def poll(self, visible_run):
-        bots = [m for label, m in visible_run if label == "B"]
-        self.own_bots = bots
+        for label, m in visible_run[self.seen:]:
+            if label == "B":
+                self.own_bots.append(m)
+        self.seen = len(visible_run)
         if self.ctx is None:
             free = fm.free_vars(self.formula)
             consts = leading_constants(visible_run, len(free))
             if consts is None:
                 return []
             self.ctx = TruncationContext(self.formula, dict(zip(free, consts)))
-            self.history = [("B", len(m)) for m in bots]
+            self._record_bots()
             self.sketch = initial_sketch(self.spec)
             self.restarts += 1
-        elif len(bots) > self._recorded_bots():
-            for m in bots[self._recorded_bots():]:
-                self.history.append(("B", len(m)))
+        elif self._record_bots():
             self.sketch = initial_sketch(self.spec)
             self.restarts += 1
         try:
@@ -137,13 +154,11 @@ class ReasonRunner:
         except FetchError as exc:
             self.faults.append(str(exc))
             return []
-        tops_recorded = sum(1 for label, _ in self.history if label == "T")
-        if nxt.flushed and nxt.moves_made > tops_recorded:
-            alpha_trunc = nxt.flushed_trunc
+        if nxt.flushed and nxt.moves_made > len(self.history.top_at):
             self.history.append(("T", nxt.flushed_len))
             self.sketch = initial_sketch(self.spec)
             self.restarts += 1
-            return [alpha_trunc]
+            return [nxt.flushed_trunc]
         self.sketch = nxt
         return []
 

@@ -1,9 +1,12 @@
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import clarith.formula as fm
 from clarith.bounds import Nat, parse_bound
+from clarith.cli import main
 from clarith.comprehension import (
     ComprehensionRunner,
     SimulationFault,
@@ -13,6 +16,8 @@ from clarith.comprehension import (
 )
 from clarith.game import int_to_numer, is_canonical_numer, numer_value, wins
 from clarith.hpm import DEFAULT_FUEL, BadFuelSetting, ScriptStrategy
+
+from conftest import FIXTURES
 
 
 def bit_premise(mask, n_constants=1):
@@ -49,6 +54,36 @@ class TestConclusionShape:
         g = comprehension_conclusion(p, "y", Nat(3))
         census = fm.choice_census(g)
         assert (census["e_top"], census["e_bot"]) == (1, 0)
+
+
+class TestChoiceVariable:
+    """The choice variable is named apart from the premise and bound."""
+
+    def test_free_d_in_the_premise_is_not_captured(self):
+        p = fm.parse_formula("q(y, d)")
+        g = comprehension_conclusion(p, "y", Nat(3))
+        assert g.var == "d1"
+        assert fm.free_vars(g) == ["d"]
+
+    def test_skips_every_taken_name(self):
+        p = fm.parse_formula("q(y, d, d1)")
+        g = comprehension_conclusion(p, "d2", parse_bound("|d3|"))
+        assert g.var == "d4"
+        assert set(fm.free_vars(g)) == {"y", "d", "d1", "d3"}
+
+    def test_constant_for_a_free_d_is_a_legal_move(self, tmp_path, capsys):
+        p = tmp_path / "p.clf"
+        p.write_text("q(y, d)\n")
+        env = tmp_path / "env.txt"
+        env.write_text("#11\n")
+        rc = main(["transform", "compr", "--premise",
+                   os.path.join(FIXTURES, "always_yes.hpm"), "--p", str(p),
+                   "--y", "y", "--bound", "3", "--play", "--env", str(env)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "conclusion: ade d1 [3]" in out and "q(y, d)" in out
+        assert "B #11" in out and "T #111" in out
+        assert "illegal" not in out
 
 
 class TestVerdicts:

@@ -1,6 +1,8 @@
-"""Each linear-time fast path of the play loop and the induction
-synchronizer against its rescanning twin, and game positions read off
-the formula's analysis against positions kept as rewritten trees."""
+"""Each linear-time fast path of the play loop, the reason wrapper's
+history and the induction synchronizer against its rescanning twin, the
+shared machine transition against its plain statement, and game
+positions read off the formula's analysis against positions kept as
+rewritten trees."""
 
 import copy
 import random
@@ -27,8 +29,14 @@ from clarith.game import (
     wins,
 )
 from clarith.hpm import (
+    BLANK,
+    DIRS,
     Configuration,
+    History,
+    HPMSpec,
     Meter,
+    _transition,
+    history_prefix,
     initial_configuration,
     play,
     run_symbol,
@@ -142,6 +150,116 @@ class TestScriptEnv:
         for size in chunks + [len(run)]:
             end = min(len(run), end + size)
             assert fast(tuple(run[:end])) == slow(tuple(run[:end]))
+
+
+class TestHistory:
+    @given(st.lists(st.tuples(st.sampled_from("TB"), st.integers(0, 5)),
+                    max_size=14))
+    def test_indexes_match_rescans_after_every_append(self, records):
+        history = History()
+        for n, record in enumerate(records, 1):
+            history.append(record)
+            grown = records[:n]
+            assert list(history) == grown and len(history) == n
+            tops = sum(1 for label, _ in grown if label == "T")
+            assert (len(history.top_at), history.bots) == (tops, n - tops)
+            for m in range(tops + 2):
+                prefix = history_prefix(grown, m)
+                visible = history.visible(m)
+                assert visible == len(prefix)
+                assert history.starts[visible] == sum(1 + size for _, size in prefix)
+            cells = []
+            ordinals = {"T": 0, "B": 0}
+            for idx, (label, size) in enumerate(grown):
+                for offset in range(1 + size):
+                    cells.append((idx, offset, ordinals[label]))
+                ordinals[label] += 1
+            for pos, want in enumerate(cells):
+                assert history.locate(pos) == want
+
+
+# The statement of one transition, with the tape writes and head moves
+# spelled out as helpers.
+
+def _leftmost_blank(content):
+    i = content.find(BLANK)
+    return i if i >= 0 else len(content)
+
+
+def _write_cell(content, pos, sym):
+    if pos >= len(content):
+        if sym == BLANK:
+            return content
+        content = content + BLANK * (pos - len(content)) + sym
+    else:
+        content = content[:pos] + sym + content[pos + 1:]
+    return content.rstrip(BLANK)
+
+
+def _move_head(h, d, limit):
+    if d == "L":
+        return max(0, h - 1)
+    if d == "R":
+        return min(h + 1, limit)
+    return h
+
+
+def transition_spec(spec, state, runsym, tapes, heads, runhead, run_len):
+    worksyms = tuple(t[h] if h < len(t) else BLANK for t, h in zip(tapes, heads))
+    row = spec.delta.get((state, runsym, worksyms))
+    if row is None:
+        return None
+    q2, writes, d_run, dirs, append = row
+    tapes2 = []
+    heads2 = []
+    for t, h, w, d in zip(tapes, heads, writes, dirs):
+        t2 = _write_cell(t, h, w)
+        heads2.append(_move_head(h, d, _leftmost_blank(t2)))
+        tapes2.append(t2)
+    return (q2, tuple(tapes2), tuple(heads2),
+            _move_head(runhead, d_run, run_len), append)
+
+
+WORK_SYMBOLS = "01X" + BLANK
+
+
+@st.composite
+def transitions(draw):
+    """(spec, state, run symbol, tapes, heads, run head, run length).
+
+    Tapes carry interior and trailing blanks; heads (never negative, as
+    no transition makes them so) sit anywhere up to two cells past the
+    tape's end, so at, before and past its leftmost blank.  The spec's
+    rows are random; one usually matches the configuration.
+    """
+    n = draw(st.integers(0, 3))
+    tapes = tuple(draw(st.text(alphabet=WORK_SYMBOLS, max_size=6))
+                  for _ in range(n))
+    heads = tuple(draw(st.integers(0, len(t) + 2)) for t in tapes)
+    run_len = draw(st.integers(0, 8))
+    runhead = draw(st.integers(0, run_len + 2))
+    runsym = draw(st.sampled_from("TB01#." + BLANK))
+    symbols = st.sampled_from(WORK_SYMBOLS)
+    directions = st.sampled_from(DIRS)
+    keys = st.tuples(st.sampled_from("qr"), st.sampled_from("TB01#." + BLANK),
+                     st.tuples(*[symbols] * n))
+    rows = st.tuples(st.sampled_from("qr"), st.tuples(*[symbols] * n),
+                     directions, st.tuples(*[directions] * n),
+                     st.text(alphabet="01#.", max_size=2))
+    delta = draw(st.dictionaries(keys, rows, max_size=4))
+    if draw(st.integers(0, 3)):
+        read = tuple(t[h] if h < len(t) else BLANK for t, h in zip(tapes, heads))
+        delta[("q", runsym, read)] = draw(rows)
+    spec = HPMSpec(states="qr", start="q", move_states="r", worktapes=n,
+                   alphabet="01X", delta=delta)
+    return spec, "q", runsym, tapes, heads, runhead, run_len
+
+
+class TestTransition:
+    @settings(max_examples=400)
+    @given(transitions())
+    def test_matches_the_spec(self, case):
+        assert _transition(*case) == transition_spec(*case)
 
 
 class ReplayVasa(VasaRunner):

@@ -1,6 +1,11 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clarith.formula as fm
+from clarith import zoo
 from clarith.game import TruncationContext, first_illegal_index, is_quasilegal
 from clarith.hpm import HPMStrategy, StrategyRunner, initial_sketch, play
 from clarith.wrappers import (
@@ -107,6 +112,31 @@ class TestReasonRunner:
     def test_builder_rejects_choice_free_formula(self, bigmove_machine):
         with pytest.raises(ValueError):
             build_reason_wrapper(bigmove_machine, fm.parse_formula("p(x)"))
+
+
+class TestReasonKeepsNoMoves:
+    """The README's claim: the wrapper's memory of the run is (label,
+    size) records, one per move, and numeric indexes, no move contents."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 30))
+    def test_history_holds_numbers_only(self, seed):
+        rng = random.Random(seed)
+        spec = zoo.random_machine(rng)
+        entries = [(0, "#101")] + zoo.random_schedule(rng, spec)
+        f = fm.parse_formula("ada x [|s|] (ade y [|s|] p(x,y))")
+        runner = build_reason_wrapper(spec, f)
+        run = play(runner, make_scripted_env(entries), fuel=300)["run"]
+        history = runner.history
+        assert all(label in ("T", "B") and type(size) is int
+                   for label, size in history)
+        indexes = [*history.starts, *history.ordinals, *history.top_at,
+                   history.bots]
+        assert all(type(i) is int for i in indexes)
+        assert runner.faults == [] and len(history) == len(run)
+        assert [label for label, _ in history] == [label for label, _ in run]
+        assert [size for label, size in history if label == "B"] == [
+            len(m) for label, m in run if label == "B"]
 
 
 class TestResimulationIndexOrder:
