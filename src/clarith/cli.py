@@ -159,7 +159,7 @@ def _play_and_report(runner, f, env, fuel, trace_path=None, trace_rows=None):
     try:
         print("winner:", _winner(f, out["run"]))
     except KeyError as exc:
-        print(f"winner: undecided (no evaluator for atom {exc})")
+        print(f"winner: undecided ({exc.args[0]})")
     print("meter:", json.dumps(hpm.meter_report(out["meter"])))
     if getattr(runner, "faults", None):
         print("faults:", *runner.faults, sep="\n  ")

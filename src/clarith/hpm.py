@@ -6,16 +6,23 @@ cell holding the label character 'T' or 'B'.  The blank is '_'.  The
 run-tape head is clamped so it can never pass the leftmost blank.
 
 A run only ever extends, one labmove at a time, so the per-cycle code
-never rescans it:
+never rescans or copies it:
 
-- A `Configuration` carries its run tape as a flat string of
-  `label + move` cells plus the number of run entries that string
-  covers.  Moves enter a configuration's run through
-  `Configuration.extend`, which hands the cells on; the cells of
-  entries added since are appended when `tape()` is next read.  (A
-  run set by `replace(run=...)` gets its cells built afresh.)  `step`
-  then reads the run symbol by index and the tape length with `len`.
-  `run_tape_length` and `run_symbol` are the rescanning twins.
+- A `Configuration`'s run is the first `length` labmoves of a
+  `RunLog`, an append-only log of labmoves, run-tape cells and the cell
+  offset where each labmove starts.  A step makes its successor share
+  the log.  The fork rule: extending a configuration whose length is
+  the log's length appends in place; extending an older one (a branch,
+  as when a simulation feeds a configuration it stepped past) copies
+  its prefix into a new log first, so no configuration ever sees its
+  run change.  `step` reads the run symbol and the tape length off the
+  log; `run_tape_length` and `run_symbol` are the rescanning twins.
+  `cfg.run` builds a tuple; no per-cycle code reads it.
+- A configuration carries each work tape's count of non-blank cells.
+  A transition writes one cell per tape, the one under its head, so
+  `step` moves the count by what that cell held and now holds (the
+  stripping of trailing blanks never changes it), and `spacecost` is a
+  read.  Sketches do not carry counts.
 - `Meter.record_cycle` keeps a running background maximum, the number
   of run entries it has seen, and per-background maxima, so a meter
   does not grow with the cycles.  Its contract: each run it is given
@@ -75,7 +82,9 @@ def parse_hpm(text: str) -> HPMSpec:
         key, _, rest = line.partition(":")
         key = key.strip()
         rest = rest.strip()
-        if key == "states":
+        if key == "delta":
+            rows.append((lineno, *_parse_delta_line(rest, lineno)))
+        elif key == "states":
             fields["states"] = rest.split()
         elif key == "start":
             fields["start"] = rest
@@ -85,8 +94,6 @@ def parse_hpm(text: str) -> HPMSpec:
             fields["worktapes"] = int(rest)
         elif key == "alphabet":
             fields["alphabet"] = rest.split()
-        elif key == "delta":
-            rows.append((lineno, *_parse_delta_line(rest, lineno)))
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     for need in ("states", "start", "worktapes", "alphabet"):
@@ -94,23 +101,27 @@ def parse_hpm(text: str) -> HPMSpec:
             raise ValueError(f"missing {need!r} declaration")
     fields.setdefault("move_states", [])
     symbols = set(fields["alphabet"]) | {BLANK}
-    delta, first_line = {}, {}
+    states = set(fields["states"])
+    worktapes = fields["worktapes"]
+    delta = {}
     for lineno, key, row in rows:
-        worksyms, (q2, writes) = key[2], row[:2]
-        if len(worksyms) != fields["worktapes"]:
+        worksyms, q2, writes = key[2], row[0], row[1]
+        if len(worksyms) != worktapes:
             raise ValueError(f"line {lineno}: {len(worksyms)} work symbols, "
-                             f"but worktapes is {fields['worktapes']}")
-        for sym in worksyms + writes:
-            if sym not in symbols:
-                raise ValueError(f"line {lineno}: work symbol {sym!r} "
-                                 "not in the alphabet")
-        for role, q in (("source", key[0]), ("target", q2)):
-            if q not in fields["states"]:
-                raise ValueError(f"line {lineno}: {role} state {q!r} not declared")
+                             f"but worktapes is {worktapes}")
+        if not (symbols.issuperset(worksyms) and symbols.issuperset(writes)):
+            sym = next(s for s in worksyms + writes if s not in symbols)
+            raise ValueError(f"line {lineno}: work symbol {sym!r} "
+                             "not in the alphabet")
+        if key[0] not in states:
+            raise ValueError(f"line {lineno}: source state {key[0]!r} not declared")
+        if q2 not in states:
+            raise ValueError(f"line {lineno}: target state {q2!r} not declared")
         if key in delta:
+            first = next(n for n, k, _ in rows if k == key)
             raise ValueError(f"line {lineno}: a second transition for "
-                             f"{key!r}, first given on line {first_line[key]}")
-        delta[key], first_line[key] = row, lineno
+                             f"{key!r}, first given on line {first}")
+        delta[key] = row
     return HPMSpec(delta=delta, **fields)
 
 
@@ -118,8 +129,8 @@ def _parse_delta_line(rest, lineno):
     lhs, arrow, rhs = rest.partition("->")
     if not arrow:
         raise ValueError(f"line {lineno}: delta needs '->'")
-    left = [p.strip() for p in lhs.split(",")]
-    right = [p.strip() for p in rhs.split(",")]
+    left = list(map(str.strip, lhs.split(",")))
+    right = list(map(str.strip, rhs.split(",")))
     if len(left) < 2:
         raise ValueError(f"line {lineno}: delta lhs needs state and run symbol")
     state, runsym, worksyms = left[0], left[1], tuple(left[2:])
@@ -149,55 +160,117 @@ _FIELDS = ("state", "tapes", "heads", "run", "runhead", "buffer",
            "cycle", "moves_made", "last_append", "last_move")
 
 
+class RunLog:
+    """An append-only run that configurations share, with its run tape.
+
+    `moves` holds the labmoves, `cells` the run-tape cells one symbol
+    each, and `starts` the cell offset at which each labmove begins,
+    followed by the tape length.
+    """
+
+    __slots__ = ("moves", "cells", "starts")
+
+    def __init__(self, labmoves=()):
+        self.moves = []
+        self.cells = []
+        self.starts = [0]
+        self._append(labmoves)
+
+    def _append(self, labmoves):
+        moves, cells, starts = self.moves, self.cells, self.starts
+        for label, move in labmoves:
+            moves.append((label, move))
+            cells.append(label)
+            cells.extend(move)
+            starts.append(len(cells))
+
+    def extended(self, length, labmoves):
+        """(log, length) holding this log's first `length` labmoves and
+        then labmoves.  The log is this one, appended in place, when it
+        holds exactly `length` labmoves; otherwise it is a fork, a copy
+        of that prefix, so the configurations reading the later entries
+        are left untouched."""
+        log = self
+        if length != len(self.moves):
+            log = RunLog()
+            log.moves = self.moves[:length]
+            log.starts = self.starts[:length + 1]
+            log.cells = self.cells[:log.starts[-1]]
+        log._append(labmoves)
+        return log, len(log.moves)
+
+
+_new = object.__new__
+
+
+def _fill(cfg, state, tapes, heads, log, length, runhead, buffer, cycle,
+          moves_made, last_append, last_move, counts):
+    """cfg with every slot set positionally, the values taken as given."""
+    cfg.state = state
+    cfg.tapes = tapes
+    cfg.heads = heads
+    cfg.log = log
+    cfg.length = length
+    cfg.runhead = runhead
+    cfg.buffer = buffer
+    cfg.cycle = cycle
+    cfg.moves_made = moves_made
+    cfg.last_append = last_append
+    cfg.last_move = last_move
+    cfg.counts = counts
+    return cfg
+
+
 class Configuration:
     """A machine configuration; a value, compared on its ten fields.
 
-    `_cells` is the run tape as a string covering the first `_covered`
-    run entries, a cache excluded from equality.
+    Its run is the first `length` labmoves of `log`, a `RunLog` it may
+    share with other configurations; the `run` field reads them as a
+    tuple.  `counts` holds each work tape's non-blank cell count.
     """
 
-    __slots__ = _FIELDS + ("_cells", "_covered")
+    __slots__ = ("state", "tapes", "heads", "log", "length", "runhead",
+                 "buffer", "cycle", "moves_made", "last_append", "last_move",
+                 "counts")
 
     def __init__(self, state, tapes, heads, run, runhead, buffer, cycle,
                  moves_made, last_append="", last_move=None):
-        self.state = state
-        self.tapes = tuple(tapes)
-        self.heads = tuple(heads)
-        self.run = tuple(run)
-        self.runhead = runhead
-        self.buffer = buffer
-        self.cycle = cycle
-        self.moves_made = moves_made
-        self.last_append = last_append
-        self.last_move = last_move
-        self._cells = ""
-        self._covered = 0
+        tapes = tuple(tapes)
+        log = RunLog(run)
+        _fill(self, state, tapes, tuple(heads), log, len(log.moves), runhead,
+              buffer, cycle, moves_made, last_append, last_move,
+              tuple(len(t) - t.count(BLANK) for t in tapes))
+
+    @property
+    def run(self):
+        return tuple(self.log.moves[:self.length])
 
     def replace(self, **kw):
-        vals = {name: getattr(self, name) for name in _FIELDS}
+        """A copy with kw fields replaced.  It shares this configuration's
+        run log unless kw gives a run."""
+        vals = {name: getattr(self, name) for name in _FIELDS if name != "run"}
         vals.update(kw)
-        nxt = Configuration(**vals)
-        if "run" not in kw:
-            nxt._cells, nxt._covered = self._cells, self._covered
+        if "run" in kw:
+            return Configuration(**vals)
+        nxt = Configuration(run=(), **vals)
+        nxt.log, nxt.length = self.log, self.length
         return nxt
 
     def extend(self, labmoves, **kw):
-        """A copy with labmoves appended to the run and kw fields replaced.
-
-        The run's cells so far carry over, since the old run is a prefix
-        of the new one.
-        """
-        nxt = self.replace(run=self.run + tuple(labmoves), **kw)
-        nxt._cells, nxt._covered = self._cells, self._covered
+        """A copy with labmoves appended to the run and kw fields replaced."""
+        if kw:
+            nxt = self.replace(**kw)
+        else:
+            nxt = _fill(_new(Configuration), self.state, self.tapes,
+                        self.heads, None, 0, self.runhead, self.buffer,
+                        self.cycle, self.moves_made, self.last_append,
+                        self.last_move, self.counts)
+        nxt.log, nxt.length = self.log.extended(self.length, labmoves)
         return nxt
 
     def tape(self) -> str:
         """The run tape's cells, label then move for each run entry."""
-        if self._covered < len(self.run):
-            self._cells += "".join(
-                label + move for label, move in self.run[self._covered:])
-            self._covered = len(self.run)
-        return self._cells
+        return "".join(self.log.cells[:self.log.starts[self.length]])
 
     def __eq__(self, other):
         return isinstance(other, Configuration) and all(
@@ -205,7 +278,7 @@ class Configuration:
 
     def __repr__(self):
         return (f"Configuration(state={self.state}, cycle={self.cycle}, "
-                f"run={len(self.run)} moves, buffer={self.buffer!r})")
+                f"run={self.length} moves, buffer={self.buffer!r})")
 
 
 def initial_configuration(spec: HPMSpec) -> Configuration:
@@ -276,32 +349,49 @@ def _transition(spec: HPMSpec, state, runsym, tapes, heads, runhead, run_len):
 
 
 def step(spec: HPMSpec, cfg: Configuration, incoming=()) -> Configuration:
-    """One machine cycle: absorb incoming ⊥-moves, apply one transition."""
+    """One machine cycle: absorb incoming ⊥-moves, apply one transition.
+
+    The run symbol and the tape length are read off the run log; a write
+    changes one cell, the one under its head, so each work tape's
+    non-blank count moves by what that cell held and now holds.
+    """
+    log, length = cfg.log, cfg.length
     if incoming:
-        cfg = cfg.extend(incoming)
-    tape = cfg.tape()
-    run_len = len(tape)
-    runhead = min(cfg.runhead, run_len)
-    runsym = tape[runhead] if runhead < run_len else BLANK
-    moved = _transition(spec, cfg.state, runsym, cfg.tapes, cfg.heads,
-                        runhead, run_len)
+        log, length = log.extended(length, incoming)
+    run_len = log.starts[length]
+    runhead = cfg.runhead
+    if runhead >= run_len:
+        runhead, runsym = run_len, BLANK
+    else:
+        runsym = log.cells[runhead]
+    state, tapes, heads = cfg.state, cfg.tapes, cfg.heads
+    moved = _transition(spec, state, runsym, tapes, heads, runhead, run_len)
     if moved is None:
-        return cfg.replace(runhead=runhead, cycle=cfg.cycle + 1,
-                           last_append="", last_move=None)
-    q2, tapes, heads, runhead2, append = moved
-    buffer = cfg.buffer + append
-    fields = dict(state=q2, tapes=tapes, heads=heads, runhead=runhead2,
-                  cycle=cfg.cycle + 1, last_append=append)
+        return _fill(_new(Configuration), state, tapes, heads, log, length,
+                     runhead, cfg.buffer, cfg.cycle + 1, cfg.moves_made, "",
+                     None, cfg.counts)
+    q2, tapes2, heads2, runhead2, append = moved
+    counts = cfg.counts
+    for i, t in enumerate(tapes):
+        t2 = tapes2[i]
+        if t2 is not t:
+            h = heads[i]
+            grown = ((h < len(t2) and t2[h] != BLANK)
+                     - (h < len(t) and t[h] != BLANK))
+            if grown:
+                counts = counts[:i] + (counts[i] + grown,) + counts[i + 1:]
+    buffer, moves_made, last_move = cfg.buffer + append, cfg.moves_made, None
     if q2 in spec.move_states:
-        return cfg.extend((("T", buffer),), buffer="",
-                          moves_made=cfg.moves_made + 1, last_move=buffer,
-                          **fields)
-    return cfg.replace(buffer=buffer, last_move=None, **fields)
+        log, length = log.extended(length, (("T", buffer),))
+        buffer, moves_made, last_move = "", moves_made + 1, buffer
+    return _fill(_new(Configuration), q2, tapes2, heads2, log, length,
+                 runhead2, buffer, cfg.cycle + 1, moves_made, append,
+                 last_move, counts)
 
 
 def spacecost(cfg: Configuration) -> int:
     """Max count of non-blank cells on any one work tape."""
-    return max((len(t) - t.count(BLANK) for t in cfg.tapes), default=0)
+    return max(cfg.counts, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +459,10 @@ class StrategyRunner:
 
     The harness appends each returned move to the run before the next
     poll, so `seen`, the length of the last visible run plus the move
-    returned, is how much of the run the strategy has been fed.
+    returned, is how much of the run the strategy has been fed.  The
+    visible run may be the harness's own list, which grows after `poll`
+    returns, so a runner keeps the count of entries it has read, not
+    the run object.
     """
 
     def __init__(self, strategy: Strategy):
@@ -378,9 +471,8 @@ class StrategyRunner:
         self.seen = 0
 
     def poll(self, visible_run):
-        delta = visible_run[self.seen:]
-        if delta:
-            self.st = self.strategy.feed(self.st, delta)
+        if len(visible_run) > self.seen:
+            self.st = self.strategy.feed(self.st, visible_run[self.seen:])
         self.st, mv = self.strategy.step(self.st)
         self.seen = len(visible_run) + (mv is not None)
         return [mv] if mv is not None else []
@@ -411,12 +503,14 @@ class Meter:
         self._seen = 0
 
     def record_cycle(self, cycle, run, cells, made, env_moved):
-        for label, m in run[self._seen:]:
-            if label == "B":
-                self.background = max(self.background, magnitude(m))
-        self._seen = len(run)
+        if len(run) > self._seen:
+            for label, m in run[self._seen:]:
+                if label == "B":
+                    self.background = max(self.background, magnitude(m))
+            self._seen = len(run)
         bg = self.background
-        self.spacecost[bg] = max(self.spacecost.get(bg, 0), cells)
+        if cells > self.spacecost.get(bg, -1):
+            self.spacecost[bg] = cells
         if env_moved:
             self._last_event_cycle = cycle
         for m in made:
@@ -465,19 +559,24 @@ def play(runner, env, fuel: int):
 
     runner: object with poll(visible_run) -> list of moves and spacecost().
     env: callable(visible_run) -> move string or None.
+    Both are handed one list that play appends to, so the visible run
+    they were given grows after they return: they keep counts of the
+    entries they have read, not the run itself.  The result's run is a
+    tuple.
     """
-    run = ()
+    run = []
     meter = Meter()
+    poll, space, record = runner.poll, runner.spacecost, meter.record_cycle
     for cycle in range(fuel):
         mv = env(run)
         env_moved = mv is not None
         if env_moved:
-            run = run + (("B", mv),)
-        made = runner.poll(run)
+            run.append(("B", mv))
+        made = poll(run)
         for m in made:
-            run = run + (("T", m),)
-        meter.record_cycle(cycle, run, runner.spacecost(), made, env_moved)
-    return {"run": run, "meter": meter}
+            run.append(("T", m))
+        record(cycle, run, space(), made, env_moved)
+    return {"run": tuple(run), "meter": meter}
 
 
 # ---------------------------------------------------------------------------

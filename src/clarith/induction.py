@@ -191,8 +191,10 @@ class InductionRunner:
     Bodies are immutable tuples, replaced on every change, so a record
     shares them with the live aggregation and later iterations never
     alter it.  Each iteration validates its start aggregation once.
-    The visible run given to successive polls only extends: each poll
-    reads just the entries added since the last one.  `locked` turns
+    The visible run given to successive polls only extends, and may
+    grow after a poll returns: each poll reads just the entries past the
+    count it has read, and `run` is the run object itself, read only for
+    the leading constants.  `locked` turns
     true when a locking iteration is recorded.  `faults` stays empty:
     an invalid aggregation raises rather than being recorded as a fault.
     """
@@ -216,6 +218,7 @@ class InductionRunner:
         self.faults = []
         self.locked = False
         self.run = ()
+        self._seen = 0
         # environment moves inside the consequent, beyond the constants
         self._consequent = []
         self._constants_unseen = len(self.free) + 1
@@ -227,13 +230,14 @@ class InductionRunner:
     # -- harness protocol --------------------------------------------------
 
     def poll(self, visible_run):
-        for label, m in visible_run[len(self.run):]:
+        for label, m in visible_run[self._seen:]:
             if label != "B":
                 continue
             if self._constants_unseen:
                 self._constants_unseen -= 1
             elif m.startswith("1."):
                 self._consequent.append(m[2:])
+        self._seen = len(visible_run)
         self.run = visible_run
         if self._done:
             return []

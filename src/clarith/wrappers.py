@@ -215,9 +215,8 @@ class VasaRunner:
             except ValueError:
                 return []
             return [buf + omega]
-        delta = visible_run[len(self.cfg.run):]
-        if delta:
-            self.cfg = self.cfg.extend(delta)
+        if len(visible_run) > self.cfg.length:
+            self.cfg = self.cfg.extend(visible_run[self.cfg.length:])
         self.cfg = step(self.spec, self.cfg)
         return [self.cfg.last_move] if self.cfg.last_move is not None else []
 

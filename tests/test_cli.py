@@ -138,6 +138,18 @@ class TestTransform:
         assert "conclusion: ade d [3]" in out
         assert "T #111" in out
 
+    def test_undecided_winner_names_the_atom_once(self, tmp_path, capsys):
+        p = tmp_path / "p.clf"
+        p.write_text("q(y, d)\n")
+        env = tmp_path / "env.txt"
+        env.write_text("#11\n")
+        rc = main(["transform", "compr", "--premise", fixture("always_yes.hpm"),
+                   "--p", str(p), "--y", "y", "--bound", "3", "--play",
+                   "--env", str(env)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "winner: undecided (no evaluator for atom 'q')" in lines
+
     def test_induction_with_trace_and_diag(self, tmp_path, capsys):
         concl = tmp_path / "concl.clf"
         concl.write_text("ada x [val 100] ade v [1] (v = 0)\n")

@@ -5,14 +5,17 @@ positions read off the formula's analysis against positions kept as
 rewritten trees."""
 
 import copy
+import os
 import random
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
-from clarith import zoo
+from clarith import hpm, zoo
 from clarith.cli import _script_env, main
 from clarith.bounds import bitsize, parse_bound
 from clarith.game import (
@@ -41,6 +44,7 @@ from clarith.hpm import (
     play,
     run_symbol,
     run_tape_length,
+    spacecost,
     step,
 )
 from clarith.induction import (
@@ -61,13 +65,38 @@ from conftest import (
     make_scripted_env,
 )
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(FIXTURES)), "perfbench")
+
 labmoves = st.tuples(st.sampled_from("TB"), st.text(alphabet="01#.", max_size=6))
 runs = st.lists(labmoves, max_size=12)
 
 
 def fresh(cfg):
-    """The same configuration with its run tape cells dropped."""
+    """The same configuration with a run log of its own and its work-tape
+    cell counts taken afresh."""
     return cfg.replace(run=cfg.run)
+
+
+def spacecost_twin(cfg):
+    """spacecost by rescanning the work tapes."""
+    return max((len(t) - t.count(BLANK) for t in cfg.tapes), default=0)
+
+
+def rewriting_machine(rng):
+    """A two-tape machine with a row for every key, writing and erasing
+    cells anywhere its heads go, so cell counts fall as well as rise."""
+    states = ["q0", "q1", "q2", "m"]
+    syms = "01X" + BLANK
+    delta = {}
+    for q in states:
+        for runsym in "TB01#." + BLANK:
+            for worksyms in ((a, b) for a in syms for b in syms):
+                delta[(q, runsym, worksyms)] = (
+                    rng.choice(states), (rng.choice(syms), rng.choice(syms)),
+                    rng.choice(DIRS), (rng.choice(DIRS), rng.choice(DIRS)),
+                    rng.choice(("", "0", "#1")))
+    return HPMSpec(states=states, start="q0", move_states=["m"], worktapes=2,
+                   alphabet="01X", delta=delta)
 
 
 def assert_tape_matches(cfg, positions):
@@ -114,6 +143,31 @@ class TestRunTape:
         assert b.run[len(base_run):][:len(second)] == tuple(
             ("B", m) for _, m in second)
 
+    @settings(max_examples=40)
+    @given(st.integers(0, 2 ** 30), st.integers(0, 6), st.integers(0, 40))
+    def test_branch_from_an_older_configuration_forks_the_log(
+            self, seed, before, after):
+        spec = zoo.random_machine(random.Random(seed))
+        older = step(spec, initial_configuration(spec), [("B", "#1")])
+        for _ in range(before):
+            older = step(spec, older)
+        younger = step(spec, older, [("B", "0.#")])
+        for _ in range(after):
+            younger = step(spec, younger)
+        younger_run = younger.run
+        assert younger.log is older.log
+        assert len(older.log.moves) > older.length
+        incoming = (("B", "1.#10"),)
+        branch = step(spec, older, incoming)
+        assert branch.log is not older.log
+        assert branch.run[:older.length + 1] == older.run + incoming
+        for _ in range(20):
+            branch = step(spec, branch)
+        for cfg in (older, younger, branch):
+            assert_tape_matches(cfg, range(run_tape_length(cfg.run) + 1))
+        assert younger.run == younger_run
+        assert step(spec, younger) == step(spec, fresh(younger))
+
     @given(st.integers(0, 2 ** 30))
     def test_trajectory_matches_stepping_without_cells(self, seed):
         rng = random.Random(seed)
@@ -124,6 +178,28 @@ class TestRunTape:
             fast = step(spec, fast, incoming)
             slow = step(spec, fresh(slow), incoming)
             assert fast == slow
+
+
+class TestCellCounts:
+    @pytest.mark.parametrize("machines", [zoo.random_machine, rewriting_machine],
+                             ids=["zoo", "rewriting"])
+    def test_carried_counts_match_rescan_on_branching_trajectories(
+            self, machines):
+        fell = False
+        for seed in range(30):
+            rng = random.Random(seed)
+            spec = machines(rng)
+            seen = [initial_configuration(spec)]
+            for _ in range(80):
+                base = seen[-1] if rng.random() < 0.8 else rng.choice(seen)
+                incoming = [("B", "#1")] if rng.random() < 0.1 else []
+                cfg = step(spec, base, incoming)
+                assert cfg.counts == tuple(
+                    len(t) - t.count(BLANK) for t in cfg.tapes)
+                assert spacecost(cfg) == spacecost_twin(cfg)
+                fell |= any(c < b for c, b in zip(cfg.counts, base.counts))
+                seen.append(cfg)
+        assert fell == (machines is rewriting_machine)
 
 
 class TestMeter:
@@ -644,6 +720,39 @@ class TestInductionRunner:
                 run += (("T", m),)
             assert runner.locked == any(
                 rec["classification"].startswith("locking") for rec in runner.trace)
+
+    def test_play_matches_the_tuple_fed_benchmark_harness(self):
+        """hpm.play hands the runner one growing list; the benchmark's
+        induct harness hands it a new tuple on every change."""
+        sys.path.insert(0, PERFBENCH)
+        try:
+            import workloads
+        finally:
+            sys.path.remove(PERFBENCH)
+        built = []
+
+        def build(*args):
+            built.append(args)
+            return build_induction_solver(*args)
+
+        lib = types.SimpleNamespace(
+            hpm=hpm, fm=fm,
+            induction=types.SimpleNamespace(build_induction_solver=build))
+        for inp in workloads.induct_pool(random.Random(0), None, golden=True):
+            want = workloads.induct_session(lib, inp)
+            runner = build_induction_solver(*built[-1])
+            pending = list(inp["env"])
+            polls = iter(range(want["work"]))
+
+            def env(run):
+                if pending and pending[0][0] <= next(polls):
+                    return pending.pop(0)[1]
+                return None
+
+            got = hpm.play(runner, env, want["work"])
+            assert got["run"] == want["run"]
+            assert runner.trace == want["runner"].trace
+            assert runner.locked
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 9), st.sampled_from([0, 2, 3]))
