@@ -12,10 +12,10 @@ never rescans or copies it:
   `RunLog`, an append-only log of labmoves, run-tape cells and the cell
   offset where each labmove starts.  A step makes its successor share
   the log.  The fork rule: extending a configuration whose length is
-  the log's length appends in place; extending an older one (a branch,
-  as when a simulation feeds a configuration it stepped past) copies
-  its prefix into a new log first, so no configuration ever sees its
-  run change.  `step` reads the run symbol and the tape length off the
+  the log's length appends in place; extending an older one (a branch)
+  copies its prefix into a new log first, so no configuration ever
+  sees its run change.  No runner in this package branches; the fork
+  keeps `Configuration` a value for callers that do, tests among them.  `step` reads the run symbol and the tape length off the
   log; `run_tape_length` and `run_symbol` are the rescanning twins.
   `cfg.run` builds a tuple; no per-cycle code reads it.
 - A configuration carries each work tape's count of non-blank cells.
@@ -256,17 +256,13 @@ class Configuration:
         nxt.log, nxt.length = self.log, self.length
         return nxt
 
-    def extend(self, labmoves, **kw):
-        """A copy with labmoves appended to the run and kw fields replaced."""
-        if kw:
-            nxt = self.replace(**kw)
-        else:
-            nxt = _fill(_new(Configuration), self.state, self.tapes,
-                        self.heads, None, 0, self.runhead, self.buffer,
-                        self.cycle, self.moves_made, self.last_append,
-                        self.last_move, self.counts)
-        nxt.log, nxt.length = self.log.extended(self.length, labmoves)
-        return nxt
+    def extend(self, labmoves):
+        """A copy with labmoves appended to the run."""
+        log, length = self.log.extended(self.length, labmoves)
+        return _fill(_new(Configuration), self.state, self.tapes, self.heads,
+                     log, length, self.runhead, self.buffer, self.cycle,
+                     self.moves_made, self.last_append, self.last_move,
+                     self.counts)
 
     def tape(self) -> str:
         """The run tape's cells, label then move for each run entry."""
