@@ -35,8 +35,10 @@ class BoundExpr:
     def evaluate(self, env):
         raise NotImplementedError
 
-    def variables(self) -> set:
-        return set()
+    def variables(self):
+        """The variable names, in first-occurrence order, as a set-like
+        view."""
+        return {}.keys()
 
     def substitute(self, mapping):
         """Replace SizeVar/RawVar nodes per mapping {name: BoundExpr}."""
@@ -47,6 +49,10 @@ class BoundExpr:
 
     def __hash__(self):
         return hash((type(self).__name__, repr(self)))
+
+
+def _union(*exprs):
+    return dict.fromkeys(n for e in exprs for n in e.variables()).keys()
 
 
 class Nat(BoundExpr):
@@ -74,7 +80,7 @@ class SizeVar(BoundExpr):
         return bitsize(env[self.name])
 
     def variables(self):
-        return {self.name}
+        return {self.name: None}.keys()
 
     def substitute(self, mapping):
         return mapping.get(self.name, self)
@@ -99,7 +105,7 @@ class RawVar(BoundExpr):
         return env[self.name]
 
     def variables(self):
-        return {self.name}
+        return {self.name: None}.keys()
 
     def substitute(self, mapping):
         return mapping.get(self.name, self)
@@ -116,7 +122,7 @@ class Add(BoundExpr):
         return self.left.evaluate(env) + self.right.evaluate(env)
 
     def variables(self):
-        return self.left.variables() | self.right.variables()
+        return _union(self.left, self.right)
 
     def substitute(self, mapping):
         return Add(self.left.substitute(mapping), self.right.substitute(mapping))
@@ -133,7 +139,7 @@ class Mul(BoundExpr):
         return self.left.evaluate(env) * self.right.evaluate(env)
 
     def variables(self):
-        return self.left.variables() | self.right.variables()
+        return _union(self.left, self.right)
 
     def substitute(self, mapping):
         return Mul(self.left.substitute(mapping), self.right.substitute(mapping))
@@ -152,10 +158,7 @@ class Max(BoundExpr):
         return max(a.evaluate(env) for a in self.args)
 
     def variables(self):
-        out = set()
-        for a in self.args:
-            out |= a.variables()
-        return out
+        return _union(*self.args)
 
     def substitute(self, mapping):
         return Max(tuple(a.substitute(mapping) for a in self.args))

@@ -56,26 +56,18 @@ def _one_verdict(premise, prefix_moves, fuel):
 class ComprehensionRunner:
     """Play-harness runner for the bit-assembly routine.
 
-    Waits for one constant per expected variable, then performs the
-    whole probe loop and answers with the single move #d.  Faults in
-    the premise are recorded, not raised; a faulted runner stays silent.
+    Waits for one constant per free variable of the conclusion, in the
+    order `free_vars` lists them, then performs the whole probe loop and
+    answers with the single move #d.  Faults in the premise are
+    recorded, not raised; a faulted runner stays silent.
     """
 
-    def __init__(self, premise, p: fm.Formula, y: str, bound: BoundExpr,
-                 var_order=None):
+    def __init__(self, premise, p: fm.Formula, y: str, bound: BoundExpr):
         self.premise = premise
         self.p = p
         self.y = y
         self.bound = bound
-        if var_order is None:
-            var_order = []
-            for v in sorted(bound.variables()):
-                if v not in var_order:
-                    var_order.append(v)
-            for v in fm.free_vars(p):
-                if v != y and v not in var_order:
-                    var_order.append(v)
-        self.var_order = list(var_order)
+        self.var_order = fm.free_vars(comprehension_conclusion(p, y, bound))
         self.fuel = fuel_from_env()
         self.faults = []
         self.done = False
@@ -119,5 +111,5 @@ class ComprehensionRunner:
 
 
 def build_comprehension_solver(premise, p: fm.Formula, y: str,
-                               bound: BoundExpr, **kw) -> ComprehensionRunner:
-    return ComprehensionRunner(premise, p, y, bound, **kw)
+                               bound: BoundExpr) -> ComprehensionRunner:
+    return ComprehensionRunner(premise, p, y, bound)

@@ -15,7 +15,7 @@ disjunction operator only in operator position.
 
 from __future__ import annotations
 
-from .bounds import BoundExpr, SizeVar, bitsize, parse_bound, unarify, Max, iterate_max, ZERO_BOUND
+from .bounds import BoundExpr, bitsize, parse_bound, unarify, Max, iterate_max, ZERO_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def parse_formula(text: str) -> Formula:
     p.skip_ws()
     if p.pos != len(p.text):
         raise SyntaxError(f"trailing input at {p.pos}: {p.text[p.pos:p.pos+20]!r}")
-    return _rename_apart(f)
+    return f
 
 
 class _Parser:
@@ -403,61 +403,6 @@ class _Parser:
         return t
 
 
-def _rename_apart(f):
-    """Make every quantifier bind a distinct variable."""
-    used = set(free_vars(f))
-    counter = {}
-
-    def fresh(name):
-        if name not in used:
-            used.add(name)
-            return name
-        n = counter.get(name, 0)
-        while True:
-            n += 1
-            cand = f"{name}_{n}"
-            if cand not in used:
-                counter[name] = n
-                used.add(cand)
-                return cand
-
-    def walk(g, ren):
-        if isinstance(g, Atom):
-            return Atom(g.name, tuple(_rename_term(a, ren) for a in g.args))
-        if isinstance(g, Not):
-            return Not(walk(g.body, ren))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(walk(g.left, ren), walk(g.right, ren))
-        if isinstance(g, (ChoiceAll, ChoiceEx)):
-            new = fresh(g.var)
-            ren2 = dict(ren, **{g.var: new})
-            return type(g)(new, _rename_bound(g.bound, ren), walk(g.body, ren2), g.kind)
-        if isinstance(g, (BlindAll, BlindEx)):
-            new = fresh(g.var)
-            ren2 = dict(ren, **{g.var: new})
-            return type(g)(new, _rename_bound(g.bound, ren), walk(g.body, ren2))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, {})
-
-
-def _rename_term(t, ren):
-    if isinstance(t, TVar):
-        return TVar(ren.get(t.name, t.name))
-    if isinstance(t, TConst):
-        return t
-    if isinstance(t, TSucc):
-        return TSucc(_rename_term(t.arg, ren))
-    if isinstance(t, TSize):
-        return TSize(_rename_term(t.arg, ren))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _rename_bound(b, ren):
-    mapping = {old: SizeVar(new) for old, new in ren.items()}
-    return b.substitute(mapping) if mapping else b
-
-
 # ---------------------------------------------------------------------------
 # analysis
 
@@ -467,13 +412,12 @@ class Unit:
     def __init__(self, address, node, mover, ancestors):
         self.address = address          # e.g. "0.1."
         self.node = node
-        self.var = node.var
         self.bound = node.bound
         self.mover = mover              # 'T' or 'B': who resolves it
         self.ancestors = ancestors      # addresses of the enclosing units
 
     def __repr__(self):
-        return f"Unit({self.address!r}, var={self.var}, mover={self.mover})"
+        return f"Unit({self.address!r}, var={self.node.var}, mover={self.mover})"
 
 
 def units(f: Formula):

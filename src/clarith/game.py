@@ -3,9 +3,9 @@
 A move is a plain string: an address made of "0."/"1." tokens, then
 optionally '#' followed by a binary numer.  A labmove is a (label, move)
 pair with label 'T' or 'B'.  A run is a tuple of labmoves.  A game
-position is the formula plus the addresses of the choice units resolved
-so far; legality and winning are read off the formula's analysis, and
-the formula itself is never rewritten.
+position is the formula plus the value of each choice unit resolved so
+far, keyed by its address; legality and winning are read off the
+formula's analysis, and the formula itself is never rewritten.
 """
 
 from __future__ import annotations
@@ -69,23 +69,23 @@ def leading_constants(run, n):
 
 class GamePosition:
     """A formula with some choice quantifiers already resolved: the
-    formula, the set of resolved unit addresses, and env, the constants
-    plus each resolved unit's value.  A legal move, read off
+    formula, the constants c_env, and `values`, each resolved unit's
+    value keyed by its address.  A legal move, read off
     analysis(formula), resolves an open unit of its mover, every
     enclosing unit being resolved already.  `apply` returns a new
     position."""
 
-    def __init__(self, formula, resolved, env):
+    def __init__(self, formula, c_env, values):
         self.formula = formula
-        self.resolved = resolved
-        self.env = env
+        self.c_env = c_env
+        self.values = values
 
     @classmethod
     def start(cls, f, c_env):
         missing = [v for v in fm.analysis(f).free if v not in c_env]
         if missing:
             raise KeyError(f"free variables without constants: {missing}")
-        return cls(f, frozenset(), dict(c_env))
+        return cls(f, dict(c_env), {})
 
     def apply(self, label, move, index=0):
         addr, numer = split_move(move)
@@ -94,13 +94,13 @@ class GamePosition:
         if not is_canonical_numer(numer):
             raise IllegalMove(index, f"non-canonical numer in {move!r}")
         u = fm.analysis(self.formula).by_addr.get(addr)
-        resolved = self.resolved
-        if u is None or addr in resolved or not resolved.issuperset(u.ancestors):
+        values = self.values
+        if u is None or addr in values or not all(a in values for a in u.ancestors):
             raise IllegalMove(index, f"no open choice quantifier at {move!r}")
         if u.mover != label:
             raise IllegalMove(index, f"{label} may not resolve this quantifier: {move!r}")
-        return GamePosition(self.formula, resolved | {addr},
-                            {**self.env, u.var: numer_value(numer)})
+        return GamePosition(self.formula, self.c_env,
+                            {**values, addr: numer_value(numer)})
 
 
 class LegalityResult:
@@ -180,11 +180,13 @@ def wins(f, c_env, run, atoms=None):
 
 
 def evaluate(pos: GamePosition, atoms=None):
-    """Truth of pos's formula, walked with its resolved unit addresses.
+    """Truth of pos's formula, walked with its resolved units' values.
 
-    A choice that is unresolved, or resolved to a value breaking its
-    size or value condition, makes ada true and ade false: it favours
-    its owner, or goes against the player who broke the condition.
+    A resolved choice checks its condition in the enclosing scope and
+    binds its value for its body only, as a blind quantifier does.  A
+    choice that is unresolved, or resolved to a value breaking its size
+    or value condition, makes ada true and ade false: it favours its
+    owner, or goes against the player who broke the condition.
     """
     def ev(node, env, addr):
         if isinstance(node, fm.Atom):
@@ -203,11 +205,11 @@ def evaluate(pos: GamePosition, atoms=None):
         if isinstance(node, fm.Implies):
             return not ev(node.left, env, addr + "0.") or ev(node.right, env, addr + "1.")
         if isinstance(node, (fm.ChoiceAll, fm.ChoiceEx)):
-            if addr in pos.resolved:
+            if addr in pos.values:
                 limit = node.bound.evaluate(env)
-                val = env[node.var]
+                val = pos.values[addr]
                 if (bitsize(val) if node.kind == "size" else val) <= limit:
-                    return ev(node.body, env, addr + "1.")
+                    return ev(node.body, {**env, node.var: val}, addr + "1.")
             return isinstance(node, fm.ChoiceAll)
         if isinstance(node, (fm.BlindAll, fm.BlindEx)):
             values = (ev(node.body, {**env, node.var: w}, addr)
@@ -215,7 +217,7 @@ def evaluate(pos: GamePosition, atoms=None):
             return all(values) if isinstance(node, fm.BlindAll) else any(values)
         raise TypeError(f"not a formula: {node!r}")
 
-    return ev(pos.formula, pos.env, "")
+    return ev(pos.formula, pos.c_env, "")
 
 
 # ---------------------------------------------------------------------------

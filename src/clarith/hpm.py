@@ -716,23 +716,16 @@ class History:
         return self._records[i]
 
 
-def indexed(history) -> History:
-    """history itself if it is a History, else a History of its records."""
-    return history if isinstance(history, History) else History(history)
-
-
-def sketch_advance(spec: HPMSpec, s: Sketch, history, symbol_source,
+def sketch_advance(spec: HPMSpec, s: Sketch, history: History, symbol_source,
                    ctx: TruncationContext) -> Sketch:
     """One simulated cycle driven by move sizes instead of move contents.
 
-    history: a History or a sequence of (label, size) records;
     symbol_source(entry_index, label, ordinal, offset) resolves the
     offset-th symbol (1-based) of the ordinal-th same-label move.  The
     records visible to the sketch (those before its (moves_made+1)-th T
     record) and the run symbol's record are read off the history's
     indexes, `history_prefix` being the rescanning twin.
     """
-    history = indexed(history)
     p = history.starts[history.visible(s.moves_made)]
     q = s.runhead
     if q >= p:

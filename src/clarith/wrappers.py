@@ -29,8 +29,6 @@ from .hpm import (
     History,
     HPMSpec,
     Sketch,
-    history_prefix,
-    indexed,
     initial_configuration,
     initial_sketch,
     sketch_advance,
@@ -47,50 +45,30 @@ class FetchError(Exception):
     pass
 
 
-def h_index(history, m: int) -> int:
-    """Number of history entries before the (m+1)-th 'T' entry."""
-    return len(history_prefix(history, m))
-
-
-def update_sketch(spec: HPMSpec, history, s: Sketch, own_bot_moves,
-                  ctx: TruncationContext, instrument=None) -> Sketch:
+def update_sketch(spec: HPMSpec, history: History, s: Sketch, own_bot_moves,
+                  ctx: TruncationContext) -> Sketch:
     """One resimulated cycle; ⊥ symbols come from own_bot_moves, ⊤ symbols
     from recursive fetch_symbol calls."""
-    history = indexed(history)
-    if instrument is not None:
-        caller_index = h_index(history, s.moves_made)
-        instrument.append(("update", caller_index))
-
     def source(entry_index, label, ordinal, offset):
         if label == "B":
             return own_bot_moves[ordinal][offset - 1]
-        if instrument is not None:
-            instrument.append(
-                ("update->fetch", caller_index, h_index(history, ordinal)))
-        return fetch_symbol(spec, history, ordinal, offset, own_bot_moves,
-                            ctx, instrument)
+        return fetch_symbol(spec, history, ordinal, offset, own_bot_moves, ctx)
 
     return sketch_advance(spec, s, history, source, ctx)
 
 
-def fetch_symbol(spec: HPMSpec, history, k: int, n: int, own_bot_moves,
-                 ctx: TruncationContext, instrument=None) -> str:
+def fetch_symbol(spec: HPMSpec, history: History, k: int, n: int,
+                 own_bot_moves, ctx: TruncationContext) -> str:
     """The n-th symbol (1-based) of the (k+1)-th 'T' move, by replay."""
-    history = indexed(history)
     top_at = history.top_at
     if k >= len(top_at):
         raise FetchError(f"only {len(top_at)} T-moves recorded, asked for {k}")
     size = history[top_at[k]][1]
     if not (1 <= n <= size):
         raise FetchError(f"offset {n} outside move of size {size}")
-    if instrument is not None:
-        my_index = h_index(history, k)
     s = initial_sketch(spec)
     for _ in range(FETCH_CAP):
-        if instrument is not None:
-            instrument.append(
-                ("fetch->update", my_index, h_index(history, s.moves_made)))
-        nxt = update_sketch(spec, history, s, own_bot_moves, ctx, instrument)
+        nxt = update_sketch(spec, history, s, own_bot_moves, ctx)
         sigma = nxt.last_append
         a, b = s.moves_made, s.buffer_len
         if a == k and b < n <= b + len(sigma):
@@ -111,7 +89,7 @@ class ReasonRunner:
     must only extend from poll to poll.
     """
 
-    def __init__(self, spec: HPMSpec, f, instrument=None):
+    def __init__(self, spec: HPMSpec, f):
         self.spec = spec
         self.formula = f
         self.history = History()
@@ -120,7 +98,6 @@ class ReasonRunner:
         self.ctx = None
         self.sketch = None
         self.restarts = 0
-        self.instrument = instrument
         self.faults = []
 
     def _record_bots(self):
@@ -150,7 +127,7 @@ class ReasonRunner:
             self.restarts += 1
         try:
             nxt = update_sketch(self.spec, self.history, self.sketch,
-                                self.own_bots, self.ctx, self.instrument)
+                                self.own_bots, self.ctx)
         except FetchError as exc:
             self.faults.append(str(exc))
             return []
@@ -166,10 +143,10 @@ class ReasonRunner:
         return 0
 
 
-def build_reason_wrapper(spec: HPMSpec, f, instrument=None) -> ReasonRunner:
+def build_reason_wrapper(spec: HPMSpec, f) -> ReasonRunner:
     if not fm.analysis(f).units:
         raise ValueError("wrapper needs a formula with at least one choice operator")
-    return ReasonRunner(spec, f, instrument)
+    return ReasonRunner(spec, f)
 
 
 class VasaRunner:

@@ -10,7 +10,7 @@ has to reconstruct, which makes these machines good oracle fodder.
 from __future__ import annotations
 
 from .game import int_to_numer
-from .hpm import BLANK, HPMSpec, ScriptStrategy, initial_configuration, step
+from .hpm import BLANK, History, HPMSpec, ScriptStrategy, initial_configuration, step
 
 RUN_SYMBOLS = ("T", "B", "0", "1", "#", ".", BLANK)
 MOVE_CHARS = "01#."
@@ -75,13 +75,13 @@ def random_schedule(rng, spec: HPMSpec):
 def run_scenario(spec: HPMSpec, schedule, cycles: int):
     """Drive a machine under an instantaneous-adversary schedule.
 
-    Returns the per-cycle configurations, the interleaved history of
+    Returns the per-cycle configurations, the interleaved `History` of
     (label, size) records, the environment moves in history order, and
     the machine's own moves in order.
     """
     pending = list(schedule)
     cfg = initial_configuration(spec)
-    history = []
+    history = History()
     env_moves = []
     own_moves = []
     configs = [cfg]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 import clarith.formula as fm
+from clarith import wrappers
 from clarith.bounds import parse_bound
 from clarith.game import (
     TruncationContext,
@@ -35,6 +36,34 @@ def two_disjunct_formula():
 @pytest.fixture
 def two_disjunct_ctx(two_disjunct_formula):
     return TruncationContext(two_disjunct_formula, {"x": 9})
+
+
+@pytest.fixture
+def resimulation_calls(monkeypatch):
+    """Every `wrappers.update_sketch` and `wrappers.fetch_symbol` call, as
+    (kind, h index, h index of the calling fetch or update, None at the
+    top).  A call's h index is the number of history records before the
+    (m+1)-th T record, m being the sketch's move count for an update and
+    the fetched move for a fetch."""
+    calls = []
+    callers = [None]
+
+    def recorded(kind, fn, move_of):
+        def call(spec, history, *args):
+            index = history.visible(move_of(*args))
+            calls.append((kind, index, callers[-1]))
+            callers.append(index)
+            try:
+                return fn(spec, history, *args)
+            finally:
+                callers.pop()
+        return call
+
+    monkeypatch.setattr(wrappers, "update_sketch", recorded(
+        "update", wrappers.update_sketch, lambda s, *rest: s.moves_made))
+    monkeypatch.setattr(wrappers, "fetch_symbol", recorded(
+        "fetch", wrappers.fetch_symbol, lambda k, *rest: k))
+    return calls
 
 
 @pytest.fixture

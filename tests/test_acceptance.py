@@ -5,7 +5,7 @@ import random
 import time
 
 import clarith.formula as fm
-from clarith import zoo
+from clarith import wrappers, zoo
 from clarith.bounds import Nat
 from clarith.game import (
     Semiposition,
@@ -21,6 +21,7 @@ from clarith.game import (
 )
 from clarith.comprehension import ComprehensionRunner
 from clarith.hpm import (
+    History,
     HPMStrategy,
     StrategyRunner,
     initial_configuration,
@@ -36,7 +37,6 @@ from clarith.wrappers import (
     build_reason_wrapper,
     build_unconditional_wrapper,
     fetch_symbol,
-    update_sketch,
 )
 from clarith.oracles import _TablePremise, _iter_open_buffers, _zoo_formulas
 
@@ -104,33 +104,31 @@ def test_criterion_3_fetch_oracle(two_disjunct_formula):
 
 
 def _trim_history(sc, limit):
-    """Prefix of a scenario's history, with the move lists to match."""
-    hist = sc["history"][:limit]
-    n_env = sum(1 for label, _ in hist if label == "B")
-    n_own = sum(1 for label, _ in hist if label == "T")
-    return hist, sc["env_moves"][:n_env], sc["own_moves"][:n_own]
+    """Prefix of a scenario's history, with the environment moves to match."""
+    hist = History(sc["history"][:limit])
+    return hist, sc["env_moves"][:hist.bots]
 
 
 def test_criterion_4_resimulation_index_bounds(two_disjunct_formula,
-                                               bigmove_machine):
+                                               bigmove_machine,
+                                               resimulation_calls):
     ctx = TruncationContext(two_disjunct_formula, {"x": 9})
     two_d = 2 * fm.choice_census(two_disjunct_formula)["D"]
 
     def check(spec, history, env_moves, cycles):
-        instrument = []
+        resimulation_calls.clear()
         s = initial_sketch(spec)
         for _ in range(cycles):
-            s = update_sketch(spec, history, s, env_moves, ctx, instrument)
-        for rec in instrument:
-            if rec[0] == "update":
-                assert rec[1] <= two_d
-            elif rec[0] == "update->fetch":
-                assert rec[2] < rec[1], rec
-            elif rec[0] == "fetch->update":
-                assert rec[2] <= rec[1], rec
+            s = wrappers.update_sketch(spec, history, s, env_moves, ctx)
+        for kind, index, caller in resimulation_calls:
+            if kind == "update":
+                assert index <= two_d
+                assert caller is None or index <= caller
+            else:
+                assert index < caller
 
     # the worked fixture's own history
-    fixture_history = [("B", 5), ("B", 4), ("T", 12), ("B", 4), ("T", 6)]
+    fixture_history = History([("B", 5), ("B", 4), ("T", 12), ("B", 4), ("T", 6)])
     check(bigmove_machine, fixture_history, ["#1001", "0.#10", "1.#1"], 120)
 
     rng = random.Random(7)
@@ -138,7 +136,7 @@ def test_criterion_4_resimulation_index_bounds(two_disjunct_formula,
         spec = zoo.random_machine(rng)
         schedule = zoo.random_schedule(rng, spec)
         sc = zoo.run_scenario(spec, schedule, 120)
-        hist, env_moves, _ = _trim_history(sc, two_d)
+        hist, env_moves = _trim_history(sc, two_d)
         check(spec, hist, env_moves, 120)
 
 
@@ -183,8 +181,7 @@ def test_criterion_6_counter_game_family():
 
 def _table_case(table, c):
     p = fm.Atom("tbl", (fm.TVar("y"),))
-    runner = ComprehensionRunner(_TablePremise(table), p, "y", Nat(c),
-                                 var_order=[])
+    runner = ComprehensionRunner(_TablePremise(table), p, "y", Nat(c))
     moves = runner.poll(())
     assert len(moves) == 1
     _, numer = split_move(moves[0])

@@ -103,9 +103,9 @@ class TestVerdicts:
 
 
 class TestRunner:
-    def assemble(self, mask, c, **kw):
+    def assemble(self, mask, c):
         p = fm.Atom("Bit", (fm.TVar("y"), fm.TConst(format(mask, "b") if mask else "")))
-        runner = ComprehensionRunner(bit_premise(mask), p, "y", Nat(c), **kw)
+        runner = ComprehensionRunner(bit_premise(mask), p, "y", Nat(c))
         return runner, runner.poll(())
 
     def test_worked_example(self):
@@ -150,11 +150,24 @@ class TestRunner:
         moves = runner.poll((("B", "#101"),))
         assert moves == ["#101"]
 
-    def test_builder_passes_options(self):
-        p = fm.parse_formula("Bit(y, 11)")
-        runner = build_comprehension_solver(bit_premise(3), p, "y", Nat(2),
-                                            var_order=[])
-        assert runner.var_order == []
+    def test_reads_constants_in_the_conclusions_order(self):
+        p = fm.parse_formula("Bit(y, c) & q(e, y, a)")
+        bound = parse_bound("|f|*|b|+|d|*|f|")
+        runner = build_comprehension_solver(bit_premise(3), p, "y", bound)
+        assert runner.var_order == ["f", "b", "d", "c", "e", "a"]
+        assert runner.var_order == fm.free_vars(
+            comprehension_conclusion(p, "y", bound))
+
+    def test_the_judge_binds_the_same_constants(self, tmp_path, capsys):
+        # the bound only holds the move if a is bound to 1000 and b to 1
+        p = tmp_path / "p.clf"
+        p.write_text("y = y\n")
+        rc = main(["transform", "compr", "--premise",
+                   os.path.join(FIXTURES, "always_yes.hpm"), "--p", str(p),
+                   "--y", "y", "--bound", "|a|*|a|+|b|", "--env", "a=1000,b=1",
+                   "--play"])
+        assert rc == 0
+        assert "winner: T\n" in capsys.readouterr().out
 
 
 class TestAgainstDirectComputation:

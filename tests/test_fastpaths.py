@@ -399,61 +399,64 @@ class TestVasaLegality:
 
 
 # ---------------------------------------------------------------------------
-# The spec for game positions: each move rewrites the formula tree, folding
-# the resolved choice into a condition node ahead of its body.
+# The spec for game positions: each move rewrites the formula tree, replacing
+# the resolved choice by a node that carries its value.
 
 SIZE_S = parse_bound("|s|")
 
 
 class _Chosen:
-    """|var| <= bound (size kind) or var <= bound (value kind)."""
+    """A resolved choice: |var| <= bound (size kind) or var <= bound
+    (value kind) in the enclosing scope, then the body with var bound
+    to value.  ade asks for both; ada for the body only if the
+    condition holds."""
 
-    def __init__(self, var, bound, kind):
-        self.var, self.bound, self.kind = var, bound, kind
+    def __init__(self, node, value, body):
+        self.node, self.value, self.body = node, value, body
 
 
-def _resolve(node, tokens, pos, label):
-    """(rewritten node, resolved variable); raises IllegalMove."""
+def _resolve(node, tokens, pos, label, value):
+    """node with the choice at tokens resolved to value; raises IllegalMove."""
     if isinstance(node, (fm.ChoiceAll, fm.ChoiceEx)):
         if tokens:
             raise IllegalMove(0, "address descends into an unresolved quantifier")
-        is_ex = isinstance(node, fm.ChoiceEx)
-        if ("T" if is_ex == pos else "B") != label:
+        if ("T" if isinstance(node, fm.ChoiceEx) == pos else "B") != label:
             raise IllegalMove(0, "wrong mover")
-        wrap = fm.And if is_ex else fm.Implies
-        return wrap(_Chosen(node.var, node.bound, node.kind), node.body), node.var
+        return _Chosen(node, value, node.body)
+    if isinstance(node, _Chosen):
+        if tokens[:1] != ["1."]:
+            raise IllegalMove(0, "address leads into a resolved choice")
+        return _Chosen(node.node, node.value,
+                       _resolve(node.body, tokens[1:], pos, label, value))
     if isinstance(node, fm.Not):
-        new, var = _resolve(node.body, tokens, not pos, label)
-        return fm.Not(new), var
+        return fm.Not(_resolve(node.body, tokens, not pos, label, value))
     if isinstance(node, (fm.BlindAll, fm.BlindEx)):
-        new, var = _resolve(node.body, tokens, pos, label)
-        return type(node)(node.var, node.bound, new), var
+        return type(node)(node.var, node.bound,
+                          _resolve(node.body, tokens, pos, label, value))
     if isinstance(node, (fm.And, fm.Or, fm.Implies)):
         if not tokens:
             raise IllegalMove(0, "address stops at a connective")
         if tokens[0] == "0.":
             sub_pos = not pos if isinstance(node, fm.Implies) else pos
-            new, var = _resolve(node.left, tokens[1:], sub_pos, label)
-            return type(node)(new, node.right), var
-        new, var = _resolve(node.right, tokens[1:], pos, label)
-        return type(node)(node.left, new), var
-    raise IllegalMove(0, "address leads into an atom or a resolved choice")
+            return type(node)(_resolve(node.left, tokens[1:], sub_pos, label, value),
+                              node.right)
+        return type(node)(node.left, _resolve(node.right, tokens[1:], pos, label, value))
+    raise IllegalMove(0, "address leads into an atom")
 
 
-def _spec_apply(tree, env, label, move):
+def _spec_apply(tree, label, move):
     addr, numer = split_move(move)
     if numer is None or addr + "#" + numer != move or not is_canonical_numer(numer):
         raise IllegalMove(0, "not a canonical choice move")
     tokens = [addr[i:i + 2] for i in range(0, len(addr), 2)]
-    tree, var = _resolve(tree, tokens, True, label)
-    return tree, dict(env, **{var: numer_value(numer)})
+    return _resolve(tree, tokens, True, label, numer_value(numer))
 
 
 def _spec_first_illegal(f, c_env, run):
-    tree, env = f, dict(c_env)
+    tree = f
     for i, (label, move) in enumerate(run):
         try:
-            tree, env = _spec_apply(tree, env, label, move)
+            tree = _spec_apply(tree, label, move)
         except IllegalMove:
             return i
     return None
@@ -463,9 +466,11 @@ def _spec_evaluate(node, env, atoms):
     if isinstance(node, fm.Atom):
         return bool(atoms(node.name, tuple(fm.eval_term(t, env) for t in node.args)))
     if isinstance(node, _Chosen):
-        val = env[node.var]
-        measured = bitsize(val) if node.kind == "size" else val
-        return measured <= node.bound.evaluate(env)
+        choice, val = node.node, node.value
+        measured = bitsize(val) if choice.kind == "size" else val
+        met = measured <= choice.bound.evaluate(env)
+        body = met and _spec_evaluate(node.body, {**env, choice.var: val}, atoms)
+        return body if isinstance(choice, fm.ChoiceEx) else not met or body
     if isinstance(node, fm.Not):
         return not _spec_evaluate(node.body, env, atoms)
     if isinstance(node, fm.And):
@@ -482,10 +487,10 @@ def _spec_evaluate(node, env, atoms):
 
 
 def _spec_wins(f, c_env, run, atoms):
-    tree, env = f, dict(c_env)
+    tree = f
     for label, move in run:
-        tree, env = _spec_apply(tree, env, label, move)
-    return "T" if _spec_evaluate(tree, env, atoms) else "B"
+        tree = _spec_apply(tree, label, move)
+    return "T" if _spec_evaluate(tree, dict(c_env), atoms) else "B"
 
 
 def _spec_is_quasilegal(f, run, player):

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import clarith.formula as fm
+from clarith.bounds import parse_bound
 from clarith.game import (
     GamePosition,
     IllegalMove,
@@ -132,6 +133,28 @@ class TestWinning:
         f = fm.parse_formula("cla y < |x| : Bit(y, x)")
         assert wins(f, {"x": 7}, ()) == "T"
         assert wins(f, {"x": 5}, ()) == "B"
+
+    def test_inner_choice_does_not_rebind_the_outer_one(self):
+        # B breaks the outer size bound with #111; the inner y is another
+        # variable, so resolving it leaves the outer condition broken
+        p_s, size_s = fm.parse_formula("p(s)"), parse_bound("|s|")
+        f = fm.ChoiceAll("y", size_s, fm.And(p_s, fm.ChoiceAll("y", size_s, fm.Not(p_s))))
+        always = lambda name, args: True
+        assert wins(f, {"s": 1}, (("B", "#111"),), always) == "T"
+        assert wins(f, {"s": 1}, (("B", "#111"), ("B", "1.1.#1")), always) == "T"
+
+    @pytest.mark.parametrize("move,winner", [
+        ("1.#10", "T"),     # |2| <= |5| and q(2); p still reads the constant 5
+        ("1.#110", "B"),    # |6| <= |5| but not q(6)
+        ("1.#1000", "T"),   # |8| > |5|: the bound reads the constant, not 8
+    ])
+    def test_choice_shadows_a_free_variable_only_in_its_body(self, move, winner):
+        f = fm.parse_formula("p(x) & ada x [|x|] q(x)")
+
+        def atoms(name, args):
+            return args[0] == (5 if name == "p" else 2)
+
+        assert wins(f, {"x": 5}, (("B", move),), atoms) == winner
 
 
 class TestTruncation:

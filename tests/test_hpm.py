@@ -6,6 +6,7 @@ from clarith.game import TruncationContext, truncate
 from clarith.hpm import (
     BLANK,
     Configuration,
+    History,
     HPMStrategy,
     Meter,
     ScriptStrategy,
@@ -225,7 +226,7 @@ class TestSketch:
             while pending and pending[0][0] <= cycle:
                 incoming.append(("B", pending.pop(0)[1]))
             now = cfg.run + tuple(incoming)
-            hist = [(l, len(m)) for l, m in now]
+            hist = History((l, len(m)) for l, m in now)
 
             def src(idx, label, ordinal, offset, rn=now):
                 return rn[idx][1][offset - 1]

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 import clarith.formula as fm
 from clarith import zoo
 from clarith.game import TruncationContext, first_illegal_index, is_quasilegal
-from clarith.hpm import HPMStrategy, StrategyRunner, initial_sketch, play
+from clarith.hpm import (
+    History,
+    HPMStrategy,
+    StrategyRunner,
+    history_prefix,
+    initial_sketch,
+    play,
+)
 from clarith.wrappers import (
     FetchError,
     ReasonRunner,
@@ -15,7 +22,6 @@ from clarith.wrappers import (
     build_reason_wrapper,
     build_unconditional_wrapper,
     fetch_symbol,
-    h_index,
     update_sketch,
 )
 
@@ -25,22 +31,30 @@ ENV_MOVES = [(0, "#1001"), (0, "0.#10"), (1, "1.#1")]
 
 
 class TestHIndex:
+    """The h index: the records before the (m+1)-th T record, read off
+    `History.visible` and rescanned by `history_prefix`."""
+
     HIST = [("B", 5), ("T", 12), ("B", 4), ("T", 6)]
 
+    def h_index(self, m):
+        index = History(self.HIST).visible(m)
+        assert index == len(history_prefix(self.HIST, m))
+        return index
+
     def test_before_any_own_move(self):
-        assert h_index(self.HIST, 0) == 1
+        assert self.h_index(0) == 1
 
     def test_between_own_moves(self):
-        assert h_index(self.HIST, 1) == 3
+        assert self.h_index(1) == 3
 
     def test_past_recorded_moves(self):
-        assert h_index(self.HIST, 5) == 4
+        assert self.h_index(5) == 4
 
 
 class TestFetch:
     def _history(self, bigmove_machine, two_disjunct_ctx):
         bots = ["#1001", "0.#10", "1.#1"]
-        history = [("B", 5), ("B", 4), ("T", 12), ("B", 4), ("T", 6)]
+        history = History([("B", 5), ("B", 4), ("T", 12), ("B", 4), ("T", 6)])
         return history, bots
 
     def test_replays_every_symbol_of_the_first_move(self, bigmove_machine,
@@ -141,22 +155,22 @@ class TestReasonKeepsNoMoves:
 
 class TestResimulationIndexOrder:
     def test_call_graph_respects_history_indices(self, bigmove_machine,
-                                                 two_disjunct_formula):
-        instrument = []
-        runner = build_reason_wrapper(bigmove_machine, two_disjunct_formula,
-                                      instrument=instrument)
+                                                 two_disjunct_formula,
+                                                 resimulation_calls):
+        runner = build_reason_wrapper(bigmove_machine, two_disjunct_formula)
         play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
-        fetches = [e for e in instrument if e[0] == "update->fetch"]
-        callbacks = [e for e in instrument if e[0] == "fetch->update"]
+        fetches = [c for c in resimulation_calls if c[0] == "fetch"]
+        callbacks = [c for c in resimulation_calls
+                     if c[0] == "update" and c[2] is not None]
         assert fetches and callbacks
-        assert all(i_fetch < i_update for _, i_update, i_fetch in fetches)
-        assert all(i_update <= i_fetch for _, i_fetch, i_update in callbacks)
+        assert all(i_fetch < i_update for _, i_fetch, i_update in fetches)
+        assert all(i_update <= i_fetch for _, i_update, i_fetch in callbacks)
 
 
 class TestUpdateSketch:
     def test_matches_direct_advance_without_own_moves(self, bigmove_machine,
                                                       two_disjunct_ctx):
-        history = [("B", 5)]
+        history = History([("B", 5)])
         s = initial_sketch(bigmove_machine)
         nxt = update_sketch(bigmove_machine, history, s, ["#1001"],
                             two_disjunct_ctx)
