@@ -5,6 +5,17 @@ Run tape layout: each labmove occupies 1 + len(move) cells, the first
 cell holding the label character 'T' or 'B'.  The blank is '_'.  The
 run-tape head is clamped so it can never pass the leftmost blank.
 
+A machine is compiled once, when its `HPMSpec` is built (`parse_hpm`
+builds one per file).  `spec.table` holds its transition function under
+flat keys, (state, run symbol, *work symbols); each row carries the next
+state, the writes, the head steps as -1/0/1, the appended string and a
+`still` flag for rows that write back what they read and move no work
+head.  `_transition`, the one transition that `step` and
+`sketch_advance` share, reads only the table, and on a `still` row it
+hands back the tapes and heads it was given, so `step` has no cell
+count to move.  `spec.delta` stays the declarative form of the same
+function, the one the statement of a transition in the tests reads.
+
 A run only ever extends, one labmove at a time, so the per-cycle code
 never rescans or copies it:
 
@@ -46,9 +57,22 @@ from .game import TruncationContext, magnitude, prudentize
 
 BLANK = "_"
 DIRS = ("L", "R", "S")
+_STEPS = {"L": -1, "R": 1, "S": 0}
 
 
 class HPMSpec:
+    """A machine: its declarations, its `delta` and the compiled `table`.
+
+    `delta` is the declarative form, as a machine file states it: it
+    maps (state, run symbol, work symbols) to (next state, writes, run
+    direction, work directions, append), the directions being 'L', 'R'
+    or 'S'.  `table` is the same transition function compiled once, here,
+    for `_transition`: its keys are flat, (state, run symbol, *work
+    symbols), and each row is (next state, writes, run step, work steps,
+    append, still), a step being -1, 0 or 1.  A `still` row writes back
+    the symbols it reads and moves no work head.
+    """
+
     def __init__(self, states, start, move_states, worktapes, alphabet, delta):
         self.states = frozenset(states)
         self.start = start
@@ -60,6 +84,17 @@ class HPMSpec:
             raise ValueError(f"start state {start!r} not declared")
         if not self.move_states <= self.states:
             raise ValueError("move states must be declared states")
+        table = {}
+        steps_of = {}
+        for (q, runsym, worksyms), row in self.delta.items():
+            q2, writes, d_run, dirs, append = row
+            steps = steps_of.get(dirs)
+            if steps is None:
+                steps = steps_of[dirs] = tuple([_STEPS[d] for d in dirs])
+            table[(q, runsym, *worksyms)] = (
+                q2, writes, _STEPS[d_run], steps, append,
+                writes == worksyms and not any(steps))
+        self.table = table
 
     def census(self):
         """(r, g, q) = state count, work tapes, tape symbol count."""
@@ -72,25 +107,47 @@ def parse_hpm(text: str) -> HPMSpec:
     Each delta row must read and write exactly `worktapes` work symbols
     from the alphabet (or the blank) and go from and to declared states,
     and no two rows may share a key: the machine must be deterministic.
+    Rows with the same right-hand side share one parsed row.
     """
     fields = {}
     rows = []
+    parsed = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         key, _, rest = line.partition(":")
         key = key.strip()
-        rest = rest.strip()
         if key == "delta":
-            rows.append((lineno, *_parse_delta_line(rest, lineno)))
-        elif key == "states":
+            lhs, arrow, rhs = rest.partition("->")
+            if not arrow:
+                raise ValueError(f"line {lineno}: delta needs '->'")
+            left = lhs.split(",")
+            if len(left) < 2:
+                raise ValueError(f"line {lineno}: delta lhs needs state "
+                                 "and run symbol")
+            n = len(left) - 2
+            if n == 1:
+                worksyms = (left[2].strip(),)
+            else:
+                worksyms = tuple([s.strip() for s in left[2:]])
+            row = parsed.get(rhs)
+            if row is None or len(row[1]) != n:
+                row = parsed[rhs] = _parse_delta_rhs(rhs, n, lineno)
+            rows.append((lineno, (left[0].strip(), left[1].strip(), worksyms),
+                         row))
+            continue
+        rest = rest.strip()
+        if key == "states":
             fields["states"] = rest.split()
         elif key == "start":
             fields["start"] = rest
         elif key == "movestates":
             fields["move_states"] = rest.split()
         elif key == "worktapes":
+            if not rest.isdecimal():
+                raise ValueError(f"line {lineno}: worktapes must be a "
+                                 "non-negative integer")
             fields["worktapes"] = int(rest)
         elif key == "alphabet":
             fields["alphabet"] = rest.split()
@@ -125,20 +182,12 @@ def parse_hpm(text: str) -> HPMSpec:
     return HPMSpec(delta=delta, **fields)
 
 
-def _parse_delta_line(rest, lineno):
-    lhs, arrow, rhs = rest.partition("->")
-    if not arrow:
-        raise ValueError(f"line {lineno}: delta needs '->'")
-    left = list(map(str.strip, lhs.split(",")))
-    right = list(map(str.strip, rhs.split(",")))
-    if len(left) < 2:
-        raise ValueError(f"line {lineno}: delta lhs needs state and run symbol")
-    state, runsym, worksyms = left[0], left[1], tuple(left[2:])
-    n = len(worksyms)
+def _parse_delta_rhs(rhs, n, lineno):
+    right = [s.strip() for s in rhs.split(",")]
     append = ""
-    if right and right[-1].startswith("append"):
-        quoted = right.pop().split(None, 1)[1].strip()
-        if not (quoted.startswith('"') and quoted.endswith('"')):
+    if right[-1].startswith("append"):
+        quoted = right.pop()[6:].strip()
+        if not (len(quoted) > 1 and quoted[0] == quoted[-1] == '"'):
             raise ValueError(f"line {lineno}: append wants a quoted string")
         append = quoted[1:-1]
     if len(right) != 2 + 2 * n:
@@ -150,7 +199,7 @@ def _parse_delta_line(rest, lineno):
     for d in (d_run,) + dirs:
         if d not in DIRS:
             raise ValueError(f"line {lineno}: bad direction {d!r}")
-    return (state, runsym, worksyms), (q2, writes, d_run, dirs, append)
+    return q2, writes, d_run, dirs, append
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +355,45 @@ def run_symbol(run, pos: int) -> str:
 
 
 def _transition(spec: HPMSpec, state, runsym, tapes, heads, runhead, run_len):
-    """Apply the transition keyed by (state, runsym, work symbols).
+    """Apply the row of `spec.table` keyed by (state, runsym, *work symbols).
 
-    -> None when no transition matches, else (q2, tapes, heads, runhead,
-    append) after the work-tape writes and all head moves.  A written
-    tape loses its trailing blanks; a head moves left down to 0 and
-    right up to its tape's leftmost blank, the run-tape head up to
-    run_len.
+    -> None when no row matches, else (q2, tapes, heads, runhead, append)
+    after the work-tape writes and all head moves.  A written tape loses
+    its trailing blanks; a head moves left down to 0 and right up to its
+    tape's leftmost blank, and the run-tape head left down to 0 and
+    right up to run_len (a right move from past run_len lands on it; a
+    left move from there is not clamped).  On a `still` row, unless some
+    head inside its tape has trailing blanks to strip, the tapes and
+    heads given are returned as they are, the same tuples.  This is the
+    one transition: `step` and `sketch_advance` both call it, and
+    `tests/test_fastpaths.py` checks it against a statement that reads
+    the declarative `spec.delta`.
     """
-    worksyms = tuple([t[h] if h < len(t) else BLANK
-                      for t, h in zip(tapes, heads)])
-    row = spec.delta.get((state, runsym, worksyms))
+    if spec.worktapes == 1:
+        t = tapes[0]
+        h = heads[0]
+        if h < len(t):
+            row = spec.table.get((state, runsym, t[h]))
+            clean = t[-1] != BLANK
+        else:
+            row = spec.table.get((state, runsym, BLANK))
+            clean = True
+    else:
+        row = spec.table.get((state, runsym, *[
+            t[h] if h < len(t) else BLANK for t, h in zip(tapes, heads)]))
+        clean = all(h >= len(t) or t[-1] != BLANK for t, h in zip(tapes, heads))
     if row is None:
         return None
-    q2, writes, d_run, dirs, append = row
+    q2, writes, d_run, steps, append, still = row
+    if d_run > 0:
+        runhead = runhead + 1 if runhead < run_len else run_len
+    elif d_run and runhead > 0:
+        runhead -= 1
+    if still and clean:
+        return q2, tapes, heads, runhead, append
     tapes2 = []
     heads2 = []
-    for t, h, w, d in zip(tapes, heads, writes, dirs):
+    for t, h, w, d in zip(tapes, heads, writes, steps):
         if h < len(t):
             if t[h] != w:
                 t = t[:h] + w + t[h + 1:]
@@ -331,16 +402,12 @@ def _transition(spec: HPMSpec, state, runsym, tapes, heads, runhead, run_len):
         elif w != BLANK:
             t = t + BLANK * (h - len(t)) + w
         tapes2.append(t)
-        if d == "L":
-            h = h - 1 if h > 0 else 0
-        elif d == "R":
+        if d > 0:
             blank = t.find(BLANK)
             h = min(h + 1, blank if blank >= 0 else len(t))
+        elif d and h > 0:
+            h -= 1
         heads2.append(h)
-    if d_run == "L":
-        runhead = runhead - 1 if runhead > 0 else 0
-    elif d_run == "R":
-        runhead = min(runhead + 1, run_len)
     return q2, tuple(tapes2), tuple(heads2), runhead, append
 
 
@@ -368,14 +435,15 @@ def step(spec: HPMSpec, cfg: Configuration, incoming=()) -> Configuration:
                      None, cfg.counts)
     q2, tapes2, heads2, runhead2, append = moved
     counts = cfg.counts
-    for i, t in enumerate(tapes):
-        t2 = tapes2[i]
-        if t2 is not t:
-            h = heads[i]
-            grown = ((h < len(t2) and t2[h] != BLANK)
-                     - (h < len(t) and t[h] != BLANK))
-            if grown:
-                counts = counts[:i] + (counts[i] + grown,) + counts[i + 1:]
+    if tapes2 is not tapes:
+        for i, t in enumerate(tapes):
+            t2 = tapes2[i]
+            if t2 is not t:
+                h = heads[i]
+                grown = ((h < len(t2) and t2[h] != BLANK)
+                         - (h < len(t) and t[h] != BLANK))
+                if grown:
+                    counts = counts[:i] + (counts[i] + grown,) + counts[i + 1:]
     buffer, moves_made, last_move = cfg.buffer + append, cfg.moves_made, None
     if q2 in spec.move_states:
         log, length = log.extended(length, (("T", buffer),))
@@ -608,18 +676,9 @@ class Sketch:
     def __init__(self, state, tapes, heads, runhead, moves_made, buffer_len,
                  last_append, trunc, _shape=0, flushed=False,
                  flushed_trunc=None, flushed_len=0):
-        self.state = state
-        self.tapes = tuple(tapes)
-        self.heads = tuple(heads)
-        self.runhead = runhead
-        self.moves_made = moves_made
-        self.buffer_len = buffer_len
-        self.last_append = last_append
-        self.trunc = trunc
-        self._shape = _shape
-        self.flushed = flushed
-        self.flushed_trunc = flushed_trunc
-        self.flushed_len = flushed_len
+        _fill_sketch(self, state, tuple(tapes), tuple(heads), runhead,
+                     moves_made, buffer_len, last_append, trunc, _shape,
+                     flushed, flushed_trunc, flushed_len)
 
     def components(self):
         return (self.state, self.tapes, self.heads, self.runhead,
@@ -632,11 +691,29 @@ class Sketch:
         return f"Sketch{self.components()!r}"
 
 
+def _fill_sketch(s, state, tapes, heads, runhead, moves_made, buffer_len,
+                 last_append, trunc, shape, flushed, flushed_trunc,
+                 flushed_len):
+    """s with every slot set positionally, the values taken as given."""
+    s.state = state
+    s.tapes = tapes
+    s.heads = heads
+    s.runhead = runhead
+    s.moves_made = moves_made
+    s.buffer_len = buffer_len
+    s.last_append = last_append
+    s.trunc = trunc
+    s._shape = shape
+    s.flushed = flushed
+    s.flushed_trunc = flushed_trunc
+    s.flushed_len = flushed_len
+    return s
+
+
 def initial_sketch(spec: HPMSpec) -> Sketch:
-    return Sketch(
-        state=spec.start, tapes=("",) * spec.worktapes,
-        heads=(0,) * spec.worktapes, runhead=0, moves_made=0,
-        buffer_len=0, last_append="", trunc="")
+    return _fill_sketch(_new(Sketch), spec.start, ("",) * spec.worktapes,
+                        (0,) * spec.worktapes, 0, 0, 0, "", "", 0, False,
+                        None, 0)
 
 
 def sketch_of_configuration(cfg: Configuration, ctx: TruncationContext) -> Sketch:
@@ -700,12 +777,6 @@ class History:
         """Number of records before the (m+1)-th T record."""
         return self.top_at[m] if m < len(self.top_at) else len(self._records)
 
-    def locate(self, pos: int):
-        """(record index, offset in the record, ordinal of the record) of
-        run-tape cell pos, which must lie below the tape length."""
-        idx = bisect_right(self.starts, pos) - 1
-        return idx, pos - self.starts[idx], self.ordinals[idx]
-
     def __len__(self):
         return len(self._records)
 
@@ -724,27 +795,34 @@ def sketch_advance(spec: HPMSpec, s: Sketch, history: History, symbol_source,
     offset-th symbol (1-based) of the ordinal-th same-label move.  The
     records visible to the sketch (those before its (moves_made+1)-th T
     record) and the run symbol's record are read off the history's
-    indexes, `history_prefix` being the rescanning twin.
+    indexes: the run symbol's record is found by bisecting `starts`, which
+    rise strictly since every record holds at least its label's cell.
+    `History.visible` reads the visible records the same way, and
+    `history_prefix` is the rescanning twin.
     """
-    p = history.starts[history.visible(s.moves_made)]
+    starts, top_at = history.starts, history.top_at
+    made = s.moves_made
+    p = starts[top_at[made]] if made < len(top_at) else starts[-1]
     q = s.runhead
     if q >= p:
         q, runsym = p, BLANK
     else:
-        idx, offset, ordinal = history.locate(q)
-        label = history[idx][0]
+        idx = bisect_right(starts, q) - 1
+        offset = q - starts[idx]
+        label = history._records[idx][0]
         runsym = label if offset == 0 else symbol_source(
-            idx, label, ordinal, offset)
+            idx, label, history.ordinals[idx], offset)
     moved = _transition(spec, s.state, runsym, s.tapes, s.heads, q, p)
     if moved is None:
-        return Sketch(s.state, s.tapes, s.heads, q, s.moves_made,
-                      s.buffer_len, "", s.trunc, s._shape)
+        return _fill_sketch(_new(Sketch), s.state, s.tapes, s.heads, q, made,
+                            s.buffer_len, "", s.trunc, s._shape, False, None, 0)
     q2, tapes, heads, runhead2, append = moved
-    buffer_len = s.buffer_len + len(append)
-    trunc, shape = _track_append(s.trunc, s._shape, append, ctx)
+    buffer_len, trunc, shape = s.buffer_len, s.trunc, s._shape
+    if append:
+        buffer_len += len(append)
+        trunc, shape = _track_append(trunc, shape, append, ctx)
     if q2 in spec.move_states:
-        return Sketch(q2, tapes, heads, runhead2, s.moves_made + 1, 0, append,
-                      "", flushed=True, flushed_trunc=trunc,
-                      flushed_len=buffer_len)
-    return Sketch(q2, tapes, heads, runhead2, s.moves_made, buffer_len,
-                  append, trunc, shape)
+        return _fill_sketch(_new(Sketch), q2, tapes, heads, runhead2, made + 1,
+                            0, append, "", 0, True, trunc, buffer_len)
+    return _fill_sketch(_new(Sketch), q2, tapes, heads, runhead2, made,
+                        buffer_len, append, trunc, shape, False, None, 0)

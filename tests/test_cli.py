@@ -286,6 +286,22 @@ class TestInputErrorsExitOne:
         self.assert_clean_error(rc, err)
         assert "line 20: source state 'ghost' not declared" in err
 
+    def test_bare_append(self, tmp_path, formula_file):
+        p = tmp_path / "bare.hpm"
+        p.write_text("states: a\nstart: a\nworktapes: 0\nalphabet: 0\n"
+                     "delta: a, T -> a, S, append\n")
+        rc, err = run_cli(["play", str(p), formula_file, "--env", "x=9"])
+        self.assert_clean_error(rc, err)
+        assert f"error: {p}: line 5: append wants a quoted string" in err
+
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_worktapes(self, tmp_path, formula_file, value):
+        p = tmp_path / "tapes.hpm"
+        p.write_text(f"states: a\nstart: a\nworktapes: {value}\nalphabet: 0\n")
+        rc, err = run_cli(["play", str(p), formula_file, "--env", "x=9"])
+        self.assert_clean_error(rc, err)
+        assert "line 3: worktapes must be a non-negative integer" in err
+
     def test_meter_bad_label(self, tmp_path):
         p = tmp_path / "run.txt"
         p.write_text("B #1\nX 0.#1\n")

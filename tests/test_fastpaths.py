@@ -11,7 +11,7 @@ import sys
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
@@ -250,8 +250,10 @@ class TestHistory:
                 for offset in range(1 + size):
                     cells.append((idx, offset, ordinals[label]))
                 ordinals[label] += 1
-            for pos, want in enumerate(cells):
-                assert history.locate(pos) == want
+            for pos, (idx, offset, ordinal) in enumerate(cells):
+                start = history.starts[idx]
+                assert start <= pos < history.starts[idx + 1]
+                assert (pos - start, history.ordinals[idx]) == (offset, ordinal)
 
 
 # The statement of one transition, with the tape writes and head moves
@@ -331,8 +333,42 @@ def transitions(draw):
     return spec, "q", runsym, tapes, heads, runhead, run_len
 
 
+def transition_case(rows, tapes, heads, runhead=0, run_len=0, runsym="T"):
+    """A `transitions` case whose spec holds `rows`, keyed from state q."""
+    delta = {("q", runsym, key): row for key, row in rows.items()}
+    spec = HPMSpec(states="qr", start="q", move_states="r",
+                   worktapes=len(tapes), alphabet="01X", delta=delta)
+    return spec, "q", runsym, tuple(tapes), tuple(heads), runhead, run_len
+
+
 class TestTransition:
+    """The compiled table against the statement, with one example for
+    each path it takes: a `still` row that must strip trailing blanks
+    under its head and one that must leave interior blanks alone, the
+    one-tape key, no tapes, several tapes, a right move stopping at the
+    leftmost blank, and a run head past run_len under L, R and S."""
+
     @settings(max_examples=400)
+    @example(transition_case({("_",): ("q", ("_",), "S", ("S",), "")},
+                             ["0_1__"], [3]))
+    @example(transition_case({("0",): ("r", ("0",), "R", ("S",), "1")},
+                             ["01_"], [0], 1, 3))
+    @example(transition_case({("_",): ("q", ("_",), "L", ("S",), "")},
+                             ["0_1"], [1], 2, 3))
+    @example(transition_case({("_",): ("q", ("_",), "S", ("S",), "")},
+                             ["0_1"], [5]))
+    @example(transition_case({("1",): ("q", ("1",), "S", ("R",), "")},
+                             ["0_11"], [2]))
+    @example(transition_case({(): ("r", (), "R", (), "0")}, [], [], 1, 4))
+    @example(transition_case({("0", "1"): ("q", ("0", "1"), "S", ("S", "S"),
+                                           "")}, ["0_", "1"], [0, 0]))
+    @example(transition_case({("0", "_"): ("q", ("X", "1"), "R", ("R", "L"),
+                                           "#")}, ["0", "1_1"], [0, 1], 4, 4))
+    @example(transition_case({(): ("q", (), "L", (), "")}, [], [], 6, 4))
+    @example(transition_case({(): ("q", (), "R", (), "")}, [], [], 6, 4))
+    @example(transition_case({(): ("q", (), "S", (), "")}, [], [], 6, 4))
+    @example(transition_case({("_",): ("q", ("_",), "R", ("S",), "")},
+                             ["1"], [1], 5, 3))
     @given(transitions())
     def test_matches_the_spec(self, case):
         assert _transition(*case) == transition_spec(*case)

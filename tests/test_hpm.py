@@ -76,6 +76,56 @@ class TestParsing:
         assert str(err.value).startswith(f"line {len(text.splitlines())}: ")
         assert complaint in str(err.value)
 
+    @pytest.mark.parametrize("rhs", ["a, S, append", 'a, S, append "',
+                                     "a, S, append 0", 'a, S, appendix "0"'])
+    def test_append_wants_a_quoted_string(self, rhs):
+        text = ("states: a\nstart: a\nworktapes: 0\nalphabet: 0\n"
+                f"delta: a, T -> {rhs}\n")
+        with pytest.raises(ValueError,
+                           match="^line 5: append wants a quoted string$"):
+            parse_hpm(text)
+
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5", ""])
+    def test_worktapes_must_be_a_non_negative_integer(self, value):
+        text = f"states: a\nstart: a\nworktapes: {value}\nalphabet: 0\n"
+        with pytest.raises(ValueError, match="^line 3: worktapes must be a "
+                                             "non-negative integer$"):
+            parse_hpm(text)
+
+    @pytest.mark.parametrize("rhs, complaint", [
+        ("halt, _, U, S", "bad direction 'U'"),
+        ("halt, _, S", "delta rhs arity mismatch"),
+        ("nowhere, _, S, S", "target state 'nowhere' not declared"),
+        ("halt, Y, S, S", "work symbol 'Y' not in the alphabet"),
+    ], ids=["direction", "arity", "target-state", "write-symbol"])
+    def test_a_shared_malformed_rhs_is_reported_on_its_first_line(
+            self, rhs, complaint):
+        text = (read_fixture("legal.hpm") + f"delta: halt, 0, _ -> {rhs}\n"
+                + f"delta: halt, 1, _ -> {rhs}\n")
+        with pytest.raises(ValueError) as err:
+            parse_hpm(text)
+        assert str(err.value) == f"line 20: {complaint}"
+
+    def test_a_shared_rhs_is_checked_against_each_rows_arity(self):
+        # rows 20 and 21 share a right-hand side that fits one work tape
+        text = (read_fixture("legal.hpm") + "delta: halt, 0, _ -> halt, _, S, S\n"
+                + "delta: halt, 1 -> halt, _, S, S\n")
+        with pytest.raises(ValueError,
+                           match="^line 21: delta rhs arity mismatch$"):
+            parse_hpm(text)
+
+    def test_rows_with_one_rhs_share_one_parsed_row(self, legal_machine):
+        delta = legal_machine.delta
+        assert delta[("b2", "0", ("_",))] is delta[("b2", "1", ("_",))]
+
+    def test_compiled_table(self, legal_machine):
+        table = legal_machine.table
+        assert len(table) == len(legal_machine.delta)
+        assert table[("a0", "B", "_")] == ("go1", ("X",), 0, (1,),
+                                           "0.1.#11", False)
+        assert table[("b2", "0", "_")] == ("b2", ("_",), 1, (0,), "", True)
+        assert table[("m1", "B", "_")][5] is True
+
 
 class TestRunTape:
     RUN = (("B", "#1001"), ("T", "0.#"))
