@@ -7,25 +7,37 @@
                                     [--machines 8] [--reps 3]
                                     [--out BENCH_reason_phases.json]
 
-`play` is wall time per VM cycle against fuel: `clarith play` on the
+Every session is timed with `timed` from `perfbench/run.py`, which
+runs the benchmark's calibration loop before and after it: next to its
+wall time each session gets a host-scaled time, the wall time as on a
+host that runs the loop in `CAL_REFERENCE_S`.  The shared host's
+drifting speed largely cancels out of the scaled times, so curves taken
+on two commits are compared on those.  A wall time can only be slowed
+by the host, so the best of --reps runs is kept; a scaled time can be
+off either way, by a slow spell in the session or in the calibration
+loop, so the median is kept.
+
+`play` is time per VM cycle against fuel: `clarith play` on the
 chatter machine and environment that `perfbench/gen.py` makes from
 `random.Random(1)`, playing the benchmark's two-disjunct formula.  Each
-fuel is run --reps times, after one untimed warm-up run; the best wall
-time is kept.  Per fuel the JSON file holds wall seconds, µs per cycle
+fuel is run --reps times, after one untimed warm-up run.  Per fuel the
+JSON file holds wall and scaled seconds, wall and scaled µs per cycle
 and the number of T moves played.
 
 `reason` is ms per `clarith transform reason --play` session against the
 number of phases of `gen.scanning_machine`, with --machines machines per
 phase count drawn from `random.Random(1)`, each with its `gen.reason_env`
 environment and the fuel the benchmark gives it.  Per machine it records
-the best session time and the best `hpm.parse_hpm` time (itself the best
-of PARSE_CALLS calls on its text) over --reps rounds, each round running
+the session time and the `hpm.parse_hpm` time (itself the best of
+PARSE_CALLS calls on its text, scaled by the calibration around all of
+them), each wall and scaled, over --reps rounds, each round running
 every machine once, and, from one more run with `wrappers.update_sketch`
 and `wrappers.fetch_symbol` wrapped in counters, how often each was
 called.  Per phase count it holds the medians of the times and the sums
 of the call counts.
 
-Both files also hold the Python version and CPU count of the host.
+Both files also hold the Python version and CPU count of the host and
+the calibration's `CAL_REFERENCE_S`.
 clarith is imported from `src/` next to this directory.
 """
 
@@ -50,6 +62,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import gen  # noqa: E402
 import reference  # noqa: E402
 from clarith import cli, hpm, wrappers  # noqa: E402
+from run import CAL_REFERENCE_S, timed  # noqa: E402
 
 DEFAULT_FUELS = (1000, 4000, 16000, 64000)
 DEFAULT_PHASES = tuple(range(3, 11))
@@ -65,17 +78,16 @@ def _write(workdir, name, text):
 
 
 def run_once(argv):
-    """(wall seconds, T moves) of one in-process clarith command."""
+    """(wall seconds, scaled seconds, T moves) of one in-process clarith
+    command."""
     out = io.StringIO()
-    start = time.perf_counter()
     with contextlib.redirect_stdout(out):
-        rc = cli.main(argv)
-    wall = time.perf_counter() - start
+        rc, wall, scaled = timed(cli.main, argv)
     if rc != 0:
         raise RuntimeError(f"clarith {argv[0]} exited with {rc}")
     moves = sum(1 for line in out.getvalue().splitlines()
                 if line[:1] == "T" and line[1:2] in ("", " "))
-    return wall, moves
+    return wall, scaled, moves
 
 
 @contextlib.contextmanager
@@ -113,27 +125,36 @@ def play_curve(args, workdir):
     points = []
     for fuel, argv in zip(fuels, argvs):
         runs = [run_once(argv) for _ in range(args.reps)]
-        wall = min(w for w, _ in runs)
+        wall = min(w for w, _, _ in runs)
+        scaled = statistics.median(s for _, s, _ in runs)
         points.append({"fuel": fuel, "wall_s": round(wall, 6),
+                       "scaled_s": round(scaled, 6),
                        "us_per_cycle": round(wall / fuel * 1e6, 3),
-                       "moves": runs[0][1]})
+                       "scaled_us_per_cycle": round(scaled / fuel * 1e6, 3),
+                       "moves": runs[0][2]})
         print(f"fuel {fuel:>6}: {wall:.3f} s, "
-              f"{wall / fuel * 1e6:.2f} us/cycle, {runs[0][1]} moves")
+              f"{wall / fuel * 1e6:.2f} us/cycle "
+              f"({scaled / fuel * 1e6:.2f} scaled), {runs[0][2]} moves")
     return {
         "curve": "play_fuel",
         "workload": f"clarith play, gen.chatter_machine(Random({SEED})) "
-                    "with its env, best of reps",
+                    "with its env, best wall and median scaled time of reps",
         "reps": args.reps,
     }, points
 
 
 def best_parse_ms(text):
-    best = float("inf")
-    for _ in range(PARSE_CALLS):
-        start = time.perf_counter()
-        hpm.parse_hpm(text)
-        best = min(best, time.perf_counter() - start)
-    return best * 1e3
+    """(wall, scaled) ms of the best of PARSE_CALLS parses of text."""
+    def best():
+        fastest = float("inf")
+        for _ in range(PARSE_CALLS):
+            start = time.perf_counter()
+            hpm.parse_hpm(text)
+            fastest = min(fastest, time.perf_counter() - start)
+        return fastest
+
+    fastest, wall, scaled = timed(best)
+    return fastest * 1e3, fastest * scaled / wall * 1e3
 
 
 def reason_machine(workdir, rng, phases, n, formula):
@@ -149,10 +170,9 @@ def reason_machine(workdir, rng, phases, n, formula):
             "--env", _write(workdir, f"scan{n}.env", gen.env_text(env)),
             "--fuel", str(fuel)]
     with counted(wrappers, ("update_sketch", "fetch_symbol")) as counts:
-        _, moves = run_once(argv)
+        _, _, moves = run_once(argv)
     return {"phases": phases, "text": text, "argv": argv,
             "record": {"rows": len(m["delta"]), "fuel": fuel, "moves": moves,
-                       "session_ms": float("inf"), "parse_ms": float("inf"),
                        "update_sketch_calls": counts["update_sketch"],
                        "fetch_symbol_calls": counts["fetch_symbol"]}}
 
@@ -167,39 +187,46 @@ def reason_curve(args, workdir):
     inputs = [reason_machine(workdir, rng, phases, n, formula)
               for n, phases in enumerate(
                   p for p in args.phases for _ in range(args.machines))]
+    times = [[] for _ in inputs]
     for _ in range(args.reps):
-        for inp in inputs:
-            rec = inp["record"]
-            rec["session_ms"] = min(rec["session_ms"],
-                                    round(run_once(inp["argv"])[0] * 1e3, 3))
-            rec["parse_ms"] = min(rec["parse_ms"],
-                                  round(best_parse_ms(inp["text"]), 4))
+        for inp, runs in zip(inputs, times):
+            wall, scaled, _ = run_once(inp["argv"])
+            runs.append((wall * 1e3, scaled * 1e3, *best_parse_ms(inp["text"])))
+    for inp, runs in zip(inputs, times):
+        walls, scaleds, parse_walls, parse_scaleds = zip(*runs)
+        inp["record"].update(
+            session_ms=round(min(walls), 3),
+            session_scaled_ms=round(statistics.median(scaleds), 3),
+            parse_ms=round(min(parse_walls), 4),
+            parse_scaled_ms=round(statistics.median(parse_scaleds), 4))
     points = []
     for phases in args.phases:
         machines = [inp["record"] for inp in inputs if inp["phases"] == phases]
-        point = {
-            "phases": phases,
-            "session_ms_median": round(statistics.median(
-                m["session_ms"] for m in machines), 4),
-            "parse_ms_median": round(statistics.median(
-                m["parse_ms"] for m in machines), 4),
+        point = {"phases": phases}
+        for key in ("session_ms", "session_scaled_ms", "parse_ms",
+                    "parse_scaled_ms"):
+            point[key + "_median"] = round(statistics.median(
+                m[key] for m in machines), 4)
+        point.update({
             "update_sketch_calls": sum(m["update_sketch_calls"]
                                        for m in machines),
             "fetch_symbol_calls": sum(m["fetch_symbol_calls"]
                                       for m in machines),
             "machines": machines,
-        }
+        })
         points.append(point)
         print(f"phases {phases:>2}: {point['session_ms_median']:.2f} ms "
-              f"per session, parse {point['parse_ms_median']:.3f} ms, "
+              f"per session ({point['session_scaled_ms_median']:.2f} "
+              f"scaled), parse {point['parse_ms_median']:.3f} ms, "
               f"{point['update_sketch_calls']} update_sketch and "
               f"{point['fetch_symbol_calls']} fetch_symbol calls")
     return {
         "curve": "reason_phases",
         "workload": "clarith transform reason --play, "
                     f"gen.scanning_machine drawn from Random({SEED}) with "
-                    "gen.reason_env; session and parse times are best of "
-                    "reps rounds, medians over machines",
+                    "gen.reason_env; per machine the best wall and the "
+                    "median host-scaled time over reps rounds, medians "
+                    "over machines",
         "reps": args.reps,
         "machines_per_phase": args.machines,
         "parse_calls": PARSE_CALLS,
@@ -236,7 +263,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as workdir:
         result, points = sweep(args, workdir)
     result.update(python=platform.python_version(), cpu_count=os.cpu_count(),
-                  points=points)
+                  cal_reference_s=CAL_REFERENCE_S, points=points)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")

@@ -24,24 +24,14 @@ class FileProblem(Exception):
     pass
 
 
-def _read(path):
+def _load(path, parse=str):
+    """parse(the file's text); a file that cannot be read, is not UTF-8
+    or does not parse is a FileProblem naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return parse(fh.read())
     except OSError as exc:
         raise FileProblem(f"{path}: {exc.strerror or exc}") from exc
-
-
-def _load_formula(path):
-    try:
-        return fm.parse_formula(_read(path))
-    except (ValueError, SyntaxError) as exc:
-        raise FileProblem(f"{path}: {exc}") from exc
-
-
-def _load_machine(path):
-    try:
-        return hpm.parse_hpm(_read(path))
     except (ValueError, SyntaxError) as exc:
         raise FileProblem(f"{path}: {exc}") from exc
 
@@ -97,18 +87,28 @@ def _make_env(spec_text):
         consts = _parse_consts(spec_text)
         moves = ["#" + game.int_to_numer(v) for v in consts.values()]
         return _script_env([(0, m) for m in moves])
-    lines = []
-    for raw in _read(spec_text).splitlines():
+    return _script_env(_load(spec_text, _parse_env_script))
+
+
+def _parse_env_script(text):
+    """The (after, move) entries of an env script; ValueError names the
+    line of a malformed "@t" prefix."""
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#!"):
             continue
         after = 0
         if line.startswith("@"):
             head, _, line = line.partition(" ")
-            after = int(head[1:])
+            try:
+                after = int(head[1:])
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad delay {head!r}, "
+                                 "want @ and an integer") from None
             line = line.strip()
-        lines.append((after, line))
-    return _script_env(lines)
+        entries.append((after, line))
+    return entries
 
 
 def _script_env(entries):
@@ -175,7 +175,7 @@ def _play_and_report(runner, f, env, fuel, trace_path=None, trace_rows=None):
 # subcommands (the oracle suites live in oracles.py)
 
 def cmd_fmt(args):
-    f = _load_formula(args.file)
+    f = _load(args.file, fm.parse_formula)
     census = fm.choice_census(f)
     agg = fm.aggregate_bounds(f)
     print("formula:", fm.to_text(f))
@@ -191,8 +191,8 @@ def cmd_fmt(args):
 
 
 def cmd_play(args):
-    spec = _load_machine(args.machine)
-    f = _load_formula(args.formula)
+    spec = _load(args.machine, hpm.parse_hpm)
+    f = _load(args.formula, fm.parse_formula)
     runner = hpm.StrategyRunner(hpm.HPMStrategy(spec))
     env = _make_env(args.env)
     _play_and_report(runner, f, env, _fuel(args))
@@ -202,8 +202,8 @@ def cmd_play(args):
 def cmd_transform(args):
     fuel = _fuel(args)
     if args.kind == "reason":
-        spec = _load_machine(args.machine)
-        f = _load_formula(args.formula)
+        spec = _load(args.machine, hpm.parse_hpm)
+        f = _load(args.formula, fm.parse_formula)
         try:
             runner = wrappers.build_reason_wrapper(spec, f)
         except ValueError as exc:
@@ -213,8 +213,8 @@ def cmd_transform(args):
             _play_and_report(runner, f, _make_env(args.env), fuel)
         return 0
     if args.kind == "vasa":
-        spec = _load_machine(args.machine)
-        f = _load_formula(args.formula)
+        spec = _load(args.machine, hpm.parse_hpm)
+        f = _load(args.formula, fm.parse_formula)
         c_env = _parse_consts(args.consts)
         try:
             runner = wrappers.build_unconditional_wrapper(spec, f, c_env)
@@ -227,21 +227,21 @@ def cmd_transform(args):
             _play_and_report(runner, f, _make_env(args.env), fuel)
         return 0
     if args.kind == "compr":
-        premise = hpm.HPMStrategy(_load_machine(args.premise))
-        p = _load_formula(args.p)
+        premise = hpm.HPMStrategy(_load(args.premise, hpm.parse_hpm))
+        p = _load(args.p, fm.parse_formula)
         try:
             bound = parse_bound(args.bound)
         except SyntaxError as exc:
             raise FileProblem(f"--bound: {exc}") from exc
-        runner = cp.build_comprehension_solver(premise, p, args.y, bound)
+        runner = cp.ComprehensionRunner(premise, p, args.y, bound)
         conclusion = cp.comprehension_conclusion(p, args.y, bound)
         print("conclusion:", fm.to_text(conclusion))
         if args.play:
             _play_and_report(runner, conclusion, _make_env(args.env), fuel)
         return 0
     if args.kind == "induct":
-        n_spec, k_spec = _load_machine(args.n), _load_machine(args.k)
-        f = _load_formula(args.formula)
+        n_spec, k_spec = _load(args.n, hpm.parse_hpm), _load(args.k, hpm.parse_hpm)
+        f = _load(args.formula, fm.parse_formula)
         n_census, k_census = n_spec.census(), k_spec.census()
         census = {key: max(n_census[key], k_census[key]) for key in n_census}
         try:
@@ -273,16 +273,10 @@ def cmd_transform(args):
 
 
 def cmd_meter(args):
-    try:
-        run = game.parse_run(_read(args.trace))
-    except ValueError as exc:
-        raise FileProblem(f"{args.trace}: {exc}") from exc
     meter = hpm.Meter()
-    seen = []
-    for cycle, (label, move) in enumerate(run):
-        seen.append((label, move))
-        made = [move] if label == "T" else []
-        meter.record_cycle(cycle, seen, 0, made, label == "B")
+    for cycle, (label, move) in enumerate(_load(args.trace, game.parse_run)):
+        meter.record_cycle(cycle, move if label == "B" else None, 0,
+                           [move] if label == "T" else [])
     for key, value in hpm.meter_report(meter).items():
         print(f"{key}: {json.dumps(value)}")
     return 0
@@ -307,7 +301,7 @@ _DIAG_KEYS = {
 
 def cmd_diag(args):
     rows = []
-    for lineno, line in enumerate(_read(args.trace).splitlines(), 1):
+    for lineno, line in enumerate(_load(args.trace).splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -436,9 +430,15 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return rc
     except (FileProblem, hpm.BadFuelSetting) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout is gone: send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -64,7 +64,6 @@ class ComprehensionRunner:
 
     def __init__(self, premise, p: fm.Formula, y: str, bound: BoundExpr):
         self.premise = premise
-        self.p = p
         self.y = y
         self.bound = bound
         self.var_order = fm.free_vars(comprehension_conclusion(p, y, bound))
@@ -108,8 +107,3 @@ class ComprehensionRunner:
 
     def spacecost(self):
         return 0
-
-
-def build_comprehension_solver(premise, p: fm.Formula, y: str,
-                               bound: BoundExpr) -> ComprehensionRunner:
-    return ComprehensionRunner(premise, p, y, bound)

@@ -26,18 +26,19 @@ never rescans or copies it:
   the log's length appends in place; extending an older one (a branch)
   copies its prefix into a new log first, so no configuration ever
   sees its run change.  No runner in this package branches; the fork
-  keeps `Configuration` a value for callers that do, tests among them.  `step` reads the run symbol and the tape length off the
-  log; `run_tape_length` and `run_symbol` are the rescanning twins.
+  keeps `Configuration` a value for callers that do, tests among them.
+  `step` reads the run symbol and the tape length off the log;
+  `run_tape_length` and `run_symbol` are the rescanning twins.
   `cfg.run` builds a tuple; no per-cycle code reads it.
 - A configuration carries each work tape's count of non-blank cells.
   A transition writes one cell per tape, the one under its head, so
   `step` moves the count by what that cell held and now holds (the
   stripping of trailing blanks never changes it), and `spacecost` is a
   read.  Sketches do not carry counts.
-- `Meter.record_cycle` keeps a running background maximum, the number
-  of run entries it has seen, and per-background maxima, so a meter
-  does not grow with the cycles.  Its contract: each run it is given
-  extends the previous one.
+- `play` hands `Meter.record_cycle` the ⊥ move it has just appended,
+  if any, so the meter never reads the run: it keeps a running
+  background maximum and per-background maxima, and does not grow with
+  the cycles.
 
 A sketch reads the run through a `History`, the reason wrapper's
 append-only list of (label, size) records.  Next to the records it keeps
@@ -553,9 +554,9 @@ class Meter:
 
     `amplitude` and `spacecost` map each background to the largest own
     move magnitude and work-tape cell count seen under it; `max_timecost`
-    is the most cycles any own move took since the last event.  The run
-    given to successive `record_cycle` calls only extends; `background`
-    is a running maximum over the run entries seen so far.
+    is the most cycles any own move took since the last event.  Each
+    `record_cycle` call is given the cycle's ⊥ move, or None, and
+    `background` is a running maximum over the ⊥ moves given so far.
     """
 
     def __init__(self):
@@ -564,19 +565,14 @@ class Meter:
         self.max_timecost = 0
         self.background = 1
         self._last_event_cycle = 0
-        self._seen = 0
 
-    def record_cycle(self, cycle, run, cells, made, env_moved):
-        if len(run) > self._seen:
-            for label, m in run[self._seen:]:
-                if label == "B":
-                    self.background = max(self.background, magnitude(m))
-            self._seen = len(run)
+    def record_cycle(self, cycle, env_move, cells, made):
+        if env_move is not None:
+            self.background = max(self.background, magnitude(env_move))
+            self._last_event_cycle = cycle
         bg = self.background
         if cells > self.spacecost.get(bg, -1):
             self.spacecost[bg] = cells
-        if env_moved:
-            self._last_event_cycle = cycle
         for m in made:
             self.amplitude[bg] = max(self.amplitude.get(bg, 0), magnitude(m))
             self.max_timecost = max(self.max_timecost,
@@ -633,13 +629,12 @@ def play(runner, env, fuel: int):
     poll, space, record = runner.poll, runner.spacecost, meter.record_cycle
     for cycle in range(fuel):
         mv = env(run)
-        env_moved = mv is not None
-        if env_moved:
+        if mv is not None:
             run.append(("B", mv))
         made = poll(run)
         for m in made:
             run.append(("T", m))
-        record(cycle, run, space(), made, env_moved)
+        record(cycle, mv, space(), made)
     return {"run": tuple(run), "meter": meter}
 
 
@@ -672,13 +667,6 @@ class Sketch:
     __slots__ = ("state", "tapes", "heads", "runhead", "moves_made",
                  "buffer_len", "last_append", "trunc", "_shape",
                  "flushed", "flushed_trunc", "flushed_len")
-
-    def __init__(self, state, tapes, heads, runhead, moves_made, buffer_len,
-                 last_append, trunc, _shape=0, flushed=False,
-                 flushed_trunc=None, flushed_len=0):
-        _fill_sketch(self, state, tuple(tapes), tuple(heads), runhead,
-                     moves_made, buffer_len, last_append, trunc, _shape,
-                     flushed, flushed_trunc, flushed_len)
 
     def components(self):
         return (self.state, self.tapes, self.heads, self.runhead,
@@ -718,11 +706,9 @@ def initial_sketch(spec: HPMSpec) -> Sketch:
 
 def sketch_of_configuration(cfg: Configuration, ctx: TruncationContext) -> Sketch:
     trunc, shape = _track_append("", 0, cfg.buffer, ctx)
-    return Sketch(
-        state=cfg.state, tapes=cfg.tapes, heads=cfg.heads,
-        runhead=cfg.runhead, moves_made=cfg.moves_made,
-        buffer_len=len(cfg.buffer), last_append=cfg.last_append,
-        trunc=trunc, _shape=shape)
+    return _fill_sketch(_new(Sketch), cfg.state, cfg.tapes, cfg.heads,
+                        cfg.runhead, cfg.moves_made, len(cfg.buffer),
+                        cfg.last_append, trunc, shape, False, None, 0)
 
 
 def history_prefix(history, m: int):

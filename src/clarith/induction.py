@@ -95,17 +95,14 @@ def _sim_stepping(a, b, n, strategy):
             psi = []
 
 
-def _drain(gen):
-    while True:
-        try:
-            next(gen)
-        except StopIteration as fin:
-            return fin.value
-
-
 def sim(a, b, n, strategy):
     """Replay strategy against the adversary the two bodies encode."""
-    return _drain(_sim_stepping(a, b, n, strategy))
+    gen = _sim_stepping(a, b, n, strategy)
+    try:
+        while True:
+            next(gen)
+    except StopIteration as fin:
+        return fin.value
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +202,6 @@ class InductionRunner:
             root = root.body
         if not isinstance(root, fm.ChoiceAll) or root.kind != "value":
             raise ValueError("conclusion must start with a value-bounded choice-universal")
-        self.conclusion = conclusion
-        self.root = root
         self.body_formula = root.body
         self.bound = root.bound
         self.var = root.var

@@ -144,7 +144,7 @@ def _suite_compr(rng, cases):
 
 def _one_compr_case(table, c):
     p = fm.Atom("tbl", (fm.TVar("y"),))
-    runner = cp.build_comprehension_solver(_TablePremise(table), p, "y", Nat(c))
+    runner = cp.ComprehensionRunner(_TablePremise(table), p, "y", Nat(c))
     moves = runner.poll(())
     if len(moves) != 1:
         return f"comprehension made {len(moves)} moves for table {table!r}"

@@ -9,9 +9,9 @@ offset at which each record starts, each record's ordinal within its
 label and the positions of the T records, so a resimulated cycle finds
 its run symbol without rescanning the history.
 
-The unconditional wrapper mimics a machine move for move while the seen
-run stays legal, and retires (optionally after one windup move) as soon
-as it turns illegitimate.
+The unconditional wrapper is a `StrategyRunner` over the machine while
+the seen run stays legal, and retires (optionally after one windup
+move) as soon as it turns illegitimate.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from .game import (
 from .hpm import (
     History,
     HPMSpec,
+    HPMStrategy,
     Sketch,
-    initial_configuration,
+    StrategyRunner,
     initial_sketch,
     sketch_advance,
-    spacecost,
-    step,
 )
 
 
@@ -149,19 +148,21 @@ def build_reason_wrapper(spec: HPMSpec, f) -> ReasonRunner:
     return ReasonRunner(spec, f)
 
 
-class VasaRunner:
-    """The retire-on-illegality wrapper, with constants fixed up front.
+class VasaRunner(StrategyRunner):
+    """The retire-on-illegality wrapper, with constants fixed up front:
+    a `StrategyRunner` over the machine while the run stays legal.
 
     Legality is tracked incrementally: the game position of the run seen
     so far is kept, and each poll applies only the entries added since,
-    so the visible run must only extend from poll to poll.
+    so the visible run must only extend from poll to poll.  It is checked
+    before the machine is fed, so the windup reads the configuration
+    without the entries that made the run illegal.
     """
 
     def __init__(self, spec: HPMSpec, f, c_env):
-        self.spec = spec
+        super().__init__(HPMStrategy(spec))
         self.formula = f
         self.c_env = dict(c_env)
-        self.cfg = initial_configuration(spec)
         self.retired = False
         self.position = GamePosition.start(f, self.c_env)
         self.checked = 0
@@ -180,25 +181,18 @@ class VasaRunner:
     def poll(self, visible_run):
         if self.retired:
             return []
-        if self._turned_illegal(visible_run):
-            self.retired = True
-            buf = self.cfg.buffer
-            tops = tuple(lm for lm in self.cfg.run if lm[0] == "T")
-            if not buf:
-                return []
-            v = Semiposition(tops + (("T", buf),), open_last=True)
-            try:
-                omega = windup(v, self.formula, self.c_env)
-            except ValueError:
-                return []
-            return [buf + omega]
-        if len(visible_run) > self.cfg.length:
-            self.cfg = self.cfg.extend(visible_run[self.cfg.length:])
-        self.cfg = step(self.spec, self.cfg)
-        return [self.cfg.last_move] if self.cfg.last_move is not None else []
-
-    def spacecost(self):
-        return spacecost(self.cfg)
+        if not self._turned_illegal(visible_run):
+            return StrategyRunner.poll(self, visible_run)
+        self.retired = True
+        buf = self.st.buffer
+        if not buf:
+            return []
+        tops = tuple(lm for lm in self.st.run if lm[0] == "T")
+        v = Semiposition(tops + (("T", buf),), open_last=True)
+        try:
+            return [buf + windup(v, self.formula, self.c_env)]
+        except ValueError:
+            return []
 
 
 def build_unconditional_wrapper(spec: HPMSpec, f, c_env) -> VasaRunner:

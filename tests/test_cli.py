@@ -335,6 +335,47 @@ class TestInputErrorsExitOne:
         self.assert_clean_error(rc, err)
         assert "value-bounded" in err
 
+    @pytest.mark.parametrize("line", ["@x #1", "@ #1"])
+    def test_env_script_bad_delay(self, tmp_path, formula_file, line):
+        env = tmp_path / "env.txt"
+        env.write_text(f"#1001\n{line}\n")
+        rc, err = run_cli(["play", fixture("bigmove.hpm"), formula_file,
+                           "--env", str(env)])
+        self.assert_clean_error(rc, err)
+        head = line.split()[0]
+        assert f"error: {env}: line 2: bad delay {head!r}" in err
+
+    def test_non_utf8_env_script(self, tmp_path, formula_file):
+        env = tmp_path / "env.txt"
+        env.write_bytes(b"#1001\n\xff0.#10\n")
+        rc, err = run_cli(["play", fixture("bigmove.hpm"), formula_file,
+                           "--env", str(env)])
+        self.assert_clean_error(rc, err)
+        assert f"error: {env}: 'utf-8' codec can't decode" in err
+
+    def test_non_utf8_diag_trace(self, tmp_path):
+        p = tmp_path / "trace.jsonl"
+        p.write_bytes(b'{"iteration": \xfe}\n')
+        rc, err = run_cli(["diag", "induct", str(p)])
+        self.assert_clean_error(rc, err)
+        assert f"error: {p}: 'utf-8' codec can't decode" in err
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    """A reader that has gone away before the first write, as with
+    `clarith oracle sim | head -0`."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "clarith.cli", "oracle", "sim",
+             "--cases", "5"], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
 
 class TestMeter:
     def test_report_from_run_file(self, tmp_path, capsys):

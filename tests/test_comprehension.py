@@ -11,7 +11,6 @@ from clarith.comprehension import (
     ComprehensionRunner,
     SimulationFault,
     _one_verdict,
-    build_comprehension_solver,
     comprehension_conclusion,
 )
 from clarith.game import int_to_numer, is_canonical_numer, numer_value, wins
@@ -153,7 +152,7 @@ class TestRunner:
     def test_reads_constants_in_the_conclusions_order(self):
         p = fm.parse_formula("Bit(y, c) & q(e, y, a)")
         bound = parse_bound("|f|*|b|+|d|*|f|")
-        runner = build_comprehension_solver(bit_premise(3), p, "y", bound)
+        runner = ComprehensionRunner(bit_premise(3), p, "y", bound)
         assert runner.var_order == ["f", "b", "d", "c", "e", "a"]
         assert runner.var_order == fm.free_vars(
             comprehension_conclusion(p, "y", bound))

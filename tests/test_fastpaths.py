@@ -203,14 +203,12 @@ class TestCellCounts:
 
 
 class TestMeter:
-    @given(runs, st.lists(st.integers(0, 3), max_size=20))
-    def test_running_background_matches_rescan(self, run, chunks):
+    @given(runs)
+    def test_running_background_matches_rescan(self, run):
         meter = Meter()
-        end = 0
-        for cycle, size in enumerate(chunks + [len(run)]):
-            end = min(len(run), end + size)
-            prefix = tuple(run[:end])
-            meter.record_cycle(cycle, prefix, 0, [], False)
+        for cycle, (label, move) in enumerate(run):
+            meter.record_cycle(cycle, move if label == "B" else None, 0, [])
+            prefix = run[:cycle + 1]
             want = max([1] + [magnitude(m) for label, m in prefix if label == "B"])
             assert meter.background == want
 

@@ -227,9 +227,9 @@ class TestScriptStrategy:
 class TestMeter:
     def test_amplitude_tracks_own_magnitude_per_background(self):
         m = Meter()
-        m.record_cycle(0, (("B", "#101"),), 0, [], True)
+        m.record_cycle(0, "#101", 0, [])
         assert m.background == 3
-        m.record_cycle(5, (("B", "#101"), ("T", "#11")), 2, ["#11"], False)
+        m.record_cycle(5, None, 2, ["#11"])
         rep = meter_report(m)
         assert rep["amplitude"] == {3: 2}
         assert rep["max_spacecost"] == 2
@@ -238,17 +238,17 @@ class TestMeter:
 
     def test_background_floor_is_one(self):
         m = Meter()
-        m.record_cycle(0, (), 0, [], False)
+        m.record_cycle(0, None, 0, [])
         assert m.background == 1
 
     def test_timecost_measured_from_last_event(self):
         m = Meter()
-        m.record_cycle(0, (), 0, [], True)
-        m.record_cycle(3, (), 0, ["#"], False)
+        m.record_cycle(0, "#", 0, [])
+        m.record_cycle(3, None, 0, ["#"])
         assert m.max_timecost == 3
-        m.record_cycle(4, (), 0, ["#1"], False)
+        m.record_cycle(4, None, 0, ["#1"])
         assert m.max_timecost == 3      # 1 since the move at cycle 3, not 4
-        m.record_cycle(9, (), 0, ["#1"], False)
+        m.record_cycle(9, None, 0, ["#1"])
         assert m.max_timecost == 5
 
 

@@ -228,7 +228,7 @@ class TestVasaRunner:
             legal_machine, two_disjunct_formula, {"x": 9})
         run = (("B", "0.#10"),)
         assert wrapped.poll(run) == []
-        assert wrapped.cfg.buffer == "0.1.#11"
+        assert wrapped.st.buffer == "0.1.#11"
         run_bad = run + (("B", "0.#10"),)
         final = wrapped.poll(run_bad)
         assert wrapped.retired
