@@ -6,6 +6,8 @@
     python3 scripts/bench_curves.py --curve reason [--phases 3,4,5,6,7,8,9,10]
                                     [--machines 8] [--reps 3]
                                     [--out BENCH_reason_phases.json]
+    python3 scripts/bench_curves.py --curve analyze [--units 1,2,...,12]
+                                    [--reps 3] [--out BENCH_analyze_units.json]
 
 Every session is timed with `timed` from `perfbench/run.py`, which
 runs the benchmark's calibration loop before and after it: next to its
@@ -36,7 +38,15 @@ and `wrappers.fetch_symbol` wrapped in counters, how often each was
 called.  Per phase count it holds the medians of the times and the sums
 of the call counts.
 
-Both files also hold the Python version and CPU count of the host and
+`analyze` is ms per `clarith fmt check` session against the number of
+choice quantifiers of the formula, drawn by `gen.analysis_formula` from
+a fresh `random.Random(1)` for each unit count, so a point does not
+depend on which others are asked for.  Each point records the session
+time and the `formula.parse_formula` time (the best of PARSE_CALLS
+calls, as for `reason`), each wall and scaled, over --reps rounds, each
+round running every unit count once.
+
+Every file also holds the Python version and CPU count of the host and
 the calibration's `CAL_REFERENCE_S`.
 clarith is imported from `src/` next to this directory.
 """
@@ -61,11 +71,12 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import gen  # noqa: E402
 import reference  # noqa: E402
-from clarith import cli, hpm, wrappers  # noqa: E402
+from clarith import cli, formula, hpm, wrappers  # noqa: E402
 from run import CAL_REFERENCE_S, timed  # noqa: E402
 
 DEFAULT_FUELS = (1000, 4000, 16000, 64000)
 DEFAULT_PHASES = tuple(range(3, 11))
+DEFAULT_UNITS = tuple(range(1, 13))
 PARSE_CALLS = 20
 SEED = 1
 
@@ -143,13 +154,13 @@ def play_curve(args, workdir):
     }, points
 
 
-def best_parse_ms(text):
-    """(wall, scaled) ms of the best of PARSE_CALLS parses of text."""
+def best_parse_ms(parse, text):
+    """(wall, scaled) ms of the best of PARSE_CALLS calls parse(text)."""
     def best():
         fastest = float("inf")
         for _ in range(PARSE_CALLS):
             start = time.perf_counter()
-            hpm.parse_hpm(text)
+            parse(text)
             fastest = min(fastest, time.perf_counter() - start)
         return fastest
 
@@ -191,7 +202,8 @@ def reason_curve(args, workdir):
     for _ in range(args.reps):
         for inp, runs in zip(inputs, times):
             wall, scaled, _ = run_once(inp["argv"])
-            runs.append((wall * 1e3, scaled * 1e3, *best_parse_ms(inp["text"])))
+            runs.append((wall * 1e3, scaled * 1e3,
+                         *best_parse_ms(hpm.parse_hpm, inp["text"])))
     for inp, runs in zip(inputs, times):
         walls, scaleds, parse_walls, parse_scaleds = zip(*runs)
         inp["record"].update(
@@ -233,8 +245,45 @@ def reason_curve(args, workdir):
     }, points
 
 
+def analyze_curve(args, workdir):
+    """(description, points) of the analyze unit curve."""
+    inputs = []
+    for n in args.units:
+        text, _ = gen.analysis_formula(random.Random(SEED), n)
+        inputs.append((n, text, ["fmt", "check", _write(
+            workdir, f"analyze{n}.clf", text + "\n")]))
+    run_once(inputs[0][2])  # untimed: the first call builds the CLI's parser
+    times = [[] for _ in inputs]
+    for _ in range(args.reps):
+        for (_, text, argv), runs in zip(inputs, times):
+            wall, scaled, _ = run_once(argv)
+            runs.append((wall * 1e3, scaled * 1e3,
+                         *best_parse_ms(formula.parse_formula, text)))
+    points = []
+    for (n, text, _), runs in zip(inputs, times):
+        walls, scaleds, parse_walls, parse_scaleds = zip(*runs)
+        point = {"units": n, "chars": len(text),
+                 "session_ms": round(min(walls), 3),
+                 "session_scaled_ms": round(statistics.median(scaleds), 3),
+                 "parse_ms": round(min(parse_walls), 4),
+                 "parse_scaled_ms": round(statistics.median(parse_scaleds), 4)}
+        points.append(point)
+        print(f"units {n:>2}: {point['session_ms']:.3f} ms per session "
+              f"({point['session_scaled_ms']:.3f} scaled), parse "
+              f"{point['parse_ms']:.4f} ms")
+    return {
+        "curve": "analyze_units",
+        "workload": "clarith fmt check on gen.analysis_formula(Random("
+                    f"{SEED}), units); the best wall and the median "
+                    "host-scaled time over reps rounds",
+        "reps": args.reps,
+        "parse_calls": PARSE_CALLS,
+    }, points
+
+
 CURVES = {"play": (play_curve, "BENCH_play_fuel.json"),
-          "reason": (reason_curve, "BENCH_reason_phases.json")}
+          "reason": (reason_curve, "BENCH_reason_phases.json"),
+          "analyze": (analyze_curve, "BENCH_analyze_units.json")}
 
 
 def _ints(text):
@@ -248,6 +297,8 @@ def main(argv=None):
                     help="play: comma-separated fuel values")
     ap.add_argument("--phases", type=_ints, default=list(DEFAULT_PHASES),
                     help="reason: comma-separated phase counts")
+    ap.add_argument("--units", type=_ints, default=list(DEFAULT_UNITS),
+                    help="analyze: comma-separated unit counts")
     ap.add_argument("--machines", type=int, default=8,
                     help="reason: machines per phase count")
     ap.add_argument("--reps", type=int, default=3,
@@ -255,9 +306,10 @@ def main(argv=None):
     ap.add_argument("--out", help="the JSON file to write "
                     "(default: the curve's BENCH_*.json file in the repo)")
     args = ap.parse_args(argv)
-    if min(args.reps, args.machines, *args.fuels, *args.phases) < 1:
-        ap.error("--reps, --machines, every fuel and every phase count "
-                 "must be at least 1")
+    if min(args.reps, args.machines, *args.fuels, *args.phases,
+           *args.units) < 1:
+        ap.error("--reps, --machines, every fuel, phase count and unit "
+                 "count must be at least 1")
     sweep, default_out = CURVES[args.curve]
     out = args.out or os.path.join(ROOT, default_out)
     with tempfile.TemporaryDirectory() as workdir:

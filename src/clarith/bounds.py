@@ -6,6 +6,15 @@ monotonicity.  A UnaryBound is a bound over the single placeholder
 variable "z" that is applied directly to a natural number rather than
 to the size of anything.
 
+Bound text, read by Scanner.bound and written back by repr (which
+brackets every + and *); a nat is a run of digits, an ident is
+[alpha_][alnum_]*, and whitespace may stand between any two tokens:
+
+    bound   := product ('+' product)*
+    product := atom ('*' atom)*
+    atom    := nat | '|' ident '|' | '(' bound ')'
+             | 'max' '(' bound (',' bound)* ')' | 'log' '(' bound ')'
+
 The superaggregate G(z) = max(f(z), ..., f^n(z)) and its partial family
 S_i are evaluated numerically: iterate_max wraps f in one IteratedMax
 node that applies f to a number n times, so evaluating G costs n
@@ -114,38 +123,34 @@ class RawVar(BoundExpr):
         return self.name
 
 
-class Add(BoundExpr):
+class _Binary(BoundExpr):
+    """left op right; a subclass names its op and evaluates it."""
+
     def __init__(self, left, right):
         self.left, self.right = left, right
+
+    def variables(self):
+        return _union(self.left, self.right)
+
+    def substitute(self, mapping):
+        return type(self)(self.left.substitute(mapping), self.right.substitute(mapping))
+
+    def __repr__(self):
+        return f"({self.left} {self.op} {self.right})"
+
+
+class Add(_Binary):
+    op = "+"
 
     def evaluate(self, env):
         return self.left.evaluate(env) + self.right.evaluate(env)
 
-    def variables(self):
-        return _union(self.left, self.right)
 
-    def substitute(self, mapping):
-        return Add(self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def __repr__(self):
-        return f"({self.left} + {self.right})"
-
-
-class Mul(BoundExpr):
-    def __init__(self, left, right):
-        self.left, self.right = left, right
+class Mul(_Binary):
+    op = "*"
 
     def evaluate(self, env):
         return self.left.evaluate(env) * self.right.evaluate(env)
-
-    def variables(self):
-        return _union(self.left, self.right)
-
-    def substitute(self, mapping):
-        return Mul(self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def __repr__(self):
-        return f"({self.left} * {self.right})"
 
 
 class Max(BoundExpr):
@@ -274,95 +279,96 @@ def statute_limit(w: int, u: int, params) -> int:
 
 
 # ---------------------------------------------------------------------------
-# textual grammar:  expr := nat | '|'ident'|' | expr+expr | expr*expr
-#                         | max(expr,...) | log(expr)
+# text
 
 def parse_bound(text: str) -> BoundExpr:
-    tokens = _tokenize(text)
-    expr, pos = _parse_sum(tokens, 0)
-    if pos != len(tokens):
-        raise SyntaxError(f"trailing input in bound at token {pos}: {tokens[pos]}")
-    return expr
+    scanner = Scanner(text)
+    return scanner.finish(scanner.bound())
 
 
-def _tokenize(text):
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
+class Scanner:
+    """A cursor over text, with the bound grammar.  formula._Parser
+    extends it with the formula grammar, so a quantifier reads its
+    bound in place.  Grammar errors are SyntaxErrors naming the offset."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek_word(self):
+        """The identifier ([alpha_][alnum_]*) after any whitespace, or None."""
+        self.skip_ws()
+        i = self.pos
+        if i < len(self.text) and (self.text[i].isalpha() or self.text[i] == "_"):
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
                 j += 1
-            out.append(("nat", text[i:j]))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("ident", text[i:j]))
-            i = j
-        elif c in "+*(),|":
-            out.append((c, c))
-            i += 1
-        else:
-            raise SyntaxError(f"bad character {c!r} in bound at {i}")
-    return out
+            return self.text[i:j]
+        return None
 
+    def take_word(self):
+        w = self.peek_word()
+        if w is None:
+            raise SyntaxError(f"expected identifier at {self.pos}")
+        self.pos += len(w)
+        return w
 
-def _parse_sum(tokens, pos):
-    left, pos = _parse_product(tokens, pos)
-    while pos < len(tokens) and tokens[pos][0] == "+":
-        right, pos = _parse_product(tokens, pos + 1)
-        left = Add(left, right)
-    return left, pos
+    def try_lit(self, s):
+        self.skip_ws()
+        if self.text.startswith(s, self.pos):
+            self.pos += len(s)
+            return True
+        return False
 
+    def expect(self, s):
+        if not self.try_lit(s):
+            raise SyntaxError(f"expected {s!r} at {self.pos}: {self.text[self.pos:self.pos+20]!r}")
 
-def _parse_product(tokens, pos):
-    left, pos = _parse_atom(tokens, pos)
-    while pos < len(tokens) and tokens[pos][0] == "*":
-        right, pos = _parse_atom(tokens, pos + 1)
-        left = Mul(left, right)
-    return left, pos
+    def finish(self, result):
+        """result, once nothing but whitespace is left."""
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise SyntaxError(f"trailing input at {self.pos}: {self.text[self.pos:self.pos+20]!r}")
+        return result
 
+    def bound(self):
+        left = self.bound_product()
+        while self.try_lit("+"):
+            left = Add(left, self.bound_product())
+        return left
 
-def _expect(tokens, pos, kind):
-    if pos >= len(tokens) or tokens[pos][0] != kind:
-        got = tokens[pos][1] if pos < len(tokens) else "end of input"
-        raise SyntaxError(f"expected {kind!r} in bound, got {got}")
-    return pos + 1
+    def bound_product(self):
+        left = self.bound_atom()
+        while self.try_lit("*"):
+            left = Mul(left, self.bound_atom())
+        return left
 
-
-def _parse_atom(tokens, pos):
-    if pos >= len(tokens):
-        raise SyntaxError("unexpected end of bound")
-    kind, value = tokens[pos]
-    if kind == "nat":
-        return Nat(int(value)), pos + 1
-    if kind == "|":
-        pos = _expect(tokens, pos + 1, "ident")
-        name = tokens[pos - 1][1]
-        pos = _expect(tokens, pos, "|")
-        return SizeVar(name), pos
-    if kind == "ident" and value == "max":
-        pos = _expect(tokens, pos + 1, "(")
-        args = []
-        arg, pos = _parse_sum(tokens, pos)
-        args.append(arg)
-        while pos < len(tokens) and tokens[pos][0] == ",":
-            arg, pos = _parse_sum(tokens, pos + 1)
-            args.append(arg)
-        pos = _expect(tokens, pos, ")")
-        return Max(args), pos
-    if kind == "ident" and value == "log":
-        pos = _expect(tokens, pos + 1, "(")
-        arg, pos = _parse_sum(tokens, pos)
-        pos = _expect(tokens, pos, ")")
-        return Log(arg), pos
-    if kind == "(":
-        expr, pos = _parse_sum(tokens, pos + 1)
-        pos = _expect(tokens, pos, ")")
-        return expr, pos
-    raise SyntaxError(f"unexpected token {value!r} in bound")
+    def bound_atom(self):
+        self.skip_ws()
+        text, start = self.text, self.pos
+        while self.pos < len(text) and text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos > start:
+            return Nat(int(text[start:self.pos]))
+        if self.try_lit("|"):
+            name = self.take_word()
+            self.expect("|")
+            return SizeVar(name)
+        if self.try_lit("("):
+            expr = self.bound()
+            self.expect(")")
+            return expr
+        word = self.peek_word()
+        if word not in ("max", "log"):
+            raise SyntaxError(f"expected a bound at {self.pos}: {text[self.pos:self.pos+20]!r}")
+        self.pos += 3
+        self.expect("(")
+        args = [self.bound()]
+        while word == "max" and self.try_lit(","):
+            args.append(self.bound())
+        self.expect(")")
+        return Max(args) if word == "max" else Log(args[0])

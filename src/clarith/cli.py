@@ -164,9 +164,12 @@ def _play_and_report(runner, f, env, fuel, trace_path=None, trace_rows=None):
     if getattr(runner, "faults", None):
         print("faults:", *runner.faults, sep="\n  ")
     if trace_path and trace_rows is not None:
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            for row in trace_rows():
-                fh.write(json.dumps(row) + "\n")
+        try:
+            with open(trace_path, "w", encoding="utf-8") as fh:
+                for row in trace_rows():
+                    fh.write(json.dumps(row) + "\n")
+        except OSError as exc:
+            raise FileProblem(f"{trace_path}: {exc.strerror or exc}") from exc
         print(f"trace written to {trace_path}")
     return out
 
@@ -231,7 +234,7 @@ def cmd_transform(args):
         p = _load(args.p, fm.parse_formula)
         try:
             bound = parse_bound(args.bound)
-        except SyntaxError as exc:
+        except (SyntaxError, ValueError) as exc:
             raise FileProblem(f"--bound: {exc}") from exc
         runner = cp.ComprehensionRunner(premise, p, args.y, bound)
         conclusion = cp.comprehension_conclusion(p, args.y, bound)
@@ -436,9 +439,16 @@ def main(argv=None):
     except (FileProblem, hpm.BadFuelSetting) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader of stdout is gone: send what is still buffered nowhere
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # input files fail as FileProblems, so this is standard output (a
+        # reader gone, a disk full): send what is still buffered nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: standard output: {exc.strerror or exc}",
+                  file=sys.stderr)
         return 1
 
 

@@ -8,6 +8,8 @@ Grammar (ASCII):
     cle x < B : F    blind-existential
     infix & v ->, prefix ~, atoms p(t,...), t1 = t2, t1 <= t2, Bit(t1,t2),
     terms: variables, binary literals, t' (successor), |t|.
+B is a bound in the grammar of clarith.bounds, read in place by the
+Scanner that _Parser extends.
 
 The keyword `v` doubles as a variable name; it is read as the
 disjunction operator only in operator position.
@@ -15,7 +17,7 @@ disjunction operator only in operator position.
 
 from __future__ import annotations
 
-from .bounds import BoundExpr, bitsize, parse_bound, unarify, Max, iterate_max, ZERO_BOUND
+from .bounds import BoundExpr, Scanner, bitsize, unarify, Max, iterate_max, ZERO_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +118,28 @@ class Not(Formula):
         self.body = body
 
 
-class And(Formula):
+class Binary(Formula):
+    """left op right; prec is the operator's binding strength."""
+
     def __init__(self, left, right):
         self.left, self.right = left, right
 
 
-class Or(Formula):
-    def __init__(self, left, right):
-        self.left, self.right = left, right
+class And(Binary):
+    op, prec = "&", 3
 
 
-class Implies(Formula):
-    def __init__(self, left, right):
-        self.left, self.right = left, right
+class Or(Binary):
+    op, prec = "v", 2
 
 
-class ChoiceAll(Formula):
-    """Game-universal quantifier with a size or value condition."""
+class Implies(Binary):
+    op, prec = "->", 1
+
+
+class Choice(Formula):
+    """A choice quantifier, with a size (|x| <= B) or value (x <= B)
+    condition; keyword is how it is written."""
 
     def __init__(self, var, bound: BoundExpr, body, kind="size"):
         if kind not in ("size", "value"):
@@ -140,21 +147,27 @@ class ChoiceAll(Formula):
         self.var, self.bound, self.body, self.kind = var, bound, body, kind
 
 
-class ChoiceEx(Formula):
-    def __init__(self, var, bound: BoundExpr, body, kind="size"):
-        if kind not in ("size", "value"):
-            raise ValueError(kind)
-        self.var, self.bound, self.body, self.kind = var, bound, body, kind
+class ChoiceAll(Choice):
+    keyword = "ada"
 
 
-class BlindAll(Formula):
+class ChoiceEx(Choice):
+    keyword = "ade"
+
+
+class Blind(Formula):
+    """A blind quantifier over the values below its bound."""
+
     def __init__(self, var, bound: BoundExpr, body):
         self.var, self.bound, self.body = var, bound, body
 
 
-class BlindEx(Formula):
-    def __init__(self, var, bound: BoundExpr, body):
-        self.var, self.bound, self.body = var, bound, body
+class BlindAll(Blind):
+    keyword = "cla"
+
+
+class BlindEx(Blind):
+    keyword = "cle"
 
 
 # ---------------------------------------------------------------------------
@@ -164,37 +177,22 @@ def to_text(f: Formula) -> str:
     return _print(f, 0)
 
 
-_PREC = {"->": 1, "v": 2, "&": 3}
-
-
 def _print(f, ctx):
     if isinstance(f, Atom):
-        if f.name == "=":
-            return f"{_print_term(f.args[0])} = {_print_term(f.args[1])}"
-        if f.name == "<=":
-            return f"{_print_term(f.args[0])} <= {_print_term(f.args[1])}"
+        if f.name in ("=", "<="):
+            return f"{_print_term(f.args[0])} {f.name} {_print_term(f.args[1])}"
         return f"{f.name}(" + ", ".join(_print_term(a) for a in f.args) + ")"
     if isinstance(f, Not):
-        return "~" + _wrap(_print(f.body, 4), isinstance(f.body, (And, Or, Implies)))
-    if isinstance(f, And):
-        s = f"{_print(f.left, 3)} & {_print(f.right, 3)}"
-        return _wrap(s, ctx > _PREC["&"])
-    if isinstance(f, Or):
-        s = f"{_print(f.left, 2)} v {_print(f.right, 2)}"
-        return _wrap(s, ctx > _PREC["v"])
-    if isinstance(f, Implies):
-        s = f"{_print(f.left, 2)} -> {_print(f.right, 1)}"
-        return _wrap(s, ctx > _PREC["->"])
-    if isinstance(f, ChoiceAll):
+        return "~" + _wrap(_print(f.body, 4), isinstance(f.body, Binary))
+    if isinstance(f, Binary):
+        # -> groups to the right, & and v to the left
+        left = _print(f.left, 2 if isinstance(f, Implies) else f.prec)
+        return _wrap(f"{left} {f.op} {_print(f.right, f.prec)}", ctx > f.prec)
+    if isinstance(f, Choice):
         mark = "val " if f.kind == "value" else ""
-        return f"ada {f.var} [{mark}{f.bound}] {_print(f.body, 4)}"
-    if isinstance(f, ChoiceEx):
-        mark = "val " if f.kind == "value" else ""
-        return f"ade {f.var} [{mark}{f.bound}] {_print(f.body, 4)}"
-    if isinstance(f, BlindAll):
-        return f"cla {f.var} < {f.bound} : {_print(f.body, 4)}"
-    if isinstance(f, BlindEx):
-        return f"cle {f.var} < {f.bound} : {_print(f.body, 4)}"
+        return f"{f.keyword} {f.var} [{mark}{f.bound}] {_print(f.body, 4)}"
+    if isinstance(f, Blind):
+        return f"{f.keyword} {f.var} < {f.bound} : {_print(f.body, 4)}"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -221,138 +219,63 @@ def _print_term(t):
 # parsing
 
 _KEYWORDS = {"ada", "ade", "cla", "cle", "val", "Bit"}
+_QUANTIFIERS = {c.keyword: c for c in (ChoiceAll, ChoiceEx, BlindAll, BlindEx)}
 
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    f = p.parse_implication()
-    p.skip_ws()
-    if p.pos != len(p.text):
-        raise SyntaxError(f"trailing input at {p.pos}: {p.text[p.pos:p.pos+20]!r}")
-    return f
+    return p.finish(p.parse_implication())
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek_word(self):
-        self.skip_ws()
-        i = self.pos
-        if i < len(self.text) and (self.text[i].isalpha() or self.text[i] == "_"):
-            j = i
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            return self.text[i:j]
-        return None
-
-    def take_word(self):
-        w = self.peek_word()
-        if w is None:
-            raise SyntaxError(f"expected identifier at {self.pos}")
-        self.pos += len(w)
-        return w
-
-    def try_lit(self, s):
-        self.skip_ws()
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
-
-    def expect(self, s):
-        if not self.try_lit(s):
-            raise SyntaxError(f"expected {s!r} at {self.pos}: {self.text[self.pos:self.pos+20]!r}")
-
-    # formula levels -------------------------------------------------
-
+class _Parser(Scanner):
     def parse_implication(self):
         left = self.parse_or()
-        self.skip_ws()
-        if self.text.startswith("->", self.pos):
-            self.pos += 2
+        if self.try_lit("->"):
             return Implies(left, self.parse_implication())
         return left
 
     def parse_or(self):
         left = self.parse_and()
-        while True:
-            save = self.pos
-            w = self.peek_word()
-            if w == "v":
-                self.pos += 1
-                left = Or(left, self.parse_and())
-            else:
-                self.pos = save
-                return left
+        while self.peek_word() == "v":
+            self.pos += 1
+            left = Or(left, self.parse_and())
+        return left
 
     def parse_and(self):
         left = self.parse_unary()
-        while True:
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == "&":
-                self.pos += 1
-                left = And(left, self.parse_unary())
-            else:
-                return left
+        while self.try_lit("&"):
+            left = And(left, self.parse_unary())
+        return left
 
     def parse_unary(self):
-        self.skip_ws()
         if self.try_lit("~"):
             return Not(self.parse_unary())
-        w = self.peek_word()
-        if w in ("ada", "ade"):
+        cls = _QUANTIFIERS.get(self.peek_word())
+        if cls is not None:
             self.pos += 3
             var = self.take_word()
+            if issubclass(cls, Blind):
+                self.expect("<")
+                bound = self.bound()
+                self.expect(":")
+                return cls(var, bound, self.parse_unary())
             self.expect("[")
             kind = "size"
             if self.peek_word() == "val":
                 self.pos += 3
                 kind = "value"
-            bound = self._read_bound("]")
-            body = self.parse_unary()
-            cls = ChoiceAll if w == "ada" else ChoiceEx
-            return cls(var, bound, body, kind)
-        if w in ("cla", "cle"):
-            self.pos += 3
-            var = self.take_word()
-            self.expect("<")
-            bound = self._read_bound(":")
-            body = self.parse_unary()
-            cls = BlindAll if w == "cla" else BlindEx
-            return cls(var, bound, body)
+            bound = self.bound()
+            self.expect("]")
+            return cls(var, bound, self.parse_unary(), kind)
         if self.try_lit("("):
             f = self.parse_implication()
             self.expect(")")
             return f
         return self.parse_atom()
 
-    def _read_bound(self, closer):
-        self.skip_ws()
-        depth = 0
-        start = self.pos
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-            elif c == closer and depth == 0:
-                raw = self.text[start:self.pos]
-                self.pos += 1
-                return parse_bound(raw)
-            self.pos += 1
-        raise SyntaxError(f"unterminated bound started at {start}")
-
     def parse_atom(self):
-        self.skip_ws()
         w = self.peek_word()
-        if w and w not in ("v",) and self._looks_like_predicate(w):
+        if w and w != "v" and self._looks_like_predicate(w):
             self.pos += len(w)
             self.expect("(")
             args = [self.parse_term()]
@@ -361,9 +284,7 @@ class _Parser:
             self.expect(")")
             return Atom(w, args)
         left = self.parse_term()
-        self.skip_ws()
-        if self.text.startswith("<=", self.pos):
-            self.pos += 2
+        if self.try_lit("<="):
             return Atom("<=", (left, self.parse_term()))
         if self.try_lit("="):
             return Atom("=", (left, self.parse_term()))
@@ -376,7 +297,6 @@ class _Parser:
         return i < len(self.text) and self.text[i] == "("
 
     def parse_term(self):
-        self.skip_ws()
         if self.try_lit("|"):
             inner = self.parse_term()
             self.expect("|")
@@ -390,7 +310,6 @@ class _Parser:
                 self.pos += len(w)
                 t = TVar(w)
             else:
-                self.skip_ws()
                 i = self.pos
                 while i < len(self.text) and self.text[i] in "01":
                     i += 1
@@ -429,17 +348,14 @@ def units(f: Formula):
             return
         if isinstance(g, Not):
             walk(g.body, addr, not pos, ancestors)
-        elif isinstance(g, (And, Or)):
-            walk(g.left, addr + "0.", pos, ancestors)
+        elif isinstance(g, Binary):
+            walk(g.left, addr + "0.", pos != isinstance(g, Implies), ancestors)
             walk(g.right, addr + "1.", pos, ancestors)
-        elif isinstance(g, Implies):
-            walk(g.left, addr + "0.", not pos, ancestors)
-            walk(g.right, addr + "1.", pos, ancestors)
-        elif isinstance(g, (ChoiceAll, ChoiceEx)):
+        elif isinstance(g, Choice):
             mover = "T" if isinstance(g, ChoiceEx) == pos else "B"
             out.append(Unit(addr, g, mover, ancestors))
             walk(g.body, addr + "1.", pos, ancestors + (addr,))
-        elif isinstance(g, (BlindAll, BlindEx)):
+        elif isinstance(g, Blind):
             walk(g.body, addr, pos, ancestors)
         else:
             raise TypeError(f"not a formula: {g!r}")
@@ -463,10 +379,10 @@ def free_vars(f: Formula):
                 note(a.variables(), bound)
         elif isinstance(g, Not):
             walk(g.body, bound)
-        elif isinstance(g, (And, Or, Implies)):
+        elif isinstance(g, Binary):
             walk(g.left, bound)
             walk(g.right, bound)
-        elif isinstance(g, (ChoiceAll, ChoiceEx, BlindAll, BlindEx)):
+        elif isinstance(g, (Choice, Blind)):
             note(g.bound.variables(), bound)
             walk(g.body, bound | {g.var})
         else:

@@ -204,14 +204,14 @@ def evaluate(pos: GamePosition, atoms=None):
             return ev(node.left, env, addr + "0.") or ev(node.right, env, addr + "1.")
         if isinstance(node, fm.Implies):
             return not ev(node.left, env, addr + "0.") or ev(node.right, env, addr + "1.")
-        if isinstance(node, (fm.ChoiceAll, fm.ChoiceEx)):
+        if isinstance(node, fm.Choice):
             if addr in pos.values:
                 limit = node.bound.evaluate(env)
                 val = pos.values[addr]
                 if (bitsize(val) if node.kind == "size" else val) <= limit:
                     return ev(node.body, {**env, node.var: val}, addr + "1.")
             return isinstance(node, fm.ChoiceAll)
-        if isinstance(node, (fm.BlindAll, fm.BlindEx)):
+        if isinstance(node, fm.Blind):
             values = (ev(node.body, {**env, node.var: w}, addr)
                       for w in range(node.bound.evaluate(env)))
             return all(values) if isinstance(node, fm.BlindAll) else any(values)

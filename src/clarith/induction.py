@@ -198,7 +198,7 @@ class InductionRunner:
 
     def __init__(self, n_strategy, k_strategy, conclusion, machine_census=None):
         root = conclusion
-        while isinstance(root, (fm.BlindAll, fm.BlindEx)):
+        while isinstance(root, fm.Blind):
             root = root.body
         if not isinstance(root, fm.ChoiceAll) or root.kind != "value":
             raise ValueError("conclusion must start with a value-bounded choice-universal")

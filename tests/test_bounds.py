@@ -214,6 +214,18 @@ class TestExprAlgebra:
         env = {"x": 5, "y": 2}
         assert again.evaluate(env) == b.evaluate(env)
 
+    @given(st.recursive(
+        st.one_of(st.integers(min_value=0, max_value=99).map(Nat),
+                  st.sampled_from(["s", "x", "y_1", "max"]).map(SizeVar)),
+        lambda kids: st.one_of(
+            st.tuples(kids, kids).map(lambda p: Add(*p)),
+            st.tuples(kids, kids).map(lambda p: Mul(*p)),
+            st.lists(kids, min_size=1, max_size=3).map(Max),
+            kids.map(Log)),
+        max_leaves=8))
+    def test_repr_round_trips(self, b):
+        assert parse_bound(repr(b)) == b
+
     def test_unary_bound_rejects_foreign_variables(self):
         try:
             UnaryBound(SizeVar("x"))

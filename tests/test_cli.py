@@ -270,6 +270,16 @@ class TestInputErrorsExitOne:
         self.assert_clean_error(rc, err)
         assert "--bound" in err
 
+    def test_comprehension_bound_with_a_non_decimal_digit(self, tmp_path):
+        # '\u00b2' is a digit to str.isdigit but not to int()
+        p = tmp_path / "p.clf"
+        p.write_text("p(y)\n")
+        rc, err = run_cli(["transform", "compr", "--premise",
+                           fixture("always_yes.hpm"), "--p", str(p),
+                           "--y", "y", "--bound", "\u00b2"])
+        self.assert_clean_error(rc, err)
+        assert "error: --bound: invalid literal for int()" in err
+
     def test_malformed_machine_file(self, tmp_path, formula_file):
         p = tmp_path / "twice.hpm"
         p.write_text(read_fixture("legal.hpm")
@@ -360,6 +370,35 @@ class TestInputErrorsExitOne:
         self.assert_clean_error(rc, err)
         assert f"error: {p}: 'utf-8' codec can't decode" in err
 
+    def test_unwritable_induct_trace(self, tmp_path):
+        f = tmp_path / "concl.clf"
+        f.write_text("ada x [val 100] ade v [1] (v = 0)\n")
+        trace = tmp_path / "missing-dir" / "t.jsonl"
+        rc, err = run_cli(["transform", "induct", "--n", fixture("n_const.hpm"),
+                           "--k", fixture("k_const.hpm"), "--f", str(f),
+                           "--env", "k=2", "--play", "--fuel", "50",
+                           "--trace", str(trace)])
+        self.assert_clean_error(rc, err)
+        assert f"error: {trace}: No such file or directory" in err
+
+    @pytest.mark.parametrize("text", ["~" * 3000 + "p(x)", "~" * 989 + "p(x)"],
+                             ids=["too-deep-to-parse", "too-deep-to-analyze"])
+    def test_deeply_nested_formula(self, tmp_path, text):
+        p = tmp_path / "deep.clf"
+        p.write_text(text + "\n")
+        rc, err = run_cli(["fmt", "check", str(p)])
+        self.assert_clean_error(rc, err)
+        assert "error: input nested too deeply" in err
+
+    def test_deeply_nested_comprehension_bound(self, tmp_path):
+        p = tmp_path / "p.clf"
+        p.write_text("p(y)\n")
+        rc, err = run_cli(["transform", "compr", "--premise",
+                           fixture("always_yes.hpm"), "--p", str(p), "--y", "y",
+                           "--bound", "(" * 3000 + "1" + ")" * 3000])
+        self.assert_clean_error(rc, err)
+        assert "error: input nested too deeply" in err
+
 
 def test_closed_stdout_exits_one_without_a_traceback():
     """A reader that has gone away before the first write, as with
@@ -375,6 +414,17 @@ def test_closed_stdout_exits_one_without_a_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_one_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "clarith.cli", "oracle", "sim",
+             "--cases", "5"], stdout=full, stderr=subprocess.PIPE,
+            text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: standard output: No space left on device\n"
 
 
 class TestMeter:

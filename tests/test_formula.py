@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
-from clarith.bounds import Nat
+from clarith.bounds import Nat, parse_bound
 
 from conftest import TWO_DISJUNCT_TEXT, COUNTER_TEXT, formulas
 
@@ -49,6 +49,29 @@ class TestParsing:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(SyntaxError):
             fm.parse_formula("p(x) )")
+
+    @pytest.mark.parametrize("text, bound", [
+        ("cla x < max(|s|, 2) : p(x)", "max(|s|, 2)"),
+        ("ada x [val (|s| + 1) * 2] p(x)", "((|s| + 1) * 2)"),
+        ("ade y [ | s | ] q(y)", "|s|"),
+    ])
+    def test_bound_ends_at_its_closer(self, text, bound):
+        f = fm.parse_formula(text)
+        assert repr(f.bound) == bound
+        assert fm.to_text(fm.parse_formula(fm.to_text(f))) == fm.to_text(f)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["ada ", "ade ", "cla ", "cle ", "val ", "x", "v", " v ", "s", "p", "Bit",
+         "(", ")", "[", "]", "<", ":", "|", "&", "->", "~", "=", "<=", ",", "'",
+         "0", "1", "2", "+", "*", "max", "log", " ", "$", "\u00b2"]),
+        max_size=16).map("".join))
+    def test_random_text_raises_only_grammar_errors(self, text):
+        for parse in (fm.parse_formula, parse_bound):
+            try:
+                parse(text)
+            except (SyntaxError, ValueError):
+                pass
 
 
 
