@@ -350,7 +350,7 @@ class Scanner:
     def bound_atom(self):
         self.skip_ws()
         text, start = self.text, self.pos
-        while self.pos < len(text) and text[self.pos].isdigit():
+        while self.pos < len(text) and text[self.pos].isdecimal():
             self.pos += 1
         if self.pos > start:
             return Nat(int(text[start:self.pos]))

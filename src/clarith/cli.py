@@ -84,9 +84,8 @@ def _make_env(spec_text):
             return line or None
         return env_repl
     if "=" in spec_text and not os.path.exists(spec_text):
-        consts = _parse_consts(spec_text)
-        moves = ["#" + game.int_to_numer(v) for v in consts.values()]
-        return _script_env([(0, m) for m in moves])
+        consts = _parse_consts(spec_text).values()
+        return _script_env([(0, m) for _, m in game.constant_moves(consts)])
     return _script_env(_load(spec_text, _parse_env_script))
 
 
@@ -133,19 +132,10 @@ def _script_env(entries):
 
 
 def _winner(f, run):
-    free = fm.free_vars(f)
-    consts = game.leading_constants(run, len(free))
-    if consts is None:
+    opened = game.opening(fm.free_vars(f), run)
+    if opened is None:
         return "T (environment never instantiated the game)"
-    c_env = dict(zip(free, consts))
-    tail = []
-    skipped = 0
-    for label, move in run:
-        if label == "B" and skipped < len(free):
-            skipped += 1
-            continue
-        tail.append((label, move))
-    tail = tuple(tail)
+    c_env, tail = opened
     bad = game.first_illegal_index(f, c_env, tail)
     if bad is not None:
         label = tail[bad][0]
@@ -208,7 +198,7 @@ def cmd_transform(args):
         spec = _load(args.machine, hpm.parse_hpm)
         f = _load(args.formula, fm.parse_formula)
         try:
-            runner = wrappers.build_reason_wrapper(spec, f)
+            runner = wrappers.ReasonRunner(spec, f)
         except ValueError as exc:
             raise FileProblem(f"{args.formula}: {exc}") from exc
         print(f"reason wrapper built over {args.machine}")
@@ -220,7 +210,7 @@ def cmd_transform(args):
         f = _load(args.formula, fm.parse_formula)
         c_env = _parse_consts(args.consts)
         try:
-            runner = wrappers.build_unconditional_wrapper(spec, f, c_env)
+            runner = wrappers.VasaRunner(spec, f, c_env)
         except KeyError as exc:
             raise FileProblem(f"--consts: {exc.args[0]}") from exc
         except ValueError as exc:

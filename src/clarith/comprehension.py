@@ -14,7 +14,7 @@ from itertools import count
 
 from . import formula as fm
 from .bounds import BoundExpr
-from .game import int_to_numer, leading_constants
+from .game import constant_moves, opening
 from .hpm import fuel_from_env
 
 
@@ -37,10 +37,9 @@ class SimulationFault(Exception):
     pass
 
 
-def _one_verdict(premise, prefix_moves, fuel):
-    """Run the premise on a fixed ⊥-prefix until its first move."""
-    st = premise.feed(premise.initial(),
-                      tuple(("B", m) for m in prefix_moves))
+def _one_verdict(premise, values, fuel):
+    """Run the premise, given the constants values, until its first move."""
+    st = premise.feed(premise.initial(), constant_moves(values))
     for _ in range(fuel):
         st, mv = premise.step(st)
         if mv is None:
@@ -71,34 +70,30 @@ class ComprehensionRunner:
         self.faults = []
         self.done = False
 
-    def _constants(self, visible_run):
-        consts = leading_constants(visible_run, len(self.var_order))
-        return None if consts is None else dict(zip(self.var_order, consts))
-
-    def _probe(self, env, j):
-        others = [v for v in self.var_order if v != self.y]
-        prefix = ["#" + int_to_numer(env[v]) for v in others]
-        prefix.append("#" + int_to_numer(j))
-        return _one_verdict(self.premise, prefix, self.fuel)
+    def _probe(self, values, j):
+        return _one_verdict(self.premise, values + [j], self.fuel)
 
     def poll(self, visible_run):
         if self.done:
             return []
-        env = self._constants(visible_run)
-        if env is None:
+        opened = opening(self.var_order, visible_run)
+        if opened is None:
             return []
         self.done = True
+        env = opened[0]
         c = self.bound.evaluate(env)
+        # y is free in the conclusion when the bound mentions it
+        values = [val for v, val in env.items() if v != self.y]
         bits = []
         try:
             j = c - 1
-            while j >= 0 and not self._probe(env, j):
+            while j >= 0 and not self._probe(values, j):
                 j -= 1
             if j >= 0:
                 bits.append("1")
                 j -= 1
                 while j >= 0:
-                    bits.append("1" if self._probe(env, j) else "0")
+                    bits.append("1" if self._probe(values, j) else "0")
                     j -= 1
         except SimulationFault as exc:
             self.faults.append(str(exc))

@@ -54,14 +54,30 @@ def magnitude(m: str) -> int:
     return len(m) - i - 1 if i >= 0 and all(c in "01" for c in m[i + 1:]) else 0
 
 
-def leading_constants(run, n):
-    """The values the run's first n ⊥ moves name, each its numer's value
-    (0 for a move without a clean numer), or None while the run has
-    fewer than n ⊥ moves."""
-    bots = [m for label, m in run if label == "B"]
-    if len(bots) < n:
+def constant_value(m: str) -> int:
+    """The constant a ⊥ move names: its numer's value, 0 for a move
+    without a clean numer."""
+    return numer_value(split_move(m)[1] or "")
+
+
+def constant_moves(values):
+    """The ⊥ moves #<numer> naming values, canonically and in order."""
+    return tuple([("B", "#" + int_to_numer(v)) for v in values])
+
+
+def opening(names, run):
+    """(env, rest): env binds names, in order, to the constants the run's
+    first ⊥ moves name, and rest is the run without those moves; None
+    while the run has fewer ⊥ moves than names."""
+    values, rest = [], []
+    for labmove in run:
+        if labmove[0] == "B" and len(values) < len(names):
+            values.append(constant_value(labmove[1]))
+        else:
+            rest.append(labmove)
+    if len(values) < len(names):
         return None
-    return [numer_value(split_move(m)[1] or "") for m in bots[:n]]
+    return dict(zip(names, values)), tuple(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +105,7 @@ class GamePosition:
 
     def apply(self, label, move, index=0):
         addr, numer = split_move(move)
-        if numer is None or addr + "#" + numer != move:
+        if numer is None:
             raise IllegalMove(index, f"not a choice move: {move!r}")
         if not is_canonical_numer(numer):
             raise IllegalMove(index, f"non-canonical numer in {move!r}")
@@ -137,7 +153,7 @@ def is_quasilegal(f, run, player):
     seen = {}
     for i, m in enumerate(own):
         addr, numer = split_move(m)
-        if numer is None or addr + "#" + numer != m or not is_canonical_numer(numer):
+        if numer is None or not is_canonical_numer(numer):
             return False
         u = by_addr.get(addr)
         if u is None or u.mover != player or addr in seen:

@@ -462,24 +462,7 @@ def spacecost(cfg: Configuration) -> int:
 # ---------------------------------------------------------------------------
 # the stepper contract
 
-class Strategy:
-    """Functional stepper: immutable states, feed (the ⊕), step, space."""
-
-    def initial(self):
-        raise NotImplementedError
-
-    def feed(self, st, labmoves):
-        raise NotImplementedError
-
-    def step(self, st):
-        """-> (next state, move string or None)."""
-        raise NotImplementedError
-
-    def space(self, st) -> int:
-        return 0
-
-
-class HPMStrategy(Strategy):
+class HPMStrategy:
     def __init__(self, spec: HPMSpec):
         self.spec = spec
 
@@ -497,7 +480,7 @@ class HPMStrategy(Strategy):
         return spacecost(cfg)
 
 
-class ScriptStrategy(Strategy):
+class ScriptStrategy:
     """A pure function of (visible run, cycles since last own move)."""
 
     def __init__(self, fn, name="script"):
@@ -518,9 +501,17 @@ class ScriptStrategy(Strategy):
             return (run, waited + 1), None
         return (run + (("T", mv),), 0), mv
 
+    def space(self, st):
+        return 0
+
 
 class StrategyRunner:
-    """Stateful per-cycle driver around a Strategy, for the play harness.
+    """Stateful per-cycle driver around a strategy, for the play harness.
+
+    A strategy steps over immutable states: `initial()`, `feed(st,
+    labmoves)` (the ⊕, appending labmoves to the run seen), `step(st)`
+    -> (next state, move string or None) and `space(st)`, the work-tape
+    cells in use.  `HPMStrategy` and `ScriptStrategy` are the two kinds.
 
     The harness appends each returned move to the run before the next
     poll, so `seen`, the length of the last visible run plus the move
@@ -530,7 +521,7 @@ class StrategyRunner:
     the run object.
     """
 
-    def __init__(self, strategy: Strategy):
+    def __init__(self, strategy):
         self.strategy = strategy
         self.st = strategy.initial()
         self.seen = 0

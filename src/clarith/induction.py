@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import formula as fm
 from .bounds import bitsize, statute_limit, unarify
-from .game import TruncationContext, int_to_numer, leading_constants, prudentize
+from .game import TruncationContext, constant_moves, constant_value, prudentize
 
 DEFAULT_MACHINE_CENSUS = {"r": 1, "g": 1, "q": 2}
 
@@ -47,13 +47,13 @@ def check_sim_triple(a, b, n):
         raise SimContractError("left body must be empty when n = 0")
 
 
-def _sim_stepping(a, b, n, strategy):
-    """The replay loop, yielding once per simulated step.
+def _sim_stepping(a, b, n, strategy, state):
+    """The replay loop from state, yielding once per simulated step.
 
     Returns (final signed organ, max work-tape cells).
     """
     check_sim_triple(a, b, n)
-    w = strategy.initial()
+    w = state
     u = 0
     nu, psi = [], []
     ai, bi = 0, 1
@@ -97,7 +97,7 @@ def _sim_stepping(a, b, n, strategy):
 
 def sim(a, b, n, strategy):
     """Replay strategy against the adversary the two bodies encode."""
-    gen = _sim_stepping(a, b, n, strategy)
+    gen = _sim_stepping(a, b, n, strategy, strategy.initial())
     try:
         while True:
             next(gen)
@@ -159,26 +159,6 @@ def master_parts(entries):
 # ---------------------------------------------------------------------------
 # Main
 
-class PrefixedStrategy:
-    """A strategy whose initial state has some ⊥-moves already fed."""
-
-    def __init__(self, inner, prefix_moves):
-        self.inner = inner
-        self.prefix = tuple(("B", m) for m in prefix_moves)
-
-    def initial(self):
-        return self.inner.feed(self.inner.initial(), self.prefix)
-
-    def feed(self, st, labmoves):
-        return self.inner.feed(st, labmoves)
-
-    def step(self, st):
-        return self.inner.step(st)
-
-    def space(self, st):
-        return self.inner.space(st)
-
-
 class InductionRunner:
     """The synchronizing machine, packaged for the play harness.
 
@@ -190,10 +170,10 @@ class InductionRunner:
     alter it.  Each iteration validates its start aggregation once.
     The visible run given to successive polls only extends, and may
     grow after a poll returns: each poll reads just the entries past the
-    count it has read, and `run` is the run object itself, read only for
-    the leading constants.  `locked` turns
-    true when a locking iteration is recorded.  `faults` stays empty:
-    an invalid aggregation raises rather than being recorded as a fault.
+    count it has read, the first ⊥ moves being the constants (the free
+    variables', then k).  `locked` turns true when a locking iteration
+    is recorded.  `faults` stays empty: an invalid aggregation raises
+    rather than being recorded as a fault.
     """
 
     def __init__(self, n_strategy, k_strategy, conclusion, machine_census=None):
@@ -212,11 +192,10 @@ class InductionRunner:
         self.trace = []
         self.faults = []
         self.locked = False
-        self.run = ()
         self._seen = 0
+        self._constants = []
         # environment moves inside the consequent, beyond the constants
         self._consequent = []
-        self._constants_unseen = len(self.free) + 1
         self._out = []
         self._gen = self._main()
         self._done = False
@@ -228,12 +207,11 @@ class InductionRunner:
         for label, m in visible_run[self._seen:]:
             if label != "B":
                 continue
-            if self._constants_unseen:
-                self._constants_unseen -= 1
+            if len(self._constants) <= len(self.free):
+                self._constants.append(constant_value(m))
             elif m.startswith("1."):
                 self._consequent.append(m[2:])
         self._seen = len(visible_run)
-        self.run = visible_run
         if self._done:
             return []
         self._out = []
@@ -248,11 +226,14 @@ class InductionRunner:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _strategy_for(self, n, c_moves):
+    def _start(self, n, values):
+        """The premise for level n and its state, given the constants:
+        the base premise for 0, else the step premise, also given n - 1."""
         if n == 0:
-            return PrefixedStrategy(self.n_strategy, c_moves)
-        pre = list(c_moves) + ["#" + int_to_numer(n - 1)]
-        return PrefixedStrategy(self.k_strategy, pre)
+            strategy = self.n_strategy
+        else:
+            strategy, values = self.k_strategy, values + [n - 1]
+        return strategy, strategy.feed(strategy.initial(), constant_moves(values))
 
     def _record(self, start, u, classification, k):
         master = master_parts(start)
@@ -270,14 +251,13 @@ class InductionRunner:
     # -- the generator -------------------------------------------------------
 
     def _main(self):
-        while (consts := leading_constants(self.run, len(self.free) + 1)) is None:
+        while len(self._constants) <= len(self.free):
             yield
-        *values, k = consts
+        *values, k = self._constants
         c_env = dict(zip(self.free, values))
         limit = self.bound.evaluate(c_env)
         if k > limit:
             return  # the antecedent fails; an empty T-run wins
-        c_moves = ["#" + int_to_numer(c_env[v]) for v in self.free]
 
         game_env = dict(c_env)
         game_env[self.var] = k
@@ -301,7 +281,7 @@ class InductionRunner:
         }
 
         if k == 0:
-            yield from self._replay_zero(c_moves)
+            yield from self._replay_zero(values)
             return
 
         # (index, body) pairs; each body a tuple of organs
@@ -321,9 +301,9 @@ class InductionRunner:
             master = start[-1][1]
             # consequent moves already absorbed into the master body
             q = sum(len(payload) for payload, _ in body_project(master, "odd"))
-            strategy = self._strategy_for(n, c_moves)
             gen = _sim_stepping(body_project(left, "even"),
-                                body_project(right, "odd"), n, strategy)
+                                body_project(right, "odd"), n,
+                                *self._start(n, values))
             result = None  # stays None when a new move interrupts the sim
             while True:
                 try:
@@ -378,9 +358,8 @@ class InductionRunner:
                 del entries[:-1]
             self._record(start, u_total, classification, k)
 
-    def _replay_zero(self, c_moves):
-        strategy = PrefixedStrategy(self.n_strategy, c_moves)
-        st = strategy.initial()
+    def _replay_zero(self, values):
+        strategy, st = self._start(0, values)
         fed = 0
         while True:
             env_moves = self._consequent

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from . import comprehension as cp
 from . import formula as fm
-from . import game, induction, wrappers, zoo
+from . import game, hpm, induction, wrappers, zoo
 from .bounds import Nat
 
 
@@ -99,31 +99,16 @@ def _suite_sim(rng, cases):
     return None
 
 
-class _TablePremise:
-    """Premise strategy answering from a truth table over y."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def initial(self):
-        return ((), False)
-
-    def feed(self, st, labmoves):
-        run, answered = st
-        return (run + tuple(labmoves), answered)
-
-    def step(self, st):
-        run, answered = st
+def _table_premise(table):
+    """Premise strategy answering once, from a truth table over y, the
+    last constant it was given."""
+    def fn(run, waited):
         bots = [m for label, m in run if label == "B"]
-        if answered or not bots:
-            return st, None
-        _, numer = game.split_move(bots[-1])
-        y = game.numer_value(numer or "")
-        verdict = "0." if (y < len(self.table) and self.table[y]) else "1."
-        return ((run + (("T", verdict),), True)), verdict
-
-    def space(self, st):
-        return 0
+        if not bots or any(label == "T" for label, _ in run):
+            return None
+        y = game.constant_value(bots[-1])
+        return "0." if y < len(table) and table[y] else "1."
+    return hpm.ScriptStrategy(fn, name="table")
 
 
 def _suite_compr(rng, cases):
@@ -144,7 +129,7 @@ def _suite_compr(rng, cases):
 
 def _one_compr_case(table, c):
     p = fm.Atom("tbl", (fm.TVar("y"),))
-    runner = cp.ComprehensionRunner(_TablePremise(table), p, "y", Nat(c))
+    runner = cp.ComprehensionRunner(_table_premise(table), p, "y", Nat(c))
     moves = runner.poll(())
     if len(moves) != 1:
         return f"comprehension made {len(moves)} moves for table {table!r}"

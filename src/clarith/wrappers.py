@@ -22,7 +22,7 @@ from .game import (
     IllegalMove,
     Semiposition,
     TruncationContext,
-    leading_constants,
+    opening,
     windup,
 )
 from .hpm import (
@@ -76,6 +76,11 @@ def fetch_symbol(spec: HPMSpec, history: History, k: int, n: int,
     raise FetchError("replay did not reproduce the requested symbol")
 
 
+def _needs_choice(f):
+    if not fm.analysis(f).units:
+        raise ValueError("wrapper needs a formula with at least one choice operator")
+
+
 class ReasonRunner:
     """The history-keeping wrapper machine, as a play-harness runner.
 
@@ -85,10 +90,12 @@ class ReasonRunner:
     the environment's) enters the history, and emitting the truncation
     of each globally new move of the wrapped machine.  Each poll reads
     only the run entries added since the last one, so the visible run
-    must only extend from poll to poll.
+    must only extend from poll to poll.  Raises ValueError for a
+    choice-free formula.
     """
 
     def __init__(self, spec: HPMSpec, f):
+        _needs_choice(f)
         self.spec = spec
         self.formula = f
         self.history = History()
@@ -113,11 +120,10 @@ class ReasonRunner:
                 self.own_bots.append(m)
         self.seen = len(visible_run)
         if self.ctx is None:
-            free = fm.free_vars(self.formula)
-            consts = leading_constants(visible_run, len(free))
-            if consts is None:
+            opened = opening(fm.free_vars(self.formula), visible_run)
+            if opened is None:
                 return []
-            self.ctx = TruncationContext(self.formula, dict(zip(free, consts)))
+            self.ctx = TruncationContext(self.formula, opened[0])
             self._record_bots()
             self.sketch = initial_sketch(self.spec)
             self.restarts += 1
@@ -142,12 +148,6 @@ class ReasonRunner:
         return 0
 
 
-def build_reason_wrapper(spec: HPMSpec, f) -> ReasonRunner:
-    if not fm.analysis(f).units:
-        raise ValueError("wrapper needs a formula with at least one choice operator")
-    return ReasonRunner(spec, f)
-
-
 class VasaRunner(StrategyRunner):
     """The retire-on-illegality wrapper, with constants fixed up front:
     a `StrategyRunner` over the machine while the run stays legal.
@@ -156,10 +156,13 @@ class VasaRunner(StrategyRunner):
     so far is kept, and each poll applies only the entries added since,
     so the visible run must only extend from poll to poll.  It is checked
     before the machine is fed, so the windup reads the configuration
-    without the entries that made the run illegal.
+    without the entries that made the run illegal.  Raises ValueError
+    for a choice-free formula and KeyError when c_env misses one of f's
+    free variables.
     """
 
     def __init__(self, spec: HPMSpec, f, c_env):
+        _needs_choice(f)
         super().__init__(HPMStrategy(spec))
         self.formula = f
         self.c_env = dict(c_env)
@@ -194,10 +197,3 @@ class VasaRunner(StrategyRunner):
         except ValueError:
             return []
 
-
-def build_unconditional_wrapper(spec: HPMSpec, f, c_env) -> VasaRunner:
-    """Raises ValueError for a choice-free formula and KeyError when
-    c_env misses one of f's free variables."""
-    if not fm.analysis(f).units:
-        raise ValueError("wrapper needs a formula with at least one choice operator")
-    return VasaRunner(spec, f, c_env)

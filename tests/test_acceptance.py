@@ -33,12 +33,8 @@ from clarith.hpm import (
     step,
 )
 from clarith.induction import build_induction_solver, diagnostics, sim
-from clarith.wrappers import (
-    build_reason_wrapper,
-    build_unconditional_wrapper,
-    fetch_symbol,
-)
-from clarith.oracles import _TablePremise, _iter_open_buffers, _zoo_formulas
+from clarith.wrappers import ReasonRunner, VasaRunner, fetch_symbol
+from clarith.oracles import _table_premise, _iter_open_buffers, _zoo_formulas
 
 from conftest import (
     COUNTER_TEXT,
@@ -62,7 +58,7 @@ class Budget:
 
 def test_criterion_1_fixture_run(bigmove_machine, two_disjunct_formula):
     budget = Budget(1.0)
-    runner = build_reason_wrapper(bigmove_machine, two_disjunct_formula)
+    runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
     env = make_scripted_env([(0, "#1001"), (0, "0.#10"), (1, "1.#1")])
     out = play(runner, env, fuel=3000)
     compact = tuple(lm for lm in out["run"])
@@ -181,7 +177,7 @@ def test_criterion_6_counter_game_family():
 
 def _table_case(table, c):
     p = fm.Atom("tbl", (fm.TVar("y"),))
-    runner = ComprehensionRunner(_TablePremise(table), p, "y", Nat(c))
+    runner = ComprehensionRunner(_table_premise(table), p, "y", Nat(c))
     moves = runner.poll(())
     assert len(moves) == 1
     _, numer = split_move(moves[0])
@@ -227,8 +223,7 @@ def test_criterion_9_unconditional_wrapper(legal_machine,
 
     # legal branch: move-for-move and cell-for-cell equality
     raw = StrategyRunner(HPMStrategy(legal_machine))
-    wrapped = build_unconditional_wrapper(legal_machine, two_disjunct_formula,
-                                          c_env)
+    wrapped = VasaRunner(legal_machine, two_disjunct_formula, c_env)
     run_a = run_b = ()
     env_a = make_scripted_env(env_entries)
     env_b = make_scripted_env(env_entries)
@@ -251,7 +246,7 @@ def test_criterion_9_unconditional_wrapper(legal_machine,
     for bad_moves in ([(0, "0.#10"), (1, "0.#10")],
                       [(0, "#01")],
                       [(0, "0.#1"), (0, "junk")]):
-        wrapped = build_unconditional_wrapper(
+        wrapped = VasaRunner(
             legal_machine, two_disjunct_formula, c_env)
         out = play(wrapped, make_scripted_env(bad_moves), fuel=60)
         run = out["run"]

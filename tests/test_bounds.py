@@ -1,5 +1,6 @@
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +69,12 @@ class TestParseAndEvaluate:
             pass
         else:
             raise AssertionError("expected a syntax error")
+
+    def test_non_decimal_digit_is_a_grammar_error(self):
+        # '\u00b2' is a digit to str.isdigit, but not a decimal one
+        with pytest.raises(SyntaxError, match="expected a bound at 2"):
+            parse_bound("1+\u00b2")
+        assert parse_bound("\u0663").evaluate({}) == 3
 
     @given(st.integers(min_value=0, max_value=2**30))
     def test_evaluation_is_on_sizes_not_values(self, n):

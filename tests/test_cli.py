@@ -271,14 +271,14 @@ class TestInputErrorsExitOne:
         assert "--bound" in err
 
     def test_comprehension_bound_with_a_non_decimal_digit(self, tmp_path):
-        # '\u00b2' is a digit to str.isdigit but not to int()
+        # '\u00b2' is a digit to str.isdigit but not a decimal digit
         p = tmp_path / "p.clf"
         p.write_text("p(y)\n")
         rc, err = run_cli(["transform", "compr", "--premise",
                            fixture("always_yes.hpm"), "--p", str(p),
                            "--y", "y", "--bound", "\u00b2"])
         self.assert_clean_error(rc, err)
-        assert "error: --bound: invalid literal for int()" in err
+        assert "error: --bound: expected a bound at 0: '\u00b2'" in err
 
     def test_malformed_machine_file(self, tmp_path, formula_file):
         p = tmp_path / "twice.hpm"

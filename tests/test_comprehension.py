@@ -87,18 +87,18 @@ class TestChoiceVariable:
 
 class TestVerdicts:
     def test_left_disjunct_means_true(self):
-        assert _one_verdict(bit_premise(0b101), ["#"], fuel=50) is True
+        assert _one_verdict(bit_premise(0b101), [0], fuel=50) is True
 
     def test_right_disjunct_means_false(self):
-        assert _one_verdict(bit_premise(0b101), ["#1"], fuel=50) is False
+        assert _one_verdict(bit_premise(0b101), [1], fuel=50) is False
 
     def test_silence_faults(self):
         with pytest.raises(SimulationFault):
-            _one_verdict(silent_premise(), ["#"], fuel=20)
+            _one_verdict(silent_premise(), [0], fuel=20)
 
     def test_unaddressed_move_faults(self):
         with pytest.raises(SimulationFault):
-            _one_verdict(babbling_premise(), ["#"], fuel=20)
+            _one_verdict(babbling_premise(), [0], fuel=20)
 
 
 class TestRunner:

@@ -1,9 +1,10 @@
 import gc
 import random
+import re
 import weakref
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
@@ -14,6 +15,8 @@ from clarith.game import (
     Semiposition,
     TruncationContext,
     analyze_semiposition,
+    constant_moves,
+    constant_value,
     first_illegal_index,
     format_run,
     int_to_numer,
@@ -23,6 +26,7 @@ from clarith.game import (
     legal_status,
     magnitude,
     numer_value,
+    opening,
     parse_run,
     prudentize,
     split_move,
@@ -62,6 +66,44 @@ class TestMoveAnatomy:
     @given(st.integers(min_value=1, max_value=10**6))
     def test_positive_numers_have_no_leading_zero(self, n):
         assert int_to_numer(n).startswith("1")
+
+
+def opening_by_rescan(names, run):
+    """The opening, read the long way: the indices of the first ⊥ moves,
+    each naming the value of its binary numer (0 without one)."""
+    bots = [i for i, (label, _) in enumerate(run) if label == "B"][:len(names)]
+    if len(bots) < len(names):
+        return None
+    env = {}
+    for name, i in zip(names, bots):
+        clean = re.fullmatch(r"(?:[01]\.)*#([01]*)", run[i][1])
+        env[name] = int(clean.group(1) or "0", 2) if clean else 0
+    return env, tuple(lm for i, lm in enumerate(run) if i not in bots)
+
+
+class TestOpening:
+    MOVES = st.one_of(
+        st.text(alphabet="01#.x", max_size=6),
+        st.sampled_from(["#", "#0", "#0101", "1.#11", "0.1.#", "#1x"]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("TB"), MOVES), max_size=8),
+           st.lists(st.sampled_from("abcd"), max_size=3, unique=True))
+    @example([("T", "0.#1"), ("B", "#0011"), ("B", "1.#10"), ("T", "#")], ["x"])
+    def test_matches_a_rescan(self, run, names):
+        run = tuple(run)
+        got = opening(names, run)
+        assert got == opening_by_rescan(names, run)
+        bots = sum(label == "B" for label, _ in run)
+        assert (got is None) == (bots < len(names))
+
+    def test_constants_round_trip(self):
+        values = range(1001)
+        moves = constant_moves(values)
+        assert all(label == "B" for label, _ in moves)
+        assert [constant_value(m) for _, m in moves] == list(values)
+        assert all(is_canonical_numer(m[1:]) for _, m in moves)
+        assert moves[0] == ("B", "#")
 
 
 class TestLegality:

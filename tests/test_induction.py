@@ -5,7 +5,6 @@ from clarith.game import int_to_numer, numer_value, split_move, wins
 from clarith.hpm import ScriptStrategy
 from clarith.induction import (
     InductionRunner,
-    PrefixedStrategy,
     SimContractError,
     body_project,
     build_induction_solver,
@@ -205,18 +204,26 @@ class TestAggregations:
         assert parts["scale"] == 2 and parts["body"] == tuple(entries[-1][1])
 
 
-class TestPrefixedStrategy:
-    def test_prefix_is_visible_from_the_start(self):
-        seen = []
+class TestPremiseOpening:
+    """Each premise starts from the conclusion's constants as ⊥ moves,
+    canonical, and the step premise also from #<n-1>."""
 
-        def fn(run, waited):
-            seen.append(run)
-            return None
+    def test_premises_see_the_constants_first(self):
+        first_runs = {}
 
-        s = PrefixedStrategy(ScriptStrategy(fn), ["#1", "#0"])
-        st = s.initial()
-        s.step(st)
-        assert seen[-1] == (("B", "#1"), ("B", "#0"))
+        def recording(name):
+            def fn(run, waited):
+                first_runs.setdefault(name, run)
+                return None
+            return ScriptStrategy(fn, name=name)
+
+        concl = fm.parse_formula("ada x [val 1000] ade v [|s|] (v = x)")
+        runner = build_induction_solver(recording("n"), recording("k"), concl)
+        run = (("B", "#0101"), ("B", "#11"))
+        for _ in range(200):
+            runner.poll(run)
+        assert first_runs == {"n": (("B", "#101"),),
+                              "k": (("B", "#101"), ("B", "#10"))}
 
 
 class TestCounterGame:

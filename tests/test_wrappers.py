@@ -19,8 +19,6 @@ from clarith.wrappers import (
     FetchError,
     ReasonRunner,
     VasaRunner,
-    build_reason_wrapper,
-    build_unconditional_wrapper,
     fetch_symbol,
     update_sketch,
 )
@@ -85,27 +83,27 @@ class TestFetch:
 
 class TestReasonRunner:
     def test_emits_truncated_moves(self, bigmove_machine, two_disjunct_formula):
-        runner = build_reason_wrapper(bigmove_machine, two_disjunct_formula)
+        runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
         out = play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
         tops = tuple(lm for lm in out["run"] if lm[0] == "T")
         assert tops == (("T", "0.1.#1111"), ("T", "1.1.#0"))
         assert runner.faults == []
 
     def test_run_is_legal(self, bigmove_machine, two_disjunct_formula):
-        runner = build_reason_wrapper(bigmove_machine, two_disjunct_formula)
+        runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
         out = play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
         # the first env move carries the constant; the game run starts after
         game_run = out["run"][1:]
         assert first_illegal_index(two_disjunct_formula, {"x": 9}, game_run) is None
 
     def test_waits_for_constants(self, bigmove_machine, two_disjunct_formula):
-        runner = build_reason_wrapper(bigmove_machine, two_disjunct_formula)
+        runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
         assert runner.poll(()) == []
         assert runner.ctx is None
 
     def test_restarts_on_every_new_move(self, bigmove_machine,
                                         two_disjunct_formula):
-        runner = build_reason_wrapper(bigmove_machine, two_disjunct_formula)
+        runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
         play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
         # one per constant batch, one per later env move, one per own move
         assert runner.restarts == 5
@@ -113,19 +111,19 @@ class TestReasonRunner:
     def test_is_deterministic(self, bigmove_machine, two_disjunct_formula):
         outs = []
         for _ in range(2):
-            runner = build_reason_wrapper(bigmove_machine, two_disjunct_formula)
+            runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
             out = play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
             outs.append(tuple(lm for lm in out["run"] if lm[0] == "T"))
         assert outs[0] == outs[1]
 
     def test_reports_no_storage_spacecost(self, bigmove_machine,
                                           two_disjunct_formula):
-        runner = build_reason_wrapper(bigmove_machine, two_disjunct_formula)
+        runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
         assert runner.spacecost() == 0
 
     def test_builder_rejects_choice_free_formula(self, bigmove_machine):
         with pytest.raises(ValueError):
-            build_reason_wrapper(bigmove_machine, fm.parse_formula("p(x)"))
+            ReasonRunner(bigmove_machine, fm.parse_formula("p(x)"))
 
 
 class TestReasonKeepsNoMoves:
@@ -139,7 +137,7 @@ class TestReasonKeepsNoMoves:
         spec = zoo.random_machine(rng)
         entries = [(0, "#101")] + zoo.random_schedule(rng, spec)
         f = fm.parse_formula("ada x [|s|] (ade y [|s|] p(x,y))")
-        runner = build_reason_wrapper(spec, f)
+        runner = ReasonRunner(spec, f)
         run = play(runner, make_scripted_env(entries), fuel=300)["run"]
         history = runner.history
         assert all(label in ("T", "B") and type(size) is int
@@ -157,7 +155,7 @@ class TestResimulationIndexOrder:
     def test_call_graph_respects_history_indices(self, bigmove_machine,
                                                  two_disjunct_formula,
                                                  resimulation_calls):
-        runner = build_reason_wrapper(bigmove_machine, two_disjunct_formula)
+        runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
         play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
         fetches = [c for c in resimulation_calls if c[0] == "fetch"]
         callbacks = [c for c in resimulation_calls
@@ -181,7 +179,7 @@ class TestVasaRunner:
     def test_mimics_on_legal_runs(self, legal_machine, two_disjunct_formula):
         env = make_scripted_env(ENV_MOVES[1:])
         raw = play(StrategyRunner(HPMStrategy(legal_machine)), env, fuel=60)
-        wrapped = build_unconditional_wrapper(
+        wrapped = VasaRunner(
             legal_machine, two_disjunct_formula, {"x": 9})
         env2 = make_scripted_env(ENV_MOVES[1:])
         got = play(wrapped, env2, fuel=60)
@@ -191,7 +189,7 @@ class TestVasaRunner:
                                                two_disjunct_formula):
         env_entries = ENV_MOVES[1:]
         raw = StrategyRunner(HPMStrategy(legal_machine))
-        wrapped = build_unconditional_wrapper(
+        wrapped = VasaRunner(
             legal_machine, two_disjunct_formula, {"x": 9})
         run_a = run_b = ()
         pending_a = make_scripted_env(env_entries)
@@ -211,7 +209,7 @@ class TestVasaRunner:
 
     def test_retires_after_illegal_environment_move(self, legal_machine,
                                                     two_disjunct_formula):
-        wrapped = build_unconditional_wrapper(
+        wrapped = VasaRunner(
             legal_machine, two_disjunct_formula, {"x": 9})
         env = make_scripted_env([(0, "0.#10"), (0, "0.#10")])
         out = play(wrapped, env, fuel=60)
@@ -224,7 +222,7 @@ class TestVasaRunner:
 
     def test_emitted_windup_completes_the_buffer(self, legal_machine,
                                                  two_disjunct_formula):
-        wrapped = build_unconditional_wrapper(
+        wrapped = VasaRunner(
             legal_machine, two_disjunct_formula, {"x": 9})
         run = (("B", "0.#10"),)
         assert wrapped.poll(run) == []
@@ -236,7 +234,7 @@ class TestVasaRunner:
 
     def test_stays_silent_once_retired(self, legal_machine,
                                        two_disjunct_formula):
-        wrapped = build_unconditional_wrapper(
+        wrapped = VasaRunner(
             legal_machine, two_disjunct_formula, {"x": 9})
         bad = (("T", "0.#1"),)
         assert wrapped.poll(bad) == []
@@ -245,5 +243,4 @@ class TestVasaRunner:
 
     def test_builder_rejects_choice_free_formula(self, legal_machine):
         with pytest.raises(ValueError):
-            build_unconditional_wrapper(legal_machine, fm.parse_formula("p(x)"),
-                                        {"x": 1})
+            VasaRunner(legal_machine, fm.parse_formula("p(x)"), {"x": 1})
