@@ -59,10 +59,13 @@ def _parse_consts(text):
         if not _ or not name.strip():
             raise FileProblem(f"bad assignment {part!r}, want name=value")
         try:
-            env[name.strip()] = int(val)
+            value = int(val)
         except ValueError:
             raise FileProblem(
                 f"bad value in {part!r}, want a decimal integer") from None
+        if value < 0:
+            raise FileProblem(f"bad value in {part!r}, want a natural number")
+        env[name.strip()] = value
     return env
 
 
@@ -143,7 +146,7 @@ def _winner(f, run):
     return game.wins(f, c_env, tail)
 
 
-def _play_and_report(runner, f, env, fuel, trace_path=None, trace_rows=None):
+def _play_and_report(runner, f, env, fuel, trace_path):
     out = hpm.play(runner, env, fuel)
     print(game.format_run(out["run"]), end="")
     try:
@@ -153,15 +156,25 @@ def _play_and_report(runner, f, env, fuel, trace_path=None, trace_rows=None):
     print("meter:", json.dumps(hpm.meter_report(out["meter"])))
     if getattr(runner, "faults", None):
         print("faults:", *runner.faults, sep="\n  ")
-    if trace_path and trace_rows is not None:
+    if trace_path:
         try:
             with open(trace_path, "w", encoding="utf-8") as fh:
-                for row in trace_rows():
-                    fh.write(json.dumps(row) + "\n")
+                for i, rec in enumerate(runner.trace):
+                    fh.write(json.dumps({
+                        "iteration": i,
+                        "classification": rec["classification"],
+                        "entries": [[idx, len(body)]
+                                    for idx, body in rec["entries"]],
+                        "master_scale": rec["master_scale"],
+                        "U": rec["U"],
+                        "validity": rec["validity"],
+                        "rank": induction.iteration_rank(
+                            rec, runner.rank_base, runner.census),
+                        "rank_base": runner.rank_base,
+                    }) + "\n")
         except OSError as exc:
             raise FileProblem(f"{trace_path}: {exc.strerror or exc}") from exc
         print(f"trace written to {trace_path}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,86 +196,63 @@ def cmd_fmt(args):
     return 0
 
 
-def cmd_play(args):
-    spec = _load(args.machine, hpm.parse_hpm)
+def _build(args):
+    """(banner, runner, game) for `play` or a transform: the line printed
+    before any play (None for `play`), the runner built over the loaded
+    files, and the game it plays (for `compr`, the runner's conclusion).
+    A formula the runner rejects is a FileProblem naming the formula
+    file, and vasa constants that miss a free variable one naming
+    --consts."""
+    if args.kind == "induct":
+        n_spec, k_spec = _load(args.n, hpm.parse_hpm), _load(args.k, hpm.parse_hpm)
+    else:
+        spec = _load(args.machine, hpm.parse_hpm)
     f = _load(args.formula, fm.parse_formula)
-    runner = hpm.StrategyRunner(hpm.HPMStrategy(spec))
-    env = _make_env(args.env)
-    _play_and_report(runner, f, env, _fuel(args))
-    return 0
-
-
-def cmd_transform(args):
-    fuel = _fuel(args)
-    if args.kind == "reason":
-        spec = _load(args.machine, hpm.parse_hpm)
-        f = _load(args.formula, fm.parse_formula)
-        try:
-            runner = wrappers.ReasonRunner(spec, f)
-        except ValueError as exc:
-            raise FileProblem(f"{args.formula}: {exc}") from exc
-        print(f"reason wrapper built over {args.machine}")
-        if args.play:
-            _play_and_report(runner, f, _make_env(args.env), fuel)
-        return 0
-    if args.kind == "vasa":
-        spec = _load(args.machine, hpm.parse_hpm)
-        f = _load(args.formula, fm.parse_formula)
-        c_env = _parse_consts(args.consts)
-        try:
-            runner = wrappers.VasaRunner(spec, f, c_env)
-        except KeyError as exc:
-            raise FileProblem(f"--consts: {exc.args[0]}") from exc
-        except ValueError as exc:
-            raise FileProblem(f"{args.formula}: {exc}") from exc
-        print(f"unconditional wrapper built over {args.machine}")
-        if args.play:
-            _play_and_report(runner, f, _make_env(args.env), fuel)
-        return 0
     if args.kind == "compr":
-        premise = hpm.HPMStrategy(_load(args.premise, hpm.parse_hpm))
-        p = _load(args.p, fm.parse_formula)
         try:
             bound = parse_bound(args.bound)
         except (SyntaxError, ValueError) as exc:
             raise FileProblem(f"--bound: {exc}") from exc
-        runner = cp.ComprehensionRunner(premise, p, args.y, bound)
-        conclusion = cp.comprehension_conclusion(p, args.y, bound)
-        print("conclusion:", fm.to_text(conclusion))
-        if args.play:
-            _play_and_report(runner, conclusion, _make_env(args.env), fuel)
-        return 0
-    if args.kind == "induct":
-        n_spec, k_spec = _load(args.n, hpm.parse_hpm), _load(args.k, hpm.parse_hpm)
-        f = _load(args.formula, fm.parse_formula)
+        runner = cp.ComprehensionRunner(hpm.HPMStrategy(spec), f, args.y, bound)
+        text = fm.to_text(runner.conclusion)
+        # a --y that is no variable name prints a conclusion that does not
+        # parse back to itself
+        try:
+            reparsed = fm.to_text(fm.parse_formula(text))
+        except (SyntaxError, ValueError):
+            reparsed = None
+        if reparsed != text:
+            raise FileProblem(f"--y: {args.y!r} is not a usable variable name")
+        return f"conclusion: {text}", runner, runner.conclusion
+    try:
+        if args.kind == "play":
+            return None, hpm.StrategyRunner(hpm.HPMStrategy(spec)), f
+        if args.kind == "reason":
+            return (f"reason wrapper built over {args.machine}",
+                    wrappers.ReasonRunner(spec, f), f)
+        if args.kind == "vasa":
+            return (f"unconditional wrapper built over {args.machine}",
+                    wrappers.VasaRunner(spec, f, _parse_consts(args.consts)), f)
         n_census, k_census = n_spec.census(), k_spec.census()
         census = {key: max(n_census[key], k_census[key]) for key in n_census}
-        try:
-            runner = induction.build_induction_solver(
-                hpm.HPMStrategy(n_spec), hpm.HPMStrategy(k_spec), f,
-                machine_census=census)
-        except ValueError as exc:
-            raise FileProblem(f"{args.formula}: {exc}") from exc
-        print("induction synchronizer built")
-        if args.play:
-            def rows():
-                diag = induction.diagnostics(runner)
-                for i, rec in enumerate(runner.trace):
-                    yield {
-                        "iteration": i,
-                        "classification": rec["classification"],
-                        "entries": [[idx, len(body)]
-                                    for idx, body in rec["entries"]],
-                        "master_scale": rec["master_scale"],
-                        "U": rec["U"],
-                        "validity": rec["validity"],
-                        "rank": diag["ranks"][i],
-                        "rank_base": diag["rank_base"],
-                    }
-            _play_and_report(runner, f, _make_env(args.env), fuel,
-                             args.trace, rows)
-        return 0
-    raise AssertionError(args.kind)
+        return ("induction synchronizer built", induction.build_induction_solver(
+            hpm.HPMStrategy(n_spec), hpm.HPMStrategy(k_spec), f,
+            machine_census=census), f)
+    except KeyError as exc:
+        raise FileProblem(f"--consts: {exc.args[0]}") from exc
+    except ValueError as exc:
+        raise FileProblem(f"{args.formula}: {exc}") from exc
+
+
+def cmd_run(args):
+    fuel = _fuel(args)
+    banner, runner, f = _build(args)
+    if banner is not None:
+        print(banner)
+    if args.play:
+        _play_and_report(runner, f, _make_env(args.env), fuel,
+                         getattr(args, "trace", None))
+    return 0
 
 
 def cmd_meter(args):
@@ -364,7 +354,7 @@ def build_parser():
     pl.add_argument("formula")
     pl.add_argument("--env", default=None)
     pl.add_argument("--fuel", type=_positive_int, default=None)
-    pl.set_defaults(fn=cmd_play)
+    pl.set_defaults(fn=cmd_run, kind="play", play=True)
 
     tr = sub.add_parser("transform", help="apply a strategy transformer")
     tr_sub = tr.add_subparsers(dest="kind", required=True)
@@ -373,7 +363,7 @@ def build_parser():
         p.add_argument("--play", action="store_true")
         p.add_argument("--env", default=None)
         p.add_argument("--fuel", type=_positive_int, default=None)
-        p.set_defaults(fn=cmd_transform)
+        p.set_defaults(fn=cmd_run)
 
     reason = tr_sub.add_parser("reason")
     reason.add_argument("--machine", required=True)
@@ -387,8 +377,9 @@ def build_parser():
     common(vasa)
 
     compr = tr_sub.add_parser("compr")
-    compr.add_argument("--premise", required=True)
-    compr.add_argument("--p", required=True)
+    compr.add_argument("--premise", dest="machine", metavar="PREMISE",
+                       required=True)
+    compr.add_argument("--p", dest="formula", metavar="P", required=True)
     compr.add_argument("--y", required=True)
     compr.add_argument("--bound", required=True)
     common(compr)

@@ -55,17 +55,18 @@ def _one_verdict(premise, values, fuel):
 class ComprehensionRunner:
     """Play-harness runner for the bit-assembly routine.
 
-    Waits for one constant per free variable of the conclusion, in the
-    order `free_vars` lists them, then performs the whole probe loop and
-    answers with the single move #d.  Faults in the premise are
-    recorded, not raised; a faulted runner stays silent.
+    Waits for one constant per free variable of `conclusion`, the game it
+    plays, in the order `free_vars` lists them, then performs the whole
+    probe loop and answers with the single move #d.  Faults in the
+    premise are recorded, not raised; a faulted runner stays silent.
     """
 
     def __init__(self, premise, p: fm.Formula, y: str, bound: BoundExpr):
         self.premise = premise
         self.y = y
         self.bound = bound
-        self.var_order = fm.free_vars(comprehension_conclusion(p, y, bound))
+        self.conclusion = comprehension_conclusion(p, y, bound)
+        self.var_order = fm.free_vars(self.conclusion)
         self.fuel = fuel_from_env()
         self.faults = []
         self.done = False

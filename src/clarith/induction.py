@@ -150,12 +150,6 @@ def central_triple(entries, k):
     raise AssertionError("aggregation has no odd-size entry")
 
 
-def master_parts(entries):
-    idx, body = entries[-1]
-    payload, scale = body[-1]
-    return {"body": tuple(body), "organ": body[-1], "payload": payload, "scale": scale}
-
-
 # ---------------------------------------------------------------------------
 # Main
 
@@ -173,7 +167,10 @@ class InductionRunner:
     count it has read, the first ⊥ moves being the constants (the free
     variables', then k).  `locked` turns true when a locking iteration
     is recorded.  `faults` stays empty: an invalid aggregation raises
-    rather than being recorded as a fault.
+    rather than being recorded as a fault.  Once the constants arrive,
+    `census` and `statute_params` describe the body formula and the
+    statute's parameters, and `rank_base` is the digit base of the
+    iteration ranks; each is None before.
     """
 
     def __init__(self, n_strategy, k_strategy, conclusion, machine_census=None):
@@ -199,7 +196,7 @@ class InductionRunner:
         self._out = []
         self._gen = self._main()
         self._done = False
-        self._diag_base = None
+        self.census = self.statute_params = self.rank_base = None
 
     # -- harness protocol --------------------------------------------------
 
@@ -236,14 +233,15 @@ class InductionRunner:
         return strategy, strategy.feed(strategy.initial(), constant_moves(values))
 
     def _record(self, start, u, classification, k):
-        master = master_parts(start)
+        master = start[-1][1]
+        payload, scale = master[-1]
         self.trace.append({
             "entries": start,
             "U": u,
             "classification": classification,
-            "master_scale": master["scale"],
-            "master_payload_moves": len(master["payload"]),
-            "master_body_size": len(master["body"]),
+            "master_scale": scale,
+            "master_payload_moves": len(payload),
+            "master_body_size": len(master),
             "validity": "ok",  # central_triple rejects anything else
             "k": k,
         })
@@ -262,23 +260,19 @@ class InductionRunner:
         game_env = dict(c_env)
         game_env[self.var] = k
         ctx = TruncationContext(self.body_formula, game_env)
-        census = ctx.analysis.census
-        agg = ctx.analysis.aggregate
+        census = self.census = ctx.analysis.census
         ell = bitsize(max([k] + list(c_env.values()), default=0))
-        statute_params = {
+        statute_params = self.statute_params = {
             "r": self.machine_census["r"],
             "g": self.machine_census["g"],
             "q": self.machine_census["q"],
             "e": census["e"],
             "v": len([v for v in ctx.analysis.free if v != self.var]),
             "h": census["h"],
-            "G": agg["G"],
+            "G": ctx.analysis.aggregate["G"],
         }
-        self._diag_base = {
-            "ell": ell, "census": census, "agg": agg,
-            "statute_params": statute_params, "k": k,
-            "f_induction": unarify(self.bound),
-        }
+        self.rank_base = rank_base(ell, census, statute_params,
+                                   unarify(self.bound))
 
         if k == 0:
             yield from self._replay_zero(values)
@@ -379,16 +373,15 @@ def build_induction_solver(n_strategy, k_strategy, conclusion, **kw) -> Inductio
 # ---------------------------------------------------------------------------
 # diagnostics
 
-def rank_base(ell, census, agg, statute_params, f_induction=None):
+def rank_base(ell, census, statute_params, f_induction):
     """The digit base for iteration ranks.
 
     f_induction caps the induction variable, so every index digit
-    stays below the base; without it the body's subaggregate is used.
+    stays below the base.
     """
     limit = statute_limit(ell, 0, statute_params)
     d = 2 * census["e_top"] + 1
-    f = f_induction if f_induction is not None else agg["f"]
-    return max(bitsize(limit), f(ell), d, census["e_bot"]) + 1
+    return max(bitsize(limit), f_induction(ell), d, census["e_bot"]) + 1
 
 
 def iteration_rank(record, base, census):
@@ -409,19 +402,12 @@ def iteration_rank(record, base, census):
 
 def diagnostics(runner: InductionRunner):
     """Per-iteration ranks, classifications, validity, and birthtimes."""
-    if not runner.trace:
-        return {"iterations": 0, "ranks": [], "classifications": [],
-                "validity": [], "max_entry_size": 0, "birthtimes": {},
-                "locking": [], "rank_base": None}
-    base_info = runner._diag_base
-    base = rank_base(base_info["ell"], base_info["census"], base_info["agg"],
-                     base_info["statute_params"], base_info["f_induction"])
-    ranks = [iteration_rank(rec, base, base_info["census"])
+    ranks = [iteration_rank(rec, runner.rank_base, runner.census)
              for rec in runner.trace]
     classifications = [rec["classification"] for rec in runner.trace]
     validity = [rec["validity"] for rec in runner.trace]
-    max_entry = max(len(body) for rec in runner.trace
-                    for _, body in rec["entries"])
+    max_entry = max((len(body) for rec in runner.trace
+                     for _, body in rec["entries"]), default=0)
     birthtimes = {}
     for i, rec in enumerate(runner.trace):
         for idx, _ in rec["entries"]:
@@ -430,7 +416,6 @@ def diagnostics(runner: InductionRunner):
     return {
         "iterations": len(runner.trace),
         "ranks": ranks,
-        "rank_base": base,
         "classifications": classifications,
         "validity": validity,
         "max_entry_size": max_entry,

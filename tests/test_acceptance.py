@@ -169,8 +169,7 @@ def test_criterion_6_counter_game_family():
         assert wins(concl, {}, run) == "T"
         d = diagnostics(runner)
         assert all(v == "ok" for v in d["validity"]), (k, d["validity"])
-        census = runner._diag_base["census"]
-        assert d["max_entry_size"] <= 2 * census["e_top"] + 1
+        assert d["max_entry_size"] <= 2 * runner.census["e_top"] + 1
         assert all(r1 < r2 for r1, r2 in zip(d["ranks"], d["ranks"][1:])), k
     budget.check()
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import clarith.formula as fm
 from clarith import induction, oracles
 from clarith.cli import main
 
@@ -138,6 +139,17 @@ class TestTransform:
         assert "conclusion: ade d [3]" in out
         assert "T #111" in out
 
+    @pytest.mark.parametrize("name", ["y", "d", "v"])
+    def test_comprehension_conclusion_parses_back(self, tmp_path, capsys, name):
+        p = tmp_path / "p.clf"
+        p.write_text("p(y)\n")
+        assert main(["transform", "compr", "--premise", fixture("always_yes.hpm"),
+                     "--p", str(p), "--y", name, "--bound", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("conclusion: ") and out.endswith("\n")
+        text = out[len("conclusion: "):-1]
+        assert fm.to_text(fm.parse_formula(text)) == text
+
     def test_undecided_winner_names_the_atom_once(self, tmp_path, capsys):
         p = tmp_path / "p.clf"
         p.write_text("q(y, d)\n")
@@ -186,7 +198,7 @@ class TestTransform:
         assert main(["transform", "induct", "--n", fixture("bigmove.hpm"),
                      "--k", fixture("legal.hpm"), "--f", str(concl),
                      "--env", "k=2", "--play", "--fuel", "20"]) == 0
-        params = built[0]._diag_base["statute_params"]
+        params = built[0].statute_params
         assert (params["r"], params["g"], params["q"]) == (8, 1, 6)
 
     def test_induction_prints_runner_faults(self, tmp_path, capsys, monkeypatch):
@@ -260,6 +272,27 @@ class TestInputErrorsExitOne:
                            "--y", "y", "--bound", "3", "--fuel", "50"],
                           CLARITH_FUEL_DEFAULT="many")
         self.assert_clean_error(rc, err)
+
+    @pytest.mark.parametrize("head, flag", [
+        (["play", fixture("legal.hpm")], "--env"),
+        (["transform", "vasa", "--machine", fixture("legal.hpm"), "--f"],
+         "--consts"),
+    ], ids=["play-env", "vasa-consts"])
+    def test_negative_constant(self, formula_file, head, flag):
+        rc, err = run_cli(head + [formula_file, flag, "x=-1"])
+        self.assert_clean_error(rc, err)
+        assert "error: bad value in 'x=-1', want a natural number" in err
+
+    @pytest.mark.parametrize("name", ["", "1", "x y", "ada"],
+                             ids=["empty", "digit", "space", "keyword"])
+    def test_comprehension_y_that_does_not_parse_back(self, tmp_path, name):
+        p = tmp_path / "p.clf"
+        p.write_text("p(y)\n")
+        rc, err = run_cli(["transform", "compr", "--premise",
+                           fixture("always_yes.hpm"), "--p", str(p),
+                           "--y", name, "--bound", "3"])
+        self.assert_clean_error(rc, err)
+        assert f"error: --y: {name!r}" in err
 
     def test_unparsable_comprehension_bound(self, tmp_path):
         p = tmp_path / "p.clf"

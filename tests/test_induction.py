@@ -1,6 +1,7 @@
 import pytest
 
 import clarith.formula as fm
+from clarith.bounds import bitsize, unarify
 from clarith.game import int_to_numer, numer_value, split_move, wins
 from clarith.hpm import ScriptStrategy
 from clarith.induction import (
@@ -12,7 +13,6 @@ from clarith.induction import (
     check_sim_triple,
     diagnostics,
     iteration_rank,
-    master_parts,
     organ,
     rank_base,
     sim,
@@ -198,11 +198,6 @@ class TestAggregations:
         with pytest.raises(ValueError):
             central_triple([[1, [organ((), 1)]]], 5)
 
-    def test_master_parts(self):
-        entries = self.ok_entries()
-        parts = master_parts(entries)
-        assert parts["scale"] == 2 and parts["body"] == tuple(entries[-1][1])
-
 
 class TestPremiseOpening:
     """Each premise starts from the conclusion's constants as ⊥ moves,
@@ -260,8 +255,7 @@ class TestCounterGame:
     def test_entry_sizes_stay_below_the_cap(self):
         _, runner, _ = self._solve(8)
         d = diagnostics(runner)
-        census = runner._diag_base["census"]
-        assert d["max_entry_size"] <= 2 * census["e_top"] + 1
+        assert d["max_entry_size"] <= 2 * runner.census["e_top"] + 1
 
     def test_classification_mix(self):
         _, runner, _ = self._solve(5)
@@ -421,12 +415,11 @@ class TestDiagnostics:
         runner = build_induction_solver(
             counter_n_script(), counter_k_script(), concl)
         drive_solver(runner, [(0, "#111")])
-        info = runner._diag_base
-        base = rank_base(info["ell"], info["census"], info["agg"],
-                         info["statute_params"],
-                         f_induction=info["f_induction"])
-        assert base > info["f_induction"](info["ell"])
-        assert base > 2 * info["census"]["e_top"] + 1
+        base = runner.rank_base
+        assert base == rank_base(bitsize(7), runner.census,
+                                 runner.statute_params, unarify(runner.bound))
+        assert base > unarify(runner.bound)(bitsize(7))
+        assert base > 2 * runner.census["e_top"] + 1
         for rec in runner.trace:
             for idx, body in rec["entries"][:-1]:
                 assert idx + 1 < base and rec["k"] - idx < base
