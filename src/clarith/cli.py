@@ -51,9 +51,10 @@ def _positive_int(text):
 
 
 def _parse_consts(text):
-    env = {}
+    """The (name, value) pairs of "x=5,k=3", in order."""
+    pairs = []
     if not text:
-        return env
+        return pairs
     for part in text.split(","):
         name, _, val = part.partition("=")
         if not _ or not name.strip():
@@ -65,8 +66,21 @@ def _parse_consts(text):
                 f"bad value in {part!r}, want a decimal integer") from None
         if value < 0:
             raise FileProblem(f"bad value in {part!r}, want a natural number")
-        env[name.strip()] = value
-    return env
+        pairs.append((name.strip(), value))
+    return pairs
+
+
+def _vasa_consts(text, f):
+    """--consts as a dict, rejecting names given twice or not free in f."""
+    consts, free = {}, fm.free_vars(f)
+    for name, value in _parse_consts(text):
+        if name not in free:
+            raise FileProblem(f"--consts: {name!r} is not among the formula's "
+                              f"free variables: {' '.join(free) or '(none)'}")
+        if name in consts:
+            raise FileProblem(f"--consts: {name!r} is given more than once")
+        consts[name] = value
+    return consts
 
 
 def _make_env(spec_text):
@@ -87,7 +101,7 @@ def _make_env(spec_text):
             return line or None
         return env_repl
     if "=" in spec_text and not os.path.exists(spec_text):
-        consts = _parse_consts(spec_text).values()
+        consts = [value for _, value in _parse_consts(spec_text)]
         return _script_env([(0, m) for _, m in game.constant_moves(consts)])
     return _script_env(_load(spec_text, _parse_env_script))
 
@@ -232,12 +246,9 @@ def _build(args):
                     wrappers.ReasonRunner(spec, f), f)
         if args.kind == "vasa":
             return (f"unconditional wrapper built over {args.machine}",
-                    wrappers.VasaRunner(spec, f, _parse_consts(args.consts)), f)
-        n_census, k_census = n_spec.census(), k_spec.census()
-        census = {key: max(n_census[key], k_census[key]) for key in n_census}
+                    wrappers.VasaRunner(spec, f, _vasa_consts(args.consts, f)), f)
         return ("induction synchronizer built", induction.build_induction_solver(
-            hpm.HPMStrategy(n_spec), hpm.HPMStrategy(k_spec), f,
-            machine_census=census), f)
+            hpm.HPMStrategy(n_spec), hpm.HPMStrategy(k_spec), f), f)
     except KeyError as exc:
         raise FileProblem(f"--consts: {exc.args[0]}") from exc
     except ValueError as exc:
@@ -247,11 +258,11 @@ def _build(args):
 def cmd_run(args):
     fuel = _fuel(args)
     banner, runner, f = _build(args)
+    env = _make_env(args.env) if args.play else None
     if banner is not None:
         print(banner)
     if args.play:
-        _play_and_report(runner, f, _make_env(args.env), fuel,
-                         getattr(args, "trace", None))
+        _play_and_report(runner, f, env, fuel, getattr(args, "trace", None))
     return 0
 
 

@@ -243,13 +243,11 @@ class TruncationContext:
     """Quasilegal move shapes and the prudence threshold of a game."""
 
     def __init__(self, f, c_env):
-        self.formula = f
-        self.c_env = dict(c_env)
         self.analysis = fm.analysis(f)
         self.units = self.analysis.units
         self.addresses = self.analysis.addresses
         self.shapes = self.analysis.shapes
-        top = max(self.c_env.values(), default=0)
+        top = max(c_env.values(), default=0)
         self.threshold = self.analysis.aggregate["G"](bitsize(top))
 
 

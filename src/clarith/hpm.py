@@ -483,9 +483,8 @@ class HPMStrategy:
 class ScriptStrategy:
     """A pure function of (visible run, cycles since last own move)."""
 
-    def __init__(self, fn, name="script"):
+    def __init__(self, fn):
         self.fn = fn
-        self.name = name
 
     def initial(self):
         return ((), 0)
@@ -632,7 +631,7 @@ def play(runner, env, fuel: int):
 # ---------------------------------------------------------------------------
 # sketches
 
-def _track_append(trunc, shape, s, ctx):
+def track_append(trunc, shape, s, ctx):
     """Advance the buffer-truncation tracker by appended string s.
 
     shape is the move-shape state of the buffer so far, None once the
@@ -652,12 +651,15 @@ class Sketch:
     appended on the last transition, (8) truncation of the buffer move.
     `_shape`, the buffer's state in the formula's move-shape automaton
     (None once the buffer has left every move shape), keeps component 8
-    incrementally correct; it is excluded from equality.
+    incrementally correct; it is excluded from equality.  A step into a
+    move state empties the buffer and keeps no copy of the move flushed.
+    That move is read off the sketches s and nxt on either side of the
+    step: its size is s.buffer_len + len(nxt.last_append), its truncation
+    track_append(s.trunc, s._shape, nxt.last_append, ctx).
     """
 
     __slots__ = ("state", "tapes", "heads", "runhead", "moves_made",
-                 "buffer_len", "last_append", "trunc", "_shape",
-                 "flushed", "flushed_trunc", "flushed_len")
+                 "buffer_len", "last_append", "trunc", "_shape")
 
     def components(self):
         return (self.state, self.tapes, self.heads, self.runhead,
@@ -671,8 +673,7 @@ class Sketch:
 
 
 def _fill_sketch(s, state, tapes, heads, runhead, moves_made, buffer_len,
-                 last_append, trunc, shape, flushed, flushed_trunc,
-                 flushed_len):
+                 last_append, trunc, shape):
     """s with every slot set positionally, the values taken as given."""
     s.state = state
     s.tapes = tapes
@@ -683,23 +684,19 @@ def _fill_sketch(s, state, tapes, heads, runhead, moves_made, buffer_len,
     s.last_append = last_append
     s.trunc = trunc
     s._shape = shape
-    s.flushed = flushed
-    s.flushed_trunc = flushed_trunc
-    s.flushed_len = flushed_len
     return s
 
 
 def initial_sketch(spec: HPMSpec) -> Sketch:
     return _fill_sketch(_new(Sketch), spec.start, ("",) * spec.worktapes,
-                        (0,) * spec.worktapes, 0, 0, 0, "", "", 0, False,
-                        None, 0)
+                        (0,) * spec.worktapes, 0, 0, 0, "", "", 0)
 
 
 def sketch_of_configuration(cfg: Configuration, ctx: TruncationContext) -> Sketch:
-    trunc, shape = _track_append("", 0, cfg.buffer, ctx)
+    trunc, shape = track_append("", 0, cfg.buffer, ctx)
     return _fill_sketch(_new(Sketch), cfg.state, cfg.tapes, cfg.heads,
                         cfg.runhead, cfg.moves_made, len(cfg.buffer),
-                        cfg.last_append, trunc, shape, False, None, 0)
+                        cfg.last_append, trunc, shape)
 
 
 def history_prefix(history, m: int):
@@ -792,14 +789,14 @@ def sketch_advance(spec: HPMSpec, s: Sketch, history: History, symbol_source,
     moved = _transition(spec, s.state, runsym, s.tapes, s.heads, q, p)
     if moved is None:
         return _fill_sketch(_new(Sketch), s.state, s.tapes, s.heads, q, made,
-                            s.buffer_len, "", s.trunc, s._shape, False, None, 0)
+                            s.buffer_len, "", s.trunc, s._shape)
     q2, tapes, heads, runhead2, append = moved
+    if q2 in spec.move_states:
+        return _fill_sketch(_new(Sketch), q2, tapes, heads, runhead2, made + 1,
+                            0, append, "", 0)
     buffer_len, trunc, shape = s.buffer_len, s.trunc, s._shape
     if append:
         buffer_len += len(append)
-        trunc, shape = _track_append(trunc, shape, append, ctx)
-    if q2 in spec.move_states:
-        return _fill_sketch(_new(Sketch), q2, tapes, heads, runhead2, made + 1,
-                            0, append, "", 0, True, trunc, buffer_len)
+        trunc, shape = track_append(trunc, shape, append, ctx)
     return _fill_sketch(_new(Sketch), q2, tapes, heads, runhead2, made,
-                        buffer_len, append, trunc, shape, False, None, 0)
+                        buffer_len, append, trunc, shape)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from . import formula as fm
 from .bounds import bitsize, statute_limit, unarify
 from .game import TruncationContext, constant_moves, constant_value, prudentize
+from .hpm import HPMStrategy
 
 DEFAULT_MACHINE_CENSUS = {"r": 1, "g": 1, "q": 2}
 
@@ -170,10 +171,11 @@ class InductionRunner:
     rather than being recorded as a fault.  Once the constants arrive,
     `census` and `statute_params` describe the body formula and the
     statute's parameters, and `rank_base` is the digit base of the
-    iteration ranks; each is None before.
+    iteration ranks; each is None before.  The statute's r, g and q are
+    the premises' largest, DEFAULT_MACHINE_CENSUS for a scripted one.
     """
 
-    def __init__(self, n_strategy, k_strategy, conclusion, machine_census=None):
+    def __init__(self, n_strategy, k_strategy, conclusion):
         root = conclusion
         while isinstance(root, fm.Blind):
             root = root.body
@@ -185,7 +187,6 @@ class InductionRunner:
         self.free = fm.free_vars(conclusion)
         self.n_strategy = n_strategy
         self.k_strategy = k_strategy
-        self.machine_census = dict(DEFAULT_MACHINE_CENSUS, **(machine_census or {}))
         self.trace = []
         self.faults = []
         self.locked = False
@@ -195,7 +196,6 @@ class InductionRunner:
         self._consequent = []
         self._out = []
         self._gen = self._main()
-        self._done = False
         self.census = self.statute_params = self.rank_base = None
 
     # -- harness protocol --------------------------------------------------
@@ -209,13 +209,8 @@ class InductionRunner:
             elif m.startswith("1."):
                 self._consequent.append(m[2:])
         self._seen = len(visible_run)
-        if self._done:
-            return []
         self._out = []
-        try:
-            next(self._gen)
-        except StopIteration:
-            self._done = True
+        next(self._gen, None)
         return self._out
 
     def spacecost(self):
@@ -232,18 +227,14 @@ class InductionRunner:
             strategy, values = self.k_strategy, values + [n - 1]
         return strategy, strategy.feed(strategy.initial(), constant_moves(values))
 
-    def _record(self, start, u, classification, k):
-        master = start[-1][1]
-        payload, scale = master[-1]
+    def _record(self, start, u, classification):
+        _, scale = start[-1][1][-1]  # the master body's last organ
         self.trace.append({
             "entries": start,
             "U": u,
             "classification": classification,
             "master_scale": scale,
-            "master_payload_moves": len(payload),
-            "master_body_size": len(master),
             "validity": "ok",  # central_triple rejects anything else
-            "k": k,
         })
 
     # -- the generator -------------------------------------------------------
@@ -262,10 +253,13 @@ class InductionRunner:
         ctx = TruncationContext(self.body_formula, game_env)
         census = self.census = ctx.analysis.census
         ell = bitsize(max([k] + list(c_env.values()), default=0))
+        premises = [s.spec.census() if isinstance(s, HPMStrategy)
+                    else DEFAULT_MACHINE_CENSUS
+                    for s in (self.n_strategy, self.k_strategy)]
         statute_params = self.statute_params = {
-            "r": self.machine_census["r"],
-            "g": self.machine_census["g"],
-            "q": self.machine_census["q"],
+            "r": max(c["r"] for c in premises),
+            "g": max(c["g"] for c in premises),
+            "q": max(c["q"] for c in premises),
             "e": census["e"],
             "v": len([v for v in ctx.analysis.free if v != self.var]),
             "h": census["h"],
@@ -350,7 +344,7 @@ class InductionRunner:
             if classification.startswith("restarting"):
                 u_total = 0
                 del entries[:-1]
-            self._record(start, u_total, classification, k)
+            self._record(start, u_total, classification)
 
     def _replay_zero(self, values):
         strategy, st = self._start(0, values)
@@ -366,8 +360,8 @@ class InductionRunner:
             yield
 
 
-def build_induction_solver(n_strategy, k_strategy, conclusion, **kw) -> InductionRunner:
-    return InductionRunner(n_strategy, k_strategy, conclusion, **kw)
+def build_induction_solver(n_strategy, k_strategy, conclusion) -> InductionRunner:
+    return InductionRunner(n_strategy, k_strategy, conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +381,7 @@ def rank_base(ell, census, statute_params, f_induction):
 def iteration_rank(record, base, census):
     """Weighted digit sum over the aggregation's shape."""
     d = 2 * census["e_top"] + 1
-    k = record["k"]
+    k, master = record["entries"][-1]  # at index k by condition i
     digits = [0] * (d + 4)
     for idx, body in record["entries"][:-1]:
         j = len(body)
@@ -395,8 +389,8 @@ def iteration_rank(record, base, census):
             continue
         digits[j] = idx + 1 if j % 2 == 0 else k - idx
     digits[d + 1] = bitsize(record["master_scale"])
-    digits[d + 2] = record["master_payload_moves"]
-    digits[d + 3] = record["master_body_size"]
+    digits[d + 2] = len(master[-1][0])
+    digits[d + 3] = len(master)
     return sum(c * base ** j for j, c in enumerate(digits))
 
 

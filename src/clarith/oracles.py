@@ -108,7 +108,7 @@ def _table_premise(table):
             return None
         y = game.constant_value(bots[-1])
         return "0." if y < len(table) and table[y] else "1."
-    return hpm.ScriptStrategy(fn, name="table")
+    return hpm.ScriptStrategy(fn)
 
 
 def _suite_compr(rng, cases):

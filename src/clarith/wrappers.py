@@ -33,6 +33,7 @@ from .hpm import (
     StrategyRunner,
     initial_sketch,
     sketch_advance,
+    track_append,
 )
 
 
@@ -90,8 +91,12 @@ class ReasonRunner:
     the environment's) enters the history, and emitting the truncation
     of each globally new move of the wrapped machine.  Each poll reads
     only the run entries added since the last one, so the visible run
-    must only extend from poll to poll.  Raises ValueError for a
-    choice-free formula.
+    must only extend from poll to poll; each ⊥ move it reads becomes a
+    B record at once.  A new move of the wrapped machine is read off the
+    sketch it was flushed from, as `Sketch` describes, and restarts the
+    sketch at once, not at the next poll, so that each globally new
+    move counts one restart even when a ⊥ move arrives at that poll.
+    Raises ValueError for a choice-free formula.
     """
 
     def __init__(self, spec: HPMSpec, f):
@@ -106,41 +111,36 @@ class ReasonRunner:
         self.restarts = 0
         self.faults = []
 
-    def _record_bots(self):
-        """Append the B records not yet in the history; whether any were."""
-        history = self.history
-        fresh = self.own_bots[history.bots:]
-        for m in fresh:
-            history.append(("B", len(m)))
-        return bool(fresh)
-
     def poll(self, visible_run):
+        restart = self.ctx is None  # the opening, once it is complete
         for label, m in visible_run[self.seen:]:
             if label == "B":
                 self.own_bots.append(m)
+                self.history.append(("B", len(m)))
+                restart = True
         self.seen = len(visible_run)
         if self.ctx is None:
             opened = opening(fm.free_vars(self.formula), visible_run)
             if opened is None:
                 return []
             self.ctx = TruncationContext(self.formula, opened[0])
-            self._record_bots()
+        if restart:
             self.sketch = initial_sketch(self.spec)
             self.restarts += 1
-        elif self._record_bots():
-            self.sketch = initial_sketch(self.spec)
-            self.restarts += 1
+        s = self.sketch
         try:
-            nxt = update_sketch(self.spec, self.history, self.sketch,
-                                self.own_bots, self.ctx)
+            nxt = update_sketch(self.spec, self.history, s, self.own_bots,
+                                self.ctx)
         except FetchError as exc:
             self.faults.append(str(exc))
             return []
-        if nxt.flushed and nxt.moves_made > len(self.history.top_at):
-            self.history.append(("T", nxt.flushed_len))
+        if nxt.moves_made > len(self.history.top_at):
+            append = nxt.last_append
+            self.history.append(("T", s.buffer_len + len(append)))
+            trunc, _ = track_append(s.trunc, s._shape, append, self.ctx)
             self.sketch = initial_sketch(self.spec)
             self.restarts += 1
-            return [nxt.flushed_trunc]
+            return [trunc]
         self.sketch = nxt
         return []
 
@@ -164,10 +164,8 @@ class VasaRunner(StrategyRunner):
     def __init__(self, spec: HPMSpec, f, c_env):
         _needs_choice(f)
         super().__init__(HPMStrategy(spec))
-        self.formula = f
-        self.c_env = dict(c_env)
         self.retired = False
-        self.position = GamePosition.start(f, self.c_env)
+        self.position = GamePosition.start(f, c_env)
         self.checked = 0
 
     def _turned_illegal(self, visible_run):
@@ -192,8 +190,9 @@ class VasaRunner(StrategyRunner):
             return []
         tops = tuple(lm for lm in self.st.run if lm[0] == "T")
         v = Semiposition(tops + (("T", buf),), open_last=True)
+        position = self.position
         try:
-            return [buf + windup(v, self.formula, self.c_env)]
+            return [buf + windup(v, position.formula, position.c_env)]
         except ValueError:
             return []
 

@@ -136,7 +136,7 @@ def counter_n_script():
             return None
         return "#"
 
-    return ScriptStrategy(fn, name="counter-base")
+    return ScriptStrategy(fn)
 
 
 def counter_k_script(delay=0):
@@ -149,7 +149,7 @@ def counter_k_script(delay=0):
         _, numer = split_move(ante[0])
         return "1.#" + int_to_numer(numer_value(numer or "") + 1)
 
-    return ScriptStrategy(fn, name="counter-step")
+    return ScriptStrategy(fn)
 
 
 def drive_solver(runner, env_moves, max_cycles=500000, settle=50):

@@ -101,6 +101,13 @@ class TestPlay:
                    "--env", "x=9", "--fuel", "30"])
         assert rc == 0
 
+    def test_repeated_inline_names_are_all_played(self, formula_file,
+                                                  capsys):
+        rc = main(["play", fixture("legal.hpm"), formula_file,
+                   "--env", "x=9,x=3", "--fuel", "60"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("B #1001\nB #11\n")
+
 
 class TestTransform:
     def test_reason_wrapper_truncates(self, formula_file, env_file, capsys):
@@ -182,8 +189,14 @@ class TestTransform:
         assert "rank strictly increasing: yes" in out
         assert "birthtimes:" in out
 
+    # bigmove.hpm has r=8, g=0, q=5; legal.hpm has r=7, g=1, q=6; both
+    # const machines have r=4, g=0, q=5, so g stays 0 with no default mixed in
+    @pytest.mark.parametrize("n, k, rgq", [
+        ("bigmove.hpm", "legal.hpm", (8, 1, 6)),
+        ("n_const.hpm", "k_const.hpm", (4, 0, 5)),
+    ], ids=["bigmove-legal", "const"])
     def test_induction_statute_uses_the_loaded_machines(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, monkeypatch, n, k, rgq):
         built = []
         real = induction.build_induction_solver
 
@@ -194,12 +207,11 @@ class TestTransform:
         monkeypatch.setattr(induction, "build_induction_solver", capture)
         concl = tmp_path / "concl.clf"
         concl.write_text("ada x [val 100] ade v [1] (v = 0)\n")
-        # bigmove.hpm has r=8, g=0, q=5; legal.hpm has r=7, g=1, q=6
-        assert main(["transform", "induct", "--n", fixture("bigmove.hpm"),
-                     "--k", fixture("legal.hpm"), "--f", str(concl),
+        assert main(["transform", "induct", "--n", fixture(n),
+                     "--k", fixture(k), "--f", str(concl),
                      "--env", "k=2", "--play", "--fuel", "20"]) == 0
         params = built[0].statute_params
-        assert (params["r"], params["g"], params["q"]) == (8, 1, 6)
+        assert (params["r"], params["g"], params["q"]) == rgq
 
     def test_induction_prints_runner_faults(self, tmp_path, capsys, monkeypatch):
         real = induction.build_induction_solver
@@ -282,6 +294,27 @@ class TestInputErrorsExitOne:
         rc, err = run_cli(head + [formula_file, flag, "x=-1"])
         self.assert_clean_error(rc, err)
         assert "error: bad value in 'x=-1', want a natural number" in err
+
+    @pytest.mark.parametrize("consts, wanted", [
+        ("x=9,y=4", "--consts: 'y' is not among the formula's free "
+                    "variables: x"),
+        ("x=9,x=4", "--consts: 'x' is given more than once"),
+    ], ids=["unknown-name", "repeated-name"])
+    def test_vasa_consts_names(self, formula_file, consts, wanted):
+        rc, err = run_cli(["transform", "vasa", "--machine",
+                           fixture("legal.hpm"), "--f", formula_file,
+                           "--consts", consts])
+        self.assert_clean_error(rc, err)
+        assert f"error: {wanted}" in err
+
+    def test_bad_env_is_reported_before_the_banner(self, formula_file,
+                                                   capsys):
+        rc = main(["transform", "reason", "--machine", fixture("legal.hpm"),
+                   "--f", formula_file, "--env", "=5", "--play"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: bad assignment '=5'" in err
 
     @pytest.mark.parametrize("name", ["", "1", "x y", "ada"],
                              ids=["empty", "digit", "space", "keyword"])

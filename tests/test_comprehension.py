@@ -29,15 +29,15 @@ def bit_premise(mask, n_constants=1):
         j = numer_value(bots[-1][1:])
         return "0.#" if (mask >> j) & 1 else "1.#"
 
-    return ScriptStrategy(fn, name=f"bits-of-{mask}")
+    return ScriptStrategy(fn)
 
 
 def silent_premise():
-    return ScriptStrategy(lambda run, waited: None, name="mute")
+    return ScriptStrategy(lambda run, waited: None)
 
 
 def babbling_premise():
-    return ScriptStrategy(lambda run, waited: "#11", name="babble")
+    return ScriptStrategy(lambda run, waited: "#11")
 
 
 class TestConclusionShape:

@@ -376,7 +376,8 @@ class ReplayVasa(VasaRunner):
     """VasaRunner deciding legality by replaying the whole run each poll."""
 
     def _turned_illegal(self, visible_run):
-        return first_illegal_index(self.formula, self.c_env, visible_run) is not None
+        pos = self.position
+        return first_illegal_index(pos.formula, pos.c_env, visible_run) is not None
 
 
 def retire_cycle(runner, env, fuel):

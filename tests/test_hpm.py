@@ -11,7 +11,6 @@ from clarith.hpm import (
     Meter,
     ScriptStrategy,
     StrategyRunner,
-    _track_append,
     history_prefix,
     initial_configuration,
     initial_sketch,
@@ -24,6 +23,7 @@ from clarith.hpm import (
     sketch_of_configuration,
     spacecost,
     step,
+    track_append,
 )
 
 from conftest import make_scripted_env, read_fixture, shape_cases
@@ -281,11 +281,14 @@ class TestSketch:
             def src(idx, label, ordinal, offset, rn=now):
                 return rn[idx][1][offset - 1]
 
-            sk = sketch_advance(spec, sk, hist, src, ctx)
+            nxt = sketch_advance(spec, sk, hist, src, ctx)
             cfg = step(spec, cfg, incoming)
-            assert sk == sketch_of_configuration(cfg, ctx)
-            if sk.flushed:
-                flushes.append((sk.flushed_trunc, sk.flushed_len))
+            assert nxt == sketch_of_configuration(cfg, ctx)
+            if nxt.moves_made > sk.moves_made:
+                append = nxt.last_append
+                trunc, _ = track_append(sk.trunc, sk._shape, append, ctx)
+                flushes.append((trunc, sk.buffer_len + len(append)))
+            sk = nxt
         return flushes
 
     def test_initial_agrees_with_initial_configuration(self, bigmove_machine,
@@ -328,6 +331,6 @@ class TestTruncationTracker:
         assert sketch_of_configuration(cfg, ctx).trunc == want
         trunc, shape, i = "", 0, 0
         for size in chunks + [len(s)]:
-            trunc, shape = _track_append(trunc, shape, s[i:i + size], ctx)
+            trunc, shape = track_append(trunc, shape, s[i:i + size], ctx)
             i += size
         assert trunc == want

@@ -35,7 +35,7 @@ def once(move):
             return None
         return move
 
-    return ScriptStrategy(fn, name=f"once-{move}")
+    return ScriptStrategy(fn)
 
 
 def ask_then_answer():
@@ -50,10 +50,10 @@ def ask_then_answer():
             return "1.#1"
         return None
 
-    return ScriptStrategy(fn, name="ask-then-answer")
+    return ScriptStrategy(fn)
 
 
-SILENT = ScriptStrategy(lambda run, waited: None, name="silent")
+SILENT = ScriptStrategy(lambda run, waited: None)
 
 
 class TestOrgansAndBodies:
@@ -210,7 +210,7 @@ class TestPremiseOpening:
             def fn(run, waited):
                 first_runs.setdefault(name, run)
                 return None
-            return ScriptStrategy(fn, name=name)
+            return ScriptStrategy(fn)
 
         concl = fm.parse_formula("ada x [val 1000] ade v [|s|] (v = x)")
         runner = build_induction_solver(recording("n"), recording("k"), concl)
@@ -422,15 +422,20 @@ class TestDiagnostics:
         assert base > 2 * runner.census["e_top"] + 1
         for rec in runner.trace:
             for idx, body in rec["entries"][:-1]:
-                assert idx + 1 < base and rec["k"] - idx < base
+                assert idx + 1 < base and rec["entries"][-1][0] - idx < base
+
+    def test_scripted_premises_count_as_the_default_census(self):
+        concl = fm.parse_formula(COUNTER_TEXT)
+        runner = build_induction_solver(
+            counter_n_script(), counter_k_script(), concl)
+        runner.poll((("B", "#111"),))
+        params = runner.statute_params
+        assert (params["r"], params["g"], params["q"]) == (1, 1, 2)
 
     def test_rank_is_a_weighted_digit_sum(self):
         rec = {
             "entries": [(0, ((("#",), 1),)), (3, ((("#",), 2), (("#",), 2)))],
-            "k": 3,
             "master_scale": 2,
-            "master_payload_moves": 1,
-            "master_body_size": 2,
         }
         census = {"e_top": 1, "e_bot": 1}
         # d = 3; digit j=1 (odd) gets k - 0 = 3
