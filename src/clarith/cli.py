@@ -50,22 +50,25 @@ def _positive_int(text):
     return n
 
 
-def _parse_consts(text):
-    """The (name, value) pairs of "x=5,k=3", in order."""
+def _parse_consts(text, option):
+    """The (name, value) pairs of "x=5,k=3", in order; an error names
+    the option the text came from."""
     pairs = []
     if not text:
         return pairs
     for part in text.split(","):
         name, _, val = part.partition("=")
         if not _ or not name.strip():
-            raise FileProblem(f"bad assignment {part!r}, want name=value")
+            raise FileProblem(f"{option}: bad assignment {part!r}, "
+                              "want name=value")
         try:
             value = int(val)
         except ValueError:
-            raise FileProblem(
-                f"bad value in {part!r}, want a decimal integer") from None
+            raise FileProblem(f"{option}: bad value in {part!r}, "
+                              "want a decimal integer") from None
         if value < 0:
-            raise FileProblem(f"bad value in {part!r}, want a natural number")
+            raise FileProblem(f"{option}: bad value in {part!r}, "
+                              "want a natural number")
         pairs.append((name.strip(), value))
     return pairs
 
@@ -73,7 +76,7 @@ def _parse_consts(text):
 def _vasa_consts(text, f):
     """--consts as a dict, rejecting names given twice or not free in f."""
     consts, free = {}, fm.free_vars(f)
-    for name, value in _parse_consts(text):
+    for name, value in _parse_consts(text, "--consts"):
         if name not in free:
             raise FileProblem(f"--consts: {name!r} is not among the formula's "
                               f"free variables: {' '.join(free) or '(none)'}")
@@ -101,7 +104,7 @@ def _make_env(spec_text):
             return line or None
         return env_repl
     if "=" in spec_text and not os.path.exists(spec_text):
-        consts = [value for _, value in _parse_consts(spec_text)]
+        consts = [value for _, value in _parse_consts(spec_text, "--env")]
         return _script_env([(0, m) for _, m in game.constant_moves(consts)])
     return _script_env(_load(spec_text, _parse_env_script))
 
@@ -153,11 +156,11 @@ def _winner(f, run):
     if opened is None:
         return "T (environment never instantiated the game)"
     c_env, tail = opened
-    bad = game.first_illegal_index(f, c_env, tail)
+    pos, bad = game.GamePosition.start(f, c_env).advance(tail)
     if bad is not None:
         label = tail[bad][0]
         return f"{'B' if label == 'T' else 'T'} (first illegal move by {label})"
-    return game.wins(f, c_env, tail)
+    return "T" if game.evaluate(pos) else "B"
 
 
 def _play_and_report(runner, f, env, fuel, trace_path):

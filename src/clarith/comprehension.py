@@ -3,9 +3,10 @@
 From a strategy that decides a predicate point by point (solving
 "for all chosen y, p(y) or else not-p(y)"), builds a runner that
 constructs the whole extension of the predicate below a size bound as
-one constant: the machine probes y = c-1 down to 0, skips the leading
-false stretch so the result is canonical, and makes a single move #d
-with Bit(y, d) true exactly where the premise answered yes.
+one constant: the machine probes y = c-1 down to 0 in one pass, one bit
+per probe, strips the leading zeros so the result is canonical, and
+makes a single move #d with Bit(y, d) true exactly where the premise
+answered yes.  A premise fault stops the pass at the probe that met it.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ def _one_verdict(premise, values, fuel):
         st, mv = premise.step(st)
         if mv is None:
             continue
-        if mv == "0." or mv.startswith("0."):
+        if mv.startswith("0."):
             return True
-        if mv == "1." or mv.startswith("1."):
+        if mv.startswith("1."):
             return False
         raise SimulationFault(f"verdict move {mv!r} picks no disjunct")
     raise SimulationFault(f"no verdict within {fuel} steps")
@@ -71,9 +72,6 @@ class ComprehensionRunner:
         self.faults = []
         self.done = False
 
-    def _probe(self, values, j):
-        return _one_verdict(self.premise, values + [j], self.fuel)
-
     def poll(self, visible_run):
         if self.done:
             return []
@@ -85,21 +83,14 @@ class ComprehensionRunner:
         c = self.bound.evaluate(env)
         # y is free in the conclusion when the bound mentions it
         values = [val for v, val in env.items() if v != self.y]
-        bits = []
         try:
-            j = c - 1
-            while j >= 0 and not self._probe(values, j):
-                j -= 1
-            if j >= 0:
-                bits.append("1")
-                j -= 1
-                while j >= 0:
-                    bits.append("1" if self._probe(values, j) else "0")
-                    j -= 1
+            bits = "".join(
+                "1" if _one_verdict(self.premise, values + [j], self.fuel)
+                else "0" for j in range(c - 1, -1, -1))
         except SimulationFault as exc:
             self.faults.append(str(exc))
             return []
-        return ["#" + "".join(bits)]
+        return ["#" + bits.lstrip("0")]
 
     def spacecost(self):
         return 0

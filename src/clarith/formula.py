@@ -341,55 +341,12 @@ class Unit:
 
 def units(f: Formula):
     """All choice-quantifier units in preorder, with addresses and movers."""
-    out = []
-
-    def walk(g, addr, pos, ancestors):
-        if isinstance(g, Atom):
-            return
-        if isinstance(g, Not):
-            walk(g.body, addr, not pos, ancestors)
-        elif isinstance(g, Binary):
-            walk(g.left, addr + "0.", pos != isinstance(g, Implies), ancestors)
-            walk(g.right, addr + "1.", pos, ancestors)
-        elif isinstance(g, Choice):
-            mover = "T" if isinstance(g, ChoiceEx) == pos else "B"
-            out.append(Unit(addr, g, mover, ancestors))
-            walk(g.body, addr + "1.", pos, ancestors + (addr,))
-        elif isinstance(g, Blind):
-            walk(g.body, addr, pos, ancestors)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    walk(f, "", True, ())
-    return out
+    return list(analysis(f).units)
 
 
 def free_vars(f: Formula):
     """Free variables of f, in first-occurrence order."""
-    seen = []
-
-    def note(names, bound):
-        for n in names:
-            if n not in bound and n not in seen:
-                seen.append(n)
-
-    def walk(g, bound):
-        if isinstance(g, Atom):
-            for a in g.args:
-                note(a.variables(), bound)
-        elif isinstance(g, Not):
-            walk(g.body, bound)
-        elif isinstance(g, Binary):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (Choice, Blind)):
-            note(g.bound.variables(), bound)
-            walk(g.body, bound | {g.var})
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    walk(f, set())
-    return seen
+    return list(analysis(f).free)
 
 
 class MoveShapes:
@@ -445,18 +402,46 @@ class MoveShapes:
 class Analysis:
     """Everything the game checks read off a formula's shape.
 
-    units (preorder), the address -> unit map, the free variables, the
-    move census, the aggregate bounds and the move-shape automaton
-    `shapes`.  Get it with analysis(f), which builds it once per
-    formula object.
+    units (preorder) and the free variables (first-occurrence order),
+    both read in one walk of f, the address -> unit map, the move
+    census, the aggregate bounds and the move-shape automaton `shapes`.
+    Get it with analysis(f), which builds it once per formula object.
     """
 
     def __init__(self, f: Formula):
-        self.units = units(f)
+        units, free = [], []
+
+        def note(names, bound):
+            for n in names:
+                if n not in bound and n not in free:
+                    free.append(n)
+
+        def walk(g, addr, pos, ancestors, bound):
+            if isinstance(g, Atom):
+                for a in g.args:
+                    note(a.variables(), bound)
+            elif isinstance(g, Not):
+                walk(g.body, addr, not pos, ancestors, bound)
+            elif isinstance(g, Binary):
+                walk(g.left, addr + "0.", pos != isinstance(g, Implies),
+                     ancestors, bound)
+                walk(g.right, addr + "1.", pos, ancestors, bound)
+            elif isinstance(g, (Choice, Blind)):
+                note(g.bound.variables(), bound)
+                if isinstance(g, Choice):
+                    mover = "T" if isinstance(g, ChoiceEx) == pos else "B"
+                    units.append(Unit(addr, g, mover, ancestors))
+                    addr, ancestors = addr + "1.", ancestors + (addr,)
+                walk(g.body, addr, pos, ancestors, bound | {g.var})
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+
+        walk(f, "", True, (), frozenset())
+        self.units = units
         self.by_addr = {u.address: u for u in self.units}
         self.addresses = tuple(u.address for u in self.units)
         self.shapes = MoveShapes(self.addresses)
-        self.free = tuple(free_vars(f))
+        self.free = tuple(free)
         n, v = len(self.units), len(self.free)
         e_top = sum(1 for u in self.units if u.mover == "T")
         self.census = {

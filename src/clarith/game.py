@@ -118,6 +118,19 @@ class GamePosition:
         return GamePosition(self.formula, self.c_env,
                             {**values, addr: numer_value(numer)})
 
+    def advance(self, run, start=0):
+        """(position, bad): the position after the legal prefix of
+        run[start:], and the index in run of its first illegal move, None
+        when every move is legal."""
+        pos = self
+        for i in range(start, len(run)):
+            label, move = run[i]
+            try:
+                pos = pos.apply(label, move, i)
+            except IllegalMove:
+                return pos, i
+        return pos, None
+
 
 class LegalityResult:
     def __init__(self, kind, index=None):
@@ -137,13 +150,7 @@ class LegalityResult:
 
 def first_illegal_index(f, c_env, run):
     """Index of the first illegal move, or None if the run is legal."""
-    pos = GamePosition.start(f, c_env)
-    for i, (label, move) in enumerate(run):
-        try:
-            pos = pos.apply(label, move, i)
-        except IllegalMove:
-            return i
-    return None
+    return GamePosition.start(f, c_env).advance(run)[1]
 
 
 def is_quasilegal(f, run, player):
@@ -188,10 +195,10 @@ _BUILTIN_ATOMS = {
 
 
 def wins(f, c_env, run, atoms=None):
-    """Winner 'T' or 'B' of a finished legal run."""
-    pos = GamePosition.start(f, c_env)
-    for i, (label, move) in enumerate(run):
-        pos = pos.apply(label, move, i)
+    """Winner 'T' or 'B' of a finished legal run; IllegalMove otherwise."""
+    pos, bad = GamePosition.start(f, c_env).advance(run)
+    if bad is not None:
+        pos.apply(*run[bad], bad)  # raises the IllegalMove advance met
     return "T" if evaluate(pos, atoms) else "B"
 
 
@@ -244,7 +251,6 @@ class TruncationContext:
 
     def __init__(self, f, c_env):
         self.analysis = fm.analysis(f)
-        self.units = self.analysis.units
         self.addresses = self.analysis.addresses
         self.shapes = self.analysis.shapes
         top = max(c_env.values(), default=0)

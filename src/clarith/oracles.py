@@ -42,10 +42,10 @@ def _zoo_formulas():
     return [fm.parse_formula(t) for t in texts]
 
 
-def _iter_open_buffers(addresses, max_len):
+def _iter_open_buffers(shapes, max_len):
     """Every string that stays a quasilegal-move prefix, up to max_len:
-    a depth-first walk of the addresses' move-shape automaton."""
-    delta = fm.MoveShapes(addresses).delta
+    a depth-first walk of the move-shape automaton shapes."""
+    delta = shapes.delta
     frontier = [("", 0)]
     while frontier:
         s, state = frontier.pop()
@@ -60,10 +60,10 @@ def _suite_windup(rng, cases):
     checked = 0
     for f in _zoo_formulas():
         c_env = {"s": 5}
-        addresses = fm.analysis(f).addresses
-        heads = [()] + [(("T", addr + "#1"),) for addr in addresses]
+        a = fm.analysis(f)
+        heads = [()] + [(("T", addr + "#1"),) for addr in a.addresses]
         for head in heads:
-            for buf in _iter_open_buffers(addresses, 6):
+            for buf in _iter_open_buffers(a.shapes, 6):
                 v = game.Semiposition(head + (("T", buf),), open_last=True)
                 info = game.analyze_semiposition(v, f, c_env)
                 if not info["quasilegitimate"]:

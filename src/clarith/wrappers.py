@@ -19,7 +19,6 @@ from __future__ import annotations
 from . import formula as fm
 from .game import (
     GamePosition,
-    IllegalMove,
     Semiposition,
     TruncationContext,
     opening,
@@ -96,7 +95,10 @@ class ReasonRunner:
     sketch it was flushed from, as `Sketch` describes, and restarts the
     sketch at once, not at the next poll, so that each globally new
     move counts one restart even when a ⊥ move arrives at that poll.
-    Raises ValueError for a choice-free formula.
+    A replay that gives up (`FetchError`) is recorded in `faults`, and
+    the faulted runner stays silent: the replay reads only the history
+    before the fetched move, which never changes, so a retry would fail
+    the same way.  Raises ValueError for a choice-free formula.
     """
 
     def __init__(self, spec: HPMSpec, f):
@@ -112,6 +114,8 @@ class ReasonRunner:
         self.faults = []
 
     def poll(self, visible_run):
+        if self.faults:
+            return []
         restart = self.ctx is None  # the opening, once it is complete
         for label, m in visible_run[self.seen:]:
             if label == "B":
@@ -168,21 +172,12 @@ class VasaRunner(StrategyRunner):
         self.position = GamePosition.start(f, c_env)
         self.checked = 0
 
-    def _turned_illegal(self, visible_run):
-        """Apply the entries not yet checked; whether one is illegal."""
-        for i in range(self.checked, len(visible_run)):
-            label, move = visible_run[i]
-            try:
-                self.position = self.position.apply(label, move, i)
-            except IllegalMove:
-                return True
-        self.checked = len(visible_run)
-        return False
-
     def poll(self, visible_run):
         if self.retired:
             return []
-        if not self._turned_illegal(visible_run):
+        self.position, bad = self.position.advance(visible_run, self.checked)
+        self.checked = len(visible_run)
+        if bad is None:
             return StrategyRunner.poll(self, visible_run)
         self.retired = True
         buf = self.st.buffer

@@ -204,7 +204,7 @@ def test_criterion_8_windup_oracle():
         ctx = TruncationContext(f, c_env)
         heads = [()] + [(("T", addr + "#1"),) for addr in ctx.addresses]
         for head in heads:
-            for buf in _iter_open_buffers(ctx.addresses, 6):
+            for buf in _iter_open_buffers(ctx.shapes, 6):
                 v = Semiposition(head + (("T", buf),), open_last=True)
                 if not analyze_semiposition(v, f, c_env)["quasilegitimate"]:
                     continue

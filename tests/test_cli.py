@@ -293,7 +293,8 @@ class TestInputErrorsExitOne:
     def test_negative_constant(self, formula_file, head, flag):
         rc, err = run_cli(head + [formula_file, flag, "x=-1"])
         self.assert_clean_error(rc, err)
-        assert "error: bad value in 'x=-1', want a natural number" in err
+        assert (f"error: {flag}: bad value in 'x=-1', want a natural number"
+                in err)
 
     @pytest.mark.parametrize("consts, wanted", [
         ("x=9,y=4", "--consts: 'y' is not among the formula's free "
@@ -314,7 +315,7 @@ class TestInputErrorsExitOne:
         assert rc == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "error: bad assignment '=5'" in err
+        assert "error: --env: bad assignment '=5'" in err
 
     @pytest.mark.parametrize("name", ["", "1", "x y", "ada"],
                              ids=["empty", "digit", "space", "keyword"])

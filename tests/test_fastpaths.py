@@ -19,6 +19,7 @@ from clarith import hpm, zoo
 from clarith.cli import _script_env, main
 from clarith.bounds import bitsize, parse_bound
 from clarith.game import (
+    GamePosition,
     IllegalMove,
     LegalityResult,
     first_illegal_index,
@@ -373,11 +374,14 @@ class TestTransition:
 
 
 class ReplayVasa(VasaRunner):
-    """VasaRunner deciding legality by replaying the whole run each poll."""
+    """VasaRunner deciding legality by replaying the whole run each poll:
+    its position and cursor go back to the start before every poll."""
 
-    def _turned_illegal(self, visible_run):
+    def poll(self, visible_run):
         pos = self.position
-        return first_illegal_index(pos.formula, pos.c_env, visible_run) is not None
+        self.position = GamePosition.start(pos.formula, pos.c_env)
+        self.checked = 0
+        return VasaRunner.poll(self, visible_run)
 
 
 def retire_cycle(runner, env, fuel):
@@ -612,6 +616,88 @@ class TestGamePosition:
             assert is_quasilegal(f, run, player) == _spec_is_quasilegal(f, run, player)
         legal = run[:bad]
         assert wins(f, c_env, legal, atoms) == _spec_wins(f, c_env, legal, atoms)
+        if bad is not None:
+            with pytest.raises(IllegalMove) as exc:
+                wins(f, c_env, run, atoms)
+            assert exc.value.index == bad
+
+
+# ---------------------------------------------------------------------------
+# The spec for a formula's units and free variables: two separate walks,
+# which `formula.Analysis` reads in one.
+
+def _spec_units(f):
+    """(address, node, mover, ancestors) of each choice unit, in preorder."""
+    out = []
+
+    def walk(g, addr, pos, ancestors):
+        if isinstance(g, fm.Not):
+            walk(g.body, addr, not pos, ancestors)
+        elif isinstance(g, fm.Binary):
+            walk(g.left, addr + "0.", pos != isinstance(g, fm.Implies), ancestors)
+            walk(g.right, addr + "1.", pos, ancestors)
+        elif isinstance(g, fm.Choice):
+            mover = "T" if isinstance(g, fm.ChoiceEx) == pos else "B"
+            out.append((addr, g, mover, ancestors))
+            walk(g.body, addr + "1.", pos, ancestors + (addr,))
+        elif isinstance(g, fm.Blind):
+            walk(g.body, addr, pos, ancestors)
+
+    walk(f, "", True, ())
+    return out
+
+
+def _spec_free_vars(f):
+    """Free variables in first-occurrence order, a bound before its body."""
+    seen = []
+
+    def note(names, bound):
+        for n in names:
+            if n not in bound and n not in seen:
+                seen.append(n)
+
+    def walk(g, bound):
+        if isinstance(g, fm.Atom):
+            for a in g.args:
+                note(a.variables(), bound)
+        elif isinstance(g, fm.Not):
+            walk(g.body, bound)
+        elif isinstance(g, fm.Binary):
+            walk(g.left, bound)
+            walk(g.right, bound)
+        else:
+            note(g.bound.variables(), bound)
+            walk(g.body, bound | {g.var})
+
+    walk(f, set())
+    return seen
+
+
+@st.composite
+def named_formulas(draw):
+    """A conftest formula under up to three more quantifiers, each joined
+    to a side atom; bounds, side atoms and bound variables name s, t, u
+    or y, so free variables come in several orders and a bound may name
+    the variable its own quantifier binds."""
+    f = draw(formulas)
+    names = st.sampled_from("stuy")
+    kinds = (fm.ChoiceAll, fm.ChoiceEx, fm.BlindAll, fm.BlindEx)
+    for _ in range(draw(st.integers(0, 3))):
+        side = fm.Atom("q", (fm.TVar(draw(names)),))
+        conn = draw(st.sampled_from((fm.And, fm.Or, fm.Implies)))
+        body = conn(side, f) if draw(st.booleans()) else conn(f, side)
+        bound = parse_bound(f"|{draw(names)}|")
+        f = draw(st.sampled_from(kinds))(draw(names), bound, body)
+    return f
+
+
+class TestFormulaWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(named_formulas())
+    def test_one_walk_matches_the_two_walks(self, f):
+        assert [(u.address, u.node, u.mover, u.ancestors)
+                for u in fm.units(f)] == _spec_units(f)
+        assert fm.free_vars(f) == _spec_free_vars(f)
 
 
 class TestCliBoundary:

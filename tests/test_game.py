@@ -205,7 +205,7 @@ class TestTruncation:
 
     def test_addresses(self, two_disjunct_ctx):
         assert two_disjunct_ctx.addresses == ("0.", "0.1.", "1.", "1.1.")
-        assert tuple(u.address for u in two_disjunct_ctx.units
+        assert tuple(u.address for u in two_disjunct_ctx.analysis.units
                      if u.mover == "T") == ("0.1.", "1.1.")
 
     def test_prudentize_trims_numer(self):
@@ -324,14 +324,15 @@ class TestWindup:
 class TestSharedAnalysis:
     def test_units_are_derived_once_per_formula(self, monkeypatch):
         calls = []
-        walk = fm.units
+        walk = fm.Analysis  # the one walk over a formula
 
         def counting(f):
             calls.append(f)
             return walk(f)
 
-        monkeypatch.setattr(fm, "units", counting)
+        monkeypatch.setattr(fm, "Analysis", counting)
         f = fm.parse_formula(TWO_DISJUNCT_TEXT)
+        assert len(fm.units(f)) == 4 and fm.free_vars(f) == ["x"]
         ctx = TruncationContext(f, {"x": 9})
         v = Semiposition((("T", "1."),), open_last=True)
         assert windup(v, f, {"x": 9}) == "1.#"
@@ -349,7 +350,7 @@ class TestSharedAnalysis:
         ctx = TruncationContext(f, {"x": 9})
         v = Semiposition((("T", ""),), open_last=True)
         assert windup(v, f, {"x": 9}) == "#"
-        assert ctx.units[0].node is f
+        assert ctx.analysis.units[0].node is f
         ref = weakref.ref(f)
         del f, ctx
         gc.collect()

@@ -350,6 +350,34 @@ class TestMidRunEnvironmentMove:
         assert all(a < b for a, b in zip(d["ranks"], d["ranks"][1:]))
         assert all(v == "ok" for v in d["validity"])
 
+    def test_new_move_ends_the_wait_at_the_statute_limit(self):
+        """A silent base premise makes the master scale double up to the
+        statute limit; the synchronizer then waits for a consequent
+        move, and that move restarts it as 2.2.2.2."""
+        concl = fm.parse_formula(self.CONCL_TEXT)
+        runner = build_induction_solver(
+            ScriptStrategy(lambda run, waited: None),
+            ScriptStrategy(self._k_fn), concl)
+        run = (("B", "#1"),)
+
+        def poll(times):
+            for _ in range(times):
+                assert runner.poll(run) == []
+
+        poll(1000)
+        waiting = len(runner.trace)
+        assert runner.trace[-2]["classification"] == "restarting(2.2.2.1)"
+        poll(500)
+        assert len(runner.trace) == waiting
+        run += (("B", "1.#10"),)
+        poll(2)
+        rec, after = runner.trace[waiting:waiting + 2]
+        assert rec["classification"] == "restarting(2.2.2.2)"
+        (k, master), = after["entries"]
+        assert k == 1 and master[-1] == (("#10",), 1)
+        d = diagnostics(runner)
+        assert all(a < b for a, b in zip(d["ranks"], d["ranks"][1:]))
+
 
 class TestIterationCounts:
     """Iterations, polls and classifications at k=32, as recorded before

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
-from clarith import zoo
+from clarith import wrappers, zoo
 from clarith.game import TruncationContext, first_illegal_index, is_quasilegal
 from clarith.hpm import (
     History,
@@ -120,6 +120,16 @@ class TestReasonRunner:
                                           two_disjunct_formula):
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
         assert runner.spacecost() == 0
+
+    def test_fault_is_recorded_once(self, bigmove_machine,
+                                    two_disjunct_formula, monkeypatch):
+        # two replay cycles are too few to fetch back the first move
+        monkeypatch.setattr(wrappers, "FETCH_CAP", 2)
+        runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
+        out = play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
+        tops = tuple(lm for lm in out["run"] if lm[0] == "T")
+        assert tops == (("T", "0.1.#1111"),)
+        assert runner.faults == ["replay did not reproduce the requested symbol"]
 
     def test_builder_rejects_choice_free_formula(self, bigmove_machine):
         with pytest.raises(ValueError):
