@@ -89,20 +89,22 @@ def _vasa_consts(text, f):
 def _make_env(spec_text):
     """Environment callable from an env spec.
 
-    "repl" prompts on stdin; "x=5,k=3" plays the constants #<numer> in
-    order; anything else is a script file whose lines are moves, each
-    optionally prefixed "@t " to wait until t ⊤-moves are visible.
+    "repl" prompts on stdin until its input ends; "x=5,k=3" plays the
+    constants #<numer> in order; anything else is a script file whose
+    lines are moves, each optionally prefixed "@t " to wait until t
+    ⊤-moves are visible.
     """
     if spec_text is None:
         return lambda run: None
     if spec_text == "repl":
-        def env_repl(run):
+        def lines():
             try:
-                line = input("B> ").strip()
+                while True:
+                    yield input("B> ").strip()
             except EOFError:
-                return None
-            return line or None
-        return env_repl
+                return
+        replies = lines()
+        return lambda run: next(replies, None) or None
     if "=" in spec_text and not os.path.exists(spec_text):
         consts = [value for _, value in _parse_consts(spec_text, "--env")]
         return _script_env([(0, m) for _, m in game.constant_moves(consts)])

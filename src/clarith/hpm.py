@@ -105,10 +105,12 @@ class HPMSpec:
 def parse_hpm(text: str) -> HPMSpec:
     """Parse a machine file; a bad line raises ValueError naming it.
 
-    Each delta row must read and write exactly `worktapes` work symbols
-    from the alphabet (or the blank) and go from and to declared states,
-    and no two rows may share a key: the machine must be deterministic.
-    Rows with the same right-hand side share one parsed row.
+    Each alphabet symbol and each delta row's run symbol is one
+    character, as a tape cell holds one.  Each delta row must read and
+    write exactly `worktapes` work symbols from the alphabet (or the
+    blank) and go from and to declared states, and no two rows may
+    share a key: the machine must be deterministic.  Rows with the same
+    right-hand side share one parsed row.
     """
     fields = {}
     rows = []
@@ -127,6 +129,10 @@ def parse_hpm(text: str) -> HPMSpec:
             if len(left) < 2:
                 raise ValueError(f"line {lineno}: delta lhs needs state "
                                  "and run symbol")
+            runsym = left[1].strip()
+            if len(runsym) != 1:
+                raise ValueError(f"line {lineno}: run symbol {runsym!r} is "
+                                 "not one character")
             n = len(left) - 2
             if n == 1:
                 worksyms = (left[2].strip(),)
@@ -135,8 +141,7 @@ def parse_hpm(text: str) -> HPMSpec:
             row = parsed.get(rhs)
             if row is None or len(row[1]) != n:
                 row = parsed[rhs] = _parse_delta_rhs(rhs, n, lineno)
-            rows.append((lineno, (left[0].strip(), left[1].strip(), worksyms),
-                         row))
+            rows.append((lineno, (left[0].strip(), runsym, worksyms), row))
             continue
         rest = rest.strip()
         if key == "states":
@@ -152,6 +157,10 @@ def parse_hpm(text: str) -> HPMSpec:
             fields["worktapes"] = int(rest)
         elif key == "alphabet":
             fields["alphabet"] = rest.split()
+            for sym in fields["alphabet"]:
+                if len(sym) != 1:
+                    raise ValueError(f"line {lineno}: alphabet symbol {sym!r} "
+                                     "is not one character")
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     for need in ("states", "start", "worktapes", "alphabet"):
@@ -761,16 +770,17 @@ class History:
         return self._records[i]
 
 
-def sketch_advance(spec: HPMSpec, s: Sketch, history: History, symbol_source,
+def sketch_advance(spec: HPMSpec, s: Sketch, history: History, bots, fetch,
                    ctx: TruncationContext) -> Sketch:
     """One simulated cycle driven by move sizes instead of move contents.
 
-    symbol_source(entry_index, label, ordinal, offset) resolves the
-    offset-th symbol (1-based) of the ordinal-th same-label move.  The
-    records visible to the sketch (those before its (moves_made+1)-th T
-    record) and the run symbol's record are read off the history's
-    indexes: the run symbol's record is found by bisecting `starts`, which
-    rise strictly since every record holds at least its label's cell.
+    The offset-th symbol (1-based) of ⊥ move i (0-based among ⊥ moves)
+    is read as bots[i][offset - 1]; that of ⊤ move i is fetched by
+    fetch(spec, history, i, offset, bots, ctx).  The records visible to
+    the sketch (those before its (moves_made+1)-th T record) and the run
+    symbol's record are read off the history's indexes: the run symbol's
+    record is found by bisecting `starts`, which rise strictly since
+    every record holds at least its label's cell.
     `History.visible` reads the visible records the same way, and
     `history_prefix` is the rescanning twin.
     """
@@ -784,8 +794,12 @@ def sketch_advance(spec: HPMSpec, s: Sketch, history: History, symbol_source,
         idx = bisect_right(starts, q) - 1
         offset = q - starts[idx]
         label = history._records[idx][0]
-        runsym = label if offset == 0 else symbol_source(
-            idx, label, history.ordinals[idx], offset)
+        if offset == 0:
+            runsym = label
+        elif label == "B":
+            runsym = bots[history.ordinals[idx]][offset - 1]
+        else:
+            runsym = fetch(spec, history, history.ordinals[idx], offset, bots, ctx)
     moved = _transition(spec, s.state, runsym, s.tapes, s.heads, q, p)
     if moved is None:
         return _fill_sketch(_new(Sketch), s.state, s.tapes, s.heads, q, made,

@@ -48,10 +48,11 @@ def check_sim_triple(a, b, n):
         raise SimContractError("left body must be empty when n = 0")
 
 
-def _sim_stepping(a, b, n, strategy, state):
+def _sim_stepping(a, b, n, strategy, state, interrupted):
     """The replay loop from state, yielding once per simulated step.
 
-    Returns (final signed organ, max work-tape cells).
+    Returns (final signed organ, max work-tape cells), or None as soon
+    as interrupted() holds when a step's yield is resumed.
     """
     check_sim_triple(a, b, n)
     w = state
@@ -68,37 +69,33 @@ def _sim_stepping(a, b, n, strategy, state):
             t, mv = strategy.step(t)
             u = max(u, strategy.space(t))
             if mv is not None:
+                w = t  # witnessed; a stray unprefixed move is recorded nowhere
                 if n == 0:
                     nu.append(mv)
-                    w = t
                 elif mv.startswith("1."):
                     nu.append(mv[2:])
-                    w = t
                 elif mv.startswith("0."):
                     psi.append(mv[2:])
-                    w = t
-                else:
-                    w = t  # stray unprefixed move: witnessed, recorded nowhere
             yield
+            if interrupted():
+                return None
         if nu:
-            s = ("+", organ(nu, p))
             if bi == len(b):
-                return s, u
+                return ("+", organ(nu, p)), u
             bi += 1
             sign, org = "+", b[bi - 1]
             nu = []
         else:
-            s = ("-", organ(psi, p))
             if ai == len(a):
-                return s, u
+                return ("-", organ(psi, p)), u
             ai += 1
             sign, org = "-", a[ai - 1]
             psi = []
 
 
 def sim(a, b, n, strategy):
-    """Replay strategy against the adversary the two bodies encode."""
-    gen = _sim_stepping(a, b, n, strategy, strategy.initial())
+    """Replay strategy against the adversary the two bodies encode, to the end."""
+    gen = _sim_stepping(a, b, n, strategy, strategy.initial(), lambda: False)
     try:
         while True:
             next(gen)
@@ -289,27 +286,17 @@ class InductionRunner:
             master = start[-1][1]
             # consequent moves already absorbed into the master body
             q = sum(len(payload) for payload, _ in body_project(master, "odd"))
-            gen = _sim_stepping(body_project(left, "even"),
-                                body_project(right, "odd"), n,
-                                *self._start(n, values))
-            result = None  # stays None when a new move interrupts the sim
-            while True:
-                try:
-                    next(gen)
-                except StopIteration as fin:
-                    result = fin.value
-                    break
-                yield
-                if len(consequent) > q:
-                    break
+            result = yield from _sim_stepping(  # None if a new move interrupts
+                body_project(left, "even"), body_project(right, "odd"), n,
+                *self._start(n, values), lambda: len(consequent) > q)
             if result is not None:
                 (sign, (omega, scale)), u = result
                 u_total = max(u, u_total)
+            pos = next(i for i, (idx, _) in enumerate(entries) if idx == n)
             if result is None:
                 absorb_new_move(q)
                 classification = "restarting(new-move)"
             elif sign == "+" and n < k:
-                pos = next(i for i, (idx, _) in enumerate(entries) if idx == n)
                 body = entries[pos][1] + (organ(omega, scale),)
                 entries[pos] = (n, body)
                 entries[:] = [e for e in entries
@@ -321,7 +308,6 @@ class InductionRunner:
                 classification = "locking(2.1.2)"
                 self.locked = True
             elif n > 0:
-                pos = next(i for i, (idx, _) in enumerate(entries) if idx == n)
                 if pos > 0 and entries[pos - 1][0] == n - 1:
                     body = entries[pos - 1][1] + (organ(omega, scale),)
                     entries[pos - 1] = (n - 1, body)

@@ -46,14 +46,9 @@ class FetchError(Exception):
 
 def update_sketch(spec: HPMSpec, history: History, s: Sketch, own_bot_moves,
                   ctx: TruncationContext) -> Sketch:
-    """One resimulated cycle; ⊥ symbols come from own_bot_moves, ⊤ symbols
-    from recursive fetch_symbol calls."""
-    def source(entry_index, label, ordinal, offset):
-        if label == "B":
-            return own_bot_moves[ordinal][offset - 1]
-        return fetch_symbol(spec, history, ordinal, offset, own_bot_moves, ctx)
-
-    return sketch_advance(spec, s, history, source, ctx)
+    """One resimulated cycle: ⊥ symbols are read off own_bot_moves, ⊤ ones
+    fetched by recursive calls to the module's current fetch_symbol."""
+    return sketch_advance(spec, s, history, own_bot_moves, fetch_symbol, ctx)
 
 
 def fetch_symbol(spec: HPMSpec, history: History, k: int, n: int,

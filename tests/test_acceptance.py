@@ -5,36 +5,30 @@ import random
 import time
 
 import clarith.formula as fm
-from clarith import wrappers, zoo
-from clarith.bounds import Nat
+from clarith import oracles, wrappers, zoo
 from clarith.game import (
     Semiposition,
     TruncationContext,
     analyze_semiposition,
     first_illegal_index,
     is_quasilegal,
-    is_quasilegal_move_prefix,
     truncate,
     windup,
     windup_oracle,
     wins,
 )
-from clarith.comprehension import ComprehensionRunner
 from clarith.hpm import (
     History,
     HPMStrategy,
     StrategyRunner,
-    initial_configuration,
     initial_sketch,
     play,
     sketch_advance,
     sketch_of_configuration,
-    spacecost,
-    step,
 )
-from clarith.induction import build_induction_solver, diagnostics, sim
-from clarith.wrappers import ReasonRunner, VasaRunner, fetch_symbol
-from clarith.oracles import _table_premise, _iter_open_buffers, _zoo_formulas
+from clarith.induction import build_induction_solver, diagnostics
+from clarith.wrappers import ReasonRunner, VasaRunner
+from clarith.oracles import _iter_open_buffers, _zoo_formulas
 
 from conftest import (
     COUNTER_TEXT,
@@ -43,7 +37,7 @@ from conftest import (
     drive_solver,
     make_scripted_env,
 )
-from clarith.game import int_to_numer, numer_value, split_move
+from clarith.game import int_to_numer
 
 
 class Budget:
@@ -77,25 +71,9 @@ def test_criterion_2_truncation_exact(two_disjunct_ctx):
     assert truncate("0.1.#1111111", two_disjunct_ctx) == "0.1.#1111"
 
 
-def test_criterion_3_fetch_oracle(two_disjunct_formula):
+def test_criterion_3_fetch_oracle():
     budget = Budget(30.0)
-    ctx = TruncationContext(two_disjunct_formula, {"x": 9})
-    rng = random.Random(42)
-    done = 0
-    while done < 1000:
-        spec = zoo.random_machine(rng)
-        schedule = zoo.random_schedule(rng, spec)
-        sc = zoo.run_scenario(spec, schedule, 60)
-        own = [(k, m) for k, m in enumerate(sc["own_moves"]) if m]
-        if not own:
-            continue
-        # probe a handful of symbols per scenario
-        for _ in range(min(4, len(own) * 2)):
-            k, move = own[rng.randrange(len(own))]
-            n = rng.randint(1, len(move))
-            got = fetch_symbol(spec, sc["history"], k, n, sc["env_moves"], ctx)
-            assert got == move[n - 1], (k, n, move, got)
-            done += 1
+    assert oracles.SUITES["fetch"][0](random.Random(42), 1000) is None
     budget.check()
 
 
@@ -138,22 +116,7 @@ def test_criterion_4_resimulation_index_bounds(two_disjunct_formula,
 
 def test_criterion_5_sim_extension_invariance():
     budget = Budget(60.0)
-    rng = random.Random(5)
-    for _ in range(500):
-        a, b, n = zoo.random_sim_triple(rng)
-        cap = rng.randint(1, 3)
-        strat = zoo.random_script(rng, cap, 3, n)
-        out = sim(a, b, n, strat)
-        sign = out[0][0]
-        if sign == "-":
-            b2 = b + zoo.random_body(rng, max_size=2)
-            assert sim(a, b2, n, strat) == out
-        elif n != 0:
-            a2 = a + zoo.random_body(rng, max_size=2)
-            assert sim(a2, b, n, strat) == out
-        if sign == "+":
-            # a capped strategy never consumes more organs than it can answer
-            assert len(b) <= cap
+    assert oracles.SUITES["sim"][0](random.Random(5), 500) is None
     budget.check()
 
 
@@ -174,26 +137,9 @@ def test_criterion_6_counter_game_family():
     budget.check()
 
 
-def _table_case(table, c):
-    p = fm.Atom("tbl", (fm.TVar("y"),))
-    runner = ComprehensionRunner(_table_premise(table), p, "y", Nat(c))
-    moves = runner.poll(())
-    assert len(moves) == 1
-    _, numer = split_move(moves[0])
-    got = numer_value(numer or "")
-    want = sum(1 << y for y in range(c) if y < len(table) and table[y])
-    assert got == want, (table, c, got, want)
-
-
 def test_criterion_7_comprehension_oracle():
     budget = Budget(60.0)
-    for c in range(0, 4):
-        for mask in range(2 ** c):
-            _table_case([(mask >> y) & 1 == 1 for y in range(c)], c)
-    rng = random.Random(77)
-    for _ in range(200):
-        c = rng.randint(4, 8)
-        _table_case([rng.random() < 0.5 for _ in range(c)], c)
+    assert oracles.SUITES["compr"][0](random.Random(77), 200) is None
     budget.check()
 
 
@@ -265,12 +211,12 @@ def test_criterion_10_sketch_configuration_coherence(two_disjunct_formula):
         sc = zoo.run_scenario(spec, schedule, 200)
         env_moves, own_moves = sc["env_moves"], sc["own_moves"]
 
-        def source(entry_index, label, ordinal, offset):
-            seq = env_moves if label == "B" else own_moves
-            return seq[ordinal][offset - 1]
+        def fetch(spec, history, ordinal, offset, bots, ctx):
+            return own_moves[ordinal][offset - 1]
 
         s = initial_sketch(spec)
         for i, cfg in enumerate(sc["configs"]):
             assert s == sketch_of_configuration(cfg, ctx), (case, i)
             if i < len(sc["configs"]) - 1:
-                s = sketch_advance(spec, s, sc["history"], source, ctx)
+                s = sketch_advance(spec, s, sc["history"], env_moves, fetch,
+                                   ctx)

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -107,6 +108,17 @@ class TestPlay:
                    "--env", "x=9,x=3", "--fuel", "60"])
         assert rc == 0
         assert capsys.readouterr().out.startswith("B #1001\nB #11\n")
+
+    def test_repl_stops_prompting_at_end_of_input(self, formula_file,
+                                                  monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("#101\n#11\n"))
+        rc = main(["play", fixture("legal.hpm"), formula_file,
+                   "--env", "repl", "--fuel", "50"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "B #101\n" in out and "B #11\n" in out
+        # two moves read, then one prompt that meets the end of input
+        assert out.count("B> ") == 3
 
 
 class TestTransform:

@@ -11,6 +11,12 @@ from conftest import TWO_DISJUNCT_TEXT, COUNTER_TEXT, formulas
 class TestParsing:
     @given(formulas)
     @example(fm.parse_formula(TWO_DISJUNCT_TEXT))
+    # successor, size and constant terms, which `formulas` never draws
+    @example(fm.parse_formula("p(|x'|)"))
+    @example(fm.parse_formula("p((|x|)')"))
+    @example(fm.parse_formula("p(s'')"))
+    @example(fm.parse_formula("p(0)"))
+    @example(fm.parse_formula("p(101)"))
     def test_round_trip(self, f):
         text = fm.to_text(f)
         assert fm.to_text(fm.parse_formula(text)) == text
@@ -130,6 +136,10 @@ class TestFreeVars:
     def test_first_occurrence_order(self):
         f = fm.parse_formula("p(a, b) & q(b, c)")
         assert fm.free_vars(f) == ["a", "b", "c"]
+
+    def test_successor_and_size_terms_contribute(self):
+        f = fm.parse_formula("p(|x'|) & y = z'' & q(0, 101)")
+        assert fm.free_vars(f) == ["x", "y", "z"]
 
     def test_bound_variables_excluded(self, two_disjunct_formula):
         assert fm.free_vars(two_disjunct_formula) == ["x"]

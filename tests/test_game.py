@@ -171,6 +171,16 @@ class TestWinning:
         run = (("B", "#1"), ("T", "1.#11111"))
         assert wins(f, {"x": 9}, run, atoms=self.atoms) == "B"
 
+    @pytest.mark.parametrize("text,run,winner", [
+        ("ade y [|s| + 1] (y = s'')", (("T", "#101"),), "T"),  # 5 = 3''
+        ("ade y [|s| + 1] (y = s'')", (("T", "#100"),), "B"),
+        ("ade y [|s| + 1] (y = s'')", (("T", "#110"),), "B"),
+        ("|s'| = 11", (), "T"),                                  # |4| = 3
+        ("|s'| = 100", (), "B"),
+    ])
+    def test_successor_and_size_terms(self, text, run, winner):
+        assert wins(fm.parse_formula(text), {"s": 3}, run) == winner
+
     def test_blind_quantifier_semantics(self):
         f = fm.parse_formula("cla y < |x| : Bit(y, x)")
         assert wins(f, {"x": 7}, ()) == "T"

@@ -67,14 +67,27 @@ class TestParsing:
         ("halt, _, _ -> halt, Y, S, S", "work symbol 'Y' not in the alphabet"),
         ("halt, _, _ -> nowhere, _, S, S", "target state 'nowhere' not declared"),
         ("ghost, _, _ -> halt, _, S, S", "source state 'ghost' not declared"),
+        ("halt, , _ -> halt, _, S, S", "run symbol '' is not one character"),
+        ("halt, 01, _ -> halt, _, S, S",
+         "run symbol '01' is not one character"),
     ], ids=["duplicate-key", "work-arity", "read-symbol", "write-symbol",
-            "target-state", "source-state"])
+            "target-state", "source-state", "empty-run-symbol",
+            "long-run-symbol"])
     def test_rejects_malformed_rows_by_line(self, row, complaint):
         text = read_fixture("legal.hpm") + f"delta: {row}\n"
         with pytest.raises(ValueError) as err:
             parse_hpm(text)
         assert str(err.value).startswith(f"line {len(text.splitlines())}: ")
         assert complaint in str(err.value)
+
+    def test_alphabet_symbols_are_one_character(self):
+        # a two-character symbol would fill one cell and leave the head
+        # on a symbol that no row names
+        text = ("states: a\nstart: a\nworktapes: 1\nalphabet: 0 1 xy\n"
+                "delta: a, _, _ -> a, xy, S, R\n")
+        with pytest.raises(ValueError, match="^line 4: alphabet symbol 'xy' "
+                                             "is not one character$"):
+            parse_hpm(text)
 
     @pytest.mark.parametrize("rhs", ["a, S, append", 'a, S, append "',
                                      "a, S, append 0", 'a, S, appendix "0"'])
@@ -277,11 +290,13 @@ class TestSketch:
                 incoming.append(("B", pending.pop(0)[1]))
             now = cfg.run + tuple(incoming)
             hist = History((l, len(m)) for l, m in now)
+            bots = [m for l, m in now if l == "B"]
+            tops = [m for l, m in now if l == "T"]
 
-            def src(idx, label, ordinal, offset, rn=now):
-                return rn[idx][1][offset - 1]
+            def fetch(spec, history, ordinal, offset, bots, ctx, tops=tops):
+                return tops[ordinal][offset - 1]
 
-            nxt = sketch_advance(spec, sk, hist, src, ctx)
+            nxt = sketch_advance(spec, sk, hist, bots, fetch, ctx)
             cfg = step(spec, cfg, incoming)
             assert nxt == sketch_of_configuration(cfg, ctx)
             if nxt.moves_made > sk.moves_made:
