@@ -98,26 +98,18 @@ class SizeVar(BoundExpr):
         return f"|{self.name}|"
 
 
-class RawVar(BoundExpr):
+class RawVar(SizeVar):
     """A placeholder evaluated directly to its assigned natural.
 
     Only used inside UnaryBound, where the single argument is already a
-    size and must not be re-measured.
+    size and must not be re-measured.  BoundExpr.__eq__ compares types,
+    so RawVar("z") != SizeVar("z").
     """
-
-    def __init__(self, name: str = "z"):
-        self.name = name
 
     def evaluate(self, env):
         if self.name not in env:
             raise KeyError(f"unbound variable {self.name!r} in bound")
         return env[self.name]
-
-    def variables(self):
-        return {self.name: None}.keys()
-
-    def substitute(self, mapping):
-        return mapping.get(self.name, self)
 
     def __repr__(self):
         return self.name
@@ -205,9 +197,6 @@ class UnaryBound:
 
     def compose(self, inner: "UnaryBound") -> "UnaryBound":
         return UnaryBound(self.expr.substitute({self.VAR: inner.expr}))
-
-    def __eq__(self, other):
-        return isinstance(other, UnaryBound) and self.expr == other.expr
 
     def __repr__(self):
         return f"UnaryBound({self.expr!r})"

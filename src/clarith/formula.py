@@ -7,7 +7,7 @@ Grammar (ASCII):
     cla x < B : F    blind-universal over values below B
     cle x < B : F    blind-existential
     infix & v ->, prefix ~, atoms p(t,...), t1 = t2, t1 <= t2, Bit(t1,t2),
-    terms: variables, binary literals, t' (successor), |t|.
+    terms: variables, binary literals, t' (successor), |t|, (t).
 B is a bound in the grammar of clarith.bounds, read in place by the
 Scanner that _Parser extends.
 
@@ -24,8 +24,13 @@ from .bounds import BoundExpr, Scanner, bitsize, unarify, Max, iterate_max, ZERO
 # terms
 
 class Term:
+    """A term; text() is the form parse_term reads back, and its repr."""
+
     def variables(self) -> set:
         return set()
+
+    def __repr__(self):
+        return self.text()
 
 
 class TVar(Term):
@@ -35,11 +40,13 @@ class TVar(Term):
     def variables(self):
         return {self.name}
 
-    def __repr__(self):
-        return self.name
+    def evaluate(self, env):
+        if self.name not in env:
+            raise KeyError(f"unbound variable {self.name!r}")
+        return env[self.name]
 
-    def __eq__(self, other):
-        return isinstance(other, TVar) and self.name == other.name
+    def text(self):
+        return self.name
 
 
 class TConst(Term):
@@ -50,67 +57,54 @@ class TConst(Term):
             raise ValueError(f"bad binary literal {bits!r}")
         self.bits = bits
 
-    @property
-    def value(self):
+    def evaluate(self, env):
         return int(self.bits, 2) if self.bits else 0
 
-    def __repr__(self):
-        return "0b" + (self.bits or "0")
-
-    def __eq__(self, other):
-        return isinstance(other, TConst) and self.value == other.value
+    def text(self):
+        return self.bits or "0"
 
 
-class TSucc(Term):
+class TUnary(Term):
+    """A function of one term, arg: its successor or its size."""
+
     def __init__(self, arg):
         self.arg = arg
 
     def variables(self):
         return self.arg.variables()
 
-    def __repr__(self):
-        return f"{self.arg!r}'"
+
+class TSucc(TUnary):
+    def evaluate(self, env):
+        return self.arg.evaluate(env) + 1
+
+    def text(self):
+        # postfix, so no term text opens with the "(" of a formula
+        return self.arg.text() + "'"
 
 
-class TSize(Term):
-    def __init__(self, arg):
-        self.arg = arg
+class TSize(TUnary):
+    def evaluate(self, env):
+        return bitsize(self.arg.evaluate(env))
 
-    def variables(self):
-        return self.arg.variables()
-
-    def __repr__(self):
-        return f"|{self.arg!r}|"
-
-
-def eval_term(t: Term, env) -> int:
-    if isinstance(t, TVar):
-        if t.name not in env:
-            raise KeyError(f"unbound variable {t.name!r}")
-        return env[t.name]
-    if isinstance(t, TConst):
-        return t.value
-    if isinstance(t, TSucc):
-        return eval_term(t.arg, env) + 1
-    if isinstance(t, TSize):
-        return bitsize(eval_term(t.arg, env))
-    raise TypeError(f"not a term: {t!r}")
+    def text(self):
+        return f"|{self.arg.text()}|"
 
 
 # ---------------------------------------------------------------------------
 # formulas
 
 class Formula:
-    pass
+    """A formula; its repr is to_text, the text parse_formula reads back."""
+
+    def __repr__(self):
+        return to_text(self)
 
 
 class Atom(Formula):
     def __init__(self, name, args):
         self.name = name
         self.args = tuple(args)
-
-    def __repr__(self):
-        return f"Atom({self.name}, {list(self.args)})"
 
 
 class Not(Formula):
@@ -180,8 +174,8 @@ def to_text(f: Formula) -> str:
 def _print(f, ctx):
     if isinstance(f, Atom):
         if f.name in ("=", "<="):
-            return f"{_print_term(f.args[0])} {f.name} {_print_term(f.args[1])}"
-        return f"{f.name}(" + ", ".join(_print_term(a) for a in f.args) + ")"
+            return f"{f.args[0].text()} {f.name} {f.args[1].text()}"
+        return f"{f.name}(" + ", ".join(a.text() for a in f.args) + ")"
     if isinstance(f, Not):
         return "~" + _wrap(_print(f.body, 4), isinstance(f.body, Binary))
     if isinstance(f, Binary):
@@ -193,26 +187,12 @@ def _print(f, ctx):
         return f"{f.keyword} {f.var} [{mark}{f.bound}] {_print(f.body, 4)}"
     if isinstance(f, Blind):
         return f"{f.keyword} {f.var} < {f.bound} : {_print(f.body, 4)}"
-    raise TypeError(f"not a formula: {f!r}")
+    # not {f!r}: a Formula's repr would print f again
+    raise TypeError(f"not a formula: {type(f).__name__}")
 
 
 def _wrap(s, need):
     return f"({s})" if need else s
-
-
-def _print_term(t):
-    if isinstance(t, TVar):
-        return t.name
-    if isinstance(t, TConst):
-        return t.bits or "0"
-    if isinstance(t, TSucc):
-        inner = _print_term(t.arg)
-        if isinstance(t.arg, (TVar, TConst)):
-            return inner + "'"
-        return "(" + inner + ")'"
-    if isinstance(t, TSize):
-        return "|" + _print_term(t.arg) + "|"
-    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------

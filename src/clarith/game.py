@@ -213,7 +213,7 @@ def evaluate(pos: GamePosition, atoms=None):
     """
     def ev(node, env, addr):
         if isinstance(node, fm.Atom):
-            args = tuple(fm.eval_term(t, env) for t in node.args)
+            args = tuple(t.evaluate(env) for t in node.args)
             if node.name in _BUILTIN_ATOMS:
                 return _BUILTIN_ATOMS[node.name](args)
             if atoms is None:

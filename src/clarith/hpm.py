@@ -305,15 +305,10 @@ class Configuration:
         return tuple(self.log.moves[:self.length])
 
     def replace(self, **kw):
-        """A copy with kw fields replaced.  It shares this configuration's
-        run log unless kw gives a run."""
-        vals = {name: getattr(self, name) for name in _FIELDS if name != "run"}
+        """A copy with kw fields replaced, on a run log of its own."""
+        vals = {name: getattr(self, name) for name in _FIELDS}
         vals.update(kw)
-        if "run" in kw:
-            return Configuration(**vals)
-        nxt = Configuration(run=(), **vals)
-        nxt.log, nxt.length = self.log, self.length
-        return nxt
+        return Configuration(**vals)
 
     def extend(self, labmoves):
         """A copy with labmoves appended to the run."""

@@ -21,6 +21,9 @@ TWO_DISJUNCT_TEXT = ("(ada y [|x|] ade z [|x|] p(z,y))"
                      " v (ada u [|x|] ade w [|x|] q(u,w))")
 
 COUNTER_TEXT = "ada x [val 1000] ade v [|x| + 1] (v = x)"
+# an induction conclusion under a blind quantifier; its free variable k
+# is the first constant, x the second
+BLIND_CONCLUSION = "cla y < 2 : ada x [val |k|] ade v [1] (v = 0)"
 
 
 def read_fixture(name):

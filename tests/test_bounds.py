@@ -233,6 +233,14 @@ class TestExprAlgebra:
     def test_repr_round_trips(self, b):
         assert parse_bound(repr(b)) == b
 
+    def test_raw_variable_is_not_its_size(self):
+        raw, size = RawVar("z"), SizeVar("z")
+        assert raw != size and size != raw
+        assert (raw.evaluate({"z": 5}), size.evaluate({"z": 5})) == (5, 3)
+        assert list(raw.variables()) == ["z"]
+        assert raw.substitute({"z": Nat(2)}) == Nat(2)
+        assert raw.substitute({"y": Nat(2)}) is raw
+
     def test_unary_bound_rejects_foreign_variables(self):
         try:
             UnaryBound(SizeVar("x"))

@@ -9,7 +9,8 @@ import clarith.formula as fm
 from clarith import induction, oracles
 from clarith.cli import main
 
-from conftest import COUNTER_TEXT, FIXTURES, TWO_DISJUNCT_TEXT, read_fixture
+from conftest import (BLIND_CONCLUSION, COUNTER_TEXT, FIXTURES, TWO_DISJUNCT_TEXT,
+                      read_fixture)
 
 
 @pytest.fixture
@@ -169,6 +170,16 @@ class TestTransform:
         text = out[len("conclusion: "):-1]
         assert fm.to_text(fm.parse_formula(text)) == text
 
+    def test_comprehension_of_a_successor_atom(self, tmp_path, capsys):
+        # the conclusion prints x'' postfix, so it reads back and --y passes
+        p = tmp_path / "p.clf"
+        p.write_text("y'' = 11\n")
+        assert main(["transform", "compr", "--premise", fixture("always_yes.hpm"),
+                     "--p", str(p), "--y", "y", "--bound", "3"]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("conclusion: ")]
+        assert "y'' = 11" in line
+
     def test_undecided_winner_names_the_atom_once(self, tmp_path, capsys):
         p = tmp_path / "p.clf"
         p.write_text("q(y, d)\n")
@@ -200,6 +211,16 @@ class TestTransform:
         out = capsys.readouterr().out
         assert "rank strictly increasing: yes" in out
         assert "birthtimes:" in out
+
+    def test_induction_under_a_blind_quantifier(self, tmp_path, capsys):
+        concl = tmp_path / "concl.clf"
+        concl.write_text(BLIND_CONCLUSION + "\n")
+        assert main(["transform", "induct", "--n", fixture("n_const.hpm"),
+                     "--k", fixture("k_const.hpm"), "--f", str(concl),
+                     "--env", "k=3,x=2", "--play", "--fuel", "200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "T 1.#" in lines
+        assert "winner: T" in lines
 
     # bigmove.hpm has r=8, g=0, q=5; legal.hpm has r=7, g=1, q=6; both
     # const machines have r=4, g=0, q=5, so g stays 0 with no default mixed in

@@ -1,5 +1,6 @@
 """The CLI on mutated input files: whatever the files hold, a command
-exits 0, 1, 2 or 3 and raises nothing else.
+exits 0, 1, 2 or 3 and raises nothing else, and a formula that `fmt`
+prints reads back as the same text.
 
 Each example takes one command's fixture files, mutates one of them
 (byte flips, non-UTF-8 bytes included; dropped, duplicated or random
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clarith.formula as fm
 from clarith.cli import main
 
 from conftest import TWO_DISJUNCT_TEXT, read_fixture
@@ -30,7 +32,8 @@ PLAY_ENV = "#! the constant, then two game moves\n#1001\n0.#10\n@1 1.#1\n"
 
 # command -> (its argv, {file placeholder: the file's fixture text})
 COMMANDS = {
-    "fmt": (["fmt", "check", "{f}"], {"f": TWO_DISJUNCT_TEXT + "\n"}),
+    "fmt": (["fmt", "check", "{f}"],
+            {"f": TWO_DISJUNCT_TEXT + " & x'' = |x|'\n"}),
     "play": (["play", "{m}", "{f}", "--env", "{e}", "--fuel", "20"],
              {"m": read_fixture("bigmove.hpm"), "f": TWO_DISJUNCT_TEXT + "\n",
               "e": PLAY_ENV}),
@@ -132,3 +135,7 @@ def test_mutated_files_exit_cleanly(workdir, command, data):
     assert rc in (0, 1, 2, 3), err.getvalue()
     if rc == 1:
         assert err.getvalue().startswith("error: "), err.getvalue()
+    if command == "fmt" and rc == 0:
+        (text,) = [ln[len("formula: "):] for ln in out.getvalue().splitlines()
+                   if ln.startswith("formula: ")]
+        assert fm.to_text(fm.parse_formula(text)) == text

@@ -503,7 +503,7 @@ def _spec_first_illegal(f, c_env, run):
 
 def _spec_evaluate(node, env, atoms):
     if isinstance(node, fm.Atom):
-        return bool(atoms(node.name, tuple(fm.eval_term(t, env) for t in node.args)))
+        return bool(atoms(node.name, tuple(t.evaluate(env) for t in node.args)))
     if isinstance(node, _Chosen):
         choice, val = node.node, node.value
         measured = bitsize(val) if choice.kind == "size" else val

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,10 @@ class TestParsing:
     @example(fm.parse_formula("p(s'')"))
     @example(fm.parse_formula("p(0)"))
     @example(fm.parse_formula("p(101)"))
+    # a successor of a compound term at the head of an atom
+    @example(fm.parse_formula("x'' = 11"))
+    @example(fm.parse_formula("|x|' <= y"))
+    @example(fm.parse_formula("ada x [|s|] |x|'' = s"))
     def test_round_trip(self, f):
         text = fm.to_text(f)
         assert fm.to_text(fm.parse_formula(text)) == text
@@ -79,10 +85,47 @@ class TestParsing:
             except (SyntaxError, ValueError):
                 pass
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_terms_print_as_text_that_reads_back(self, data):
+        kind = data.draw(st.sampled_from(["=", "<=", "Bit", "p"]), label="atom")
+        if kind in ("=", "<="):
+            # an atom cannot open with a parenthesized term: "(" there
+            # starts a parenthesized formula
+            left = data.draw(term_texts.filter(lambda t: t[0] != "("))
+            text = f"{left} {kind} {data.draw(term_texts)}"
+        else:
+            args = data.draw(st.lists(term_texts, min_size=1, max_size=3))
+            text = f"{kind}({', '.join(args)})"
+        text = data.draw(st.sampled_from(PREFIXES), label="prefix") + text
+        f = fm.parse_formula(text)
+        printed = fm.to_text(f)
+        again = fm.parse_formula(printed)
+        assert fm.to_text(again) == printed
+        env = data.draw(st.fixed_dictionaries(
+            {n: st.integers(0, 2**12) for n in TERM_NAMES}), label="env")
+        assert ([t.evaluate(env) for t in atom_of(again).args]
+                == [t.evaluate(env) for t in atom_of(f).args])
+
+
+TERM_NAMES = ("x", "y", "s", "v")
+# term text: a variable or binary constant inside up to four of t', |t|, (t)
+term_texts = st.builds(
+    lambda leaf, wraps: functools.reduce(lambda t, w: w.format(t), wraps, leaf),
+    st.one_of(st.sampled_from(TERM_NAMES),
+              st.text(alphabet="01", min_size=1, max_size=4)),
+    st.lists(st.sampled_from(("{}'", "|{}|", "({})")), max_size=4))
+PREFIXES = ("", "~", "ada x [|s|] ", "cle y < 11 : ")
+
+
+def atom_of(f):
+    while not isinstance(f, fm.Atom):
+        f = f.body
+    return f
 
 
 def atom_value(t):
-    return fm.eval_term(t, {})
+    return t.evaluate({})
 
 
 class TestUnits:

@@ -2,8 +2,8 @@ import pytest
 
 import clarith.formula as fm
 from clarith.bounds import bitsize, unarify
-from clarith.game import int_to_numer, numer_value, split_move, wins
-from clarith.hpm import ScriptStrategy
+from clarith.game import int_to_numer, numer_value, opening, split_move, wins
+from clarith.hpm import HPMStrategy, ScriptStrategy, parse_hpm
 from clarith.induction import (
     InductionRunner,
     SimContractError,
@@ -20,10 +20,12 @@ from clarith.induction import (
 )
 
 from conftest import (
+    BLIND_CONCLUSION,
     COUNTER_TEXT,
     counter_k_script,
     counter_n_script,
     drive_solver,
+    read_fixture,
 )
 
 
@@ -219,6 +221,22 @@ class TestPremiseOpening:
             runner.poll(run)
         assert first_runs == {"n": (("B", "#101"),),
                               "k": (("B", "#101"), ("B", "#10"))}
+
+
+class TestBlindConclusion:
+    """A conclusion may open with blind quantifiers before its ada."""
+
+    def test_conclusion_under_a_blind_quantifier(self):
+        concl = fm.parse_formula(BLIND_CONCLUSION)
+        runner = InductionRunner(
+            HPMStrategy(parse_hpm(read_fixture("n_const.hpm"))),
+            HPMStrategy(parse_hpm(read_fixture("k_const.hpm"))), concl)
+        # k = 3, then x = 2; drive_solver sorts by cycle, so the cycles differ
+        run = drive_solver(runner, [(0, "#11"), (1, "#10")])
+        assert runner.locked
+        assert [m for label, m in run if label == "T"] == ["1.#"]
+        env, rest = opening(fm.free_vars(concl), run)
+        assert wins(concl, env, rest) == "T"
 
 
 class TestCounterGame:
