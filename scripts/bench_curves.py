@@ -8,6 +8,8 @@
                                     [--out BENCH_reason_phases.json]
     python3 scripts/bench_curves.py --curve analyze [--units 1,2,...,12]
                                     [--reps 3] [--out BENCH_analyze_units.json]
+    python3 scripts/bench_curves.py --curve induct [--ks 16,32,64,128,256]
+                                    [--reps 3] [--out BENCH_induct_k.json]
 
 Every session is timed with `timed` from `perfbench/run.py`, which
 runs the benchmark's calibration loop before and after it: next to its
@@ -46,6 +48,18 @@ time and the `formula.parse_formula` time (the best of PARSE_CALLS
 calls, as for `reason`), each wall and scaled, over --reps rounds, each
 round running every unit count once.
 
+`induct` is ms per synchronizer session against the induction bound k:
+`workloads.induct_session`, the benchmark's `induct` session, polls an
+`InductionRunner` to its locking move and 50 polls past it, on three
+variants per k: the counter game with a step premise that answers at
+once (`counter0`) or after a delay of 3 (`counter3`), and the mid-run
+game (`midrun`).  Each variant's first k is run once untimed.  Per k
+and variant it records the wall (best) and scaled (median) ms over
+--reps runs, the polls and synchronizer iterations up to the lock, the
+polls per k², and how many iterations earned each classification over
+the whole session.  Every session's run must pass the benchmark's
+`reference.check_induct`.
+
 Every file also holds the Python version and CPU count of the host and
 the calibration's `CAL_REFERENCE_S`.
 clarith is imported from `src/` next to this directory.
@@ -64,6 +78,8 @@ import statistics
 import sys
 import tempfile
 import time
+import types
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -71,12 +87,17 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import gen  # noqa: E402
 import reference  # noqa: E402
-from clarith import cli, formula, hpm, wrappers  # noqa: E402
+import workloads  # noqa: E402
+from clarith import cli, formula, game, hpm, induction, wrappers  # noqa: E402
 from run import CAL_REFERENCE_S, timed  # noqa: E402
 
 DEFAULT_FUELS = (1000, 4000, 16000, 64000)
 DEFAULT_PHASES = tuple(range(3, 11))
 DEFAULT_UNITS = tuple(range(1, 13))
+DEFAULT_KS = (16, 32, 64, 128, 256)
+# (name, kind, step premise delay) of each induct variant
+INDUCT_VARIANTS = (("counter0", "counter", 0), ("counter3", "counter", 3),
+                   ("midrun", "midrun", 0))
 PARSE_CALLS = 20
 SEED = 1
 
@@ -281,9 +302,64 @@ def analyze_curve(args, workdir):
     }, points
 
 
+def induct_input(kind, delay, k):
+    """A `workloads.induct_pool` input for one variant at bound k."""
+    inp = {"kind": kind, "k": k, "delay": delay}
+    if kind == "counter":
+        inp.update(formula=gen.COUNTER_FORMULA, env=[(0, "#" + gen.numer(k))],
+                   answer="1.#" + gen.numer(k))
+    else:
+        inp.update(formula=gen.MIDRUN_FORMULA,
+                   env=[(0, "#" + gen.numer(k)), (5, "1.#10")],
+                   answer="1.1.#10")
+    return inp
+
+
+def induct_curve(args, workdir):
+    """(description, points) of the induct k curve."""
+    lib = types.SimpleNamespace(fm=formula, game=game, hpm=hpm,
+                                induction=induction)
+    points = []
+    for name, kind, delay in INDUCT_VARIANTS:
+        workloads.induct_session(lib, induct_input(kind, delay, args.ks[0]))
+        for k in args.ks:
+            inp = induct_input(kind, delay, k)
+            runs = [timed(workloads.induct_session, lib, inp)
+                    for _ in range(args.reps)]
+            out = runs[0][0]
+            problem = reference.check_induct(inp, out, lib)
+            if problem:
+                raise RuntimeError(f"induct {name} at k={k}: {problem}")
+            trace = out["runner"].trace
+            iterations = 1 + next(i for i, rec in enumerate(trace)
+                                  if rec["classification"].startswith("locking"))
+            polls = out["work"] - workloads.INDUCT_SETTLE
+            wall = min(w for _, w, _ in runs) * 1e3
+            scaled = statistics.median(s for _, _, s in runs) * 1e3
+            classes = Counter(rec["classification"] for rec in trace)
+            points.append({"variant": name, "k": k,
+                           "session_ms": round(wall, 3),
+                           "session_scaled_ms": round(scaled, 3),
+                           "polls": polls, "iterations": iterations,
+                           "polls_per_k2": round(polls / k ** 2, 4),
+                           "classifications": dict(sorted(classes.items()))})
+            print(f"{name:>8} k {k:>4}: {wall:.2f} ms ({scaled:.2f} scaled), "
+                  f"{polls} polls, {iterations} iterations, "
+                  f"{polls / k ** 2:.3f} polls/k^2")
+    return {
+        "curve": "induct_k",
+        "workload": "workloads.induct_session polled to the lock and "
+                    f"{workloads.INDUCT_SETTLE} polls past it; the best "
+                    "wall and the median host-scaled time over reps; polls "
+                    "and iterations count up to the lock",
+        "reps": args.reps,
+    }, points
+
+
 CURVES = {"play": (play_curve, "BENCH_play_fuel.json"),
           "reason": (reason_curve, "BENCH_reason_phases.json"),
-          "analyze": (analyze_curve, "BENCH_analyze_units.json")}
+          "analyze": (analyze_curve, "BENCH_analyze_units.json"),
+          "induct": (induct_curve, "BENCH_induct_k.json")}
 
 
 def _ints(text):
@@ -299,6 +375,8 @@ def main(argv=None):
                     help="reason: comma-separated phase counts")
     ap.add_argument("--units", type=_ints, default=list(DEFAULT_UNITS),
                     help="analyze: comma-separated unit counts")
+    ap.add_argument("--ks", type=_ints, default=list(DEFAULT_KS),
+                    help="induct: comma-separated induction bounds k")
     ap.add_argument("--machines", type=int, default=8,
                     help="reason: machines per phase count")
     ap.add_argument("--reps", type=int, default=3,
@@ -307,9 +385,9 @@ def main(argv=None):
                     "(default: the curve's BENCH_*.json file in the repo)")
     args = ap.parse_args(argv)
     if min(args.reps, args.machines, *args.fuels, *args.phases,
-           *args.units) < 1:
-        ap.error("--reps, --machines, every fuel, phase count and unit "
-                 "count must be at least 1")
+           *args.units, *args.ks) < 1:
+        ap.error("--reps, --machines, every fuel, phase count, unit "
+                 "count and k must be at least 1")
     sweep, default_out = CURVES[args.curve]
     out = args.out or os.path.join(ROOT, default_out)
     with tempfile.TemporaryDirectory() as workdir:

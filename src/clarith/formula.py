@@ -17,6 +17,8 @@ disjunction operator only in operator position.
 
 from __future__ import annotations
 
+import re
+
 from .bounds import BoundExpr, Scanner, bitsize, unarify, Max, iterate_max, ZERO_BOUND
 
 
@@ -79,7 +81,6 @@ class TSucc(TUnary):
         return self.arg.evaluate(env) + 1
 
     def text(self):
-        # postfix, so no term text opens with the "(" of a formula
         return self.arg.text() + "'"
 
 
@@ -200,6 +201,7 @@ def _wrap(s, need):
 
 _KEYWORDS = {"ada", "ade", "cla", "cle", "val", "Bit"}
 _QUANTIFIERS = {c.keyword: c for c in (ChoiceAll, ChoiceEx, BlindAll, BlindEx)}
+_TERM_TEXT = re.compile(r"[\w\s'|()]*")  # the characters a term's text may hold
 
 
 def parse_formula(text: str) -> Formula:
@@ -247,11 +249,20 @@ class _Parser(Scanner):
             bound = self.bound()
             self.expect("]")
             return cls(var, bound, self.parse_unary(), kind)
-        if self.try_lit("("):
+        if self.text.startswith("(", self.pos) and not self._opens_a_term():
+            self.pos += 1
             f = self.parse_implication()
             self.expect(")")
             return f
         return self.parse_atom()
+
+    def _opens_a_term(self):
+        """Whether the "(" at pos is a term's: it closes before ', = or <=."""
+        depth, i, end = 1, self.pos + 1, _TERM_TEXT.match(self.text, self.pos).end()
+        while i < end and (depth or self.text[i].isspace()):
+            depth += (self.text[i] == "(") - (self.text[i] == ")")
+            i += 1
+        return not depth and self.text.startswith(("'", "=", "<="), i)
 
     def parse_atom(self):
         w = self.peek_word()

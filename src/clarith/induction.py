@@ -52,9 +52,11 @@ def _sim_stepping(a, b, n, strategy, state, interrupted):
     """The replay loop from state, yielding once per simulated step.
 
     Returns (final signed organ, max work-tape cells), or None as soon
-    as interrupted() holds when a step's yield is resumed.
+    as interrupted() holds when a step's yield is resumed.  Nothing is
+    kept between calls; an organ with no moves is fed nothing.
     """
     check_sim_triple(a, b, n)
+    step, space = strategy.step, strategy.space
     w = state
     u = 0
     nu, psi = [], []
@@ -62,12 +64,14 @@ def _sim_stepping(a, b, n, strategy, state, interrupted):
     sign, org = "+", b[0]
     while True:
         payload, p = org
-        prefix = "" if n == 0 else ("1." if sign == "+" else "0.")
-        w = strategy.feed(w, tuple(("B", prefix + m) for m in payload))
+        if payload:
+            prefix = "" if n == 0 else ("1." if sign == "+" else "0.")
+            w = strategy.feed(w, tuple(("B", prefix + m) for m in payload))
         t = w
         for _ in range(p):
-            t, mv = strategy.step(t)
-            u = max(u, strategy.space(t))
+            t, mv = step(t)
+            if (cells := space(t)) > u:
+                u = cells
             if mv is not None:
                 w = t  # witnessed; a stray unprefixed move is recorded nowhere
                 if n == 0:
@@ -136,6 +140,7 @@ def validate_aggregation(entries, k) -> str:
 
 
 def central_triple(entries, k):
+    """(left, right, n, pos) of the central entry, entries[pos]."""
     status = validate_aggregation(entries, k)
     if status != "ok":
         raise ValueError(f"invalid aggregation: {status}")
@@ -144,7 +149,7 @@ def central_triple(entries, k):
             left = ()
             if pos > 0 and entries[pos - 1][0] == idx - 1:
                 left = tuple(entries[pos - 1][1])
-            return left, tuple(body), idx
+            return left, tuple(body), idx, pos
     raise AssertionError("aggregation has no odd-size entry")
 
 
@@ -159,7 +164,9 @@ class InductionRunner:
     iteration earned; ranks are computed over these start states.
     Bodies are immutable tuples, replaced on every change, so a record
     shares them with the live aggregation and later iterations never
-    alter it.  Each iteration validates its start aggregation once.
+    alter it.  Each iteration validates its start aggregation once and
+    re-simulates its premise afresh from the constants' moves, built
+    once; the count of absorbed consequent moves is carried, not recounted.
     The visible run given to successive polls only extends, and may
     grow after a poll returns: each poll reads just the entries past the
     count it has read, the first ⊥ moves being the constants (the free
@@ -198,14 +205,15 @@ class InductionRunner:
     # -- harness protocol --------------------------------------------------
 
     def poll(self, visible_run):
-        for label, m in visible_run[self._seen:]:
-            if label != "B":
-                continue
-            if len(self._constants) <= len(self.free):
-                self._constants.append(constant_value(m))
-            elif m.startswith("1."):
-                self._consequent.append(m[2:])
-        self._seen = len(visible_run)
+        if len(visible_run) > self._seen:
+            for label, m in visible_run[self._seen:]:
+                if label != "B":
+                    continue
+                if len(self._constants) <= len(self.free):
+                    self._constants.append(constant_value(m))
+                elif m.startswith("1."):
+                    self._consequent.append(m[2:])
+            self._seen = len(visible_run)
         self._out = []
         next(self._gen, None)
         return self._out
@@ -215,14 +223,12 @@ class InductionRunner:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _start(self, n, values):
-        """The premise for level n and its state, given the constants:
-        the base premise for 0, else the step premise, also given n - 1."""
-        if n == 0:
-            strategy = self.n_strategy
-        else:
-            strategy, values = self.k_strategy, values + [n - 1]
-        return strategy, strategy.feed(strategy.initial(), constant_moves(values))
+    def _start(self, n, opening):
+        """The premise for level n and its state, fed the constants' moves:
+        the base premise for 0, else the step premise, also fed n - 1."""
+        strategy, moves = ((self.n_strategy, opening) if n == 0 else
+                           (self.k_strategy, opening + constant_moves((n - 1,))))
+        return strategy, strategy.feed(strategy.initial(), moves)
 
     def _record(self, start, u, classification):
         _, scale = start[-1][1][-1]  # the master body's last organ
@@ -265,42 +271,44 @@ class InductionRunner:
         self.rank_base = rank_base(ell, census, statute_params,
                                    unarify(self.bound))
 
+        opening = constant_moves(values)
         if k == 0:
-            yield from self._replay_zero(values)
+            yield from self._replay_zero(opening)
             return
 
         # (index, body) pairs; each body a tuple of organs
         entries = [(k, (organ((), 1),))]
         consequent = self._consequent
         u_total = 0
+        q = 0  # consequent moves absorbed into the master body
 
-        def absorb_new_move(q):
+        def absorb_new_move():
+            nonlocal q
             theta_p = prudentize(consequent[q], ctx.threshold)
+            q += 1
             body = entries[-1][1]
             payload, _ = body[-1]
             entries[-1] = (k, body[:-1] + (organ(payload + (theta_p,), 1),))
 
+        interrupted = lambda: len(consequent) > q
         while True:
             start = entries[:]
-            left, right, n = central_triple(start, k)
+            left, right, n, pos = central_triple(start, k)
             master = start[-1][1]
-            # consequent moves already absorbed into the master body
-            q = sum(len(payload) for payload, _ in body_project(master, "odd"))
             result = yield from _sim_stepping(  # None if a new move interrupts
                 body_project(left, "even"), body_project(right, "odd"), n,
-                *self._start(n, values), lambda: len(consequent) > q)
+                *self._start(n, opening), interrupted)
             if result is not None:
                 (sign, (omega, scale)), u = result
                 u_total = max(u, u_total)
-            pos = next(i for i, (idx, _) in enumerate(entries) if idx == n)
             if result is None:
-                absorb_new_move(q)
+                absorb_new_move()
                 classification = "restarting(new-move)"
             elif sign == "+" and n < k:
                 body = entries[pos][1] + (organ(omega, scale),)
                 entries[pos] = (n, body)
-                entries[:] = [e for e in entries
-                              if e[0] >= n or len(e[1]) > len(body)]
+                size = len(body)
+                entries[:] = [e for e in entries if e[0] >= n or len(e[1]) > size]
                 classification = "repeating(2.1.1)"
             elif sign == "+":
                 entries[-1] = (k, master + (organ(omega, scale), organ((), scale)))
@@ -314,9 +322,9 @@ class InductionRunner:
                 else:
                     body = (organ(omega, scale),)
                     entries.insert(pos, (n - 1, body))
-                entries[:] = [e for i, e in enumerate(entries)
-                              if i == len(entries) - 1 or e[0] < n
-                              or len(e[1]) > len(body)]
+                size = len(body)
+                entries[:-1] = [e for e in entries[:-1]
+                                if e[0] < n or len(e[1]) > size]
                 classification = "repeating(2.2.1)"
             elif master[-1][1] < statute_limit(ell, u_total, statute_params):
                 payload, v = master[-1]
@@ -325,15 +333,15 @@ class InductionRunner:
             else:
                 while len(consequent) <= q:
                     yield
-                absorb_new_move(q)
+                absorb_new_move()
                 classification = "restarting(2.2.2.2)"
             if classification.startswith("restarting"):
                 u_total = 0
                 del entries[:-1]
             self._record(start, u_total, classification)
 
-    def _replay_zero(self, values):
-        strategy, st = self._start(0, values)
+    def _replay_zero(self, opening):
+        strategy, st = self._start(0, opening)
         fed = 0
         while True:
             env_moves = self._consequent

@@ -38,6 +38,7 @@ def _zoo_formulas():
         "ada x [|s|] (ade y [|s|] p(x,y))",
         "(ade y [|s|] p(y)) v (ada u [|s|] q(u))",
         "ada y [|s|] (p(y) -> ade w [|s|] q(w))",
+        "ade y [1] p(y) & ade z [1] q(z)",  # two T units: windup must pick
     ]
     return [fm.parse_formula(t) for t in texts]
 

@@ -50,6 +50,16 @@ class TestFmt:
         p.write_text("ada [ oops\n")
         assert main(["fmt", "check", str(p)]) == 1
 
+    @pytest.mark.parametrize("text, printed", [
+        ("(x)' = y", "x' = y"), ("(|x|) <= y", "|x| <= y"),
+    ])
+    def test_atom_opening_with_a_parenthesized_term(self, tmp_path, capsys,
+                                                    text, printed):
+        p = tmp_path / "term.clf"
+        p.write_text(text + "\n")
+        assert main(["fmt", "check", str(p)]) == 0
+        assert f"formula: {printed}\n" in capsys.readouterr().out
+
 
 class TestRepeatedCalls:
     def test_successive_commands_in_one_process(self, formula_file,

@@ -58,6 +58,19 @@ class TestParsing:
         f = fm.parse_formula("x = 101")
         assert atom_value(f.args[1]) == 5
 
+    @pytest.mark.parametrize("text, printed", [
+        ("(x)' = y", "x' = y"),
+        ("(|x|) <= y", "|x| <= y"),
+        ("( (x) )\n' = y", "x' = y"),
+        ("(p(x)) & q(y)", "p(x) & q(y)"),
+        ("~(x) = y & ((p(x)) v (x = y))", "~x = y & (p(x) v x = y)"),
+    ])
+    def test_a_parenthesis_opening_an_atom(self, text, printed):
+        """A parenthesized formula is never followed by ', = or <=, so
+        a "(" that closes before one of them opens a term, and any
+        other opens a formula."""
+        assert fm.to_text(fm.parse_formula(text)) == printed
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(SyntaxError):
             fm.parse_formula("p(x) )")
@@ -90,10 +103,7 @@ class TestParsing:
     def test_terms_print_as_text_that_reads_back(self, data):
         kind = data.draw(st.sampled_from(["=", "<=", "Bit", "p"]), label="atom")
         if kind in ("=", "<="):
-            # an atom cannot open with a parenthesized term: "(" there
-            # starts a parenthesized formula
-            left = data.draw(term_texts.filter(lambda t: t[0] != "("))
-            text = f"{left} {kind} {data.draw(term_texts)}"
+            text = f"{data.draw(term_texts)} {kind} {data.draw(term_texts)}"
         else:
             args = data.draw(st.lists(term_texts, min_size=1, max_size=3))
             text = f"{kind}({', '.join(args)})"

@@ -293,6 +293,17 @@ class TestSemipositions:
         rep = analyze_semiposition(s, two_disjunct_formula, {"x": 9})
         assert rep["compression"] == (("B", "0.#*"), ("T", "0.1.#*..."))
 
+    @pytest.mark.parametrize("move, open_last, masked", [
+        ("#101", False, "#*"), ("#10", True, "#*..."),
+    ])
+    def test_compression_masks_a_root_units_numer(self, move, open_last, masked):
+        """A root unit's move is all numer: its "#" is the move's first
+        character, and is masked all the same."""
+        f = fm.parse_formula("ade y [|s|] p(y)")
+        s = Semiposition((("T", move),), open_last=open_last)
+        rep = analyze_semiposition(s, f, {"s": 9})
+        assert rep["compression"] == (("T", masked),)
+
 
 class TestWindup:
     def test_empty_buffer(self, two_disjunct_formula):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clarith.formula as fm
 from clarith.bounds import bitsize, unarify
@@ -177,8 +179,8 @@ class TestAggregations:
             [3, [organ(("#1",), 1)]],
             [5, [organ((), 2), organ((), 2), organ((), 2)]],
         ]
-        left, right, n = central_triple(entries, 5)
-        assert n == 3
+        left, right, n, pos = central_triple(entries, 5)
+        assert n == 3 and pos == 1
         assert right == (organ(("#1",), 1),)
         assert left == (organ((), 1), organ((), 1))
 
@@ -188,13 +190,13 @@ class TestAggregations:
             [3, [organ(("#1",), 1)]],
             [5, [organ((), 2), organ((), 2), organ((), 2)]],
         ]
-        left, right, n = central_triple(entries, 5)
-        assert n == 3 and left == ()
+        left, right, n, pos = central_triple(entries, 5)
+        assert n == 3 and pos == 1 and left == ()
 
     def test_central_triple_at_master(self):
         entries = [[5, [organ((), 4)]]]
-        left, right, n = central_triple(entries, 5)
-        assert n == 5 and left == () and right == (organ((), 4),)
+        left, right, n, pos = central_triple(entries, 5)
+        assert n == 5 and pos == 0 and left == () and right == (organ((), 4),)
 
     def test_central_triple_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -395,6 +397,46 @@ class TestMidRunEnvironmentMove:
         assert k == 1 and master[-1] == (("#10",), 1)
         d = diagnostics(runner)
         assert all(a < b for a, b in zip(d["ranks"], d["ranks"][1:]))
+
+
+class TestCarriedCount:
+    """The synchronizer carries the count of consequent moves absorbed
+    into the master body instead of recounting them: at every record,
+    the master's odd organs hold exactly one move per earlier absorbing
+    restart, as only those append there, and they are the first
+    consequent moves in the order they arrived."""
+
+    ABSORBING = ("restarting(new-move)", "restarting(2.2.2.2)")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.just("midrun"), st.integers(1, 12),
+                  st.lists(st.tuples(st.integers(1, 300), st.integers(0, 7)),
+                           min_size=1, max_size=2)),
+        st.tuples(st.just("counter"), st.integers(1, 12), st.integers(0, 3))))
+    def test_odd_organs_hold_one_move_per_absorbing_restart(self, case):
+        kind, k, extra = case
+        env = [(0, "#" + int_to_numer(k))]
+        if kind == "midrun":
+            game = TestMidRunEnvironmentMove
+            runner = build_induction_solver(
+                ScriptStrategy(game._n_fn), ScriptStrategy(game._k_fn),
+                fm.parse_formula(game.CONCL_TEXT))
+            env += [(poll, "1.#" + int_to_numer(v)) for poll, v in extra]
+        else:
+            runner = build_induction_solver(
+                counter_n_script(), counter_k_script(extra),
+                fm.parse_formula(COUNTER_TEXT))
+        drive_solver(runner, env, max_cycles=3000)
+        assert runner.locked
+        arrived = [m[2:] for _, m in sorted(env[1:])]
+        absorbed = 0
+        for rec in runner.trace:
+            master = rec["entries"][-1][1]
+            odd = [m for payload, _ in body_project(master, "odd")
+                   for m in payload]
+            assert odd == arrived[:absorbed]
+            absorbed += rec["classification"] in self.ABSORBING
 
 
 class TestIterationCounts:
