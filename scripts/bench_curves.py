@@ -3,6 +3,8 @@
 
     python3 scripts/bench_curves.py [--curve play] [--fuels 1000,4000,16000,64000]
                                     [--reps 3] [--out BENCH_play_fuel.json]
+    python3 scripts/bench_curves.py --curve vasa [--fuels 1000,4000,16000,64000]
+                                    [--reps 3] [--out BENCH_vasa_fuel.json]
     python3 scripts/bench_curves.py --curve reason [--phases 3,4,5,6,7,8,9,10]
                                     [--machines 8] [--reps 3]
                                     [--out BENCH_reason_phases.json]
@@ -27,6 +29,12 @@ chatter machine and environment that `perfbench/gen.py` makes from
 fuel is run --reps times, after one untimed warm-up run.  Per fuel the
 JSON file holds wall and scaled seconds, wall and scaled µs per cycle
 and the number of T moves played.
+
+`vasa` is the same against fuel for `clarith transform vasa --play`:
+the responder machine and its legal environment that `perfbench/gen.py`
+makes from `random.Random(1)`, with the constant x = VASA_X.  Each cycle
+adds the wrapper's legality check to the VM cycle; the run stays legal,
+so the wrapper never retires.
 
 `reason` is ms per `clarith transform reason --play` session against the
 number of phases of `gen.scanning_machine`, with --machines machines per
@@ -100,6 +108,7 @@ INDUCT_VARIANTS = (("counter0", "counter", 0), ("counter3", "counter", 3),
                    ("midrun", "midrun", 0))
 PARSE_CALLS = 20
 SEED = 1
+VASA_X = 9  # the constant x of the vasa curve's formula
 
 
 def _write(workdir, name, text):
@@ -143,20 +152,12 @@ def counted(module, names):
             setattr(module, name, fn)
 
 
-def play_curve(args, workdir):
-    """(description, points) of the play fuel curve."""
-    fuels = args.fuels
-    rng = random.Random(SEED)
-    machine = _write(workdir, "chatter.hpm",
-                     gen.machine_text(gen.chatter_machine(rng)))
-    env = _write(workdir, "chatter.env", gen.env_text(gen.chatter_env(rng)))
-    formula = _write(workdir, "play.clf", gen.PLAY_FORMULA + "\n")
-    argvs = [["play", machine, formula, "--env", env, "--fuel", str(fuel)]
-             for fuel in fuels]
+def fuel_points(fuels, argvs, reps):
+    """The points of a fuel curve: argvs[i] plays fuels[i] cycles."""
     run_once(argvs[0])  # untimed: the first call builds the CLI's parser
     points = []
     for fuel, argv in zip(fuels, argvs):
-        runs = [run_once(argv) for _ in range(args.reps)]
+        runs = [run_once(argv) for _ in range(reps)]
         wall = min(w for w, _, _ in runs)
         scaled = statistics.median(s for _, s, _ in runs)
         points.append({"fuel": fuel, "wall_s": round(wall, 6),
@@ -167,12 +168,45 @@ def play_curve(args, workdir):
         print(f"fuel {fuel:>6}: {wall:.3f} s, "
               f"{wall / fuel * 1e6:.2f} us/cycle "
               f"({scaled / fuel * 1e6:.2f} scaled), {runs[0][2]} moves")
+    return points
+
+
+def play_curve(args, workdir):
+    """(description, points) of the play fuel curve."""
+    rng = random.Random(SEED)
+    machine = _write(workdir, "chatter.hpm",
+                     gen.machine_text(gen.chatter_machine(rng)))
+    env = _write(workdir, "chatter.env", gen.env_text(gen.chatter_env(rng)))
+    formula = _write(workdir, "play.clf", gen.PLAY_FORMULA + "\n")
+    argvs = [["play", machine, formula, "--env", env, "--fuel", str(fuel)]
+             for fuel in args.fuels]
     return {
         "curve": "play_fuel",
         "workload": f"clarith play, gen.chatter_machine(Random({SEED})) "
                     "with its env, best wall and median scaled time of reps",
         "reps": args.reps,
-    }, points
+    }, fuel_points(args.fuels, argvs, args.reps)
+
+
+def vasa_curve(args, workdir):
+    """(description, points) of the vasa fuel curve."""
+    rng = random.Random(SEED)
+    machine = _write(workdir, "responder.hpm",
+                     gen.machine_text(gen.responder_machine(rng)))
+    env = _write(workdir, "responder.env",
+                 gen.env_text(gen.responder_env(rng, "legal")))
+    formula = _write(workdir, "play.clf", gen.PLAY_FORMULA + "\n")
+    argvs = [["transform", "vasa", "--machine", machine, "--f", formula,
+              "--consts", f"x={VASA_X}", "--play", "--env", env,
+              "--fuel", str(fuel)] for fuel in args.fuels]
+    return {
+        "curve": "vasa_fuel",
+        "workload": "clarith transform vasa --play --consts "
+                    f"x={VASA_X}, gen.responder_machine(Random({SEED})) "
+                    "with its legal responder_env, best wall and median "
+                    "scaled time of reps",
+        "reps": args.reps,
+    }, fuel_points(args.fuels, argvs, args.reps)
 
 
 def best_parse_ms(parse, text):
@@ -357,6 +391,7 @@ def induct_curve(args, workdir):
 
 
 CURVES = {"play": (play_curve, "BENCH_play_fuel.json"),
+          "vasa": (vasa_curve, "BENCH_vasa_fuel.json"),
           "reason": (reason_curve, "BENCH_reason_phases.json"),
           "analyze": (analyze_curve, "BENCH_analyze_units.json"),
           "induct": (induct_curve, "BENCH_induct_k.json")}
@@ -370,7 +405,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--curve", choices=sorted(CURVES), default="play")
     ap.add_argument("--fuels", type=_ints, default=list(DEFAULT_FUELS),
-                    help="play: comma-separated fuel values")
+                    help="play, vasa: comma-separated fuel values")
     ap.add_argument("--phases", type=_ints, default=list(DEFAULT_PHASES),
                     help="reason: comma-separated phase counts")
     ap.add_argument("--units", type=_ints, default=list(DEFAULT_UNITS),

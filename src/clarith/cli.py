@@ -135,17 +135,22 @@ def _parse_env_script(text):
 def _script_env(entries):
     """Environment callable playing each (after, move) entry once at least
     `after` T-moves are visible.  The run it is called with only extends,
-    so T-moves are counted over the new entries alone."""
+    so T-moves are counted over the new entries alone, by index, and
+    only when the run has grown; once every entry is played, not at all."""
     pending = list(entries)
     nxt = seen = tops = 0
 
     def env(run):
         nonlocal nxt, seen, tops
-        for label, _ in run[seen:]:
-            if label == "T":
-                tops += 1
-        seen = len(run)
-        if nxt < len(pending) and pending[nxt][0] <= tops:
+        if nxt == len(pending):
+            return None
+        n = len(run)
+        if n > seen:
+            for i in range(seen, n):
+                if run[i][0] == "T":
+                    tops += 1
+            seen = n
+        if pending[nxt][0] <= tops:
             nxt += 1
             return pending[nxt - 1][1]
         return None

@@ -202,6 +202,7 @@ def _wrap(s, need):
 _KEYWORDS = {"ada", "ade", "cla", "cle", "val", "Bit"}
 _QUANTIFIERS = {c.keyword: c for c in (ChoiceAll, ChoiceEx, BlindAll, BlindEx)}
 _TERM_TEXT = re.compile(r"[\w\s'|()]*")  # the characters a term's text may hold
+_SPACE = re.compile(r"\s*")
 
 
 def parse_formula(text: str) -> Formula:
@@ -256,13 +257,26 @@ class _Parser(Scanner):
             return f
         return self.parse_atom()
 
+    _run_end = 0  # end of the run whose parentheses `_closing` pairs up
+
     def _opens_a_term(self):
-        """Whether the "(" at pos is a term's: it closes before ', = or <=."""
-        depth, i, end = 1, self.pos + 1, _TERM_TEXT.match(self.text, self.pos).end()
-        while i < end and (depth or self.text[i].isspace()):
-            depth += (self.text[i] == "(") - (self.text[i] == ")")
-            i += 1
-        return not depth and self.text.startswith(("'", "=", "<="), i)
+        """Whether the "(" at pos is a term's: it closes before ', = or <=,
+        within the run of characters a term's text may hold.  The first
+        lookahead in a run pairs up every parenthesis of the run; pos only
+        moves forward, so each character is indexed once per parse and a
+        lookahead is a lookup."""
+        text = self.text
+        if self.pos >= self._run_end:
+            self._run_end = _TERM_TEXT.match(text, self.pos).end()
+            self._closing, opened = {}, []
+            for i in range(self.pos, self._run_end):
+                if text[i] == "(":
+                    opened.append(i)
+                elif text[i] == ")" and opened:
+                    self._closing[opened.pop()] = i
+        j = self._closing.get(self.pos)
+        return j is not None and text.startswith(("'", "=", "<="),
+                                                 _SPACE.match(text, j + 1).end())
 
     def parse_atom(self):
         w = self.peek_word()

@@ -30,7 +30,7 @@ def split_move(m: str):
         addr_len += 2
     addr = m[:addr_len]
     rest = m[addr_len:]
-    if rest.startswith("#") and all(c in "01" for c in rest[1:]):
+    if rest.startswith("#") and is_binary(rest[1:]):
         return addr, rest[1:]
     return addr, None
 
@@ -44,14 +44,19 @@ def int_to_numer(n: int) -> str:
     return format(n, "b") if n > 0 else ""
 
 
+def is_binary(s: str) -> bool:
+    """Whether s holds only the digits 0 and 1; the empty string does."""
+    return not s.strip("01")
+
+
 def is_canonical_numer(numer: str) -> bool:
-    return numer in ("", "0") or (numer.startswith("1") and all(c in "01" for c in numer))
+    return numer in ("", "0") or (numer.startswith("1") and is_binary(numer))
 
 
 def magnitude(m: str) -> int:
     """Length of the numer: the suffix after the last '#', if binary."""
     i = m.rfind("#")
-    return len(m) - i - 1 if i >= 0 and all(c in "01" for c in m[i + 1:]) else 0
+    return len(m) - i - 1 if i >= 0 and is_binary(m[i + 1:]) else 0
 
 
 def constant_value(m: str) -> int:
@@ -273,7 +278,7 @@ def is_quasilegal_move_prefix(s: str, addresses) -> bool:
             return True
         if s.startswith(full):
             rest = s[len(full):]
-            if rest == "" or rest == "0" or (rest.startswith("1") and all(c in "01" for c in rest)):
+            if is_canonical_numer(rest):
                 return True
     return False
 
@@ -321,7 +326,7 @@ def analyze_semiposition(s: Semiposition, f, c_env):
     for i, (label, m) in enumerate(s.pairs):
         open_here = s.open_last and i == len(s.pairs) - 1
         j = m.rfind("#")
-        if j >= 0 and all(c in "01" for c in m[j + 1:]):
+        if j >= 0 and is_binary(m[j + 1:]):
             m = m[: j + 1] + "*"
         compression.append((label, m + ("..." if open_here else "")))
 

@@ -39,6 +39,10 @@ never rescans or copies it:
   if any, so the meter never reads the run: it keeps a running
   background maximum and per-background maxima, and does not grow with
   the cycles.
+- A quiet cycle, one in which neither side moves, costs one bound
+  `poll` (a `StrategyRunner` looks up its strategy's `step` and `space`
+  once), one `step` and one compare in the meter.  On one work tape,
+  `_transition` writes and moves the head with no zip, list or tuple.
 
 A sketch reads the run through a `History`, the reason wrapper's
 append-only list of (label, size) records.  Next to the records it keeps
@@ -374,7 +378,8 @@ def _transition(spec: HPMSpec, state, runsym, tapes, heads, runhead, run_len):
     `tests/test_fastpaths.py` checks it against a statement that reads
     the declarative `spec.delta`.
     """
-    if spec.worktapes == 1:
+    one = spec.worktapes == 1
+    if one:
         t = tapes[0]
         h = heads[0]
         if h < len(t):
@@ -396,24 +401,29 @@ def _transition(spec: HPMSpec, state, runsym, tapes, heads, runhead, run_len):
         runhead -= 1
     if still and clean:
         return q2, tapes, heads, runhead, append
-    tapes2 = []
-    heads2 = []
-    for t, h, w, d in zip(tapes, heads, writes, steps):
-        if h < len(t):
-            if t[h] != w:
-                t = t[:h] + w + t[h + 1:]
-            if t[-1] == BLANK:
-                t = t.rstrip(BLANK)
-        elif w != BLANK:
-            t = t + BLANK * (h - len(t)) + w
-        tapes2.append(t)
-        if d > 0:
-            blank = t.find(BLANK)
-            h = min(h + 1, blank if blank >= 0 else len(t))
-        elif d and h > 0:
-            h -= 1
-        heads2.append(h)
-    return q2, tuple(tapes2), tuple(heads2), runhead, append
+    if one:
+        t, h = _write_cell(t, h, writes[0], steps[0])
+        return q2, (t,), (h,), runhead, append
+    cells = [_write_cell(*cell) for cell in zip(tapes, heads, writes, steps)]
+    return (q2, tuple([t for t, _ in cells]), tuple([h for _, h in cells]),
+            runhead, append)
+
+
+def _write_cell(t, h, w, d):
+    """(tape, head) after writing w under head h of tape t and stepping d."""
+    if h < len(t):
+        if t[h] != w:
+            t = t[:h] + w + t[h + 1:]
+        if t[-1] == BLANK:
+            t = t.rstrip(BLANK)
+    elif w != BLANK:
+        t = t + BLANK * (h - len(t)) + w
+    if d > 0:
+        blank = t.find(BLANK)
+        return t, min(h + 1, blank if blank >= 0 else len(t))
+    if d and h > 0:
+        return t, h - 1
+    return t, h
 
 
 def step(spec: HPMSpec, cfg: Configuration, incoming=()) -> Configuration:
@@ -441,15 +451,14 @@ def step(spec: HPMSpec, cfg: Configuration, incoming=()) -> Configuration:
     q2, tapes2, heads2, runhead2, append = moved
     counts = cfg.counts
     if tapes2 is not tapes:
-        for i, t in enumerate(tapes):
-            t2 = tapes2[i]
-            if t2 is not t:
-                h = heads[i]
-                grown = ((h < len(t2) and t2[h] != BLANK)
-                         - (h < len(t) and t[h] != BLANK))
-                if grown:
-                    counts = counts[:i] + (counts[i] + grown,) + counts[i + 1:]
-    buffer, moves_made, last_move = cfg.buffer + append, cfg.moves_made, None
+        if len(tapes) == 1:
+            counts = (counts[0] + _grown(tapes[0], tapes2[0], heads[0]),)
+        else:
+            counts = tuple([c + _grown(t, t2, h) for c, t, t2, h
+                            in zip(counts, tapes, tapes2, heads)])
+    buffer, moves_made, last_move = cfg.buffer, cfg.moves_made, None
+    if append:
+        buffer += append
     if q2 in spec.move_states:
         log, length = log.extended(length, (("T", buffer),))
         buffer, moves_made, last_move = "", moves_made + 1, buffer
@@ -458,9 +467,14 @@ def step(spec: HPMSpec, cfg: Configuration, incoming=()) -> Configuration:
                  last_move, counts)
 
 
+def _grown(t, t2, h):
+    """How many non-blank cells a write under head h took tape t to t2 gained."""
+    return (h < len(t2) and t2[h] != BLANK) - (h < len(t) and t[h] != BLANK)
+
+
 def spacecost(cfg: Configuration) -> int:
     """Max count of non-blank cells on any one work tape."""
-    return max(cfg.counts, default=0)
+    return max(cfg.counts) if cfg.counts else 0
 
 
 # ---------------------------------------------------------------------------
@@ -521,23 +535,30 @@ class StrategyRunner:
     returned, is how much of the run the strategy has been fed.  The
     visible run may be the harness's own list, which grows after `poll`
     returns, so a runner keeps the count of entries it has read, not
-    the run object.
+    the run object.  The strategy's `step` and `space` are looked up
+    once, here, so a poll and a `spacecost` call each cost one bound call.
     """
 
     def __init__(self, strategy):
         self.strategy = strategy
         self.st = strategy.initial()
         self.seen = 0
+        self._step = strategy.step
+        self._space = strategy.space
 
     def poll(self, visible_run):
-        if len(visible_run) > self.seen:
+        n = len(visible_run)
+        if n > self.seen:
             self.st = self.strategy.feed(self.st, visible_run[self.seen:])
-        self.st, mv = self.strategy.step(self.st)
-        self.seen = len(visible_run) + (mv is not None)
-        return [mv] if mv is not None else []
+        self.st, mv = self._step(self.st)
+        if mv is None:
+            self.seen = n
+            return []
+        self.seen = n + 1
+        return [mv]
 
     def spacecost(self):
-        return self.strategy.space(self.st)
+        return self._space(self.st)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +572,7 @@ class Meter:
     is the most cycles any own move took since the last event.  Each
     `record_cycle` call is given the cycle's ⊥ move, or None, and
     `background` is a running maximum over the ⊥ moves given so far.
+    `_cells` mirrors `spacecost[background]`: a quiet cycle costs one compare.
     """
 
     def __init__(self):
@@ -559,15 +581,17 @@ class Meter:
         self.max_timecost = 0
         self.background = 1
         self._last_event_cycle = 0
+        self._cells = -1  # spacecost[background], -1 before it is set
 
     def record_cycle(self, cycle, env_move, cells, made):
         if env_move is not None:
             self.background = max(self.background, magnitude(env_move))
             self._last_event_cycle = cycle
-        bg = self.background
-        if cells > self.spacecost.get(bg, -1):
-            self.spacecost[bg] = cells
+            self._cells = self.spacecost.get(self.background, -1)
+        if cells > self._cells:
+            self._cells = self.spacecost[self.background] = cells
         for m in made:
+            bg = self.background
             self.amplitude[bg] = max(self.amplitude.get(bg, 0), magnitude(m))
             self.max_timecost = max(self.max_timecost,
                                     cycle - self._last_event_cycle)

@@ -170,11 +170,12 @@ class VasaRunner(StrategyRunner):
     def poll(self, visible_run):
         if self.retired:
             return []
-        self.position, bad = self.position.advance(visible_run, self.checked)
-        self.checked = len(visible_run)
-        if bad is None:
+        if len(visible_run) > self.checked:
+            self.position, bad = self.position.advance(visible_run, self.checked)
+            self.checked = len(visible_run)
+            self.retired = bad is not None
+        if not self.retired:
             return StrategyRunner.poll(self, visible_run)
-        self.retired = True
         buf = self.st.buffer
         if not buf:
             return []

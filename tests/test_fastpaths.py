@@ -24,6 +24,7 @@ from clarith.game import (
     LegalityResult,
     first_illegal_index,
     int_to_numer,
+    is_binary,
     is_canonical_numer,
     is_quasilegal,
     legal_status,
@@ -203,15 +204,48 @@ class TestCellCounts:
         assert fell == (machines is rewriting_machine)
 
 
+def meter_rescan(cycles):
+    """(background, spacecost, amplitude, max_timecost) of `Meter`, each
+    read afresh off every (⊥ move, cells, moves made) cycle given."""
+    bg, space, amplitude, timecost = 1, {}, {}, 0
+    for c, (env_move, cells, made) in enumerate(cycles):
+        bg = max([1] + [magnitude(e) for e, _, _ in cycles[:c + 1]
+                        if e is not None])
+        space[bg] = max(cells, space.get(bg, cells))
+        if made:
+            last_event = max([0] + [i for i, (e, _, m) in enumerate(cycles[:c + 1])
+                                    if e is not None or (m and i < c)])
+            timecost = max(timecost, c - last_event)
+        for m in made:
+            amplitude[bg] = max(amplitude.get(bg, 0), magnitude(m))
+    return bg, space, amplitude, timecost
+
+
+moves = st.text(alphabet="01#.", max_size=6)
+meter_cycles = st.lists(st.tuples(st.none() | moves, st.integers(0, 9),
+                                  st.lists(moves, max_size=2)), max_size=16)
+
+
 class TestMeter:
-    @given(runs)
-    def test_running_background_matches_rescan(self, run):
+    @settings(max_examples=300)
+    @example([(None, 0, []), (None, 3, [])])
+    @example([("#11", 2, []), (None, 1, ["0.#1"]), (None, 4, [])])
+    @given(meter_cycles)
+    def test_running_background_matches_rescan(self, cycles):
+        """The background and every reading, after each cycle, with random
+        cells, ⊥ moves and moves made, so quiet cycles (neither side
+        moving) raise the space reading as well as busy ones."""
         meter = Meter()
-        for cycle, (label, move) in enumerate(run):
-            meter.record_cycle(cycle, move if label == "B" else None, 0, [])
-            prefix = run[:cycle + 1]
-            want = max([1] + [magnitude(m) for label, m in prefix if label == "B"])
-            assert meter.background == want
+        for cycle, args in enumerate(cycles):
+            meter.record_cycle(cycle, *args)
+            assert (meter.background, meter.spacecost, meter.amplitude,
+                    meter.max_timecost) == meter_rescan(cycles[:cycle + 1])
+
+
+@given(st.text(alphabet="01#.2 ", max_size=8))
+def test_binary_check_matches_a_character_scan(s):
+    """`magnitude` reads every move the meter records through it."""
+    assert is_binary(s) == all(c in "01" for c in s)
 
 
 class TestScriptEnv:
@@ -698,6 +732,71 @@ class TestFormulaWalk:
         assert [(u.address, u.node, u.mover, u.ancestors)
                 for u in fm.units(f)] == _spec_units(f)
         assert fm.free_vars(f) == _spec_free_vars(f)
+
+
+def opens_a_term_by_scan(text, pos):
+    """`_Parser._opens_a_term` by scanning from the "(" at pos to its
+    matching ")" within the run of characters a term's text may hold."""
+    depth, i, end = 1, pos + 1, fm._TERM_TEXT.match(text, pos).end()
+    while i < end and (depth or text[i].isspace()):
+        depth += (text[i] == "(") - (text[i] == ")")
+        i += 1
+    return not depth and text.startswith(("'", "=", "<="), i)
+
+
+class ScanningParser(fm._Parser):
+    def _opens_a_term(self):
+        return opens_a_term_by_scan(self.text, self.pos)
+
+
+def _parse_outcome(parser):
+    try:
+        return repr(parser.finish(parser.parse_implication()))
+    except SyntaxError as exc:
+        return f"SyntaxError: {exc}"
+
+
+def _join(parts):
+    return "".join(parts)
+
+
+term_texts = st.recursive(
+    st.sampled_from(["x", "y", "0", "1"]),
+    lambda t: st.one_of(t.map("({})".format), t.map("( {} )".format),
+                        t.map("|{}|".format), t.map("{}'".format)),
+    max_leaves=4)
+atom_texts = st.one_of(
+    st.tuples(term_texts, st.sampled_from([" = ", " <= ", "\n' = "]),
+              term_texts).map(_join),
+    term_texts.map("p({})".format))
+formula_texts = st.recursive(
+    atom_texts,
+    lambda f: st.one_of(f.map("({})".format), f.map("~{}".format),
+                        st.tuples(f, st.sampled_from([" & ", " v ", " -> "]),
+                                  f).map(_join)),
+    max_leaves=6)
+
+token_soups = st.lists(st.sampled_from(
+    ["(", ")", "x", "p", "'", "|", " = ", " <= ", " & ", " v ", "~", " "]),
+    max_size=16).map(_join)
+
+
+class TestParenthesisLookahead:
+    @settings(max_examples=300)
+    @example("(x)' = y")
+    @example("(|x|) <= y")
+    @example("((((p(x)))))")
+    @example("(x = (y)) & ((x)) = y")
+    @example("(x & y)' = z")
+    @given(formula_texts | token_soups)
+    def test_indexed_lookahead_matches_the_scan(self, text):
+        """At every "(", in text order, and over a whole parse."""
+        parser = fm._Parser(text)
+        for pos in (i for i, c in enumerate(text) if c == "("):
+            parser.pos = pos
+            assert parser._opens_a_term() == opens_a_term_by_scan(text, pos)
+        assert _parse_outcome(fm._Parser(text)) == \
+            _parse_outcome(ScanningParser(text))
 
 
 class TestCliBoundary:

@@ -1,9 +1,13 @@
 """The benchmark's tracer patches clarith functions by name; each name it
-lists must still exist, or `perfbench/run.py --trace 1` breaks."""
+lists must still exist, or `perfbench/run.py --trace 1` breaks, and be
+called through its module, or the spans miss the calls."""
 
 import importlib
 import importlib.util
 import os
+import random
+
+from clarith import hpm, zoo
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -28,3 +32,20 @@ def test_every_target_resolves():
     targets.append(("clarith.cli", "_script_env"))
     missing = [f"{m}.{a}" for m, a in targets if not callable(resolve(m, a))]
     assert missing == []
+
+
+def test_runner_reaches_step_and_spacecost_through_the_module(monkeypatch):
+    """The tracer replaces `hpm.step` and `hpm.spacecost`; a runner or
+    strategy that bound the functions themselves would go round the
+    spans.  The runner is built first, so the globals are read at call
+    time."""
+    runner = hpm.StrategyRunner(hpm.HPMStrategy(zoo.random_machine(random.Random(0))))
+    calls = {"step": 0, "spacecost": 0}
+    for name in calls:
+        def counting(*args, name=name, fn=getattr(hpm, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(hpm, name, counting)
+    runner.poll([])
+    runner.spacecost()
+    assert calls == {"step": 1, "spacecost": 1}
