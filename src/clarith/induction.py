@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from . import formula as fm
 from .bounds import bitsize, statute_limit, unarify
-from .game import TruncationContext, constant_moves, constant_value, prudentize
+from .game import (TruncationContext, constant_moves, constant_value,
+                   int_to_numer, prudentize)
 from .hpm import HPMStrategy
 
 DEFAULT_MACHINE_CENSUS = {"r": 1, "g": 1, "q": 2}
@@ -48,12 +49,13 @@ def check_sim_triple(a, b, n):
         raise SimContractError("left body must be empty when n = 0")
 
 
-def _sim_stepping(a, b, n, strategy, state, interrupted):
+def _sim_stepping(a, b, n, strategy, state, consequent=(), q=0):
     """The replay loop from state, yielding once per simulated step.
 
     Returns (final signed organ, max work-tape cells), or None as soon
-    as interrupted() holds when a step's yield is resumed.  Nothing is
-    kept between calls; an organ with no moves is fed nothing.
+    as consequent holds more than q moves when a step's yield is
+    resumed.  state is a value, so one opened premise state serves any
+    number of replays; an organ with no moves is fed nothing.
     """
     check_sim_triple(a, b, n)
     step, space = strategy.step, strategy.space
@@ -66,7 +68,7 @@ def _sim_stepping(a, b, n, strategy, state, interrupted):
         payload, p = org
         if payload:
             prefix = "" if n == 0 else ("1." if sign == "+" else "0.")
-            w = strategy.feed(w, tuple(("B", prefix + m) for m in payload))
+            w = strategy.feed(w, tuple([("B", prefix + m) for m in payload]))
         t = w
         for _ in range(p):
             t, mv = step(t)
@@ -81,7 +83,7 @@ def _sim_stepping(a, b, n, strategy, state, interrupted):
                 elif mv.startswith("0."):
                     psi.append(mv[2:])
             yield
-            if interrupted():
+            if len(consequent) > q:
                 return None
         if nu:
             if bi == len(b):
@@ -99,7 +101,7 @@ def _sim_stepping(a, b, n, strategy, state, interrupted):
 
 def sim(a, b, n, strategy):
     """Replay strategy against the adversary the two bodies encode, to the end."""
-    gen = _sim_stepping(a, b, n, strategy, strategy.initial(), lambda: False)
+    gen = _sim_stepping(a, b, n, strategy, strategy.initial())
     try:
         while True:
             next(gen)
@@ -165,8 +167,15 @@ class InductionRunner:
     Bodies are immutable tuples, replaced on every change, so a record
     shares them with the live aggregation and later iterations never
     alter it.  Each iteration validates its start aggregation once and
-    re-simulates its premise afresh from the constants' moves, built
-    once; the count of absorbed consequent moves is carried, not recounted.
+    re-simulates its premise from that premise's opened state: each
+    premise is fed the constants' moves once per run, and a level n > 0
+    feeds the step premise's opened state just #<n-1>.  That is sound
+    because states are values: a scripted state is a tuple, and an
+    HPMStrategy configuration shares its RunLog, whose fork rule copies
+    the prefix when an older configuration is extended, so no iteration
+    alters an opened state.  No state is kept per level, as that would
+    grow with k.  The count of absorbed consequent moves is carried, not
+    recounted.
     The visible run given to successive polls only extends, and may
     grow after a poll returns: each poll reads just the entries past the
     count it has read, the first ⊥ moves being the constants (the free
@@ -223,13 +232,6 @@ class InductionRunner:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _start(self, n, opening):
-        """The premise for level n and its state, fed the constants' moves:
-        the base premise for 0, else the step premise, also fed n - 1."""
-        strategy, moves = ((self.n_strategy, opening) if n == 0 else
-                           (self.k_strategy, opening + constant_moves((n - 1,))))
-        return strategy, strategy.feed(strategy.initial(), moves)
-
     def _record(self, start, u, classification):
         _, scale = start[-1][1][-1]  # the master body's last organ
         self.trace.append({
@@ -272,9 +274,12 @@ class InductionRunner:
                                    unarify(self.bound))
 
         opening = constant_moves(values)
+        n_strategy, k_strategy = self.n_strategy, self.k_strategy
+        n_open = n_strategy.feed(n_strategy.initial(), opening)
         if k == 0:
-            yield from self._replay_zero(opening)
+            yield from self._replay_zero(n_open)
             return
+        k_open = k_strategy.feed(k_strategy.initial(), opening)
 
         # (index, body) pairs; each body a tuple of organs
         entries = [(k, (organ((), 1),))]
@@ -290,37 +295,44 @@ class InductionRunner:
             payload, _ = body[-1]
             entries[-1] = (k, body[:-1] + (organ(payload + (theta_p,), 1),))
 
-        interrupted = lambda: len(consequent) > q
         while True:
             start = entries[:]
             left, right, n, pos = central_triple(start, k)
             master = start[-1][1]
-            result = yield from _sim_stepping(  # None if a new move interrupts
-                body_project(left, "even"), body_project(right, "odd"), n,
-                *self._start(n, opening), interrupted)
+            if n:
+                strategy = k_strategy
+                state = k_strategy.feed(k_open, (("B", "#" + int_to_numer(n - 1)),))
+            else:
+                strategy, state = n_strategy, n_open
+            # the even organs of left, the odd ones of right; None if a
+            # new consequent move interrupts
+            result = yield from _sim_stepping(
+                left[1::2], right[0::2], n, strategy, state, consequent, q)
             if result is not None:
-                (sign, (omega, scale)), u = result
-                u_total = max(u, u_total)
+                (sign, org), u = result
+                if u > u_total:
+                    u_total = u
             if result is None:
                 absorb_new_move()
                 classification = "restarting(new-move)"
             elif sign == "+" and n < k:
-                body = entries[pos][1] + (organ(omega, scale),)
+                body = entries[pos][1] + (org,)
                 entries[pos] = (n, body)
                 size = len(body)
                 entries[:] = [e for e in entries if e[0] >= n or len(e[1]) > size]
                 classification = "repeating(2.1.1)"
             elif sign == "+":
-                entries[-1] = (k, master + (organ(omega, scale), organ((), scale)))
+                omega, scale = org
+                entries[-1] = (k, master + (org, organ((), scale)))
                 self._out.extend("1." + m for m in omega)
                 classification = "locking(2.1.2)"
                 self.locked = True
             elif n > 0:
                 if pos > 0 and entries[pos - 1][0] == n - 1:
-                    body = entries[pos - 1][1] + (organ(omega, scale),)
+                    body = entries[pos - 1][1] + (org,)
                     entries[pos - 1] = (n - 1, body)
                 else:
-                    body = (organ(omega, scale),)
+                    body = (org,)
                     entries.insert(pos, (n - 1, body))
                 size = len(body)
                 entries[:-1] = [e for e in entries[:-1]
@@ -340,8 +352,8 @@ class InductionRunner:
                 del entries[:-1]
             self._record(start, u_total, classification)
 
-    def _replay_zero(self, opening):
-        strategy, st = self._start(0, opening)
+    def _replay_zero(self, st):
+        strategy = self.n_strategy
         fed = 0
         while True:
             env_moves = self._consequent

@@ -500,6 +500,17 @@ class TestInputErrorsExitOne:
         self.assert_clean_error(rc, err)
         assert "error: input nested too deeply" in err
 
+    def test_nested_parentheses(self, tmp_path):
+        """Parentheses cost the parser more stack than `~`: 200 levels
+        check, 300 fail cleanly."""
+        p = tmp_path / "parens.clf"
+        p.write_text("(" * 200 + "p(x)" + ")" * 200 + "\n")
+        assert run_cli(["fmt", "check", str(p)]) == (0, "")
+        p.write_text("(" * 300 + "p(x)" + ")" * 300 + "\n")
+        rc, err = run_cli(["fmt", "check", str(p)])
+        self.assert_clean_error(rc, err)
+        assert "error: input nested too deeply" in err
+
     def test_deeply_nested_comprehension_bound(self, tmp_path):
         p = tmp_path / "p.clf"
         p.write_text("p(y)\n")

@@ -1,10 +1,14 @@
+import copy
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
 from clarith.bounds import bitsize, unarify
-from clarith.game import int_to_numer, numer_value, opening, split_move, wins
+from clarith.game import (constant_moves, int_to_numer, numer_value, opening,
+                          split_move, wins)
 from clarith.hpm import HPMStrategy, ScriptStrategy, parse_hpm
 from clarith.induction import (
     InductionRunner,
@@ -114,6 +118,61 @@ class TestSim:
         b = (organ(("#0",), 4),)
         s, _ = sim(a, b, 1, ask_then_answer())
         assert s == ("+", (("#1",), 4))
+
+
+def started(strategy, state):
+    """strategy, with state as its initial state."""
+    twin = copy.copy(strategy)
+    twin.initial = lambda: state
+    return twin
+
+
+def hpm_fixture(name):
+    return HPMStrategy(parse_hpm(read_fixture(name)))
+
+
+# step premises by name: two answer at once, two scan their run tape
+# first, and three are scripted
+TWIN_PREMISES = {
+    "n_const": hpm_fixture("n_const.hpm"),
+    "k_const": hpm_fixture("k_const.hpm"),
+    "bigmove": hpm_fixture("bigmove.hpm"),
+    "legal": hpm_fixture("legal.hpm"),
+    "counter0": counter_k_script(0),
+    "counter2": counter_k_script(2),
+    "ask": ask_then_answer(),
+}
+
+organs = st.builds(organ, st.lists(st.sampled_from(("#", "#1", "#10", "1.#")),
+                                   max_size=2),
+                   st.integers(1, 16))
+
+
+class TestOpenedPremise:
+    """A level n > 0 replays the step premise from its opened state, the
+    state fed the constants' moves once per run, fed just #<n-1>.  Each
+    replay must match one from a state fed all of those moves afresh,
+    and must leave the opened state as it was for the next level."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(TWIN_PREMISES)), st.lists(organs, max_size=3),
+           st.lists(organs, min_size=1, max_size=3), st.integers(1, 6),
+           st.lists(st.integers(0, 9), max_size=2))
+    # a second replay whose run still held the first one's moves would
+    # see a second ⊥ move here and answer within 4 steps
+    @example("bigmove", [], [organ((), 4)], 1, [])
+    def test_replays_from_the_opened_state_match_fresh_ones(
+            self, name, a, b, n, values):
+        strategy = TWIN_PREMISES[name]
+        a, b, opening = tuple(a), tuple(b), constant_moves(values)
+        fresh = strategy.feed(strategy.initial(),
+                              opening + constant_moves((n - 1,)))
+        expected = sim(a, b, n, started(strategy, fresh))
+        k_open = strategy.feed(strategy.initial(), opening)
+        level = (("B", "#" + int_to_numer(n - 1)),)
+        for _ in range(2):
+            state = strategy.feed(k_open, level)
+            assert sim(a, b, n, started(strategy, state)) == expected
 
 
 def entry(idx, *sizes_and_scales):
@@ -477,6 +536,17 @@ class TestIterationCounts:
         polls, classes = self.drive(runner, [(0, "#" + int_to_numer(32))])
         assert (polls, len(classes)) == (644, 609)
         assert classes == self.countdown(32) + self.AFTER_LOCK
+
+    def test_delayed_counter_game(self):
+        """A step premise that waits 3 steps before answering runs
+        multi-step simulations and doubles the master scale twice."""
+        runner = build_induction_solver(
+            counter_n_script(), counter_k_script(3), fm.parse_formula(COUNTER_TEXT))
+        polls, classes = self.drive(runner, [(0, "#" + int_to_numer(32))])
+        assert (polls, len(classes)) == (2627, 703)
+        assert Counter(classes) == {"locking(2.1.2)": 1, "repeating(2.1.1)": 34,
+                                    "repeating(2.2.1)": 666,
+                                    "restarting(2.2.2.1)": 2}
 
     def test_mid_run_game(self):
         game = TestMidRunEnvironmentMove

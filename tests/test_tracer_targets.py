@@ -7,7 +7,11 @@ import importlib.util
 import os
 import random
 
-from clarith import hpm, zoo
+import clarith.formula as fm
+from clarith import hpm, induction, zoo
+from clarith.game import int_to_numer
+
+from conftest import COUNTER_TEXT, counter_k_script, counter_n_script, drive_solver
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -49,3 +53,23 @@ def test_runner_reaches_step_and_spacecost_through_the_module(monkeypatch):
     runner.poll([])
     runner.spacecost()
     assert calls == {"step": 1, "spacecost": 1}
+
+
+def test_synchronizer_validates_through_the_module(monkeypatch):
+    """The tracer replaces `induction.validate_aggregation` and
+    `induction.central_triple`; a synchronizer that bound either would
+    go round the spans.  Each iteration, the recorded ones and the one
+    still in progress, calls both once."""
+    runner = induction.build_induction_solver(
+        counter_n_script(), counter_k_script(3), fm.parse_formula(COUNTER_TEXT))
+    calls = {"validate_aggregation": 0, "central_triple": 0}
+    for name in calls:
+        def counting(*args, name=name, fn=getattr(induction, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(induction, name, counting)
+    drive_solver(runner, [(0, "#" + int_to_numer(9))])
+    assert runner.locked
+    in_progress = len(runner.trace) + 1
+    assert calls == {"validate_aggregation": in_progress,
+                     "central_triple": in_progress}
