@@ -18,9 +18,12 @@ brackets every + and *); a nat is a run of digits, an ident is
 The superaggregate G(z) = max(f(z), ..., f^n(z)) and its partial family
 S_i are evaluated numerically: iterate_max wraps f in one IteratedMax
 node that applies f to a number n times, so evaluating G costs n
-evaluations of f.  UnaryBound.compose stays symbolic (it substitutes
-the inner expression for z), so f^i written out by composition, whose
-tree grows as (z-occurrences)^i, serves as the slow twin.
+evaluations of f, each one walk of f's tree with z rebound in one dict.
+f is the max of the n unit bounds, so one value of G costs about n^2
+node evaluations when each unit bound is a few nodes.
+UnaryBound.compose stays symbolic (it substitutes the inner expression
+for z), so f^i written out by composition, whose tree grows as
+(z-occurrences)^i, serves as the slow twin.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ def bitsize(n: int) -> int:
     """Binary size of a natural number, with |0| = 1."""
     if n < 0:
         raise ValueError("bound arithmetic is over naturals")
-    return max(1, n.bit_length())
+    return n.bit_length() or 1
 
 
 def ceil_log2(n: int) -> int:
@@ -84,9 +87,11 @@ class SizeVar(BoundExpr):
         self.name = name
 
     def evaluate(self, env):
-        if self.name not in env:
-            raise KeyError(f"unbound variable {self.name!r} in bound")
-        return bitsize(env[self.name])
+        try:
+            value = env[self.name]
+        except KeyError:
+            raise KeyError(f"unbound variable {self.name!r} in bound") from None
+        return bitsize(value)
 
     def variables(self):
         return {self.name: None}.keys()
@@ -107,9 +112,10 @@ class RawVar(SizeVar):
     """
 
     def evaluate(self, env):
-        if self.name not in env:
-            raise KeyError(f"unbound variable {self.name!r} in bound")
-        return env[self.name]
+        try:
+            return env[self.name]
+        except KeyError:
+            raise KeyError(f"unbound variable {self.name!r} in bound") from None
 
     def __repr__(self):
         return self.name
@@ -152,7 +158,13 @@ class Max(BoundExpr):
             raise ValueError("max needs at least one argument")
 
     def evaluate(self, env):
-        return max(a.evaluate(env) for a in self.args)
+        # bound values are naturals, so 0 is a safe start
+        best = 0
+        for a in self.args:
+            v = a.evaluate(env)
+            if v > best:
+                best = v
+        return best
 
     def variables(self):
         return _union(*self.args)
@@ -225,11 +237,12 @@ class IteratedMax(BoundExpr):
 
     def evaluate(self, env):
         expr, var = self.f.expr, UnaryBound.VAR
-        v = self.arg.evaluate(env)
+        point = {var: self.arg.evaluate(env)}
         best = 0
         for _ in range(self.n):
-            v = expr.evaluate({var: v})
-            best = max(best, v)
+            v = point[var] = expr.evaluate(point)
+            if v > best:
+                best = v
         return best
 
     def variables(self):

@@ -213,10 +213,10 @@ def cmd_fmt(args):
     for key in ("e_top", "e_bot", "e", "D", "h", "v"):
         print(f"{key}: {census[key]}")
     samples = list(range(0, 9))
+    g_values = [agg["G"](z) for z in samples]
     print("subaggregate f:", " ".join(f"{z}->{agg['f'](z)}" for z in samples))
-    print("superaggregate G:", " ".join(f"{z}->{agg['G'](z)}" for z in samples))
-    identity = all(agg["G"](z) == z for z in samples)
-    print("G is identity on 0..8:", "yes" if identity else "no")
+    print("superaggregate G:", " ".join(f"{z}->{g}" for z, g in zip(samples, g_values)))
+    print("G is identity on 0..8:", "yes" if g_values == samples else "no")
     return 0
 
 

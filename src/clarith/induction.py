@@ -27,14 +27,6 @@ def organ(payload, scale):
     return (tuple(payload), int(scale))
 
 
-def body_project(b, parity):
-    if parity == "odd":
-        return tuple(b[0::2])
-    if parity == "even":
-        return tuple(b[1::2])
-    raise ValueError(f"parity must be odd or even, got {parity!r}")
-
-
 # ---------------------------------------------------------------------------
 # Sim
 

@@ -8,6 +8,7 @@ import clarith.formula as fm
 from clarith.bounds import (
     IDENTITY,
     Add,
+    IteratedMax,
     Log,
     Max,
     Mul,
@@ -37,6 +38,10 @@ class TestBitsize:
     @given(st.integers(min_value=0, max_value=10**9))
     def test_matches_binary_length(self, n):
         assert bitsize(n) == len(format(n, "b")) if n else bitsize(0) == 1
+
+    def test_negative_is_rejected(self):
+        with pytest.raises(ValueError):
+            bitsize(-1)
 
     def test_ceil_log2(self):
         assert ceil_log2(0) == 0
@@ -118,11 +123,11 @@ class TestUnarification:
         assert iterate_max(f, 3)(z) >= f(z)
 
 
-def bound_exprs(leaf, max_leaves):
-    """Small bound expressions over Nat literals and the given leaf."""
-    leaves = st.one_of(st.integers(min_value=0, max_value=3).map(Nat),
-                       st.just(leaf))
-    return st.recursive(leaves, lambda kids: st.one_of(
+def bound_exprs(leaves, max_leaves):
+    """Small bound expressions over Nat literals and the given leaves."""
+    atoms = st.one_of(st.integers(min_value=0, max_value=3).map(Nat),
+                      st.sampled_from(leaves))
+    return st.recursive(atoms, lambda kids: st.one_of(
         st.tuples(kids, kids).map(lambda p: Add(*p)),
         st.tuples(kids, kids).map(lambda p: Mul(*p)),
         st.lists(kids, min_size=1, max_size=3).map(Max),
@@ -139,6 +144,45 @@ def composed_iterate_max(f, n, z):
     return best
 
 
+def reference_evaluate(expr, env):
+    """Slow twin of BoundExpr.evaluate: one isinstance chain, the builtin
+    max over a list, and |n| written as max(1, n.bit_length())."""
+    if isinstance(expr, Nat):
+        return expr.value
+    if isinstance(expr, RawVar):
+        return env[expr.name]
+    if isinstance(expr, SizeVar):
+        return max(1, env[expr.name].bit_length())
+    if isinstance(expr, Add):
+        return reference_evaluate(expr.left, env) + reference_evaluate(expr.right, env)
+    if isinstance(expr, Mul):
+        return reference_evaluate(expr.left, env) * reference_evaluate(expr.right, env)
+    if isinstance(expr, Max):
+        return max([reference_evaluate(a, env) for a in expr.args])
+    if isinstance(expr, Log):
+        return reference_evaluate(expr.arg, env).bit_length()
+    if isinstance(expr, IteratedMax):
+        values, v = [], reference_evaluate(expr.arg, env)
+        for _ in range(expr.n):
+            v = reference_evaluate(expr.f.expr, {UnaryBound.VAR: v})
+            values.append(v)
+        return max(values, default=0)
+    raise TypeError(f"not a bound node: {expr!r}")
+
+
+def iterated_exprs():
+    """Bounds over |x| and a raw z with an IteratedMax inside a Max (at
+    any position) or an Add (on either side)."""
+    plain = bound_exprs([SizeVar("x"), RawVar("z")], 3)
+    iterated = st.builds(IteratedMax, bound_exprs([RawVar("z")], 3).map(UnaryBound),
+                         st.integers(min_value=0, max_value=3), plain)
+    return st.one_of(
+        st.tuples(st.lists(plain, max_size=2), iterated, st.lists(plain, max_size=2))
+        .map(lambda p: Max((*p[0], p[1], *p[2]))),
+        st.tuples(plain, iterated).map(lambda p: Add(*p)),
+        st.tuples(iterated, plain).map(lambda p: Add(*p)))
+
+
 def nested_units(bounds):
     """ade x0 [b0] ada x1 [b1] ... p(): one unit per bound, in order."""
     body = fm.Atom("p", ())
@@ -148,16 +192,30 @@ def nested_units(bounds):
     return body
 
 
+class TestReferenceEvaluation:
+    @settings(deadline=None)
+    @given(iterated_exprs(), st.integers(min_value=0, max_value=300),
+           st.integers(min_value=0, max_value=64))
+    def test_matches_the_reference_evaluator(self, expr, x, z):
+        env = {"x": x, "z": z}
+        assert expr.evaluate(env) == reference_evaluate(expr, env)
+
+    def test_unbound_variable_message(self):
+        for leaf in (SizeVar("y"), RawVar("y")):
+            with pytest.raises(KeyError, match="unbound variable 'y' in bound"):
+                leaf.evaluate({"z": 1})
+
+
 class TestNumericIteration:
     @settings(deadline=None)
-    @given(bound_exprs(RawVar("z"), 4), st.integers(min_value=0, max_value=4),
+    @given(bound_exprs([RawVar("z")], 4), st.integers(min_value=0, max_value=4),
            st.integers(min_value=0, max_value=64))
     def test_matches_symbolic_composition(self, expr, n, z):
         f = UnaryBound(expr)
         assert iterate_max(f, n)(z) == composed_iterate_max(f, n, z)
 
     @settings(deadline=None)
-    @given(st.lists(bound_exprs(SizeVar("s"), 2), min_size=1, max_size=4),
+    @given(st.lists(bound_exprs([SizeVar("s")], 2), min_size=1, max_size=4),
            st.integers(min_value=0, max_value=64))
     def test_aggregate_family_matches_symbolic_composition(self, bounds, z):
         agg = fm.aggregate_bounds(nested_units(bounds))

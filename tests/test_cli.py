@@ -41,6 +41,17 @@ class TestFmt:
         assert "free variables: x" in out
         assert "G is identity on 0..8: yes" in out
 
+    def test_bound_lines_of_a_non_identity_aggregate(self, tmp_path, capsys):
+        p = tmp_path / "two_units.clf"
+        p.write_text("(ada y [|x| + 1] p(y)) v (ade z [max(|x|, 3)] q(z))\n")
+        assert main(["fmt", "check", str(p)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == [
+            "subaggregate f: 0->3 1->3 2->3 3->4 4->5 5->6 6->7 7->8 8->9",
+            "superaggregate G: 0->4 1->4 2->4 3->5 4->6 5->7 6->8 7->9 8->10",
+            "G is identity on 0..8: no",
+        ]
+
     def test_missing_file(self, capsys):
         assert main(["fmt", "check", "/nonexistent.clf"]) == 1
         assert "error:" in capsys.readouterr().err

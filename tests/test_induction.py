@@ -13,7 +13,6 @@ from clarith.hpm import HPMStrategy, ScriptStrategy, parse_hpm
 from clarith.induction import (
     InductionRunner,
     SimContractError,
-    body_project,
     build_induction_solver,
     central_triple,
     check_sim_triple,
@@ -71,11 +70,6 @@ class TestOrgansAndBodies:
     def test_organ_rejects_zero_scale(self):
         with pytest.raises(ValueError):
             organ((), 0)
-
-    def test_body_project(self):
-        body = (organ((), 1), organ((), 2), organ((), 3))
-        assert body_project(body, "odd") == (organ((), 1), organ((), 3))
-        assert body_project(body, "even") == (organ((), 2),)
 
 
 class TestSimContract:
@@ -492,7 +486,7 @@ class TestCarriedCount:
         absorbed = 0
         for rec in runner.trace:
             master = rec["entries"][-1][1]
-            odd = [m for payload, _ in body_project(master, "odd")
+            odd = [m for payload, _ in master[0::2]
                    for m in payload]
             assert odd == arrived[:absorbed]
             absorbed += rec["classification"] in self.ABSORBING
