@@ -163,11 +163,11 @@ def _winner(f, run):
     if opened is None:
         return "T (environment never instantiated the game)"
     c_env, tail = opened
-    pos, bad = game.GamePosition.start(f, c_env).advance(tail)
-    if bad is not None:
-        label = tail[bad][0]
+    try:
+        return game.wins(f, c_env, tail)
+    except game.IllegalMove as exc:
+        label = tail[exc.index][0]
         return f"{'B' if label == 'T' else 'T'} (first illegal move by {label})"
-    return "T" if game.evaluate(pos) else "B"
 
 
 def _play_and_report(runner, f, env, fuel, trace_path):

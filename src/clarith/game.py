@@ -194,28 +194,26 @@ def legal_status(f, c_env, run):
 _BUILTIN_ATOMS = {
     "=": lambda a: a[0] == a[1],
     "<=": lambda a: a[0] <= a[1],
-    "<": lambda a: a[0] < a[1],
     "Bit": lambda a: (a[1] >> a[0]) & 1 == 1,
 }
 
 
 def wins(f, c_env, run, atoms=None):
-    """Winner 'T' or 'B' of a finished legal run; IllegalMove otherwise."""
-    pos, bad = GamePosition.start(f, c_env).advance(run)
-    if bad is not None:
-        pos.apply(*run[bad], bad)  # raises the IllegalMove advance met
-    return "T" if evaluate(pos, atoms) else "B"
+    """Winner 'T' or 'B' of a finished legal run; IllegalMove, with the
+    index of the first illegal move, otherwise.
 
-
-def evaluate(pos: GamePosition, atoms=None):
-    """Truth of pos's formula, walked with its resolved units' values.
-
-    A resolved choice checks its condition in the enclosing scope and
+    The formula is walked with the run's resolved units' values.  A
+    resolved choice checks its condition in the enclosing scope and
     binds its value for its body only, as a blind quantifier does.  A
     choice that is unresolved, or resolved to a value breaking its size
     or value condition, makes ada true and ade false: it favours its
-    owner, or goes against the player who broke the condition.
+    owner, or goes against the player who broke the condition.  An atom
+    that is neither builtin nor known to atoms raises KeyError.
     """
+    pos, bad = GamePosition.start(f, c_env).advance(run)
+    if bad is not None:
+        pos.apply(*run[bad], bad)  # raises the IllegalMove advance met
+
     def ev(node, env, addr):
         if isinstance(node, fm.Atom):
             args = tuple(t.evaluate(env) for t in node.args)
@@ -240,12 +238,12 @@ def evaluate(pos: GamePosition, atoms=None):
                     return ev(node.body, {**env, node.var: val}, addr + "1.")
             return isinstance(node, fm.ChoiceAll)
         if isinstance(node, fm.Blind):
-            values = (ev(node.body, {**env, node.var: w}, addr)
-                      for w in range(node.bound.evaluate(env)))
-            return all(values) if isinstance(node, fm.BlindAll) else any(values)
+            outcomes = (ev(node.body, {**env, node.var: w}, addr)
+                        for w in range(node.bound.evaluate(env)))
+            return all(outcomes) if isinstance(node, fm.BlindAll) else any(outcomes)
         raise TypeError(f"not a formula: {node!r}")
 
-    return ev(pos.formula, pos.c_env, "")
+    return "T" if ev(f, pos.c_env, "") else "B"
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +266,18 @@ def prudentize(m: str, threshold: int) -> str:
     return m[:len(m) - size + threshold] if size > threshold else m
 
 
+def track_append(trunc, shape, s, ctx):
+    """Advance the buffer-truncation tracker by appended string s.
+
+    shape is the move-shape state of the buffer so far, None once the
+    buffer has left every move shape; from then on trunc stays put.
+    """
+    if shape is None or not s:
+        return trunc, shape
+    shape, kept = ctx.shapes.scan(s, shape)
+    return prudentize(trunc + s[:kept], ctx.threshold), shape
+
+
 def is_quasilegal_move_prefix(s: str, addresses) -> bool:
     """Whether s is a prefix of some string addr + '#' + canonical numer.
 
@@ -285,8 +295,7 @@ def is_quasilegal_move_prefix(s: str, addresses) -> bool:
 
 def truncate(m: str, ctx: TruncationContext) -> str:
     """Prudentization of the longest quasilegal-move prefix of m."""
-    _, cut = ctx.shapes.scan(m)
-    return prudentize(m[:cut], ctx.threshold)
+    return track_append("", 0, m, ctx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,40 +311,6 @@ class Semiposition:
     def __repr__(self):
         tail = " open" if self.open_last else ""
         return f"Semiposition({list(self.pairs)}{tail})"
-
-
-def analyze_semiposition(s: Semiposition, f, c_env):
-    """complete?, legitimate?, quasilegitimate?, compression."""
-    shapes = fm.analysis(f).shapes
-
-    def legal_check(run):
-        return first_illegal_index(f, c_env, run) is None
-
-    def quasi_check(run):
-        return is_quasilegal(f, run, "T") and is_quasilegal(f, run, "B")
-
-    def exists_completion(check):
-        if not s.open_last:
-            return check(s.pairs)
-        head = s.pairs[:-1]
-        label, w = s.pairs[-1]
-        return any(check(head + ((label, w + rest),))
-                   for rest in shapes.completions(w))
-
-    compression = []
-    for i, (label, m) in enumerate(s.pairs):
-        open_here = s.open_last and i == len(s.pairs) - 1
-        j = m.rfind("#")
-        if j >= 0 and is_binary(m[j + 1:]):
-            m = m[: j + 1] + "*"
-        compression.append((label, m + ("..." if open_here else "")))
-
-    return {
-        "complete": not s.open_last,
-        "legitimate": exists_completion(legal_check),
-        "quasilegitimate": exists_completion(quasi_check),
-        "compression": tuple(compression),
-    }
 
 
 _WINDUP_ORDER = "#01."

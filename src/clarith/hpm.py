@@ -58,7 +58,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 
-from .game import TruncationContext, magnitude, prudentize
+from .game import TruncationContext, magnitude, track_append
 
 BLANK = "_"
 DIRS = ("L", "R", "S")
@@ -658,18 +658,6 @@ def play(runner, env, fuel: int):
 
 # ---------------------------------------------------------------------------
 # sketches
-
-def track_append(trunc, shape, s, ctx):
-    """Advance the buffer-truncation tracker by appended string s.
-
-    shape is the move-shape state of the buffer so far, None once the
-    buffer has left every move shape; from then on trunc stays put.
-    """
-    if shape is None or not s:
-        return trunc, shape
-    shape, kept = ctx.shapes.scan(s, shape)
-    return prudentize(trunc + s[:kept], ctx.threshold), shape
-
 
 class Sketch:
     """The 8-component compressed machine state.

@@ -22,6 +22,7 @@ from .game import (
     Semiposition,
     TruncationContext,
     opening,
+    track_append,
     windup,
 )
 from .hpm import (
@@ -32,7 +33,6 @@ from .hpm import (
     StrategyRunner,
     initial_sketch,
     sketch_advance,
-    track_append,
 )
 
 

@@ -6,10 +6,10 @@ import sys
 import pytest
 
 import clarith.formula as fm
-from clarith import induction, oracles
+from clarith import game, induction, oracles
 from clarith.cli import main
 
-from conftest import (BLIND_CONCLUSION, COUNTER_TEXT, FIXTURES, TWO_DISJUNCT_TEXT,
+from conftest import (BLIND_CONCLUSION, FIXTURES, TWO_DISJUNCT_TEXT,
                       read_fixture)
 
 
@@ -141,6 +141,27 @@ class TestPlay:
         assert "B #101\n" in out and "B #11\n" in out
         # two moves read, then one prompt that meets the end of input
         assert out.count("B> ") == 3
+
+    def test_winner_after_an_illegal_environment_move(self, tmp_path,
+                                                       capsys):
+        """The second ⊥ move resolves T's unit: B loses the run."""
+        f = tmp_path / "eq.clf"
+        f.write_text("ade y [|x|] (y = x)\n")
+        env = tmp_path / "env.txt"
+        env.write_text("#1001\n#1\n")
+        assert main(["play", fixture("bigmove.hpm"), str(f),
+                     "--env", str(env), "--fuel", "40"]) == 0
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            "B #1001", "B #1", "T 0.1.#1111111",
+            "winner: T (first illegal move by B)"]
+
+    def test_winner_of_an_uninstantiated_game(self, tmp_path, capsys):
+        f = tmp_path / "eq.clf"
+        f.write_text("ade y [|x|] (y = x)\n")
+        assert main(["play", fixture("bigmove.hpm"), str(f),
+                     "--fuel", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "winner: T (environment never instantiated the game)")
 
 
 class TestTransform:
@@ -576,6 +597,32 @@ class TestOracle:
 
     def test_windup_suite(self, capsys):
         assert main(["oracle", "windup"]) == 0
+
+    @pytest.mark.parametrize("wrong, report", [
+        ("closes", "FAIL: windup mismatch on Semiposition([('T', '#')] open)"),
+        ("refuses", "FAIL: windup rejected Semiposition([('T', '0.#1')] open), "
+                    "but search closes it"),
+    ], ids=["closes", "refuses"])
+    def test_windup_suite_catches_both_wrong_answers(self, wrong, report,
+                                                     monkeypatch, capsys):
+        """A windup that closes a dead buffer, or refuses a buffer that
+        is a move already; 400 cases exceed the 317 buffers refused."""
+        real = game.windup
+
+        def fake(v, f, c_env):
+            try:
+                got = real(v, f, c_env)
+            except ValueError:
+                if wrong == "closes":
+                    return ""
+                raise
+            if wrong == "refuses" and got == "":
+                raise ValueError("refused")
+            return got
+
+        monkeypatch.setattr(game, "windup", fake)
+        assert main(["oracle", "windup", "--cases", "400", "--seed", "0"]) == 3
+        assert capsys.readouterr().out.startswith(report)
 
     def test_sim_suite(self, capsys):
         assert main(["oracle", "sim", "--cases", "60", "--seed", "2"]) == 0

@@ -13,7 +13,7 @@ from clarith.comprehension import (
     _one_verdict,
     comprehension_conclusion,
 )
-from clarith.game import int_to_numer, is_canonical_numer, numer_value, wins
+from clarith.game import is_canonical_numer, numer_value, wins
 from clarith.hpm import DEFAULT_FUEL, BadFuelSetting, ScriptStrategy
 
 from conftest import FIXTURES

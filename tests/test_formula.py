@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
-from clarith.bounds import Nat, parse_bound
+from clarith.bounds import parse_bound
 
 from conftest import TWO_DISJUNCT_TEXT, COUNTER_TEXT, formulas
 

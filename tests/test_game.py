@@ -11,10 +11,8 @@ import clarith.formula as fm
 from clarith.bounds import parse_bound
 from clarith.game import (
     GamePosition,
-    IllegalMove,
     Semiposition,
     TruncationContext,
-    analyze_semiposition,
     constant_moves,
     constant_value,
     first_illegal_index,
@@ -271,44 +269,14 @@ class TestMoveShapes:
         assert shapes.completions("0.1.#01") == []
 
 
-class TestSemipositions:
-    def test_complete_semiposition(self, two_disjunct_formula):
-        s = Semiposition((("B", "0.#1"),))
-        rep = analyze_semiposition(s, two_disjunct_formula, {"x": 9})
-        assert rep["complete"] and rep["legitimate"] and rep["quasilegitimate"]
-
-    def test_open_buffer_legitimacy(self, two_disjunct_formula):
-        s = Semiposition((("T", "0.1"),), open_last=True)
-        rep = analyze_semiposition(s, two_disjunct_formula, {"x": 9})
-        assert not rep["complete"]
-        assert rep["quasilegitimate"]
-
-    def test_hopeless_buffer(self, two_disjunct_formula):
-        s = Semiposition((("T", "0.0."),), open_last=True)
-        rep = analyze_semiposition(s, two_disjunct_formula, {"x": 9})
-        assert not rep["quasilegitimate"]
-
-    def test_compression_masks_numers(self, two_disjunct_formula):
-        s = Semiposition((("B", "0.#101"), ("T", "0.1.#1")), open_last=True)
-        rep = analyze_semiposition(s, two_disjunct_formula, {"x": 9})
-        assert rep["compression"] == (("B", "0.#*"), ("T", "0.1.#*..."))
-
-    @pytest.mark.parametrize("move, open_last, masked", [
-        ("#101", False, "#*"), ("#10", True, "#*..."),
-    ])
-    def test_compression_masks_a_root_units_numer(self, move, open_last, masked):
-        """A root unit's move is all numer: its "#" is the move's first
-        character, and is masked all the same."""
-        f = fm.parse_formula("ade y [|s|] p(y)")
-        s = Semiposition((("T", move),), open_last=open_last)
-        rep = analyze_semiposition(s, f, {"s": 9})
-        assert rep["compression"] == (("T", masked),)
-
-
 class TestWindup:
     def test_empty_buffer(self, two_disjunct_formula):
         v = Semiposition((("T", ""),), open_last=True)
         assert windup(v, two_disjunct_formula, {"x": 9}) == "0.1.#"
+
+    def test_open_address_closes_to_its_unit(self, two_disjunct_formula):
+        v = Semiposition((("T", "0.1"),), open_last=True)
+        assert windup(v, two_disjunct_formula, {"x": 9}) == ".#"
 
     def test_partial_address(self, two_disjunct_formula):
         v = Semiposition((("T", "1."),), open_last=True)
@@ -332,10 +300,10 @@ class TestWindup:
             if rng.random() < 0.5:
                 prior = (("T", "1.1.#1"),)
             v = Semiposition(prior + (("T", buf),), open_last=True)
-            rep = analyze_semiposition(v, two_disjunct_formula, {"x": 9})
-            if not rep["quasilegitimate"]:
+            try:
+                got = windup(v, two_disjunct_formula, {"x": 9})
+            except ValueError:
                 continue
-            got = windup(v, two_disjunct_formula, {"x": 9})
             want = windup_oracle(v, two_disjunct_formula, {"x": 9})
             assert got == want, (buf, got, want)
             checked += 1
@@ -358,7 +326,6 @@ class TestSharedAnalysis:
         v = Semiposition((("T", "1."),), open_last=True)
         assert windup(v, f, {"x": 9}) == "1.#"
         assert windup_oracle(v, f, {"x": 9}) == "1.#"
-        assert analyze_semiposition(v, f, {"x": 9})["quasilegitimate"]
         assert legal_status(f, {"x": 9}, (("T", "0.1.#1"),)) == "T-quasilegal"
         assert fm.choice_census(f)["e"] == fm.aggregate_bounds(f)["n"] == 4
         assert TruncationContext(f, {"x": 3}).analysis is ctx.analysis

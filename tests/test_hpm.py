@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clarith.game import TruncationContext, truncate
+from clarith.game import TruncationContext, track_append, truncate
 from clarith.hpm import (
     BLANK,
-    Configuration,
     History,
     HPMStrategy,
     Meter,
@@ -23,7 +22,6 @@ from clarith.hpm import (
     sketch_of_configuration,
     spacecost,
     step,
-    track_append,
 )
 
 from conftest import make_scripted_env, read_fixture, shape_cases

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import clarith.formula as fm
 from clarith import wrappers, zoo
-from clarith.game import TruncationContext, first_illegal_index, is_quasilegal
+from clarith.game import first_illegal_index, is_quasilegal
 from clarith.hpm import (
     History,
     HPMStrategy,

@@ -1,6 +1,6 @@
 import random
 
-from clarith.hpm import initial_configuration, spacecost, step
+from clarith.hpm import spacecost
 from clarith.induction import check_sim_triple
 from clarith.zoo import (
     MOVE_CHARS,
