@@ -28,7 +28,12 @@ chatter machine and environment that `perfbench/gen.py` makes from
 `random.Random(1)`, playing the benchmark's two-disjunct formula.  Each
 fuel is run --reps times, after one untimed warm-up run.  Per fuel the
 JSON file holds wall and scaled seconds, wall and scaled µs per cycle
-and the number of T moves played.
+and, from one more run with `hpm.run_until` and `hpm.step` wrapped in
+counters, the number of T moves played and how often each was called.
+Those three counts do not depend on the host.  `step` is a stretch of
+one cycle, so `run_until_calls` counts the calls through `step` too:
+`play` polls once per cycle with a ⊥ move and takes one stretch per
+run of quiet cycles, up to the next T move.
 
 `vasa` is the same against fuel for `clarith transform vasa --play`:
 the responder machine and its legal environment that `perfbench/gen.py`
@@ -133,9 +138,11 @@ def run_once(argv):
 
 @contextlib.contextmanager
 def counted(module, names):
-    """Count the calls made to module's functions `names` meanwhile."""
+    """Count the calls made to module's functions `names` meanwhile; a
+    name the module does not define (in an older checkout) counts 0."""
     counts = dict.fromkeys(names, 0)
-    saved = {name: getattr(module, name) for name in names}
+    saved = {name: getattr(module, name) for name in names
+             if hasattr(module, name)}
 
     def wrap(name, fn):
         def counting(*args):
@@ -157,6 +164,8 @@ def fuel_points(fuels, argvs, reps):
     run_once(argvs[0])  # untimed: the first call builds the CLI's parser
     points = []
     for fuel, argv in zip(fuels, argvs):
+        with counted(hpm, ("run_until", "step")) as calls:
+            _, _, moves = run_once(argv)
         runs = [run_once(argv) for _ in range(reps)]
         wall = min(w for w, _, _ in runs)
         scaled = statistics.median(s for _, s, _ in runs)
@@ -164,10 +173,12 @@ def fuel_points(fuels, argvs, reps):
                        "scaled_s": round(scaled, 6),
                        "us_per_cycle": round(wall / fuel * 1e6, 3),
                        "scaled_us_per_cycle": round(scaled / fuel * 1e6, 3),
-                       "moves": runs[0][2]})
+                       "moves": moves, "run_until_calls": calls["run_until"],
+                       "step_calls": calls["step"]})
         print(f"fuel {fuel:>6}: {wall:.3f} s, "
               f"{wall / fuel * 1e6:.2f} us/cycle "
-              f"({scaled / fuel * 1e6:.2f} scaled), {runs[0][2]} moves")
+              f"({scaled / fuel * 1e6:.2f} scaled), {moves} moves, "
+              f"{calls['run_until']} run_until and {calls['step']} step calls")
     return points
 
 

@@ -92,7 +92,9 @@ def _make_env(spec_text):
     "repl" prompts on stdin until its input ends; "x=5,k=3" plays the
     constants #<numer> in order; anything else is a script file whose
     lines are moves, each optionally prefixed "@t " to wait until t
-    ⊤-moves are visible.
+    ⊤-moves are visible.  Every env but "repl", which reads a line each
+    cycle, is a function of the visible run, as `hpm.play`'s
+    env_reads_run means it.
     """
     if spec_text is None:
         return lambda run: None
@@ -170,8 +172,8 @@ def _winner(f, run):
         return f"{'B' if label == 'T' else 'T'} (first illegal move by {label})"
 
 
-def _play_and_report(runner, f, env, fuel, trace_path):
-    out = hpm.play(runner, env, fuel)
+def _play_and_report(runner, f, env, env_reads_run, fuel, trace_path):
+    out = hpm.play(runner, env, fuel, env_reads_run)
     print(game.format_run(out["run"]), end="")
     try:
         print("winner:", _winner(f, out["run"]))
@@ -272,7 +274,8 @@ def cmd_run(args):
     if banner is not None:
         print(banner)
     if args.play:
-        _play_and_report(runner, f, env, fuel, getattr(args, "trace", None))
+        _play_and_report(runner, f, env, args.env != "repl", fuel,
+                         getattr(args, "trace", None))
     return 0
 
 

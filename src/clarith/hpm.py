@@ -10,9 +10,9 @@ builds one per file).  `spec.table` holds its transition function under
 flat keys, (state, run symbol, *work symbols); each row carries the next
 state, the writes, the head steps as -1/0/1, the appended string and a
 `still` flag for rows that write back what they read and move no work
-head.  `_transition`, the one transition that `step` and
+head.  `_transition`, the one transition that `run_until` and
 `sketch_advance` share, reads only the table, and on a `still` row it
-hands back the tapes and heads it was given, so `step` has no cell
+hands back the tapes and heads it was given, so `run_until` has no cell
 count to move.  `spec.delta` stays the declarative form of the same
 function, the one the statement of a transition in the tests reads.
 
@@ -27,22 +27,30 @@ never rescans or copies it:
   copies its prefix into a new log first, so no configuration ever
   sees its run change.  No runner in this package branches; the fork
   keeps `Configuration` a value for callers that do, tests among them.
-  `step` reads the run symbol and the tape length off the log;
+  `run_until` reads the run symbol and the tape length off the log;
   `run_tape_length` and `run_symbol` are the rescanning twins.
   `cfg.run` builds a tuple; no per-cycle code reads it.
 - A configuration carries each work tape's count of non-blank cells.
   A transition writes one cell per tape, the one under its head, so
-  `step` moves the count by what that cell held and now holds (the
+  `run_until` moves the count by what that cell held and now holds (the
   stripping of trailing blanks never changes it), and `spacecost` is a
   read.  Sketches do not carry counts.
 - `play` hands `Meter.record_cycle` the ⊥ move it has just appended,
   if any, so the meter never reads the run: it keeps a running
   background maximum and per-background maxima, and does not grow with
   the cycles.
-- A quiet cycle, one in which neither side moves, costs one bound
-  `poll` (a `StrategyRunner` looks up its strategy's `step` and `space`
-  once), one `step` and one compare in the meter.  On one work tape,
-  `_transition` writes and moves the head with no zip, list or tuple.
+- Quiet cycles, in which neither side moves, run in stretches.
+  `run_until` runs the machine up to its next move in one loop that
+  keeps the state, tapes, heads, run head, buffer and cell counts in
+  local variables and builds one `Configuration` at the end; `step` is
+  a stretch of one cycle.  When the env is a function of the visible
+  run, `play` turns each cycle with no ⊥ move into a stretch up to the
+  next own move: one env call, one `StrategyRunner.stretch` and one
+  meter record stand for all its cycles, so a quiet cycle costs one
+  `_transition` and a few compares.  A machine that finds no row stays
+  halted until the run grows, so that cycle ends the stretch and uses
+  up its limit.  On one work tape, `_transition` writes and moves the
+  head with no zip, list or tuple.
 
 A sketch reads the run through a `History`, the reason wrapper's
 append-only list of (label, size) records.  Next to the records it keeps
@@ -374,7 +382,7 @@ def _transition(spec: HPMSpec, state, runsym, tapes, heads, runhead, run_len):
     left move from there is not clamped).  On a `still` row, unless some
     head inside its tape has trailing blanks to strip, the tapes and
     heads given are returned as they are, the same tuples.  This is the
-    one transition: `step` and `sketch_advance` both call it, and
+    one transition: `run_until` and `sketch_advance` both call it, and
     `tests/test_fastpaths.py` checks it against a statement that reads
     the declarative `spec.delta`.
     """
@@ -426,9 +434,16 @@ def _write_cell(t, h, w, d):
     return t, h
 
 
-def step(spec: HPMSpec, cfg: Configuration, incoming=()) -> Configuration:
-    """One machine cycle: absorb incoming ⊥-moves, apply one transition.
+def run_until(spec: HPMSpec, cfg: Configuration, limit: int, incoming=()):
+    """At most `limit` (at least 1) machine cycles in one loop, the first
+    absorbing incoming ⊥-moves; it stops after the first cycle that
+    makes a move.
 
+    -> (configuration after the stretch, cycles used, peak cell count),
+    the peak being the largest `spacecost` of the configurations after
+    each cycle of the stretch.  A cycle that finds no row leaves the
+    machine as it was, and no cycle after it can find one, since nothing
+    feeds the run meanwhile: that cycle uses up every remaining cycle.
     The run symbol and the tape length are read off the run log; a write
     changes one cell, the one under its head, so each work tape's
     non-blank count moves by what that cell held and now holds.
@@ -436,35 +451,48 @@ def step(spec: HPMSpec, cfg: Configuration, incoming=()) -> Configuration:
     log, length = cfg.log, cfg.length
     if incoming:
         log, length = log.extended(length, incoming)
-    run_len = log.starts[length]
-    runhead = cfg.runhead
-    if runhead >= run_len:
-        runhead, runsym = run_len, BLANK
-    else:
-        runsym = log.cells[runhead]
-    state, tapes, heads = cfg.state, cfg.tapes, cfg.heads
-    moved = _transition(spec, state, runsym, tapes, heads, runhead, run_len)
-    if moved is None:
-        return _fill(_new(Configuration), state, tapes, heads, log, length,
-                     runhead, cfg.buffer, cfg.cycle + 1, cfg.moves_made, "",
-                     None, cfg.counts)
-    q2, tapes2, heads2, runhead2, append = moved
-    counts = cfg.counts
-    if tapes2 is not tapes:
-        if len(tapes) == 1:
-            counts = (counts[0] + _grown(tapes[0], tapes2[0], heads[0]),)
+    cells, run_len = log.cells, log.starts[length]
+    state, tapes, heads, runhead = cfg.state, cfg.tapes, cfg.heads, cfg.runhead
+    buffer, moves_made, counts = cfg.buffer, cfg.moves_made, cfg.counts
+    one, move_states = len(tapes) == 1, spec.move_states
+    cur = max(counts) if counts else 0
+    peak, used, last_move = cur, 0, None
+    while used < limit:
+        used += 1
+        if runhead >= run_len:
+            runhead, runsym = run_len, BLANK
         else:
-            counts = tuple([c + _grown(t, t2, h) for c, t, t2, h
-                            in zip(counts, tapes, tapes2, heads)])
-    buffer, moves_made, last_move = cfg.buffer, cfg.moves_made, None
-    if append:
-        buffer += append
-    if q2 in spec.move_states:
-        log, length = log.extended(length, (("T", buffer),))
-        buffer, moves_made, last_move = "", moves_made + 1, buffer
-    return _fill(_new(Configuration), q2, tapes2, heads2, log, length,
-                 runhead2, buffer, cfg.cycle + 1, moves_made, append,
-                 last_move, counts)
+            runsym = cells[runhead]
+        moved = _transition(spec, state, runsym, tapes, heads, runhead, run_len)
+        if moved is None:
+            used, append = limit, ""
+            break
+        state, tapes2, heads2, runhead, append = moved
+        if tapes2 is not tapes:
+            if one:
+                counts = (counts[0] + _grown(tapes[0], tapes2[0], heads[0]),)
+                cur = counts[0]
+            else:
+                counts = tuple([c + _grown(t, t2, h) for c, t, t2, h
+                                in zip(counts, tapes, tapes2, heads)])
+                cur = max(counts)
+            if used == 1 or cur > peak:
+                peak = cur
+        tapes, heads = tapes2, heads2
+        if append:
+            buffer += append
+        if state in move_states:
+            log, length = log.extended(length, (("T", buffer),))
+            buffer, moves_made, last_move = "", moves_made + 1, buffer
+            break
+    return (_fill(_new(Configuration), state, tapes, heads, log, length,
+                  runhead, buffer, cfg.cycle + used, moves_made, append,
+                  last_move, counts), used, peak)
+
+
+def step(spec: HPMSpec, cfg: Configuration, incoming=()) -> Configuration:
+    """One machine cycle: absorb incoming ⊥-moves, apply one transition."""
+    return run_until(spec, cfg, 1, incoming)[0]
 
 
 def _grown(t, t2, h):
@@ -493,6 +521,12 @@ class HPMStrategy:
     def step(self, cfg):
         nxt = step(self.spec, cfg)
         return nxt, nxt.last_move
+
+    def stretch(self, cfg, limit):
+        """(next state, cycles used, peak cells, move or None) of
+        `run_until` over at most limit cycles."""
+        nxt, used, peak = run_until(self.spec, cfg, limit)
+        return nxt, used, peak, nxt.last_move
 
     def space(self, cfg):
         return spacecost(cfg)
@@ -537,6 +571,11 @@ class StrategyRunner:
     returns, so a runner keeps the count of entries it has read, not
     the run object.  The strategy's `step` and `space` are looked up
     once, here, so a poll and a `spacecost` call each cost one bound call.
+
+    `stretch(visible_run, limit)`, over a strategy with a `stretch` (as
+    `HPMStrategy` has), stands for up to `limit` polls handed the same
+    visible run, up to and including the first that returns a move:
+    -> (polls used, peak of the `spacecost` after each, moves).
     """
 
     def __init__(self, strategy):
@@ -557,6 +596,17 @@ class StrategyRunner:
         self.seen = n + 1
         return [mv]
 
+    def stretch(self, visible_run, limit):
+        n = len(visible_run)
+        if n > self.seen:
+            self.st = self.strategy.feed(self.st, visible_run[self.seen:])
+        self.st, used, peak, mv = self.strategy.stretch(self.st, limit)
+        if mv is None:
+            self.seen = n
+            return used, peak, []
+        self.seen = n + 1
+        return used, peak, [mv]
+
     def spacecost(self):
         return self._space(self.st)
 
@@ -573,6 +623,11 @@ class Meter:
     `record_cycle` call is given the cycle's ⊥ move, or None, and
     `background` is a running maximum over the ⊥ moves given so far.
     `_cells` mirrors `spacecost[background]`: a quiet cycle costs one compare.
+
+    One call may stand for a stretch of cycles with no ⊥ move: `cycle`
+    is its last cycle, the one of its move if it made one, and `cells`
+    its peak.  The background stays fixed over the stretch, so the
+    readings are those of one call per cycle.
     """
 
     def __init__(self):
@@ -632,27 +687,47 @@ def fuel_from_env() -> int:
     return fuel
 
 
-def play(runner, env, fuel: int):
+def play(runner, env, fuel: int, env_reads_run=False):
     """Interleave env moves (first) and machine cycles for fuel cycles.
 
-    runner: object with poll(visible_run) -> list of moves and spacecost().
+    runner: object with poll(visible_run) -> list of moves and
+    spacecost(); it may have a stretch(visible_run, limit), as
+    `StrategyRunner` has.
     env: callable(visible_run) -> move string or None.
     Both are handed one list that play appends to, so the visible run
     they were given grows after they return: they keep counts of the
     entries they have read, not the run itself.  The result's run is a
     tuple.
+
+    env_reads_run says the env is a function of the visible run, as the
+    CLI's scripts and constants are and its stdin prompt is not.  Then a
+    cycle whose env call returns None starts a stretch, if the runner
+    has one: the cycles up to its next move, or to the end of the fuel,
+    with one env call and one meter record.  The result is that of one
+    env call and one poll per cycle: the run does not change before that
+    move, so the env would have returned None at each of those cycles,
+    and with no ⊥ move among them the meter's background stays fixed,
+    so the stretch's peak cells stand for their per-cycle readings.
     """
     run = []
     meter = Meter()
     poll, space, record = runner.poll, runner.spacecost, meter.record_cycle
-    for cycle in range(fuel):
+    stretch = getattr(runner, "stretch", None) if env_reads_run else None
+    cycle = 0
+    while cycle < fuel:
         mv = env(run)
-        if mv is not None:
-            run.append(("B", mv))
-        made = poll(run)
+        if mv is None and stretch is not None:
+            used, cells, made = stretch(run, fuel - cycle)
+            cycle += used
+        else:
+            if mv is not None:
+                run.append(("B", mv))
+            made = poll(run)
+            cells = space()
+            cycle += 1
         for m in made:
             run.append(("T", m))
-        record(cycle, mv, space(), made)
+        record(cycle - 1, mv, cells, made)
     return {"run": tuple(run), "meter": meter}
 
 

@@ -170,12 +170,32 @@ class VasaRunner(StrategyRunner):
     def poll(self, visible_run):
         if self.retired:
             return []
+        if not self._retires(visible_run):
+            return StrategyRunner.poll(self, visible_run)
+        return self._windup()
+
+    def stretch(self, visible_run, limit):
+        """`StrategyRunner.stretch`, once the entries not yet checked
+        leave the run legal.  The poll that retires the runner is a
+        stretch of one cycle; a retired runner never moves again, so it
+        uses up the limit in one call."""
+        if self.retired:
+            return limit, self.spacecost(), []
+        if not self._retires(visible_run):
+            return StrategyRunner.stretch(self, visible_run, limit)
+        return 1, self.spacecost(), self._windup()
+
+    def _retires(self, visible_run):
+        """Whether the run is illegal, after checking the entries added
+        since the last check."""
         if len(visible_run) > self.checked:
             self.position, bad = self.position.advance(visible_run, self.checked)
             self.checked = len(visible_run)
             self.retired = bad is not None
-        if not self.retired:
-            return StrategyRunner.poll(self, visible_run)
+        return self.retired
+
+    def _windup(self):
+        """The retiring poll's moves: the open buffer wound up, if it can be."""
         buf = self.st.buffer
         if not buf:
             return []

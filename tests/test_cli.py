@@ -142,6 +142,22 @@ class TestPlay:
         # two moves read, then one prompt that meets the end of input
         assert out.count("B> ") == 3
 
+    def test_repl_prompts_once_per_cycle(self, formula_file, monkeypatch,
+                                         capsys):
+        """The prompt reads a line each cycle, a blank line being a
+        cycle with no ⊥ move, so `play` polls the machine once per cycle
+        for it and takes no stretch: each line is one cycle, and the
+        output is the per-cycle loop's, byte for byte."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            "#1001\n\n\n0.#10\n\n\n\n\n\n1.#1\n\n\n"))
+        rc = main(["play", fixture("legal.hpm"), formula_file,
+                   "--env", "repl", "--fuel", "30"])
+        assert (rc, capsys.readouterr().out) == (0, "B> " * 13 + (
+            "B #1001\nT 0.1.#11\nB 0.#10\nB 1.#1\nT 1.1.#0\n"
+            "winner: B (first illegal move by T)\n"
+            'meter: {"amplitude": {"4": 2}, "max_spacecost": 4, '
+            '"spacecost_by_background": {"4": 4}, "max_timecost": 8}\n'))
+
     def test_winner_after_an_illegal_environment_move(self, tmp_path,
                                                        capsys):
         """The second ⊥ move resolves T's unit: B loses the run."""
@@ -567,6 +583,16 @@ def test_closed_stdout_exits_one_without_a_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_python_dash_m_clarith_runs_the_cli(formula_file, capsys):
+    proc = subprocess.run(
+        [sys.executable, "-m", "clarith", "fmt", "check", formula_file],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60)
+    assert main(["fmt", "check", formula_file]) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, capsys.readouterr().out, "")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

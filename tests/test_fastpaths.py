@@ -42,12 +42,17 @@ from clarith.hpm import (
     Meter,
     _transition,
     history_prefix,
+    HPMStrategy,
     initial_configuration,
+    meter_report,
+    parse_hpm,
     play,
     run_symbol,
     run_tape_length,
+    run_until,
     spacecost,
     step,
+    StrategyRunner,
 )
 from clarith.induction import (
     build_induction_solver,
@@ -65,6 +70,7 @@ from conftest import (
     drive_solver,
     formulas,
     make_scripted_env,
+    read_fixture,
 )
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(FIXTURES)), "perfbench")
@@ -469,6 +475,97 @@ class TestVasaLegality:
                 spec, two_disjunct_formula, {"x": 9}, entries)
             retired_at.add(cycle)
         assert len(retired_at - {None}) > 1
+
+
+# ---------------------------------------------------------------------------
+# Stretches: `run_until` against one `step` after another, and `play` over
+# stretches against `play` polling once per cycle.
+
+FIXTURE_MACHINES = ("legal.hpm", "bigmove.hpm", "always_yes.hpm",
+                    "k_const.hpm", "n_const.hpm")
+
+
+@st.composite
+def stretch_machines(draw):
+    """A zoo machine (its last phase halts), a two-tape rewriting machine
+    or a fixture machine."""
+    kind = draw(st.sampled_from(("zoo", "rewriting") + FIXTURE_MACHINES))
+    if kind in FIXTURE_MACHINES:
+        return parse_hpm(read_fixture(kind))
+    rng = random.Random(draw(st.integers(0, 2 ** 30)))
+    return zoo.random_machine(rng) if kind == "zoo" else rewriting_machine(rng)
+
+
+def stepped(spec, cfg, limit, incoming=()):
+    """The slow twin of `run_until`: one `step` after another, stopping
+    after the first that moves, and the largest rescanned spacecost
+    after any of them."""
+    peak = -1
+    for used in range(1, limit + 1):
+        cfg = step(spec, cfg, incoming if used == 1 else ())
+        peak = max(peak, spacecost_twin(cfg))
+        if cfg.last_move is not None:
+            break
+    return cfg, used, peak
+
+
+class TestRunUntil:
+    @settings(max_examples=150)
+    @given(stretch_machines(), st.integers(0, 2 ** 30))
+    def test_matches_stepping_until_the_first_move(self, spec, seed):
+        """Several stretches back to back, some absorbing a ⊥ move."""
+        rng = random.Random(seed)
+        cfg = initial_configuration(spec)
+        for _ in range(8):
+            incoming = ([("B", rng.choice(("#1", "0.#10", "1.#1")))]
+                        if rng.random() < 0.4 else [])
+            limit = rng.randint(1, 30)
+            fast = run_until(spec, cfg, limit, incoming)
+            assert fast == stepped(spec, cfg, limit, incoming)
+            assert fast[0].counts == fresh(fast[0]).counts
+            cfg = fast[0]
+
+    def test_a_halted_machine_uses_up_the_limit(self):
+        spec = zoo.random_machine(random.Random(3), phases=1, phase_len=2)
+        moved, used, _ = run_until(spec, initial_configuration(spec), 50)
+        assert (used, moved.last_move is not None) == (2, True)
+        halted, used, _ = run_until(spec, moved, 1000)
+        assert (used, halted.cycle, halted.state) == (1000, 1002, moved.state)
+        assert halted == stepped(spec, moved, 1000)[0]
+
+
+def played(runner, entries, fuel, env_reads_run):
+    """What `play` shows of a match against the CLI's script env."""
+    out = play(runner, _script_env(entries), fuel, env_reads_run)
+    return (out["run"], meter_report(out["meter"]),
+            getattr(runner, "retired", None), getattr(runner, "faults", None))
+
+
+delayed_entries = st.lists(st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(("#1", "0.#1", "0.#10", "1.#1", "1.#11", "1.1.#1", "0.#"))),
+    max_size=5)
+
+
+class TestStretchedPlay:
+    @settings(max_examples=150)
+    @given(stretch_machines(), delayed_entries, st.integers(1, 150))
+    def test_strategy_runner(self, spec, entries, fuel):
+        assert played(StrategyRunner(HPMStrategy(spec)), entries, fuel, True) \
+            == played(StrategyRunner(HPMStrategy(spec)), entries, fuel, False)
+
+    @settings(max_examples=150)
+    @example(parse_hpm(read_fixture("legal.hpm")),
+             TestVasaLegality.SCRIPTS["legal"], 80)
+    @example(parse_hpm(read_fixture("legal.hpm")),
+             TestVasaLegality.SCRIPTS["illegal-open"], 80)
+    @example(parse_hpm(read_fixture("legal.hpm")),
+             TestVasaLegality.SCRIPTS["illegal-late"], 80)
+    @given(stretch_machines(), delayed_entries, st.integers(1, 150))
+    def test_vasa_runner(self, spec, entries, fuel):
+        f = fm.parse_formula(TWO_DISJUNCT_TEXT)
+        assert played(VasaRunner(spec, f, {"x": 9}), entries, fuel, True) \
+            == played(VasaRunner(spec, f, {"x": 9}), entries, fuel, False)
 
 
 # ---------------------------------------------------------------------------
