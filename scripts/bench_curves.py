@@ -8,6 +8,9 @@
     python3 scripts/bench_curves.py --curve reason [--phases 3,4,5,6,7,8,9,10]
                                     [--machines 8] [--reps 3]
                                     [--out BENCH_reason_phases.json]
+    python3 scripts/bench_curves.py --curve reason_fuel [--multiples 1,2,4,8,16]
+                                    [--machines 8] [--reps 3]
+                                    [--out BENCH_reason_fuel.json]
     python3 scripts/bench_curves.py --curve analyze [--units 1,2,...,12]
                                     [--reps 3] [--out BENCH_analyze_units.json]
     python3 scripts/bench_curves.py --curve induct [--ks 16,32,64,128,256]
@@ -52,6 +55,18 @@ every machine once, and, from one more run with `wrappers.update_sketch`
 and `wrappers.fetch_symbol` wrapped in counters, how often each was
 called.  Per phase count it holds the medians of the times and the sums
 of the call counts.
+
+`reason_fuel` is the same session against fuel: the first --machines
+6-phase scanning machines drawn from `random.Random(1)`, as `reason
+--phases 6` draws them, each at --multiples times the fuel the
+benchmark gives it (`sum(instant_move_cycles) + len(env) + 2`).  Per
+machine and multiple it records the fuel, the T moves, the
+`update_sketch` and `fetch_symbol` calls of one counted run, and the
+session time, wall and scaled, over --reps rounds; per multiple the
+medians of the times and the sums of the counts.  Every machine makes
+all its moves by 1x, and the wrapper resimulates nothing once idle, so
+the calls stay flat past the fuel at which it goes idle (2x for each
+of the default machines).
 
 `analyze` is ms per `clarith fmt check` session against the number of
 choice quantifiers of the formula, drawn by `gen.analysis_formula` from
@@ -108,6 +123,8 @@ DEFAULT_FUELS = (1000, 4000, 16000, 64000)
 DEFAULT_PHASES = tuple(range(3, 11))
 DEFAULT_UNITS = tuple(range(1, 13))
 DEFAULT_KS = (16, 32, 64, 128, 256)
+DEFAULT_MULTIPLES = (1, 2, 4, 8, 16)
+REASON_FUEL_PHASES = 6  # the phases of every reason_fuel machine
 # (name, kind, step premise delay) of each induct variant
 INDUCT_VARIANTS = (("counter0", "counter", 0), ("counter3", "counter", 3),
                    ("midrun", "midrun", 0))
@@ -234,9 +251,10 @@ def best_parse_ms(parse, text):
     return fastest * 1e3, fastest * scaled / wall * 1e3
 
 
-def reason_machine(workdir, rng, phases, n, formula):
-    """One scanning machine: its text, its CLI call and, from one counted
-    run, its call counts."""
+def scanning_session(workdir, rng, phases, n, formula):
+    """One scanning machine and its environment drawn from rng: (rows,
+    text, its `transform reason --play` call without the fuel, the fuel
+    the benchmark gives it)."""
     m = gen.scanning_machine(rng, phases)
     env = gen.reason_env(rng, phases)
     fuel = sum(reference.instant_move_cycles(m, env, phases)) + len(env) + 2
@@ -244,14 +262,27 @@ def reason_machine(workdir, rng, phases, n, formula):
     argv = ["transform", "reason",
             "--machine", _write(workdir, f"scan{n}.hpm", text),
             "--f", formula, "--play",
-            "--env", _write(workdir, f"scan{n}.env", gen.env_text(env)),
-            "--fuel", str(fuel)]
+            "--env", _write(workdir, f"scan{n}.env", gen.env_text(env))]
+    return len(m["delta"]), text, argv, fuel
+
+
+def counted_reason(argv, fuel):
+    """The counts of one run of a reason session at fuel: its fuel, its
+    T moves and its `update_sketch` and `fetch_symbol` calls."""
     with counted(wrappers, ("update_sketch", "fetch_symbol")) as counts:
         _, _, moves = run_once(argv)
+    return {"fuel": fuel, "moves": moves,
+            "update_sketch_calls": counts["update_sketch"],
+            "fetch_symbol_calls": counts["fetch_symbol"]}
+
+
+def reason_machine(workdir, rng, phases, n, formula):
+    """One scanning machine: its text, its CLI call and, from one counted
+    run, its call counts."""
+    rows, text, argv, fuel = scanning_session(workdir, rng, phases, n, formula)
+    argv += ["--fuel", str(fuel)]
     return {"phases": phases, "text": text, "argv": argv,
-            "record": {"rows": len(m["delta"]), "fuel": fuel, "moves": moves,
-                       "update_sketch_calls": counts["update_sketch"],
-                       "fetch_symbol_calls": counts["fetch_symbol"]}}
+            "record": {"rows": rows, **counted_reason(argv, fuel)}}
 
 
 def reason_curve(args, workdir):
@@ -308,6 +339,60 @@ def reason_curve(args, workdir):
         "reps": args.reps,
         "machines_per_phase": args.machines,
         "parse_calls": PARSE_CALLS,
+    }, points
+
+
+def reason_fuel_curve(args, workdir):
+    """(description, points) of the reason fuel curve.
+
+    As for `reason`, each round times every (machine, multiple) once."""
+    rng = random.Random(SEED)
+    formula = _write(workdir, "reason.clf", gen.REASON_FORMULA + "\n")
+    sessions = [scanning_session(workdir, rng, REASON_FUEL_PHASES, n, formula)
+                for n in range(args.machines)]
+    inputs = []
+    for multiple in args.multiples:
+        for n, (_, _, argv, fuel) in enumerate(sessions):
+            argv = argv + ["--fuel", str(fuel * multiple)]
+            inputs.append((multiple, argv, {
+                "machine": n, **counted_reason(argv, fuel * multiple)}))
+    times = [[] for _ in inputs]
+    for _ in range(args.reps):
+        for (_, argv, _), runs in zip(inputs, times):
+            wall, scaled, _ = run_once(argv)
+            runs.append((wall * 1e3, scaled * 1e3))
+    for (_, _, record), runs in zip(inputs, times):
+        walls, scaleds = zip(*runs)
+        record.update(session_ms=round(min(walls), 3),
+                      session_scaled_ms=round(statistics.median(scaleds), 3))
+    points = []
+    for multiple in args.multiples:
+        machines = [rec for m, _, rec in inputs if m == multiple]
+        point = {"multiple": multiple}
+        for key in ("session_ms", "session_scaled_ms"):
+            point[key + "_median"] = round(statistics.median(
+                m[key] for m in machines), 4)
+        for key in ("moves", "update_sketch_calls", "fetch_symbol_calls"):
+            point[key] = sum(m[key] for m in machines)
+        point["machines"] = machines
+        points.append(point)
+        print(f"fuel x{multiple:>3}: {point['session_ms_median']:.2f} ms per "
+              f"session ({point['session_scaled_ms_median']:.2f} scaled), "
+              f"{point['moves']} moves, {point['update_sketch_calls']} "
+              f"update_sketch and {point['fetch_symbol_calls']} "
+              "fetch_symbol calls")
+    return {
+        "curve": "reason_fuel",
+        "workload": "clarith transform reason --play, "
+                    f"gen.scanning_machine(Random({SEED}), "
+                    f"{REASON_FUEL_PHASES}) with gen.reason_env, at "
+                    "multiples of the fuel the benchmark gives each "
+                    "machine; per machine the best wall and the median "
+                    "host-scaled time over reps rounds, medians over "
+                    "machines",
+        "reps": args.reps,
+        "machines": args.machines,
+        "phases": REASON_FUEL_PHASES,
     }, points
 
 
@@ -404,6 +489,7 @@ def induct_curve(args, workdir):
 CURVES = {"play": (play_curve, "BENCH_play_fuel.json"),
           "vasa": (vasa_curve, "BENCH_vasa_fuel.json"),
           "reason": (reason_curve, "BENCH_reason_phases.json"),
+          "reason_fuel": (reason_fuel_curve, "BENCH_reason_fuel.json"),
           "analyze": (analyze_curve, "BENCH_analyze_units.json"),
           "induct": (induct_curve, "BENCH_induct_k.json")}
 
@@ -423,17 +509,22 @@ def main(argv=None):
                     help="analyze: comma-separated unit counts")
     ap.add_argument("--ks", type=_ints, default=list(DEFAULT_KS),
                     help="induct: comma-separated induction bounds k")
+    ap.add_argument("--multiples", type=_ints,
+                    default=list(DEFAULT_MULTIPLES),
+                    help="reason_fuel: comma-separated multiples of the "
+                    "benchmark's fuel")
     ap.add_argument("--machines", type=int, default=8,
-                    help="reason: machines per phase count")
+                    help="reason: machines per phase count; reason_fuel: "
+                    "machines")
     ap.add_argument("--reps", type=int, default=3,
                     help="timed runs per point; the best is kept")
     ap.add_argument("--out", help="the JSON file to write "
                     "(default: the curve's BENCH_*.json file in the repo)")
     args = ap.parse_args(argv)
     if min(args.reps, args.machines, *args.fuels, *args.phases,
-           *args.units, *args.ks) < 1:
+           *args.units, *args.ks, *args.multiples) < 1:
         ap.error("--reps, --machines, every fuel, phase count, unit "
-                 "count and k must be at least 1")
+                 "count, k and multiple must be at least 1")
     sweep, default_out = CURVES[args.curve]
     out = args.out or os.path.join(ROOT, default_out)
     with tempfile.TemporaryDirectory() as workdir:

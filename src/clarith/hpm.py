@@ -692,7 +692,7 @@ def play(runner, env, fuel: int, env_reads_run=False):
 
     runner: object with poll(visible_run) -> list of moves and
     spacecost(); it may have a stretch(visible_run, limit), as
-    `StrategyRunner` has.
+    `StrategyRunner` and `wrappers.ReasonRunner` have.
     env: callable(visible_run) -> move string or None.
     Both are handed one list that play appends to, so the visible run
     they were given grows after they return: they keep counts of the
@@ -739,7 +739,8 @@ class Sketch:
 
     Components: (1) state, (2) work-tape contents, (3) work-tape heads,
     (4) run-tape head, (5) moves made, (6) buffer length, (7) string
-    appended on the last transition, (8) truncation of the buffer move.
+    appended on the last transition, (8) truncation of the buffer move,
+    "" in a replay's sketches, which track none.
     `_shape`, the buffer's state in the formula's move-shape automaton
     (None once the buffer has left every move shape), keeps component 8
     incrementally correct; it is excluded from equality.  A step into a
@@ -864,7 +865,7 @@ def sketch_advance(spec: HPMSpec, s: Sketch, history: History, bots, fetch,
     record is found by bisecting `starts`, which rise strictly since
     every record holds at least its label's cell.
     `History.visible` reads the visible records the same way, and
-    `history_prefix` is the rescanning twin.
+    `history_prefix` is the rescanning twin.  ctx None tracks no truncation.
     """
     starts, top_at = history.starts, history.top_at
     made = s.moves_made
@@ -893,6 +894,7 @@ def sketch_advance(spec: HPMSpec, s: Sketch, history: History, bots, fetch,
     buffer_len, trunc, shape = s.buffer_len, s.trunc, s._shape
     if append:
         buffer_len += len(append)
-        trunc, shape = track_append(trunc, shape, append, ctx)
+        if ctx is not None:
+            trunc, shape = track_append(trunc, shape, append, ctx)
     return _fill_sketch(_new(Sketch), q2, tapes, heads, runhead2, made,
                         buffer_len, append, trunc, shape)

@@ -45,7 +45,7 @@ class FetchError(Exception):
 
 
 def update_sketch(spec: HPMSpec, history: History, s: Sketch, own_bot_moves,
-                  ctx: TruncationContext) -> Sketch:
+                  ctx: TruncationContext | None) -> Sketch:
     """One resimulated cycle: ⊥ symbols are read off own_bot_moves, ⊤ ones
     fetched by recursive calls to the module's current fetch_symbol."""
     return sketch_advance(spec, s, history, own_bot_moves, fetch_symbol, ctx)
@@ -53,7 +53,8 @@ def update_sketch(spec: HPMSpec, history: History, s: Sketch, own_bot_moves,
 
 def fetch_symbol(spec: HPMSpec, history: History, k: int, n: int,
                  own_bot_moves, ctx: TruncationContext) -> str:
-    """The n-th symbol (1-based) of the (k+1)-th 'T' move, by replay."""
+    """The n-th symbol (1-based) of the (k+1)-th 'T' move, by replay.
+    A replay reads no truncation, so its sketches track none: ctx is unread."""
     top_at = history.top_at
     if k >= len(top_at):
         raise FetchError(f"only {len(top_at)} T-moves recorded, asked for {k}")
@@ -62,7 +63,7 @@ def fetch_symbol(spec: HPMSpec, history: History, k: int, n: int,
         raise FetchError(f"offset {n} outside move of size {size}")
     s = initial_sketch(spec)
     for _ in range(FETCH_CAP):
-        nxt = update_sketch(spec, history, s, own_bot_moves, ctx)
+        nxt = update_sketch(spec, history, s, own_bot_moves, None)
         sigma = nxt.last_append
         a, b = s.moves_made, s.buffer_len
         if a == k and b < n <= b + len(sigma):
@@ -94,7 +95,15 @@ class ReasonRunner:
     the faulted runner stays silent: the replay reads only the history
     before the fetched move, which never changes, so a retry would fail
     the same way.  Raises ValueError for a choice-free formula.
-    """
+
+    A poll reads (`_ready`), then advances (`_advance`: one `update_sketch`
+    call and the emission).  Once an advance returns the sketch it was
+    given, the boolean `idle` stops advances until a record restarts the
+    sketch: `sketch_advance` depends only on the sketch and the history,
+    and a sketch that advances to an equal one appended nothing, so its
+    `_shape`, which `==` ignores, is equal too: each later advance would
+    return it again.  `stretch` is as in `StrategyRunner`, peak 0; an
+    idle, faulted or unopened runner uses up its limit in one call."""
 
     def __init__(self, spec: HPMSpec, f):
         _needs_choice(f)
@@ -107,10 +116,26 @@ class ReasonRunner:
         self.sketch = None
         self.restarts = 0
         self.faults = []
+        self.idle = False
 
     def poll(self, visible_run):
+        return self._advance() if self._ready(visible_run) else []
+
+    def stretch(self, visible_run, limit):
+        if self._ready(visible_run):
+            for used in range(1, limit + 1):
+                made = self._advance()
+                if made:
+                    return used, 0, made
+                if self.idle or self.faults:
+                    break
+        return limit, 0, []
+
+    def _ready(self, visible_run):
+        """Read the new entries, the opening and the restarts: -> whether
+        an advance is due (opened, not faulted, not idle)."""
         if self.faults:
-            return []
+            return False
         restart = self.ctx is None  # the opening, once it is complete
         for label, m in visible_run[self.seen:]:
             if label == "B":
@@ -121,11 +146,16 @@ class ReasonRunner:
         if self.ctx is None:
             opened = opening(fm.free_vars(self.formula), visible_run)
             if opened is None:
-                return []
+                return False
             self.ctx = TruncationContext(self.formula, opened[0])
         if restart:
             self.sketch = initial_sketch(self.spec)
             self.restarts += 1
+            self.idle = False
+        return not self.idle
+
+    def _advance(self):
+        """One resimulated cycle of the sketch: -> the moves it emits."""
         s = self.sketch
         try:
             nxt = update_sketch(self.spec, self.history, s, self.own_bots,
@@ -140,6 +170,7 @@ class ReasonRunner:
             self.sketch = initial_sketch(self.spec)
             self.restarts += 1
             return [trunc]
+        self.idle = nxt.state == s.state and nxt == s
         self.sketch = nxt
         return []
 

@@ -9,19 +9,21 @@ import os
 import random
 import sys
 import types
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
-from clarith import hpm, zoo
+from clarith import hpm, wrappers, zoo
 from clarith.cli import _script_env, main
 from clarith.bounds import bitsize, parse_bound
 from clarith.game import (
     GamePosition,
     IllegalMove,
     LegalityResult,
+    TruncationContext,
     first_illegal_index,
     int_to_numer,
     is_binary,
@@ -59,7 +61,7 @@ from clarith.induction import (
     organ,
     validate_aggregation,
 )
-from clarith.wrappers import VasaRunner
+from clarith.wrappers import ReasonRunner, VasaRunner
 
 from conftest import (
     COUNTER_TEXT,
@@ -534,11 +536,70 @@ class TestRunUntil:
         assert halted == stepped(spec, moved, 1000)[0]
 
 
-def played(runner, entries, fuel, env_reads_run):
-    """What `play` shows of a match against the CLI's script env."""
-    out = play(runner, _script_env(entries), fuel, env_reads_run)
+def played(runner, entries, fuel, env_reads_run, make_env=_script_env):
+    """What `play` shows of a match against the CLI's script env, or
+    against the env make_env builds from the entries."""
+    out = play(runner, make_env(entries), fuel, env_reads_run)
     return (out["run"], meter_report(out["meter"]),
-            getattr(runner, "retired", None), getattr(runner, "faults", None))
+            getattr(runner, "retired", None), getattr(runner, "faults", None),
+            getattr(runner, "restarts", None))
+
+
+def cycle_env(entries):
+    """Env playing each (cycle, move) entry at that cycle, or at the first
+    cycle after it that is free: it counts its calls, so it is no function
+    of the visible run, and `play` must poll once per cycle against it."""
+    pending = sorted(entries)
+    calls = 0
+
+    def env(run):
+        nonlocal calls
+        calls += 1
+        if pending and pending[0][0] < calls:
+            return pending.pop(0)[1]
+        return None
+
+    return env
+
+
+class BusyReason(ReasonRunner):
+    """ReasonRunner that never skips: its idle flag is cleared before
+    every poll, so each poll advances the sketch."""
+
+    def poll(self, visible_run):
+        self.idle = False
+        return ReasonRunner.poll(self, visible_run)
+
+
+@st.composite
+def reason_machines(draw):
+    """(kind, seed) of a machine for the reason wrapper: a zoo machine,
+    one that halts after a single short phase, or a fixture machine that
+    waits on the blank for the next ⊥ move."""
+    kind = draw(st.sampled_from(("zoo", "short", "bigmove.hpm", "legal.hpm")))
+    return kind, draw(st.integers(0, 2 ** 30))
+
+
+def reason_subject(machine):
+    kind, seed = machine
+    if kind.endswith(".hpm"):
+        return parse_hpm(read_fixture(kind))
+    if kind == "short":
+        return zoo.random_machine(random.Random(seed), phases=1, phase_len=1)
+    return zoo.random_machine(random.Random(seed))
+
+
+REASON_MOVES = ("0.#10", "1.#1", "0.#1", "1.1.#0", "0.1.#11", "#")
+
+
+def reason_entries(delays):
+    """The constant first, usually, then moves of either disjunct, each
+    after a delay drawn from delays."""
+    return st.tuples(
+        st.sampled_from(((0, "#1001"), (0, "#1"), (1, "#1"), None)),
+        st.lists(st.tuples(delays, st.sampled_from(REASON_MOVES)),
+                 max_size=4),
+    ).map(lambda t: ([t[0]] if t[0] else []) + t[1])
 
 
 delayed_entries = st.lists(st.tuples(
@@ -566,6 +627,78 @@ class TestStretchedPlay:
         f = fm.parse_formula(TWO_DISJUNCT_TEXT)
         assert played(VasaRunner(spec, f, {"x": 9}), entries, fuel, True) \
             == played(VasaRunner(spec, f, {"x": 9}), entries, fuel, False)
+
+    @settings(max_examples=150, deadline=None)
+    @example(("bigmove.hpm", 0), [(0, "#1001"), (0, "0.#10"), (1, "1.#1")],
+             300, wrappers.FETCH_CAP)
+    @example(("legal.hpm", 0), [(0, "#1001"), (2, "0.#10"), (1, "1.#1")],
+             300, 2)
+    @given(reason_machines(), reason_entries(st.integers(0, 3)),
+           st.integers(1, 300), st.sampled_from((wrappers.FETCH_CAP, 1, 2, 4)))
+    def test_reason_runner(self, machine, entries, fuel, fetch_cap):
+        """Stretches against one poll per cycle, and both against a twin
+        whose idle flag is cleared before every poll; a small fetch cap
+        makes replays fault."""
+        spec, f = reason_subject(machine), fm.parse_formula(TWO_DISJUNCT_TEXT)
+        with patch.object(wrappers, "FETCH_CAP", fetch_cap):
+            stretched = played(ReasonRunner(spec, f), entries, fuel, True)
+            assert stretched == played(ReasonRunner(spec, f), entries, fuel,
+                                       False)
+            assert stretched == played(BusyReason(spec, f), entries, fuel,
+                                       False)
+
+    @settings(max_examples=150, deadline=None)
+    @example(("bigmove.hpm", 0), [(0, "#1001"), (0, "0.#10"), (60, "1.#1")],
+             300)
+    @given(reason_machines(), reason_entries(st.integers(0, 80)),
+           st.integers(1, 300))
+    def test_reason_idle_runner_wakes_on_a_record(self, machine, entries,
+                                                  fuel):
+        """⊥ moves at chosen cycles reach runners that have gone idle, as
+        a script env's do not: they come one cycle after a ⊤ move."""
+        spec, f = reason_subject(machine), fm.parse_formula(TWO_DISJUNCT_TEXT)
+        assert played(ReasonRunner(spec, f), entries, fuel, False, cycle_env) \
+            == played(BusyReason(spec, f), entries, fuel, False, cycle_env)
+
+
+def fetch_with_counts(spec, history, k, n, bots, ctx, track):
+    """`fetch_symbol`'s symbol and its update and fetch calls, nested
+    ones included; with track, every replay advance is handed ctx, so
+    the replays track truncation as they did before they dropped it."""
+    calls = {"update": 0, "fetch": 0}
+    update, fetch = wrappers.update_sketch, wrappers.fetch_symbol
+
+    def counted_update(spec, history, s, bots, replay_ctx):
+        calls["update"] += 1
+        return update(spec, history, s, bots, ctx if track else replay_ctx)
+
+    def counted_fetch(*args):
+        calls["fetch"] += 1
+        return fetch(*args)
+
+    with patch.object(wrappers, "update_sketch", counted_update), \
+            patch.object(wrappers, "fetch_symbol", counted_fetch):
+        symbol = wrappers.fetch_symbol(spec, history, k, n, bots, ctx)
+    return symbol, calls
+
+
+class TestReplayTruncation:
+    def test_replays_without_truncation_fetch_the_same(self):
+        ctx = TruncationContext(fm.parse_formula(TWO_DISJUNCT_TEXT), {"x": 9})
+        rng = random.Random(11)
+        fetched = 0
+        for _ in range(40):
+            spec = zoo.random_machine(rng)
+            sc = zoo.run_scenario(spec, zoo.random_schedule(rng, spec), 60)
+            history, bots = sc["history"], sc["env_moves"]
+            for k, move in enumerate(sc["own_moves"]):
+                for n in range(1, len(move) + 1):
+                    args = (spec, history, k, n, bots, ctx)
+                    fast = fetch_with_counts(*args, track=False)
+                    assert fast == fetch_with_counts(*args, track=True)
+                    assert fast[0] == move[n - 1]
+                    fetched += 1
+        assert fetched > 100
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,46 @@ class TestReasonRunner:
             ReasonRunner(bigmove_machine, fm.parse_formula("p(x)"))
 
 
+class TestReasonIdle:
+    """Once the wrapped machine has halted and no record arrives, the
+    runner is idle and resimulates nothing."""
+
+    def test_idle_polls_make_no_update(self, bigmove_machine,
+                                       two_disjunct_formula,
+                                       resimulation_calls):
+        runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
+        run = play(runner, make_scripted_env(ENV_MOVES), fuel=300)["run"]
+        assert runner.idle and runner.faults == []
+        resimulation_calls.clear()
+        for _ in range(20):
+            assert runner.poll(run) == []
+        assert runner.stretch(run, 1000) == (1000, 0, [])
+        assert resimulation_calls == []
+
+    def test_calls_stay_flat_past_the_halt(self, bigmove_machine,
+                                           two_disjunct_formula,
+                                           resimulation_calls):
+        counts = set()
+        for fuel in (300, 3000):
+            for reads_run in (True, False):
+                resimulation_calls.clear()
+                runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
+                play(runner, make_scripted_env(ENV_MOVES), fuel, reads_run)
+                counts.add(len(resimulation_calls))
+        assert len(counts) == 1 and counts != {0}
+
+    def test_a_new_record_wakes_an_idle_runner(self, bigmove_machine,
+                                               two_disjunct_formula):
+        runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
+        run = [("B", "#1001"), ("B", "0.#10")]
+        for _ in range(100):
+            run += [("T", m) for m in runner.poll(run)]
+        assert runner.idle and run[-1] == ("T", "0.1.#1111")
+        run.append(("B", "1.#1"))
+        used, _, made = runner.stretch(run, 100)
+        assert made == ["1.1.#0"] and used < 100 and not runner.idle
+
+
 class TestReasonKeepsNoMoves:
     """The README's claim: the wrapper's memory of the run is (label,
     size) records, one per move, and numeric indexes, no move contents."""
