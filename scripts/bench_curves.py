@@ -24,7 +24,10 @@ drifting speed largely cancels out of the scaled times, so curves taken
 on two commits are compared on those.  A wall time can only be slowed
 by the host, so the best of --reps runs is kept; a scaled time can be
 off either way, by a slow spell in the session or in the calibration
-loop, so the median is kept.
+loop, so the median is kept.  `rounds` times every curve: the fuel and
+induct curves one point at a time, so a point's runs are back to back;
+the others in rounds that run every point once, so a slow spell of a
+shared host costs one round of every point, not every run of a few.
 
 `play` is time per VM cycle against fuel: `clarith play` on the
 chatter machine and environment that `perfbench/gen.py` makes from
@@ -50,11 +53,10 @@ phase count drawn from `random.Random(1)`, each with its `gen.reason_env`
 environment and the fuel the benchmark gives it.  Per machine it records
 the session time and the `hpm.parse_hpm` time (itself the best of
 PARSE_CALLS calls on its text, scaled by the calibration around all of
-them), each wall and scaled, over --reps rounds, each round running
-every machine once, and, from one more run with `wrappers.update_sketch`
-and `wrappers.fetch_symbol` wrapped in counters, how often each was
-called.  Per phase count it holds the medians of the times and the sums
-of the call counts.
+them), each wall and scaled, over --reps rounds, and, from one more run
+with `wrappers.update_sketch` and `wrappers.fetch_symbol` wrapped in
+counters, how often each was called.  Per phase count it holds the
+medians of the times and the sums of the call counts.
 
 `reason_fuel` is the same session against fuel: the first --machines
 6-phase scanning machines drawn from `random.Random(1)`, as `reason
@@ -73,8 +75,7 @@ choice quantifiers of the formula, drawn by `gen.analysis_formula` from
 a fresh `random.Random(1)` for each unit count, so a point does not
 depend on which others are asked for.  Each point records the session
 time and the `formula.parse_formula` time (the best of PARSE_CALLS
-calls, as for `reason`), each wall and scaled, over --reps rounds, each
-round running every unit count once.
+calls, as for `reason`), each wall and scaled, over --reps rounds.
 
 `induct` is ms per synchronizer session against the induction bound k:
 `workloads.induct_session`, the benchmark's `induct` session, polls an
@@ -89,7 +90,9 @@ the whole session.  Every session's run must pass the benchmark's
 `reference.check_induct`.
 
 Every file also holds the Python version and CPU count of the host and
-the calibration's `CAL_REFERENCE_S`.
+the calibration's `CAL_REFERENCE_S`.  Its `curve` field names its entry
+in CURVES, which declares the host-independent counts of its points:
+`scripts/check_counts.py` compares them with the committed file's.
 clarith is imported from `src/` next to this directory.
 """
 
@@ -107,7 +110,8 @@ import sys
 import tempfile
 import time
 import types
-from collections import Counter
+from collections import Counter, namedtuple
+from functools import partial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -141,7 +145,7 @@ def _write(workdir, name, text):
 
 
 def run_once(argv):
-    """(wall seconds, scaled seconds, T moves) of one in-process clarith
+    """(T moves, wall seconds, scaled seconds) of one in-process clarith
     command."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -150,7 +154,43 @@ def run_once(argv):
         raise RuntimeError(f"clarith {argv[0]} exited with {rc}")
     moves = sum(1 for line in out.getvalue().splitlines()
                 if line[:1] == "T" and line[1:2] in ("", " "))
-    return wall, scaled, moves
+    return moves, wall, scaled
+
+
+def best_parse(parse, text):
+    """(None, wall, scaled) seconds of the best of PARSE_CALLS calls
+    parse(text)."""
+    def best():
+        fastest = float("inf")
+        for _ in range(PARSE_CALLS):
+            start = time.perf_counter()
+            parse(text)
+            fastest = min(fastest, time.perf_counter() - start)
+        return fastest
+
+    fastest, wall, scaled = timed(best)
+    return None, fastest, fastest * scaled / wall
+
+
+def rounds(sessions, reps):
+    """Time sessions over reps rounds, each running every session once,
+    in order.  A session is a callable that returns what `timed` does,
+    (result, wall s, scaled s); -> per session (the result of its first
+    run, its best wall s, its median scaled s)."""
+    runs = [[] for _ in sessions]
+    for _ in range(reps):
+        for session, out in zip(sessions, runs):
+            out.append(session())
+    return [(out[0][0], min(w for _, w, _ in out),
+             statistics.median(s for _, _, s in out)) for out in runs]
+
+
+def _ms(name, timing, digits):
+    """The wall and scaled ms of a `rounds` timing, as name_ms and
+    name_scaled_ms."""
+    _, wall, scaled = timing
+    return {f"{name}_ms": round(wall * 1e3, digits),
+            f"{name}_scaled_ms": round(scaled * 1e3, digits)}
 
 
 @contextlib.contextmanager
@@ -176,16 +216,22 @@ def counted(module, names):
             setattr(module, name, fn)
 
 
-def fuel_points(fuels, argvs, reps):
-    """The points of a fuel curve: argvs[i] plays fuels[i] cycles."""
-    run_once(argvs[0])  # untimed: the first call builds the CLI's parser
+def fuel_curve(machine, env, command, workload, args, workdir):
+    """(description, points) of a fuel curve: command(machine file,
+    formula file) with --env and --fuel, on the machine(rng) and env(rng)
+    drawn from Random(SEED), playing the benchmark's formula."""
+    rng = random.Random(SEED)
+    m = _write(workdir, "fuel.hpm", gen.machine_text(machine(rng)))
+    e = _write(workdir, "fuel.env", gen.env_text(env(rng)))
+    argv = command(m, _write(workdir, "play.clf", gen.PLAY_FORMULA + "\n"))
+    argv += ["--env", e, "--fuel"]
+    run_once(argv + [str(args.fuels[0])])  # untimed: builds the CLI's parser
     points = []
-    for fuel, argv in zip(fuels, argvs):
+    for fuel in args.fuels:
         with counted(hpm, ("run_until", "step")) as calls:
-            _, _, moves = run_once(argv)
-        runs = [run_once(argv) for _ in range(reps)]
-        wall = min(w for w, _, _ in runs)
-        scaled = statistics.median(s for _, s, _ in runs)
+            moves, _, _ = run_once(argv + [str(fuel)])
+        [(_, wall, scaled)] = rounds([partial(run_once, argv + [str(fuel)])],
+                                     args.reps)
         points.append({"fuel": fuel, "wall_s": round(wall, 6),
                        "scaled_s": round(scaled, 6),
                        "us_per_cycle": round(wall / fuel * 1e6, 3),
@@ -196,59 +242,8 @@ def fuel_points(fuels, argvs, reps):
               f"{wall / fuel * 1e6:.2f} us/cycle "
               f"({scaled / fuel * 1e6:.2f} scaled), {moves} moves, "
               f"{calls['run_until']} run_until and {calls['step']} step calls")
-    return points
-
-
-def play_curve(args, workdir):
-    """(description, points) of the play fuel curve."""
-    rng = random.Random(SEED)
-    machine = _write(workdir, "chatter.hpm",
-                     gen.machine_text(gen.chatter_machine(rng)))
-    env = _write(workdir, "chatter.env", gen.env_text(gen.chatter_env(rng)))
-    formula = _write(workdir, "play.clf", gen.PLAY_FORMULA + "\n")
-    argvs = [["play", machine, formula, "--env", env, "--fuel", str(fuel)]
-             for fuel in args.fuels]
-    return {
-        "curve": "play_fuel",
-        "workload": f"clarith play, gen.chatter_machine(Random({SEED})) "
-                    "with its env, best wall and median scaled time of reps",
-        "reps": args.reps,
-    }, fuel_points(args.fuels, argvs, args.reps)
-
-
-def vasa_curve(args, workdir):
-    """(description, points) of the vasa fuel curve."""
-    rng = random.Random(SEED)
-    machine = _write(workdir, "responder.hpm",
-                     gen.machine_text(gen.responder_machine(rng)))
-    env = _write(workdir, "responder.env",
-                 gen.env_text(gen.responder_env(rng, "legal")))
-    formula = _write(workdir, "play.clf", gen.PLAY_FORMULA + "\n")
-    argvs = [["transform", "vasa", "--machine", machine, "--f", formula,
-              "--consts", f"x={VASA_X}", "--play", "--env", env,
-              "--fuel", str(fuel)] for fuel in args.fuels]
-    return {
-        "curve": "vasa_fuel",
-        "workload": "clarith transform vasa --play --consts "
-                    f"x={VASA_X}, gen.responder_machine(Random({SEED})) "
-                    "with its legal responder_env, best wall and median "
-                    "scaled time of reps",
-        "reps": args.reps,
-    }, fuel_points(args.fuels, argvs, args.reps)
-
-
-def best_parse_ms(parse, text):
-    """(wall, scaled) ms of the best of PARSE_CALLS calls parse(text)."""
-    def best():
-        fastest = float("inf")
-        for _ in range(PARSE_CALLS):
-            start = time.perf_counter()
-            parse(text)
-            fastest = min(fastest, time.perf_counter() - start)
-        return fastest
-
-    fastest, wall, scaled = timed(best)
-    return fastest * 1e3, fastest * scaled / wall * 1e3
+    return {"workload": workload + ", best wall and median scaled time of "
+                        "reps", "reps": args.reps}, points
 
 
 def scanning_session(workdir, rng, phases, n, formula):
@@ -270,59 +265,47 @@ def counted_reason(argv, fuel):
     """The counts of one run of a reason session at fuel: its fuel, its
     T moves and its `update_sketch` and `fetch_symbol` calls."""
     with counted(wrappers, ("update_sketch", "fetch_symbol")) as counts:
-        _, _, moves = run_once(argv)
+        moves, _, _ = run_once(argv)
     return {"fuel": fuel, "moves": moves,
             "update_sketch_calls": counts["update_sketch"],
             "fetch_symbol_calls": counts["fetch_symbol"]}
 
 
-def reason_machine(workdir, rng, phases, n, formula):
-    """One scanning machine: its text, its CLI call and, from one counted
-    run, its call counts."""
-    rows, text, argv, fuel = scanning_session(workdir, rng, phases, n, formula)
-    argv += ["--fuel", str(fuel)]
-    return {"phases": phases, "text": text, "argv": argv,
-            "record": {"rows": rows, **counted_reason(argv, fuel)}}
+def summary(point, machines, times, counts):
+    """point with the medians over machines of the times and the sums of
+    the counts, then the machines."""
+    for key in times:
+        point[key + "_median"] = round(statistics.median(
+            m[key] for m in machines), 4)
+    for key in counts:
+        point[key] = sum(m[key] for m in machines)
+    point["machines"] = machines
+    return point
 
 
 def reason_curve(args, workdir):
-    """(description, points) of the reason phase curve.
-
-    Each round times every machine once, so a slow spell of a shared
-    host costs one round of every machine, not every run of a few."""
+    """(description, points) of the reason phase curve."""
     rng = random.Random(SEED)
     formula = _write(workdir, "reason.clf", gen.REASON_FORMULA + "\n")
-    inputs = [reason_machine(workdir, rng, phases, n, formula)
-              for n, phases in enumerate(
-                  p for p in args.phases for _ in range(args.machines))]
-    times = [[] for _ in inputs]
-    for _ in range(args.reps):
-        for inp, runs in zip(inputs, times):
-            wall, scaled, _ = run_once(inp["argv"])
-            runs.append((wall * 1e3, scaled * 1e3,
-                         *best_parse_ms(hpm.parse_hpm, inp["text"])))
-    for inp, runs in zip(inputs, times):
-        walls, scaleds, parse_walls, parse_scaleds = zip(*runs)
-        inp["record"].update(
-            session_ms=round(min(walls), 3),
-            session_scaled_ms=round(statistics.median(scaleds), 3),
-            parse_ms=round(min(parse_walls), 4),
-            parse_scaled_ms=round(statistics.median(parse_scaleds), 4))
+    machines, sessions = [], []
+    for n, phases in enumerate(p for p in args.phases
+                               for _ in range(args.machines)):
+        rows, text, argv, fuel = scanning_session(workdir, rng, phases, n,
+                                                  formula)
+        argv += ["--fuel", str(fuel)]
+        machines.append((phases, {"rows": rows, **counted_reason(argv, fuel)}))
+        sessions += [partial(run_once, argv),
+                     partial(best_parse, hpm.parse_hpm, text)]
+    timings = rounds(sessions, args.reps)
+    for (_, record), run, parse in zip(machines, timings[::2], timings[1::2]):
+        record.update(_ms("session", run, 3), **_ms("parse", parse, 4))
     points = []
     for phases in args.phases:
-        machines = [inp["record"] for inp in inputs if inp["phases"] == phases]
-        point = {"phases": phases}
-        for key in ("session_ms", "session_scaled_ms", "parse_ms",
-                    "parse_scaled_ms"):
-            point[key + "_median"] = round(statistics.median(
-                m[key] for m in machines), 4)
-        point.update({
-            "update_sketch_calls": sum(m["update_sketch_calls"]
-                                       for m in machines),
-            "fetch_symbol_calls": sum(m["fetch_symbol_calls"]
-                                      for m in machines),
-            "machines": machines,
-        })
+        point = summary({"phases": phases},
+                        [rec for p, rec in machines if p == phases],
+                        ("session_ms", "session_scaled_ms", "parse_ms",
+                         "parse_scaled_ms"),
+                        ("update_sketch_calls", "fetch_symbol_calls"))
         points.append(point)
         print(f"phases {phases:>2}: {point['session_ms_median']:.2f} ms "
               f"per session ({point['session_scaled_ms_median']:.2f} "
@@ -330,7 +313,6 @@ def reason_curve(args, workdir):
               f"{point['update_sketch_calls']} update_sketch and "
               f"{point['fetch_symbol_calls']} fetch_symbol calls")
     return {
-        "curve": "reason_phases",
         "workload": "clarith transform reason --play, "
                     f"gen.scanning_machine drawn from Random({SEED}) with "
                     "gen.reason_env; per machine the best wall and the "
@@ -343,38 +325,26 @@ def reason_curve(args, workdir):
 
 
 def reason_fuel_curve(args, workdir):
-    """(description, points) of the reason fuel curve.
-
-    As for `reason`, each round times every (machine, multiple) once."""
+    """(description, points) of the reason fuel curve."""
     rng = random.Random(SEED)
     formula = _write(workdir, "reason.clf", gen.REASON_FORMULA + "\n")
-    sessions = [scanning_session(workdir, rng, REASON_FUEL_PHASES, n, formula)
-                for n in range(args.machines)]
-    inputs = []
+    drawn = [scanning_session(workdir, rng, REASON_FUEL_PHASES, n, formula)
+             for n in range(args.machines)]
+    machines, sessions = [], []
     for multiple in args.multiples:
-        for n, (_, _, argv, fuel) in enumerate(sessions):
+        for n, (_, _, argv, fuel) in enumerate(drawn):
             argv = argv + ["--fuel", str(fuel * multiple)]
-            inputs.append((multiple, argv, {
+            machines.append((multiple, {
                 "machine": n, **counted_reason(argv, fuel * multiple)}))
-    times = [[] for _ in inputs]
-    for _ in range(args.reps):
-        for (_, argv, _), runs in zip(inputs, times):
-            wall, scaled, _ = run_once(argv)
-            runs.append((wall * 1e3, scaled * 1e3))
-    for (_, _, record), runs in zip(inputs, times):
-        walls, scaleds = zip(*runs)
-        record.update(session_ms=round(min(walls), 3),
-                      session_scaled_ms=round(statistics.median(scaleds), 3))
+            sessions.append(partial(run_once, argv))
+    for (_, record), run in zip(machines, rounds(sessions, args.reps)):
+        record.update(_ms("session", run, 3))
     points = []
     for multiple in args.multiples:
-        machines = [rec for m, _, rec in inputs if m == multiple]
-        point = {"multiple": multiple}
-        for key in ("session_ms", "session_scaled_ms"):
-            point[key + "_median"] = round(statistics.median(
-                m[key] for m in machines), 4)
-        for key in ("moves", "update_sketch_calls", "fetch_symbol_calls"):
-            point[key] = sum(m[key] for m in machines)
-        point["machines"] = machines
+        point = summary({"multiple": multiple},
+                        [rec for m, rec in machines if m == multiple],
+                        ("session_ms", "session_scaled_ms"),
+                        ("moves", "update_sketch_calls", "fetch_symbol_calls"))
         points.append(point)
         print(f"fuel x{multiple:>3}: {point['session_ms_median']:.2f} ms per "
               f"session ({point['session_scaled_ms_median']:.2f} scaled), "
@@ -382,7 +352,6 @@ def reason_fuel_curve(args, workdir):
               f"update_sketch and {point['fetch_symbol_calls']} "
               "fetch_symbol calls")
     return {
-        "curve": "reason_fuel",
         "workload": "clarith transform reason --play, "
                     f"gen.scanning_machine(Random({SEED}), "
                     f"{REASON_FUEL_PHASES}) with gen.reason_env, at "
@@ -398,32 +367,25 @@ def reason_fuel_curve(args, workdir):
 
 def analyze_curve(args, workdir):
     """(description, points) of the analyze unit curve."""
-    inputs = []
+    texts, sessions = [], []
     for n in args.units:
         text, _ = gen.analysis_formula(random.Random(SEED), n)
-        inputs.append((n, text, ["fmt", "check", _write(
-            workdir, f"analyze{n}.clf", text + "\n")]))
-    run_once(inputs[0][2])  # untimed: the first call builds the CLI's parser
-    times = [[] for _ in inputs]
-    for _ in range(args.reps):
-        for (_, text, argv), runs in zip(inputs, times):
-            wall, scaled, _ = run_once(argv)
-            runs.append((wall * 1e3, scaled * 1e3,
-                         *best_parse_ms(formula.parse_formula, text)))
+        texts.append(text)
+        sessions += [partial(run_once, ["fmt", "check", _write(
+                         workdir, f"analyze{n}.clf", text + "\n")]),
+                     partial(best_parse, formula.parse_formula, text)]
+    sessions[0]()  # untimed: the first call builds the CLI's parser
+    timings = rounds(sessions, args.reps)
     points = []
-    for (n, text, _), runs in zip(inputs, times):
-        walls, scaleds, parse_walls, parse_scaleds = zip(*runs)
-        point = {"units": n, "chars": len(text),
-                 "session_ms": round(min(walls), 3),
-                 "session_scaled_ms": round(statistics.median(scaleds), 3),
-                 "parse_ms": round(min(parse_walls), 4),
-                 "parse_scaled_ms": round(statistics.median(parse_scaleds), 4)}
+    for n, text, run, parse in zip(args.units, texts, timings[::2],
+                                   timings[1::2]):
+        point = {"units": n, "chars": len(text), **_ms("session", run, 3),
+                 **_ms("parse", parse, 4)}
         points.append(point)
         print(f"units {n:>2}: {point['session_ms']:.3f} ms per session "
               f"({point['session_scaled_ms']:.3f} scaled), parse "
               f"{point['parse_ms']:.4f} ms")
     return {
-        "curve": "analyze_units",
         "workload": "clarith fmt check on gen.analysis_formula(Random("
                     f"{SEED}), units); the best wall and the median "
                     "host-scaled time over reps rounds",
@@ -454,9 +416,10 @@ def induct_curve(args, workdir):
         workloads.induct_session(lib, induct_input(kind, delay, args.ks[0]))
         for k in args.ks:
             inp = induct_input(kind, delay, k)
-            runs = [timed(workloads.induct_session, lib, inp)
-                    for _ in range(args.reps)]
-            out = runs[0][0]
+            [timing] = rounds(
+                [partial(timed, workloads.induct_session, lib, inp)],
+                args.reps)
+            out = timing[0]
             problem = reference.check_induct(inp, out, lib)
             if problem:
                 raise RuntimeError(f"induct {name} at k={k}: {problem}")
@@ -464,20 +427,17 @@ def induct_curve(args, workdir):
             iterations = 1 + next(i for i, rec in enumerate(trace)
                                   if rec["classification"].startswith("locking"))
             polls = out["work"] - workloads.INDUCT_SETTLE
-            wall = min(w for _, w, _ in runs) * 1e3
-            scaled = statistics.median(s for _, _, s in runs) * 1e3
             classes = Counter(rec["classification"] for rec in trace)
-            points.append({"variant": name, "k": k,
-                           "session_ms": round(wall, 3),
-                           "session_scaled_ms": round(scaled, 3),
-                           "polls": polls, "iterations": iterations,
-                           "polls_per_k2": round(polls / k ** 2, 4),
-                           "classifications": dict(sorted(classes.items()))})
-            print(f"{name:>8} k {k:>4}: {wall:.2f} ms ({scaled:.2f} scaled), "
+            point = {"variant": name, "k": k, **_ms("session", timing, 3),
+                     "polls": polls, "iterations": iterations,
+                     "polls_per_k2": round(polls / k ** 2, 4),
+                     "classifications": dict(sorted(classes.items()))}
+            points.append(point)
+            print(f"{name:>8} k {k:>4}: {point['session_ms']:.2f} ms "
+                  f"({point['session_scaled_ms']:.2f} scaled), "
                   f"{polls} polls, {iterations} iterations, "
                   f"{polls / k ** 2:.3f} polls/k^2")
     return {
-        "curve": "induct_k",
         "workload": "workloads.induct_session polled to the lock and "
                     f"{workloads.INDUCT_SETTLE} polls past it; the best "
                     "wall and the median host-scaled time over reps; polls "
@@ -486,12 +446,34 @@ def induct_curve(args, workdir):
     }, points
 
 
-CURVES = {"play": (play_curve, "BENCH_play_fuel.json"),
-          "vasa": (vasa_curve, "BENCH_vasa_fuel.json"),
-          "reason": (reason_curve, "BENCH_reason_phases.json"),
-          "reason_fuel": (reason_fuel_curve, "BENCH_reason_fuel.json"),
-          "analyze": (analyze_curve, "BENCH_analyze_units.json"),
-          "induct": (induct_curve, "BENCH_induct_k.json")}
+# A curve: the name its file carries (BENCH_<name>.json), its sweep, and
+# the point key and counts that check_counts.py compares; "machine" in the
+# key counts each point's machines, keyed by their index.
+Curve = namedtuple("Curve", "name sweep key counts")
+FUEL_COUNTS = ("moves", "run_until_calls", "step_calls")
+REASON_KEY = ("phases", "multiple", "machine")
+REASON_COUNTS = ("fuel", "moves", "update_sketch_calls", "fetch_symbol_calls")
+CURVES = {
+    "play": Curve("play_fuel", partial(
+        fuel_curve, gen.chatter_machine, gen.chatter_env,
+        lambda m, f: ["play", m, f],
+        f"clarith play, gen.chatter_machine(Random({SEED})) with its env"),
+        ("fuel",), FUEL_COUNTS),
+    "vasa": Curve("vasa_fuel", partial(
+        fuel_curve, gen.responder_machine,
+        lambda rng: gen.responder_env(rng, "legal"),
+        lambda m, f: ["transform", "vasa", "--machine", m, "--f", f,
+                      "--consts", f"x={VASA_X}", "--play"],
+        f"clarith transform vasa --play --consts x={VASA_X}, "
+        f"gen.responder_machine(Random({SEED})) with its legal "
+        "responder_env"), ("fuel",), FUEL_COUNTS),
+    "reason": Curve("reason_phases", reason_curve, REASON_KEY, REASON_COUNTS),
+    "reason_fuel": Curve("reason_fuel", reason_fuel_curve, REASON_KEY,
+                         REASON_COUNTS),
+    "analyze": Curve("analyze_units", analyze_curve, (), ()),
+    "induct": Curve("induct_k", induct_curve, ("variant", "k"),
+                    ("polls", "iterations", "classifications")),
+}
 
 
 def _ints(text):
@@ -525,12 +507,13 @@ def main(argv=None):
            *args.units, *args.ks, *args.multiples) < 1:
         ap.error("--reps, --machines, every fuel, phase count, unit "
                  "count, k and multiple must be at least 1")
-    sweep, default_out = CURVES[args.curve]
-    out = args.out or os.path.join(ROOT, default_out)
+    curve = CURVES[args.curve]
+    out = args.out or os.path.join(ROOT, f"BENCH_{curve.name}.json")
     with tempfile.TemporaryDirectory() as workdir:
-        result, points = sweep(args, workdir)
-    result.update(python=platform.python_version(), cpu_count=os.cpu_count(),
-                  cal_reference_s=CAL_REFERENCE_S, points=points)
+        description, points = curve.sweep(args, workdir)
+    result = {"curve": curve.name, **description,
+              "python": platform.python_version(), "cpu_count": os.cpu_count(),
+              "cal_reference_s": CAL_REFERENCE_S, "points": points}
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")

@@ -41,16 +41,14 @@ class SimulationFault(Exception):
 def _one_verdict(premise, values, fuel):
     """Run the premise, given the constants values, until its first move."""
     st = premise.feed(premise.initial(), constant_moves(values))
-    for _ in range(fuel):
-        st, mv = premise.step(st)
-        if mv is None:
-            continue
-        if mv.startswith("0."):
-            return True
-        if mv.startswith("1."):
-            return False
-        raise SimulationFault(f"verdict move {mv!r} picks no disjunct")
-    raise SimulationFault(f"no verdict within {fuel} steps")
+    mv = premise.stretch(st, fuel)[3]
+    if mv is None:
+        raise SimulationFault(f"no verdict within {fuel} steps")
+    if mv.startswith("0."):
+        return True
+    if mv.startswith("1."):
+        return False
+    raise SimulationFault(f"verdict move {mv!r} picks no disjunct")
 
 
 class ComprehensionRunner:

@@ -25,8 +25,8 @@ never rescans or copies it:
   the log.  The fork rule: extending a configuration whose length is
   the log's length appends in place; extending an older one (a branch)
   copies its prefix into a new log first, so no configuration ever
-  sees its run change.  No runner in this package branches; the fork
-  keeps `Configuration` a value for callers that do, tests among them.
+  sees its run change.  `InductionRunner` branches: its iterations
+  re-feed each premise's opened configuration, forking the log.
   `run_until` reads the run symbol and the tape length off the log;
   `run_tape_length` and `run_symbol` are the rescanning twins.
   `cfg.run` builds a tuple; no per-cycle code reads it.
@@ -523,8 +523,7 @@ class HPMStrategy:
         return nxt, nxt.last_move
 
     def stretch(self, cfg, limit):
-        """(next state, cycles used, peak cells, move or None) of
-        `run_until` over at most limit cycles."""
+        """`run_until` over at most limit cycles."""
         nxt, used, peak = run_until(self.spec, cfg, limit)
         return nxt, used, peak, nxt.last_move
 
@@ -552,6 +551,15 @@ class ScriptStrategy:
             return (run, waited + 1), None
         return (run + (("T", mv),), 0), mv
 
+    def stretch(self, st, limit):
+        """fn once per cycle, up to a move; the peak is 0."""
+        run, waited = st
+        for used in range(limit):
+            mv = self.fn(run, waited + used)
+            if mv is not None:
+                return (run + (("T", mv),), 0), used + 1, 0, mv
+        return (run, waited + limit), limit, 0, None
+
     def space(self, st):
         return 0
 
@@ -561,8 +569,10 @@ class StrategyRunner:
 
     A strategy steps over immutable states: `initial()`, `feed(st,
     labmoves)` (the ⊕, appending labmoves to the run seen), `step(st)`
-    -> (next state, move string or None) and `space(st)`, the work-tape
-    cells in use.  `HPMStrategy` and `ScriptStrategy` are the two kinds.
+    -> (next state, move string or None), `stretch(st, limit)` -> (next
+    state, steps used, peak cells, move or None), the steps up to and
+    including the first move, and `space(st)`, the work-tape cells in
+    use.  `HPMStrategy` and `ScriptStrategy` are the two kinds.
 
     The harness appends each returned move to the run before the next
     poll, so `seen`, the length of the last visible run plus the move
@@ -572,10 +582,9 @@ class StrategyRunner:
     the run object.  The strategy's `step` and `space` are looked up
     once, here, so a poll and a `spacecost` call each cost one bound call.
 
-    `stretch(visible_run, limit)`, over a strategy with a `stretch` (as
-    `HPMStrategy` has), stands for up to `limit` polls handed the same
-    visible run, up to and including the first that returns a move:
-    -> (polls used, peak of the `spacecost` after each, moves).
+    `stretch(visible_run, limit)` stands for up to `limit` polls handed
+    the same visible run, up to and including the first that returns a
+    move: -> (polls used, peak of the `spacecost` after each, moves).
     """
 
     def __init__(self, strategy):
@@ -839,10 +848,6 @@ class History:
         self._records.append((label, size))
         self.starts.append(self.starts[-1] + 1 + size)
 
-    def visible(self, m: int) -> int:
-        """Number of records before the (m+1)-th T record."""
-        return self.top_at[m] if m < len(self.top_at) else len(self._records)
-
     def __len__(self):
         return len(self._records)
 
@@ -859,12 +864,11 @@ def sketch_advance(spec: HPMSpec, s: Sketch, history: History, bots, fetch,
 
     The offset-th symbol (1-based) of ⊥ move i (0-based among ⊥ moves)
     is read as bots[i][offset - 1]; that of ⊤ move i is fetched by
-    fetch(spec, history, i, offset, bots, ctx).  The records visible to
+    fetch(spec, history, i, offset, bots).  The records visible to
     the sketch (those before its (moves_made+1)-th T record) and the run
     symbol's record are read off the history's indexes: the run symbol's
     record is found by bisecting `starts`, which rise strictly since
     every record holds at least its label's cell.
-    `History.visible` reads the visible records the same way, and
     `history_prefix` is the rescanning twin.  ctx None tracks no truncation.
     """
     starts, top_at = history.starts, history.top_at
@@ -882,7 +886,7 @@ def sketch_advance(spec: HPMSpec, s: Sketch, history: History, bots, fetch,
         elif label == "B":
             runsym = bots[history.ordinals[idx]][offset - 1]
         else:
-            runsym = fetch(spec, history, history.ordinals[idx], offset, bots, ctx)
+            runsym = fetch(spec, history, history.ordinals[idx], offset, bots)
     moved = _transition(spec, s.state, runsym, s.tapes, s.heads, q, p)
     if moved is None:
         return _fill_sketch(_new(Sketch), s.state, s.tapes, s.heads, q, made,

@@ -13,7 +13,6 @@ from .bounds import Nat
 
 
 def _suite_fetch(rng, cases):
-    f = fm.parse_formula("ada x [|s|] (ade y [|s|] p(x,y))")
     done = 0
     while done < cases:
         spec = zoo.random_machine(rng)
@@ -25,9 +24,8 @@ def _suite_fetch(rng, cases):
             continue
         k, move = sized[rng.randrange(len(sized))]
         n = rng.randint(1, len(move))
-        ctx = game.TruncationContext(f, {"s": 5})
         got = wrappers.fetch_symbol(spec, scenario["history"], k, n,
-                                    scenario["env_moves"], ctx)
+                                    scenario["env_moves"])
         if got != move[n - 1]:
             return (f"fetch mismatch: k={k} n={n} expected {move[n-1]!r} "
                     f"got {got!r} (moves {own!r}, schedule {schedule!r})")

@@ -52,9 +52,9 @@ def update_sketch(spec: HPMSpec, history: History, s: Sketch, own_bot_moves,
 
 
 def fetch_symbol(spec: HPMSpec, history: History, k: int, n: int,
-                 own_bot_moves, ctx: TruncationContext) -> str:
+                 own_bot_moves) -> str:
     """The n-th symbol (1-based) of the (k+1)-th 'T' move, by replay.
-    A replay reads no truncation, so its sketches track none: ctx is unread."""
+    A replay reads no truncation, so its sketches track none."""
     top_at = history.top_at
     if k >= len(top_at):
         raise FetchError(f"only {len(top_at)} T-moves recorded, asked for {k}")

@@ -13,7 +13,7 @@ from clarith.game import (
     numer_value,
     split_move,
 )
-from clarith.hpm import ScriptStrategy, parse_hpm
+from clarith.hpm import ScriptStrategy, history_prefix, parse_hpm
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -53,7 +53,7 @@ def resimulation_calls(monkeypatch):
 
     def recorded(kind, fn, move_of):
         def call(spec, history, *args):
-            index = history.visible(move_of(*args))
+            index = len(history_prefix(history, move_of(*args)))
             calls.append((kind, index, callers[-1]))
             callers.append(index)
             try:

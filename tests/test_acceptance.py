@@ -195,7 +195,7 @@ def test_criterion_10_sketch_configuration_coherence(two_disjunct_formula):
         sc = zoo.run_scenario(spec, schedule, 200)
         env_moves, own_moves = sc["env_moves"], sc["own_moves"]
 
-        def fetch(spec, history, ordinal, offset, bots, ctx):
+        def fetch(spec, history, ordinal, offset, bots):
             return own_moves[ordinal][offset - 1]
 
         s = initial_sketch(spec)

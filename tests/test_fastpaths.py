@@ -282,7 +282,7 @@ class TestHistory:
             assert (len(history.top_at), history.bots) == (tops, n - tops)
             for m in range(tops + 2):
                 prefix = history_prefix(grown, m)
-                visible = history.visible(m)
+                visible = history.top_at[m] if m < tops else n
                 assert visible == len(prefix)
                 assert history.starts[visible] == sum(1 + size for _, size in prefix)
             cells = []
@@ -616,6 +616,18 @@ class TestStretchedPlay:
             == played(StrategyRunner(HPMStrategy(spec)), entries, fuel, False)
 
     @settings(max_examples=150)
+    @given(st.integers(0, 2 ** 30), st.integers(0, 2), st.integers(0, 1),
+           delayed_entries, st.integers(1, 150))
+    def test_script_runner(self, seed, cap, n, entries, fuel):
+        """A scripted strategy reads the cycles it has waited, so each
+        cycle of a stretch must call it as a poll would."""
+        def runner():
+            return StrategyRunner(zoo.random_script(random.Random(seed), cap,
+                                                    3, n))
+        assert played(runner(), entries, fuel, True) \
+            == played(runner(), entries, fuel, False)
+
+    @settings(max_examples=150)
     @example(parse_hpm(read_fixture("legal.hpm")),
              TestVasaLegality.SCRIPTS["legal"], 80)
     @example(parse_hpm(read_fixture("legal.hpm")),
@@ -678,7 +690,7 @@ def fetch_with_counts(spec, history, k, n, bots, ctx, track):
 
     with patch.object(wrappers, "update_sketch", counted_update), \
             patch.object(wrappers, "fetch_symbol", counted_fetch):
-        symbol = wrappers.fetch_symbol(spec, history, k, n, bots, ctx)
+        symbol = wrappers.fetch_symbol(spec, history, k, n, bots)
     return symbol, calls
 
 

@@ -291,7 +291,7 @@ class TestSketch:
             bots = [m for l, m in now if l == "B"]
             tops = [m for l, m in now if l == "T"]
 
-            def fetch(spec, history, ordinal, offset, bots, ctx, tops=tops):
+            def fetch(spec, history, ordinal, offset, bots, tops=tops):
                 return tops[ordinal][offset - 1]
 
             nxt = sketch_advance(spec, sk, hist, bots, fetch, ctx)

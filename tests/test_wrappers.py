@@ -11,7 +11,6 @@ from clarith.hpm import (
     History,
     HPMStrategy,
     StrategyRunner,
-    history_prefix,
     initial_sketch,
     play,
 )
@@ -28,57 +27,28 @@ from conftest import make_scripted_env
 ENV_MOVES = [(0, "#1001"), (0, "0.#10"), (1, "1.#1")]
 
 
-class TestHIndex:
-    """The h index: the records before the (m+1)-th T record, read off
-    `History.visible` and rescanned by `history_prefix`."""
-
-    HIST = [("B", 5), ("T", 12), ("B", 4), ("T", 6)]
-
-    def h_index(self, m):
-        index = History(self.HIST).visible(m)
-        assert index == len(history_prefix(self.HIST, m))
-        return index
-
-    def test_before_any_own_move(self):
-        assert self.h_index(0) == 1
-
-    def test_between_own_moves(self):
-        assert self.h_index(1) == 3
-
-    def test_past_recorded_moves(self):
-        assert self.h_index(5) == 4
-
-
 class TestFetch:
-    def _history(self, bigmove_machine, two_disjunct_ctx):
-        bots = ["#1001", "0.#10", "1.#1"]
-        history = History([("B", 5), ("B", 4), ("T", 12), ("B", 4), ("T", 6)])
-        return history, bots
+    HISTORY = [("B", 5), ("B", 4), ("T", 12), ("B", 4), ("T", 6)]
+    BOTS = ["#1001", "0.#10", "1.#1"]
 
-    def test_replays_every_symbol_of_the_first_move(self, bigmove_machine,
-                                                    two_disjunct_ctx):
-        history, bots = self._history(bigmove_machine, two_disjunct_ctx)
-        got = "".join(
-            fetch_symbol(bigmove_machine, history, 0, n, bots, two_disjunct_ctx)
-            for n in range(1, 13))
+    def fetch(self, spec, k, n):
+        return fetch_symbol(spec, History(self.HISTORY), k, n, self.BOTS)
+
+    def test_replays_every_symbol_of_the_first_move(self, bigmove_machine):
+        got = "".join(self.fetch(bigmove_machine, 0, n) for n in range(1, 13))
         assert got == "0.1.#1111111"
 
-    def test_replays_the_second_move(self, bigmove_machine, two_disjunct_ctx):
-        history, bots = self._history(bigmove_machine, two_disjunct_ctx)
-        got = "".join(
-            fetch_symbol(bigmove_machine, history, 1, n, bots, two_disjunct_ctx)
-            for n in range(1, 7))
+    def test_replays_the_second_move(self, bigmove_machine):
+        got = "".join(self.fetch(bigmove_machine, 1, n) for n in range(1, 7))
         assert got == "1.1.#0"
 
-    def test_rejects_unknown_move(self, bigmove_machine, two_disjunct_ctx):
-        history, bots = self._history(bigmove_machine, two_disjunct_ctx)
+    def test_rejects_unknown_move(self, bigmove_machine):
         with pytest.raises(FetchError):
-            fetch_symbol(bigmove_machine, history, 5, 1, bots, two_disjunct_ctx)
+            self.fetch(bigmove_machine, 5, 1)
 
-    def test_rejects_offset_outside_move(self, bigmove_machine, two_disjunct_ctx):
-        history, bots = self._history(bigmove_machine, two_disjunct_ctx)
+    def test_rejects_offset_outside_move(self, bigmove_machine):
         with pytest.raises(FetchError):
-            fetch_symbol(bigmove_machine, history, 0, 13, bots, two_disjunct_ctx)
+            self.fetch(bigmove_machine, 0, 13)
 
 
 class TestReasonRunner:
