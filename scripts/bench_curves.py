@@ -37,9 +37,10 @@ JSON file holds wall and scaled seconds, wall and scaled µs per cycle
 and, from one more run with `hpm.run_until` and `hpm.step` wrapped in
 counters, the number of T moves played and how often each was called.
 Those three counts do not depend on the host.  `step` is a stretch of
-one cycle, so `run_until_calls` counts the calls through `step` too:
-`play` polls once per cycle with a ⊥ move and takes one stretch per
-run of quiet cycles, up to the next T move.
+one cycle, so `run_until_calls` counts the calls through `step` too.
+`play` advances the runner only by stretches, of one cycle after each
+⊥ move and otherwise up to the next T move, so `step_calls` stays 0:
+it shows whether `play` ever steps one cycle at a time.
 
 `vasa` is the same against fuel for `clarith transform vasa --play`:
 the responder machine and its legal environment that `perfbench/gen.py`

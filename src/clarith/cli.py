@@ -268,6 +268,10 @@ def _build(args):
 
 
 def cmd_run(args):
+    if getattr(args, "trace", None) and not args.play:
+        print("error: --trace records a play and needs --play",
+              file=sys.stderr)
+        return 2
     fuel = _fuel(args)
     banner, runner, f = _build(args)
     env = _make_env(args.env) if args.play else None

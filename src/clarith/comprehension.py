@@ -58,6 +58,7 @@ class ComprehensionRunner:
     plays, in the order `free_vars` lists them, then performs the whole
     probe loop and answers with the single move #d.  Faults in the
     premise are recorded, not raised; a faulted runner stays silent.
+    A stretch is one poll, of one cycle whatever its limit.
     """
 
     def __init__(self, premise, p: fm.Formula, y: str, bound: BoundExpr):
@@ -90,5 +91,5 @@ class ComprehensionRunner:
             return []
         return ["#" + bits.lstrip("0")]
 
-    def spacecost(self):
-        return 0
+    def stretch(self, visible_run, limit):
+        return 1, 0, self.poll(visible_run)

@@ -39,18 +39,18 @@ never rescans or copies it:
   if any, so the meter never reads the run: it keeps a running
   background maximum and per-background maxima, and does not grow with
   the cycles.
-- Quiet cycles, in which neither side moves, run in stretches.
-  `run_until` runs the machine up to its next move in one loop that
-  keeps the state, tapes, heads, run head, buffer and cell counts in
-  local variables and builds one `Configuration` at the end; `step` is
-  a stretch of one cycle.  When the env is a function of the visible
-  run, `play` turns each cycle with no ⊥ move into a stretch up to the
-  next own move: one env call, one `StrategyRunner.stretch` and one
-  meter record stand for all its cycles, so a quiet cycle costs one
-  `_transition` and a few compares.  A machine that finds no row stays
-  halted until the run grows, so that cycle ends the stretch and uses
-  up its limit.  On one work tape, `_transition` writes and moves the
-  head with no zip, list or tuple.
+- Machines advance in stretches.  `run_until` runs the machine up to
+  its next move in one loop that keeps the state, tapes, heads, run
+  head, buffer and cell counts in local variables and builds one
+  `Configuration` at the end; `step` is a stretch of one cycle, and so
+  is a runner's poll.  `play` hands every runner a stretch: of one
+  cycle after a ⊥ move, or while the env is no function of the visible
+  run, and otherwise up to the next own move, where one env call, one
+  `stretch` and one meter record stand for all its cycles, so a quiet
+  cycle costs one `_transition` and a few compares.  A machine that
+  finds no row stays halted until the run grows, so that cycle ends the
+  stretch and uses up its limit.  On one work tape, `_transition` writes
+  and moves the head with no zip, list or tuple.
 
 A sketch reads the run through a `History`, the reason wrapper's
 append-only list of (label, size) records.  Next to the records it keeps
@@ -552,20 +552,19 @@ class ScriptStrategy:
         return (run + (("T", mv),), 0), mv
 
     def stretch(self, st, limit):
-        """fn once per cycle, up to a move; the peak is 0."""
-        run, waited = st
-        for used in range(limit):
-            mv = self.fn(run, waited + used)
+        """`step` up to limit times, up to a move; the peak is 0."""
+        for used in range(1, limit + 1):
+            st, mv = self.step(st)
             if mv is not None:
-                return (run + (("T", mv),), 0), used + 1, 0, mv
-        return (run, waited + limit), limit, 0, None
+                break
+        return st, used, 0, mv
 
     def space(self, st):
         return 0
 
 
 class StrategyRunner:
-    """Stateful per-cycle driver around a strategy, for the play harness.
+    """Stateful driver around a strategy, for the play harness.
 
     A strategy steps over immutable states: `initial()`, `feed(st,
     labmoves)` (the ⊕, appending labmoves to the run seen), `step(st)`
@@ -574,36 +573,25 @@ class StrategyRunner:
     including the first move, and `space(st)`, the work-tape cells in
     use.  `HPMStrategy` and `ScriptStrategy` are the two kinds.
 
-    The harness appends each returned move to the run before the next
-    poll, so `seen`, the length of the last visible run plus the move
-    returned, is how much of the run the strategy has been fed.  The
-    visible run may be the harness's own list, which grows after `poll`
-    returns, so a runner keeps the count of entries it has read, not
-    the run object.  The strategy's `step` and `space` are looked up
-    once, here, so a poll and a `spacecost` call each cost one bound call.
-
-    `stretch(visible_run, limit)` stands for up to `limit` polls handed
-    the same visible run, up to and including the first that returns a
-    move: -> (polls used, peak of the `spacecost` after each, moves).
+    `stretch(visible_run, limit)` is the runner's one advance: up to
+    `limit` cycles handed the same visible run, up to and including the
+    first that makes a move, -> (cycles used, peak of the `spacecost`
+    after each, moves).  A poll is a stretch of one cycle.  The harness
+    appends each returned move to the run before the next stretch, so
+    `seen`, the length of the last visible run plus the move returned,
+    is how much of the run the strategy has been fed.  The visible run
+    may be the harness's own list, which grows after `stretch` returns,
+    so a runner keeps the count of entries it has read, not the run
+    object.
     """
 
     def __init__(self, strategy):
         self.strategy = strategy
         self.st = strategy.initial()
         self.seen = 0
-        self._step = strategy.step
-        self._space = strategy.space
 
     def poll(self, visible_run):
-        n = len(visible_run)
-        if n > self.seen:
-            self.st = self.strategy.feed(self.st, visible_run[self.seen:])
-        self.st, mv = self._step(self.st)
-        if mv is None:
-            self.seen = n
-            return []
-        self.seen = n + 1
-        return [mv]
+        return self.stretch(visible_run, 1)[2]
 
     def stretch(self, visible_run, limit):
         n = len(visible_run)
@@ -617,7 +605,7 @@ class StrategyRunner:
         return used, peak, [mv]
 
     def spacecost(self):
-        return self._space(self.st)
+        return self.strategy.space(self.st)
 
 
 # ---------------------------------------------------------------------------
@@ -699,41 +687,36 @@ def fuel_from_env() -> int:
 def play(runner, env, fuel: int, env_reads_run=False):
     """Interleave env moves (first) and machine cycles for fuel cycles.
 
-    runner: object with poll(visible_run) -> list of moves and
-    spacecost(); it may have a stretch(visible_run, limit), as
-    `StrategyRunner` and `wrappers.ReasonRunner` have.
+    runner: object with stretch(visible_run, limit) -> (cycles used,
+    peak cells, moves), as `StrategyRunner` describes.
     env: callable(visible_run) -> move string or None.
     Both are handed one list that play appends to, so the visible run
     they were given grows after they return: they keep counts of the
     entries they have read, not the run itself.  The result's run is a
     tuple.
 
-    env_reads_run says the env is a function of the visible run, as the
-    CLI's scripts and constants are and its stdin prompt is not.  Then a
-    cycle whose env call returns None starts a stretch, if the runner
-    has one: the cycles up to its next move, or to the end of the fuel,
-    with one env call and one meter record.  The result is that of one
-    env call and one poll per cycle: the run does not change before that
-    move, so the env would have returned None at each of those cycles,
-    and with no ⊥ move among them the meter's background stays fixed,
-    so the stretch's peak cells stand for their per-cycle readings.
+    Each env call is followed by one stretch.  It is a stretch of one
+    cycle when the env made a move, and also unless env_reads_run says
+    the env is a function of the visible run, as the CLI's scripts and
+    constants are and its stdin prompt is not.  Otherwise it runs up to
+    the runner's next move, or to the end of the fuel, with one env call
+    and one meter record.  The result is that of one env call and one
+    stretch per cycle: the run does not change before that move, so the
+    env would have returned None at each of those cycles, and with no ⊥
+    move among them the meter's background stays fixed, so the stretch's
+    peak cells stand for their per-cycle readings.
     """
     run = []
     meter = Meter()
-    poll, space, record = runner.poll, runner.spacecost, meter.record_cycle
-    stretch = getattr(runner, "stretch", None) if env_reads_run else None
+    stretch, record = runner.stretch, meter.record_cycle
     cycle = 0
     while cycle < fuel:
         mv = env(run)
-        if mv is None and stretch is not None:
-            used, cells, made = stretch(run, fuel - cycle)
-            cycle += used
-        else:
-            if mv is not None:
-                run.append(("B", mv))
-            made = poll(run)
-            cells = space()
-            cycle += 1
+        if mv is not None:
+            run.append(("B", mv))
+        used, cells, made = stretch(
+            run, fuel - cycle if mv is None and env_reads_run else 1)
+        cycle += used
         for m in made:
             run.append(("T", m))
         record(cycle - 1, mv, cells, made)

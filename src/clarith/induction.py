@@ -171,8 +171,9 @@ class InductionRunner:
     The visible run given to successive polls only extends, and may
     grow after a poll returns: each poll reads just the entries past the
     count it has read, the first ⊥ moves being the constants (the free
-    variables', then k).  `locked` turns true when a locking iteration
-    is recorded.  `faults` stays empty: an invalid aggregation raises
+    variables', then k).  A stretch is one poll, of one cycle whatever
+    its limit.  `locked` turns true when a locking iteration is
+    recorded.  `faults` stays empty: an invalid aggregation raises
     rather than being recorded as a fault.  Once the constants arrive,
     `census` and `statute_params` describe the body formula and the
     statute's parameters, and `rank_base` is the digit base of the
@@ -219,8 +220,8 @@ class InductionRunner:
         next(self._gen, None)
         return self._out
 
-    def spacecost(self):
-        return 0
+    def stretch(self, visible_run, limit):
+        return 1, 0, self.poll(visible_run)
 
     # -- plumbing ------------------------------------------------------------
 

@@ -84,26 +84,29 @@ class ReasonRunner:
     variables, then repeatedly resimulates the wrapped machine from its
     initial sketch, restarting whenever a globally new move (its own or
     the environment's) enters the history, and emitting the truncation
-    of each globally new move of the wrapped machine.  Each poll reads
-    only the run entries added since the last one, so the visible run
-    must only extend from poll to poll; each ⊥ move it reads becomes a
-    B record at once.  A new move of the wrapped machine is read off the
-    sketch it was flushed from, as `Sketch` describes, and restarts the
-    sketch at once, not at the next poll, so that each globally new
-    move counts one restart even when a ⊥ move arrives at that poll.
+    of each globally new move of the wrapped machine.  Each stretch
+    reads only the run entries added since the last one, so the visible
+    run must only extend from stretch to stretch; each ⊥ move it reads
+    becomes a B record at once.  A new move of the wrapped machine is
+    read off the sketch it was flushed from, as `Sketch` describes, and
+    restarts the sketch at once, not at the next cycle, so that each
+    globally new move counts one restart even when a ⊥ move arrives at
+    that cycle.
     A replay that gives up (`FetchError`) is recorded in `faults`, and
     the faulted runner stays silent: the replay reads only the history
     before the fetched move, which never changes, so a retry would fail
     the same way.  Raises ValueError for a choice-free formula.
 
-    A poll reads (`_ready`), then advances (`_advance`: one `update_sketch`
-    call and the emission).  Once an advance returns the sketch it was
-    given, the boolean `idle` stops advances until a record restarts the
-    sketch: `sketch_advance` depends only on the sketch and the history,
-    and a sketch that advances to an equal one appended nothing, so its
+    `stretch` is as in `StrategyRunner`, peak 0, and a poll is a
+    stretch of one cycle.  A stretch reads (`_ready`), then advances
+    once per cycle (`_advance`: one `update_sketch` call and the
+    emission).  Once an advance returns the sketch it was given, the
+    boolean `idle` stops advances until a record restarts the sketch:
+    `sketch_advance` depends only on the sketch and the history, and a
+    sketch that advances to an equal one appended nothing, so its
     `_shape`, which `==` ignores, is equal too: each later advance would
-    return it again.  `stretch` is as in `StrategyRunner`, peak 0; an
-    idle, faulted or unopened runner uses up its limit in one call."""
+    return it again.  An idle, faulted or unopened runner uses up its
+    limit in one call."""
 
     def __init__(self, spec: HPMSpec, f):
         _needs_choice(f)
@@ -119,7 +122,7 @@ class ReasonRunner:
         self.idle = False
 
     def poll(self, visible_run):
-        return self._advance() if self._ready(visible_run) else []
+        return self.stretch(visible_run, 1)[2]
 
     def stretch(self, visible_run, limit):
         if self._ready(visible_run):
@@ -174,21 +177,20 @@ class ReasonRunner:
         self.sketch = nxt
         return []
 
-    def spacecost(self):
-        return 0
-
 
 class VasaRunner(StrategyRunner):
     """The retire-on-illegality wrapper, with constants fixed up front:
     a `StrategyRunner` over the machine while the run stays legal.
 
     Legality is tracked incrementally: the game position of the run seen
-    so far is kept, and each poll applies only the entries added since,
-    so the visible run must only extend from poll to poll.  It is checked
-    before the machine is fed, so the windup reads the configuration
-    without the entries that made the run illegal.  Raises ValueError
-    for a choice-free formula and KeyError when c_env misses one of f's
-    free variables.
+    so far is kept, and each stretch applies only the entries added
+    since, so the visible run must only extend from stretch to stretch.
+    It is checked before the machine is fed, so the windup reads the
+    configuration without the entries that made the run illegal.  The
+    stretch that retires the runner is a stretch of one cycle; a retired
+    runner never moves again, so it uses up the limit in one call.  A
+    poll is a stretch of one cycle.  Raises ValueError for a choice-free
+    formula and KeyError when c_env misses one of f's free variables.
     """
 
     def __init__(self, spec: HPMSpec, f, c_env):
@@ -198,18 +200,11 @@ class VasaRunner(StrategyRunner):
         self.position = GamePosition.start(f, c_env)
         self.checked = 0
 
+    # StrategyRunner's, restated here, where perfbench/tracer.py wraps it
     def poll(self, visible_run):
-        if self.retired:
-            return []
-        if not self._retires(visible_run):
-            return StrategyRunner.poll(self, visible_run)
-        return self._windup()
+        return self.stretch(visible_run, 1)[2]
 
     def stretch(self, visible_run, limit):
-        """`StrategyRunner.stretch`, once the entries not yet checked
-        leave the run legal.  The poll that retires the runner is a
-        stretch of one cycle; a retired runner never moves again, so it
-        uses up the limit in one call."""
         if self.retired:
             return limit, self.spacecost(), []
         if not self._retires(visible_run):
@@ -226,7 +221,8 @@ class VasaRunner(StrategyRunner):
         return self.retired
 
     def _windup(self):
-        """The retiring poll's moves: the open buffer wound up, if it can be."""
+        """The retiring stretch's moves: the open buffer wound up, if it
+        can be."""
         buf = self.st.buffer
         if not buf:
             return []

@@ -108,6 +108,18 @@ class TestUsageErrors:
         assert "must be at least 1" in capsys.readouterr().err
 
 
+    def test_induct_trace_without_play(self, tmp_path, capsys):
+        concl = tmp_path / "concl.clf"
+        concl.write_text("ada x [val 100] ade v [1] (v = 0)\n")
+        trace = tmp_path / "trace.jsonl"
+        assert main(["transform", "induct", "--n", fixture("n_const.hpm"),
+                     "--k", fixture("k_const.hpm"), "--f", str(concl),
+                     "--trace", str(trace)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--play" in err
+        assert not trace.exists()
+
+
 class TestPlay:
     def test_match_with_scripted_environment(self, formula_file, env_file,
                                              capsys):

@@ -16,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
-from clarith import hpm, wrappers, zoo
+from clarith import hpm, oracles, wrappers, zoo
 from clarith.cli import _script_env, main
-from clarith.bounds import bitsize, parse_bound
+from clarith.bounds import Nat, bitsize, parse_bound
+from clarith.comprehension import ComprehensionRunner
 from clarith.game import (
     GamePosition,
     IllegalMove,
@@ -416,27 +417,29 @@ class TestTransition:
 
 
 class ReplayVasa(VasaRunner):
-    """VasaRunner deciding legality by replaying the whole run each poll:
-    its position and cursor go back to the start before every poll."""
+    """VasaRunner deciding legality by replaying the whole run each
+    stretch: its position and cursor go back to the start before every
+    stretch."""
 
-    def poll(self, visible_run):
+    def stretch(self, visible_run, limit):
         pos = self.position
         self.position = GamePosition.start(pos.formula, pos.c_env)
         self.checked = 0
-        return VasaRunner.poll(self, visible_run)
+        return VasaRunner.stretch(self, visible_run, limit)
 
 
 def retire_cycle(runner, env, fuel):
-    """The played run and the index of the poll that retired the runner."""
+    """The played run and the index of the cycle that retired the runner:
+    `play` hands a runner one stretch of one cycle per env call here."""
     retired = []
-    poll = runner.poll
+    stretch = runner.stretch
 
-    def watched(run):
-        out = poll(run)
+    def watched(run, limit):
+        out = stretch(run, limit)
         retired.append(runner.retired)
         return out
 
-    runner.poll = watched
+    runner.stretch = watched
     run = play(runner, env, fuel)["run"]
     return run, retired.index(True) if True in retired else None
 
@@ -481,7 +484,7 @@ class TestVasaLegality:
 
 # ---------------------------------------------------------------------------
 # Stretches: `run_until` against one `step` after another, and `play` over
-# stretches against `play` polling once per cycle.
+# stretches up to the next move against `play` one cycle at a time.
 
 FIXTURE_MACHINES = ("legal.hpm", "bigmove.hpm", "always_yes.hpm",
                     "k_const.hpm", "n_const.hpm")
@@ -548,7 +551,8 @@ def played(runner, entries, fuel, env_reads_run, make_env=_script_env):
 def cycle_env(entries):
     """Env playing each (cycle, move) entry at that cycle, or at the first
     cycle after it that is free: it counts its calls, so it is no function
-    of the visible run, and `play` must poll once per cycle against it."""
+    of the visible run, and `play` must stretch one cycle at a time against
+    it."""
     pending = sorted(entries)
     calls = 0
 
@@ -564,11 +568,11 @@ def cycle_env(entries):
 
 class BusyReason(ReasonRunner):
     """ReasonRunner that never skips: its idle flag is cleared before
-    every poll, so each poll advances the sketch."""
+    every stretch, so each stretch of one cycle advances the sketch."""
 
-    def poll(self, visible_run):
+    def stretch(self, visible_run, limit):
         self.idle = False
-        return ReasonRunner.poll(self, visible_run)
+        return ReasonRunner.stretch(self, visible_run, limit)
 
 
 @st.composite
@@ -620,7 +624,7 @@ class TestStretchedPlay:
            delayed_entries, st.integers(1, 150))
     def test_script_runner(self, seed, cap, n, entries, fuel):
         """A scripted strategy reads the cycles it has waited, so each
-        cycle of a stretch must call it as a poll would."""
+        cycle of a stretch must call it as a stretch of one cycle would."""
         def runner():
             return StrategyRunner(zoo.random_script(random.Random(seed), cap,
                                                     3, n))
@@ -648,8 +652,8 @@ class TestStretchedPlay:
     @given(reason_machines(), reason_entries(st.integers(0, 3)),
            st.integers(1, 300), st.sampled_from((wrappers.FETCH_CAP, 1, 2, 4)))
     def test_reason_runner(self, machine, entries, fuel, fetch_cap):
-        """Stretches against one poll per cycle, and both against a twin
-        whose idle flag is cleared before every poll; a small fetch cap
+        """Stretches against one cycle at a time, and both against a twin
+        whose idle flag is cleared before every stretch; a small fetch cap
         makes replays fault."""
         spec, f = reason_subject(machine), fm.parse_formula(TWO_DISJUNCT_TEXT)
         with patch.object(wrappers, "FETCH_CAP", fetch_cap):
@@ -671,6 +675,36 @@ class TestStretchedPlay:
         spec, f = reason_subject(machine), fm.parse_formula(TWO_DISJUNCT_TEXT)
         assert played(ReasonRunner(spec, f), entries, fuel, False, cycle_env) \
             == played(BusyReason(spec, f), entries, fuel, False, cycle_env)
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 9), st.sampled_from([0, 2, 3]),
+           st.integers(0, 120), st.integers(1, 400))
+    def test_induction_runner(self, k, delay, late, fuel):
+        """A runner that is no `StrategyRunner` advances one cycle per
+        stretch, whatever limit `play` hands it; a late consequent move
+        reaches it mid-play."""
+        def runner():
+            return build_induction_solver(counter_n_script(),
+                                          counter_k_script(delay),
+                                          fm.parse_formula(COUNTER_TEXT))
+        entries = [(0, "#" + int_to_numer(k)), (late, "1.#1")]
+        stretched, one = runner(), runner()
+        assert played(stretched, entries, fuel, True, cycle_env) \
+            == played(one, entries, fuel, False, cycle_env)
+        assert stretched.trace == one.trace
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.booleans(), max_size=6), delayed_entries,
+           st.integers(1, 20))
+    def test_comprehension_runner(self, table, entries, fuel):
+        p = fm.Atom("tbl", (fm.TVar("y"),))
+
+        def runner():
+            return ComprehensionRunner(oracles._table_premise(table), p, "y",
+                                       Nat(len(table)))
+        assert played(runner(), entries, fuel, True) \
+            == played(runner(), entries, fuel, False)
 
 
 def fetch_with_counts(spec, history, k, n, bots, ctx, track):

@@ -263,6 +263,39 @@ class TestMeter:
         assert m.max_timecost == 5
 
 
+class StretchOnly:
+    """A runner with `stretch` and nothing else: it records each limit
+    it is handed and makes one move, three cycles into its second
+    stretch, at a peak of 4 cells."""
+
+    def __init__(self):
+        self.calls = []
+
+    def stretch(self, visible_run, limit):
+        self.calls.append((len(visible_run), limit))
+        if len(self.calls) == 2 and limit >= 3:
+            return 3, 4, ["#1"]
+        return limit, 0, []
+
+
+class TestPlay:
+    def test_drives_a_runner_through_stretch_alone(self):
+        """No `poll` and no `spacecost`: a stretch of one cycle after a ⊥
+        move, else up to the runner's move or the end of the fuel."""
+        runner = StretchOnly()
+        out = play(runner, make_scripted_env([(0, "#11")]), fuel=10,
+                   env_reads_run=True)
+        assert runner.calls == [(1, 1), (1, 9), (2, 6)]
+        assert out["run"] == (("B", "#11"), ("T", "#1"))
+        rep = meter_report(out["meter"])
+        assert (rep["max_spacecost"], rep["max_timecost"]) == (4, 3)
+
+    def test_an_env_of_no_run_gets_one_cycle_per_call(self):
+        runner = StretchOnly()
+        play(runner, make_scripted_env([(0, "#11")]), fuel=4)
+        assert runner.calls == [(1, 1)] * 4
+
+
 class TestHistoryPrefix:
     HIST = [("B", 2), ("T", 3), ("B", 1), ("T", 4)]
 

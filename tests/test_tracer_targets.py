@@ -38,21 +38,27 @@ def test_every_target_resolves():
     assert missing == []
 
 
-def test_runner_reaches_step_and_spacecost_through_the_module(monkeypatch):
-    """The tracer replaces `hpm.step` and `hpm.spacecost`; a runner or
-    strategy that bound the functions themselves would go round the
-    spans.  The runner is built first, so the globals are read at call
-    time."""
-    runner = hpm.StrategyRunner(hpm.HPMStrategy(zoo.random_machine(random.Random(0))))
-    calls = {"step": 0, "spacecost": 0}
+def test_strategy_reaches_the_vm_through_the_module(monkeypatch):
+    """The tracer replaces `hpm.step` and `hpm.spacecost`, and the curve
+    counts wrap `hpm.run_until`; a strategy that bound the functions
+    themselves would go round them.  The strategy is built first, so the
+    globals are read at call time.  `step` is Sim's path, `stretch` the
+    one `play` takes through `StrategyRunner`."""
+    strategy = hpm.HPMStrategy(zoo.random_machine(random.Random(0)))
+    cfg = strategy.initial()
+    calls = {"step": 0, "spacecost": 0, "run_until": 0}
     for name in calls:
         def counting(*args, name=name, fn=getattr(hpm, name)):
             calls[name] += 1
             return fn(*args)
         monkeypatch.setattr(hpm, name, counting)
-    runner.poll([])
-    runner.spacecost()
-    assert calls == {"step": 1, "spacecost": 1}
+    strategy.step(cfg)
+    # `step` is a stretch of one cycle
+    assert calls == {"step": 1, "spacecost": 0, "run_until": 1}
+    strategy.space(cfg)
+    assert calls == {"step": 1, "spacecost": 1, "run_until": 1}
+    strategy.stretch(cfg, 5)
+    assert calls == {"step": 1, "spacecost": 1, "run_until": 2}
 
 
 def test_synchronizer_validates_through_the_module(monkeypatch):

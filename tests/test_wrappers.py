@@ -12,6 +12,7 @@ from clarith.hpm import (
     HPMStrategy,
     StrategyRunner,
     initial_sketch,
+    meter_report,
     play,
 )
 from clarith.wrappers import (
@@ -89,7 +90,8 @@ class TestReasonRunner:
     def test_reports_no_storage_spacecost(self, bigmove_machine,
                                           two_disjunct_formula):
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-        assert runner.spacecost() == 0
+        out = play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
+        assert meter_report(out["meter"])["max_spacecost"] == 0
 
     def test_fault_is_recorded_once(self, bigmove_machine,
                                     two_disjunct_formula, monkeypatch):
