@@ -58,7 +58,7 @@ class ComprehensionRunner:
     plays, in the order `free_vars` lists them, then performs the whole
     probe loop and answers with the single move #d.  Faults in the
     premise are recorded, not raised; a faulted runner stays silent.
-    A stretch is one poll, of one cycle whatever its limit.
+    A stretch is of one cycle, whatever its limit.
     """
 
     def __init__(self, premise, p: fm.Formula, y: str, bound: BoundExpr):
@@ -71,12 +71,10 @@ class ComprehensionRunner:
         self.faults = []
         self.done = False
 
-    def poll(self, visible_run):
-        if self.done:
-            return []
-        opened = opening(self.var_order, visible_run)
+    def stretch(self, visible_run, limit):
+        opened = None if self.done else opening(self.var_order, visible_run)
         if opened is None:
-            return []
+            return 1, 0, []
         self.done = True
         env = opened[0]
         c = self.bound.evaluate(env)
@@ -88,8 +86,5 @@ class ComprehensionRunner:
                 else "0" for j in range(c - 1, -1, -1))
         except SimulationFault as exc:
             self.faults.append(str(exc))
-            return []
-        return ["#" + bits.lstrip("0")]
-
-    def stretch(self, visible_run, limit):
-        return 1, 0, self.poll(visible_run)
+            return 1, 0, []
+        return 1, 0, ["#" + bits.lstrip("0")]

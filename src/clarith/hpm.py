@@ -42,15 +42,18 @@ never rescans or copies it:
 - Machines advance in stretches.  `run_until` runs the machine up to
   its next move in one loop that keeps the state, tapes, heads, run
   head, buffer and cell counts in local variables and builds one
-  `Configuration` at the end; `step` is a stretch of one cycle, and so
-  is a runner's poll.  `play` hands every runner a stretch: of one
-  cycle after a ⊥ move, or while the env is no function of the visible
-  run, and otherwise up to the next own move, where one env call, one
-  `stretch` and one meter record stand for all its cycles, so a quiet
-  cycle costs one `_transition` and a few compares.  A machine that
-  finds no row stays halted until the run grows, so that cycle ends the
-  stretch and uses up its limit.  On one work tape, `_transition` writes
-  and moves the head with no zip, list or tuple.
+  `Configuration` at the end; `step` is a stretch of one cycle.  A
+  strategy advances only by `stretch`.  The peak of a one-cycle
+  stretch is the cell count after that cycle, so Sim, which simulates
+  a premise one cycle at a time, reads U off its stretches.  `play`
+  hands every runner a stretch: of one cycle after a ⊥ move, or while
+  the env is no function of the visible run, and otherwise up to the
+  next own move, where one env call, one `stretch` and one meter
+  record stand for all its cycles, so a quiet cycle costs one
+  `_transition` and a few compares.  A machine that finds no row stays
+  halted until the run grows, so that cycle ends the stretch and uses
+  up its limit.  On one work tape, `_transition` writes and moves the
+  head with no zip, list or tuple.
 
 A sketch reads the run through a `History`, the reason wrapper's
 append-only list of (label, size) records.  Next to the records it keeps
@@ -518,17 +521,10 @@ class HPMStrategy:
     def feed(self, cfg, labmoves):
         return cfg.extend(labmoves)
 
-    def step(self, cfg):
-        nxt = step(self.spec, cfg)
-        return nxt, nxt.last_move
-
     def stretch(self, cfg, limit):
         """`run_until` over at most limit cycles."""
         nxt, used, peak = run_until(self.spec, cfg, limit)
         return nxt, used, peak, nxt.last_move
-
-    def space(self, cfg):
-        return spacecost(cfg)
 
 
 class ScriptStrategy:
@@ -544,39 +540,41 @@ class ScriptStrategy:
         run, waited = st
         return (run + tuple(labmoves), waited)
 
-    def step(self, st):
-        run, waited = st
-        mv = self.fn(run, waited)
-        if mv is None:
-            return (run, waited + 1), None
-        return (run + (("T", mv),), 0), mv
-
     def stretch(self, st, limit):
-        """`step` up to limit times, up to a move; the peak is 0."""
-        for used in range(1, limit + 1):
-            st, mv = self.step(st)
-            if mv is not None:
-                break
-        return st, used, 0, mv
+        """fn once per cycle, up to limit cycles, up to a move; the peak
+        is 0."""
+        run, waited = st
+        fn = self.fn
+        mv = fn(run, waited)
+        used = 1
+        while mv is None and used < limit:
+            waited += 1
+            mv = fn(run, waited)
+            used += 1
+        if mv is None:
+            return (run, waited + 1), used, 0, None
+        return (run + (("T", mv),), 0), used, 0, mv
 
-    def space(self, st):
-        return 0
+    # `stretch(st, 1)`, kept because perfbench/tracer.py wraps it
+    def step(self, st):
+        st, _, _, mv = self.stretch(st, 1)
+        return st, mv
 
 
 class StrategyRunner:
     """Stateful driver around a strategy, for the play harness.
 
-    A strategy steps over immutable states: `initial()`, `feed(st,
-    labmoves)` (the ⊕, appending labmoves to the run seen), `step(st)`
-    -> (next state, move string or None), `stretch(st, limit)` -> (next
-    state, steps used, peak cells, move or None), the steps up to and
-    including the first move, and `space(st)`, the work-tape cells in
-    use.  `HPMStrategy` and `ScriptStrategy` are the two kinds.
+    A strategy advances over immutable states: `initial()`, `feed(st,
+    labmoves)` (the ⊕, appending labmoves to the run seen) and
+    `stretch(st, limit)` -> (next state, cycles used, peak cells, move
+    or None), up to `limit` cycles up to and including the first move,
+    the peak being the most work-tape cells in use after any of them.
+    `HPMStrategy` and `ScriptStrategy` are the two kinds.
 
     `stretch(visible_run, limit)` is the runner's one advance: up to
     `limit` cycles handed the same visible run, up to and including the
     first that makes a move, -> (cycles used, peak of the `spacecost`
-    after each, moves).  A poll is a stretch of one cycle.  The harness
+    after each, moves).  A stretch of one cycle is a poll.  The harness
     appends each returned move to the run before the next stretch, so
     `seen`, the length of the last visible run plus the move returned,
     is how much of the run the strategy has been fed.  The visible run
@@ -590,9 +588,6 @@ class StrategyRunner:
         self.st = strategy.initial()
         self.seen = 0
 
-    def poll(self, visible_run):
-        return self.stretch(visible_run, 1)[2]
-
     def stretch(self, visible_run, limit):
         n = len(visible_run)
         if n > self.seen:
@@ -603,9 +598,6 @@ class StrategyRunner:
             return used, peak, []
         self.seen = n + 1
         return used, peak, [mv]
-
-    def spacecost(self):
-        return self.strategy.space(self.st)
 
 
 # ---------------------------------------------------------------------------

@@ -42,15 +42,19 @@ def check_sim_triple(a, b, n):
 
 
 def _sim_stepping(a, b, n, strategy, state, consequent=(), q=0):
-    """The replay loop from state, yielding once per simulated step.
+    """The replay loop from state, yielding once per simulated cycle.
 
-    Returns (final signed organ, max work-tape cells), or None as soon
-    as consequent holds more than q moves when a step's yield is
-    resumed.  state is a value, so one opened premise state serves any
-    number of replays; an organ with no moves is fed nothing.
+    Each cycle is one `strategy.stretch(t, 1)`, and U, the most
+    work-tape cells in use, is taken from its peak: the cells in use
+    after that cycle.  A stretch of more cycles would run past the
+    point where the synchronizer checks for a new consequent move.
+    Returns (final signed organ, U), or None as soon as consequent
+    holds more than q moves when a cycle's yield is resumed.  state is
+    a value, so one opened premise state serves any number of replays;
+    an organ with no moves is fed nothing.
     """
     check_sim_triple(a, b, n)
-    step, space = strategy.step, strategy.space
+    stretch = strategy.stretch
     w = state
     u = 0
     nu, psi = [], []
@@ -63,8 +67,8 @@ def _sim_stepping(a, b, n, strategy, state, consequent=(), q=0):
             w = strategy.feed(w, tuple([("B", prefix + m) for m in payload]))
         t = w
         for _ in range(p):
-            t, mv = step(t)
-            if (cells := space(t)) > u:
+            t, _, cells, mv = stretch(t, 1)
+            if cells > u:
                 u = cells
             if mv is not None:
                 w = t  # witnessed; a stray unprefixed move is recorded nowhere
@@ -353,7 +357,7 @@ class InductionRunner:
             if len(env_moves) > fed:
                 st = strategy.feed(st, tuple(("B", m) for m in env_moves[fed:]))
                 fed = len(env_moves)
-            st, mv = strategy.step(st)
+            st, _, _, mv = strategy.stretch(st, 1)
             if mv is not None:
                 self._out.append("1." + mv)
             yield

@@ -145,7 +145,7 @@ def _suite_compr(rng, cases):
 def _one_compr_case(table, c):
     p = fm.Atom("tbl", (fm.TVar("y"),))
     runner = cp.ComprehensionRunner(_table_premise(table), p, "y", Nat(c))
-    moves = runner.poll(())
+    moves = runner.stretch((), 1)[2]
     if len(moves) != 1:
         return f"comprehension made {len(moves)} moves for table {table!r}"
     _, numer = game.split_move(moves[0])

@@ -17,6 +17,7 @@ move) as soon as it turns illegitimate.
 from __future__ import annotations
 
 from . import formula as fm
+from . import hpm
 from .game import (
     GamePosition,
     Semiposition,
@@ -97,16 +98,15 @@ class ReasonRunner:
     before the fetched move, which never changes, so a retry would fail
     the same way.  Raises ValueError for a choice-free formula.
 
-    `stretch` is as in `StrategyRunner`, peak 0, and a poll is a
-    stretch of one cycle.  A stretch reads (`_ready`), then advances
-    once per cycle (`_advance`: one `update_sketch` call and the
-    emission).  Once an advance returns the sketch it was given, the
-    boolean `idle` stops advances until a record restarts the sketch:
-    `sketch_advance` depends only on the sketch and the history, and a
-    sketch that advances to an equal one appended nothing, so its
-    `_shape`, which `==` ignores, is equal too: each later advance would
-    return it again.  An idle, faulted or unopened runner uses up its
-    limit in one call."""
+    `stretch` is as in `StrategyRunner`, peak 0.  A stretch reads
+    (`_ready`), then advances once per cycle (`_advance`: one
+    `update_sketch` call and the emission).  Once an advance returns
+    the sketch it was given, the boolean `idle` stops advances until a
+    record restarts the sketch: `sketch_advance` depends only on the
+    sketch and the history, and a sketch that advances to an equal one
+    appended nothing, so its `_shape`, which `==` ignores, is equal too:
+    each later advance would return it again.  An idle, faulted or
+    unopened runner uses up its limit in one call."""
 
     def __init__(self, spec: HPMSpec, f):
         _needs_choice(f)
@@ -120,9 +120,6 @@ class ReasonRunner:
         self.restarts = 0
         self.faults = []
         self.idle = False
-
-    def poll(self, visible_run):
-        return self.stretch(visible_run, 1)[2]
 
     def stretch(self, visible_run, limit):
         if self._ready(visible_run):
@@ -188,9 +185,10 @@ class VasaRunner(StrategyRunner):
     It is checked before the machine is fed, so the windup reads the
     configuration without the entries that made the run illegal.  The
     stretch that retires the runner is a stretch of one cycle; a retired
-    runner never moves again, so it uses up the limit in one call.  A
-    poll is a stretch of one cycle.  Raises ValueError for a choice-free
-    formula and KeyError when c_env misses one of f's free variables.
+    runner never moves again, so it uses up the limit in one call; both
+    read the cells in use through `hpm.spacecost`.  Raises ValueError
+    for a choice-free formula and KeyError when c_env misses one of f's
+    free variables.
     """
 
     def __init__(self, spec: HPMSpec, f, c_env):
@@ -200,16 +198,16 @@ class VasaRunner(StrategyRunner):
         self.position = GamePosition.start(f, c_env)
         self.checked = 0
 
-    # StrategyRunner's, restated here, where perfbench/tracer.py wraps it
+    # a stretch of one cycle, kept because perfbench/tracer.py wraps it
     def poll(self, visible_run):
         return self.stretch(visible_run, 1)[2]
 
     def stretch(self, visible_run, limit):
         if self.retired:
-            return limit, self.spacecost(), []
+            return limit, hpm.spacecost(self.st), []
         if not self._retires(visible_run):
             return StrategyRunner.stretch(self, visible_run, limit)
-        return 1, self.spacecost(), self._windup()
+        return 1, hpm.spacecost(self.st), self._windup()
 
     def _retires(self, visible_run):
         """Whether the run is illegal, after checking the entries added

@@ -21,6 +21,7 @@ from clarith.hpm import (
     play,
     sketch_advance,
     sketch_of_configuration,
+    spacecost,
 )
 from clarith.induction import build_induction_solver, diagnostics
 from clarith.wrappers import ReasonRunner, VasaRunner
@@ -162,14 +163,14 @@ def test_criterion_9_unconditional_wrapper(legal_machine,
             mv = env(run)
             if mv is not None:
                 run = run + (("B", mv),)
-            for m in runner.poll(run):
+            for m in runner.stretch(run, 1)[2]:
                 run = run + (("T", m),)
             if which == "a":
                 run_a = run
             else:
                 run_b = run
         assert run_a == run_b
-        assert wrapped.spacecost() == raw.spacecost()
+        assert spacecost(wrapped.st) == spacecost(raw.st)
 
     # illegal branches from the zoo of bad environment moves
     for bad_moves in ([(0, "0.#10"), (1, "0.#10")],

@@ -105,7 +105,7 @@ class TestRunner:
     def assemble(self, mask, c):
         p = fm.Atom("Bit", (fm.TVar("y"), fm.TConst(format(mask, "b") if mask else "")))
         runner = ComprehensionRunner(bit_premise(mask), p, "y", Nat(c))
-        return runner, runner.poll(())
+        return runner, runner.stretch((), 1)[2]
 
     def test_worked_example(self):
         runner, moves = self.assemble(0b101, 3)
@@ -131,13 +131,13 @@ class TestRunner:
     def test_answers_exactly_once(self):
         runner, moves = self.assemble(0b11, 2)
         assert moves == ["#11"]
-        assert runner.poll(()) == []
+        assert runner.stretch((), 1)[2] == []
 
     def test_fault_recorded_and_silent(self, monkeypatch):
         monkeypatch.setenv("CLARITH_FUEL_DEFAULT", "20")
         p = fm.parse_formula("Bit(y, 101)")
         runner = ComprehensionRunner(silent_premise(), p, "y", Nat(2))
-        assert runner.poll(()) == []
+        assert runner.stretch((), 1)[2] == []
         assert len(runner.faults) == 1
 
     def test_waits_for_constants(self):
@@ -145,8 +145,8 @@ class TestRunner:
         runner = ComprehensionRunner(bit_premise(5, n_constants=2), p, "y",
                                      parse_bound("|x|"))
         assert runner.var_order == ["x"]
-        assert runner.poll(()) == []
-        moves = runner.poll((("B", "#101"),))
+        assert runner.stretch((), 1)[2] == []
+        moves = runner.stretch((("B", "#101"),), 1)[2]
         assert moves == ["#101"]
 
     def test_reads_constants_in_the_conclusions_order(self):
@@ -177,7 +177,7 @@ class TestAgainstDirectComputation:
         p = fm.Atom("Bit", (fm.TVar("y"),
                             fm.TConst(format(mask, "b") if mask else "")))
         runner = ComprehensionRunner(bit_premise(mask), p, "y", Nat(c))
-        (move,) = runner.poll(())
+        (move,) = runner.stretch((), 1)[2]
         assert is_canonical_numer(move[1:])
         assert numer_value(move[1:]) == truncated
 
@@ -190,7 +190,7 @@ class TestAgainstDirectComputation:
                             fm.TConst(format(mask, "b") if mask else "")))
         g = comprehension_conclusion(p, "y", Nat(c))
         runner = ComprehensionRunner(bit_premise(mask), p, "y", Nat(c))
-        (move,) = runner.poll(())
+        (move,) = runner.stretch((), 1)[2]
         assert wins(g, {}, (("T", move),)) == "T"
 
 

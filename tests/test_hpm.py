@@ -196,7 +196,7 @@ class TestStepping:
         env = make_scripted_env([(0, "#1001")])
         runner = StrategyRunner(HPMStrategy(legal_machine))
         play(runner, env, fuel=10)
-        assert runner.spacecost() == 2
+        assert spacecost(runner.st) == 2
 
     def test_spacecost_empty(self, bigmove_machine):
         assert spacecost(initial_configuration(bigmove_machine)) == 0
@@ -218,7 +218,7 @@ class TestScriptStrategy:
         runner = StrategyRunner(ScriptStrategy(fn))
         run = ()
         for _ in range(6):
-            for m in runner.poll(run):
+            for m in runner.stretch(run, 1)[2]:
                 run = run + (("T", m),)
         assert calls == [0, 1, 2, 0, 1, 2]
         assert len(run) == 2
@@ -231,7 +231,7 @@ class TestScriptStrategy:
             return None
 
         runner = StrategyRunner(ScriptStrategy(fn))
-        runner.poll((("B", "#1"),))
+        runner.stretch((("B", "#1"),), 1)
         assert seen[-1] == (("B", "#1"),)
 
 

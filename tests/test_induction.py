@@ -1,4 +1,5 @@
 import copy
+import random
 from collections import Counter
 
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
+from clarith import zoo
 from clarith.bounds import bitsize, unarify
 from clarith.game import (constant_moves, int_to_numer, numer_value, opening,
                           split_move, wins)
-from clarith.hpm import HPMStrategy, ScriptStrategy, parse_hpm
+from clarith.hpm import (BLANK, HPMStrategy, ScriptStrategy, initial_configuration,
+                         parse_hpm, step)
 from clarith.induction import (
     InductionRunner,
     SimContractError,
@@ -167,6 +170,52 @@ class TestOpenedPremise:
         for _ in range(2):
             state = strategy.feed(k_open, level)
             assert sim(a, b, n, started(strategy, state)) == expected
+
+
+class SteppedMachine:
+    """A machine premise stepped by `hpm.step`, which counts the
+    non-blank cells of `cfg.tapes` after each cycle into `cells`; its
+    stretches report a peak of 0."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.cells = 0
+
+    def initial(self):
+        return initial_configuration(self.spec)
+
+    def feed(self, cfg, labmoves):
+        return cfg.extend(labmoves)
+
+    def stretch(self, cfg, limit):
+        for used in range(1, limit + 1):
+            cfg = step(self.spec, cfg)
+            self.cells = max([self.cells] + [len(t) - t.count(BLANK)
+                                             for t in cfg.tapes])
+            if cfg.last_move is not None:
+                break
+        return cfg, used, 0, cfg.last_move
+
+
+class TestSimCells:
+    """Sim's U over premises with a work tape is the most cells any
+    work tape holds after a simulated cycle, as a twin that steps the
+    machine with `hpm.step` counts them.  Seed -1 draws legal.hpm, a
+    seed from 0 `zoo.random_machine`."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-1, 9), st.lists(organs, max_size=3),
+           st.lists(organs, min_size=1, max_size=3), st.integers(0, 6))
+    # the peak is reached on the last cycle of an organ
+    @example(-1, [], [organ(("#",), 2)], 1)
+    @example(0, [], [organ((), 3)], 0)
+    def test_u_is_the_most_cells_after_any_cycle(self, seed, a, b, n):
+        spec = (parse_hpm(read_fixture("legal.hpm")) if seed < 0
+                else zoo.random_machine(random.Random(seed)))
+        a, b = (tuple(a) if n else ()), tuple(b)
+        twin = SteppedMachine(spec)
+        signed, _ = sim(a, b, n, twin)
+        assert sim(a, b, n, HPMStrategy(spec)) == (signed, twin.cells)
 
 
 def entry(idx, *sizes_and_scales):

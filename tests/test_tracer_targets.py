@@ -8,7 +8,7 @@ import os
 import random
 
 import clarith.formula as fm
-from clarith import hpm, induction, zoo
+from clarith import hpm, induction, wrappers, zoo
 from clarith.game import int_to_numer
 
 from conftest import COUNTER_TEXT, counter_k_script, counter_n_script, drive_solver
@@ -38,27 +38,33 @@ def test_every_target_resolves():
     assert missing == []
 
 
-def test_strategy_reaches_the_vm_through_the_module(monkeypatch):
-    """The tracer replaces `hpm.step` and `hpm.spacecost`, and the curve
-    counts wrap `hpm.run_until`; a strategy that bound the functions
-    themselves would go round them.  The strategy is built first, so the
-    globals are read at call time.  `step` is Sim's path, `stretch` the
-    one `play` takes through `StrategyRunner`."""
+def test_strategy_reaches_the_vm_through_the_module(monkeypatch, legal_machine,
+                                                    two_disjunct_formula):
+    """The curve counts wrap `hpm.run_until`, and the tracer replaces
+    `hpm.spacecost`; a strategy or runner that bound either would go
+    round them.  Each is built first, so the globals are read at call
+    time.  A one-cycle `stretch` is Sim's path, a longer one the path
+    `play` takes through `StrategyRunner`; `VasaRunner` reads its cells
+    through `spacecost` on the stretch that retires it and on each one
+    after."""
     strategy = hpm.HPMStrategy(zoo.random_machine(random.Random(0)))
-    cfg = strategy.initial()
-    calls = {"step": 0, "spacecost": 0, "run_until": 0}
+    runner = hpm.StrategyRunner(strategy)
+    vasa = wrappers.VasaRunner(legal_machine, two_disjunct_formula, {"x": 9})
+    calls = {"spacecost": 0, "run_until": 0}
     for name in calls:
         def counting(*args, name=name, fn=getattr(hpm, name)):
             calls[name] += 1
             return fn(*args)
         monkeypatch.setattr(hpm, name, counting)
-    strategy.step(cfg)
-    # `step` is a stretch of one cycle
-    assert calls == {"step": 1, "spacecost": 0, "run_until": 1}
-    strategy.space(cfg)
-    assert calls == {"step": 1, "spacecost": 1, "run_until": 1}
-    strategy.stretch(cfg, 5)
-    assert calls == {"step": 1, "spacecost": 1, "run_until": 2}
+    strategy.stretch(strategy.initial(), 1)
+    assert calls == {"spacecost": 0, "run_until": 1}
+    runner.stretch([], 5)
+    assert calls == {"spacecost": 0, "run_until": 2}
+    bad = (("T", "0.#1"),)
+    vasa.stretch(bad, 1)
+    assert vasa.retired and calls == {"spacecost": 1, "run_until": 2}
+    vasa.stretch(bad, 5)
+    assert calls == {"spacecost": 2, "run_until": 2}
 
 
 def test_synchronizer_validates_through_the_module(monkeypatch):

@@ -14,6 +14,7 @@ from clarith.hpm import (
     initial_sketch,
     meter_report,
     play,
+    spacecost,
 )
 from clarith.wrappers import (
     FetchError,
@@ -69,7 +70,7 @@ class TestReasonRunner:
 
     def test_waits_for_constants(self, bigmove_machine, two_disjunct_formula):
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-        assert runner.poll(()) == []
+        assert runner.stretch((), 1)[2] == []
         assert runner.ctx is None
 
     def test_restarts_on_every_new_move(self, bigmove_machine,
@@ -120,7 +121,7 @@ class TestReasonIdle:
         assert runner.idle and runner.faults == []
         resimulation_calls.clear()
         for _ in range(20):
-            assert runner.poll(run) == []
+            assert runner.stretch(run, 1)[2] == []
         assert runner.stretch(run, 1000) == (1000, 0, [])
         assert resimulation_calls == []
 
@@ -141,7 +142,7 @@ class TestReasonIdle:
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
         run = [("B", "#1001"), ("B", "0.#10")]
         for _ in range(100):
-            run += [("T", m) for m in runner.poll(run)]
+            run += [("T", m) for m in runner.stretch(run, 1)[2]]
         assert runner.idle and run[-1] == ("T", "0.1.#1111")
         run.append(("B", "1.#1"))
         used, _, made = runner.stretch(run, 100)
@@ -220,14 +221,14 @@ class TestVasaRunner:
             mv = pending_a(run_a)
             if mv is not None:
                 run_a = run_a + (("B", mv),)
-            for m in raw.poll(run_a):
+            for m in raw.stretch(run_a, 1)[2]:
                 run_a = run_a + (("T", m),)
             mv = pending_b(run_b)
             if mv is not None:
                 run_b = run_b + (("B", mv),)
             for m in wrapped.poll(run_b):
                 run_b = run_b + (("T", m),)
-            assert wrapped.spacecost() == raw.spacecost()
+            assert spacecost(wrapped.st) == spacecost(raw.st)
 
     def test_retires_after_illegal_environment_move(self, legal_machine,
                                                     two_disjunct_formula):
