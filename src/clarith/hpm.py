@@ -319,12 +319,6 @@ class Configuration:
     def run(self):
         return tuple(self.log.moves[:self.length])
 
-    def replace(self, **kw):
-        """A copy with kw fields replaced, on a run log of its own."""
-        vals = {name: getattr(self, name) for name in _FIELDS}
-        vals.update(kw)
-        return Configuration(**vals)
-
     def extend(self, labmoves):
         """A copy with labmoves appended to the run."""
         log, length = self.log.extended(self.length, labmoves)
@@ -332,10 +326,6 @@ class Configuration:
                      log, length, self.runhead, self.buffer, self.cycle,
                      self.moves_made, self.last_append, self.last_move,
                      self.counts)
-
-    def tape(self) -> str:
-        """The run tape's cells, label then move for each run entry."""
-        return "".join(self.log.cells[:self.log.starts[self.length]])
 
     def __eq__(self, other):
         return isinstance(other, Configuration) and all(

@@ -94,8 +94,38 @@ def _suite_windup(rng, cases):
     return None
 
 
+class SteppedMachine:
+    """A machine premise stepped by `hpm.step`, which counts the
+    non-blank cells of `cfg.tapes` after each cycle into `cells`; its
+    stretches report a peak of 0.  `oracle sim` and the tests check
+    Sim's U against it."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.cells = 0
+
+    def initial(self):
+        return hpm.initial_configuration(self.spec)
+
+    def feed(self, cfg, labmoves):
+        return cfg.extend(labmoves)
+
+    def stretch(self, cfg, limit):
+        for used in range(1, limit + 1):
+            cfg = hpm.step(self.spec, cfg)
+            self.cells = max([self.cells] + [len(t) - t.count(hpm.BLANK)
+                                             for t in cfg.tapes])
+            if cfg.last_move is not None:
+                break
+        return cfg, used, 0, cfg.last_move
+
+
 def _suite_sim(rng, cases):
-    for _ in range(cases):
+    """Per case, a scripted premise under extension of the body its
+    bullet does not read, and a `zoo.random_machine` premise whose Sim
+    must match `SteppedMachine`'s: the same signed organ, and U the
+    most cells the twin counts."""
+    for case in range(cases):
         a, b, n = zoo.random_sim_triple(rng)
         cap = rng.randint(1, 3)
         strat = zoo.random_script(rng, cap, 3, n)
@@ -111,6 +141,13 @@ def _suite_sim(rng, cases):
                 return f"extension of A changed a positive-bullet sim: {(a, b, n)!r}"
         if sign == "+" and len(b) > cap:
             return f"positive bullet with body larger than the move cap: {(a, b, n)!r}"
+        spec = zoo.random_machine(rng)
+        twin = SteppedMachine(spec)
+        signed, _ = induction.sim(a, b, n, twin)
+        got = induction.sim(a, b, n, hpm.HPMStrategy(spec))
+        if got != (signed, twin.cells):
+            return (f"machine sim {got!r}, stepped twin {(signed, twin.cells)!r} "
+                    f"on {(a, b, n)!r}, the machine of case {case}")
     return None
 
 

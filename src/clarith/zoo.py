@@ -5,12 +5,15 @@ The machines built here scan their run tape and copy or synthesize
 buffer characters as they go, so their moves genuinely depend on both
 players' earlier moves.  That is exactly the dependency resimulation
 has to reconstruct, which makes these machines good oracle fodder.
+`run_scenario` drives one by `run_until` stretches, one per own move,
+and hands back the final configuration, not one per cycle.
 """
 
 from __future__ import annotations
 
 from .game import int_to_numer
-from .hpm import BLANK, History, HPMSpec, ScriptStrategy, initial_configuration, step
+from .hpm import (BLANK, History, HPMSpec, ScriptStrategy,
+                  initial_configuration, run_until)
 
 RUN_SYMBOLS = ("T", "B", "0", "1", "#", ".", BLANK)
 MOVE_CHARS = "01#."
@@ -73,44 +76,40 @@ def random_schedule(rng, spec: HPMSpec):
 
 
 def run_scenario(spec: HPMSpec, schedule, cycles: int):
-    """Drive a machine under an instantaneous-adversary schedule.
+    """Drive a machine under an instantaneous-adversary schedule for
+    `cycles` cycles, by stretches.
 
-    Returns the per-cycle configurations, the interleaved `History` of
-    (label, size) records, the environment moves in history order, and
-    the machine's own moves in order.
+    Each `run_until` stretch runs up to the next own move, limited to
+    the cycles left; the ⊥ moves that move releases are the next
+    stretch's incoming moves, so the machine absorbs them on the cycle
+    after it moved.  Returns the final configuration under `config`, the
+    interleaved `History` of (label, size) records, the environment
+    moves in history order, and the machine's own moves in order.
     """
     pending = list(schedule)
     cfg = initial_configuration(spec)
     history = History()
     env_moves = []
     own_moves = []
-    configs = [cfg]
 
     def release(now):
         out = []
         while pending and pending[0][0] <= now:
-            out.append(pending.pop(0)[1])
-        return out
-
-    first = release(0)
-    incoming = [("B", m) for m in first]
-    for m in first:
-        history.append(("B", len(m)))
-        env_moves.append(m)
-    for _ in range(cycles):
-        cfg = step(spec, cfg, incoming)
-        configs.append(cfg)
-        if cfg.last_move is not None:
-            history.append(("T", len(cfg.last_move)))
-            own_moves.append(cfg.last_move)
-            fresh = release(cfg.moves_made)
-        else:
-            fresh = []
-        incoming = [("B", m) for m in fresh]
-        for m in fresh:
+            m = pending.pop(0)[1]
             history.append(("B", len(m)))
             env_moves.append(m)
-    return {"configs": configs, "history": history,
+            out.append(("B", m))
+        return out
+
+    incoming = release(0)
+    while cfg.cycle < cycles:
+        cfg = run_until(spec, cfg, cycles - cfg.cycle, incoming)[0]
+        if cfg.last_move is None:
+            break
+        history.append(("T", len(cfg.last_move)))
+        own_moves.append(cfg.last_move)
+        incoming = release(cfg.moves_made)
+    return {"config": cfg, "history": history,
             "env_moves": env_moves, "own_moves": own_moves}
 
 

@@ -13,7 +13,8 @@ from clarith.game import (
     numer_value,
     split_move,
 )
-from clarith.hpm import ScriptStrategy, history_prefix, parse_hpm
+from clarith.hpm import (History, ScriptStrategy, history_prefix,
+                         initial_configuration, parse_hpm, step)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -117,6 +118,37 @@ def longest_good_prefix(m, addresses):
     """The backward scan with the slow prefix test."""
     return next(m[:cut] for cut in range(len(m), -1, -1)
                 if is_quasilegal_move_prefix(m[:cut], addresses))
+
+
+def stepped_scenario(spec, schedule, cycles):
+    """`zoo.run_scenario`'s stepped twin: one `hpm.step` per cycle, the
+    ⊥ moves that each own move releases absorbed on the next cycle.  It
+    returns what `run_scenario` does, plus `configs`, the configuration
+    after every cycle, the initial one first."""
+    pending = list(schedule)
+    history, env_moves, own_moves = History(), [], []
+
+    def release(now):
+        out = []
+        while pending and pending[0][0] <= now:
+            m = pending.pop(0)[1]
+            history.append(("B", len(m)))
+            env_moves.append(m)
+            out.append(("B", m))
+        return out
+
+    incoming = release(0)
+    configs = [initial_configuration(spec)]
+    for _ in range(cycles):
+        cfg = step(spec, configs[-1], incoming)
+        configs.append(cfg)
+        incoming = []
+        if cfg.last_move is not None:
+            history.append(("T", len(cfg.last_move)))
+            own_moves.append(cfg.last_move)
+            incoming = release(cfg.moves_made)
+    return {"config": configs[-1], "configs": configs, "history": history,
+            "env_moves": env_moves, "own_moves": own_moves}
 
 
 def make_scripted_env(entries):

@@ -32,6 +32,7 @@ from conftest import (
     counter_n_script,
     drive_solver,
     make_scripted_env,
+    stepped_scenario,
 )
 from clarith.game import int_to_numer
 
@@ -193,7 +194,8 @@ def test_criterion_10_sketch_configuration_coherence(two_disjunct_formula):
     for case in range(100):
         spec = zoo.random_machine(rng)
         schedule = zoo.random_schedule(rng, spec)
-        sc = zoo.run_scenario(spec, schedule, 200)
+        # the stepped twin of zoo.run_scenario keeps every cycle's configuration
+        sc = stepped_scenario(spec, schedule, 200)
         env_moves, own_moves = sc["env_moves"], sc["own_moves"]
 
         def fetch(spec, history, ordinal, offset, bots):

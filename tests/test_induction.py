@@ -11,8 +11,7 @@ from clarith import zoo
 from clarith.bounds import bitsize, unarify
 from clarith.game import (constant_moves, int_to_numer, numer_value, opening,
                           split_move, wins)
-from clarith.hpm import (BLANK, HPMStrategy, ScriptStrategy, initial_configuration,
-                         parse_hpm, step)
+from clarith.hpm import HPMStrategy, ScriptStrategy, parse_hpm
 from clarith.induction import (
     InductionRunner,
     SimContractError,
@@ -26,6 +25,7 @@ from clarith.induction import (
     sim,
     validate_aggregation,
 )
+from clarith.oracles import SteppedMachine
 
 from conftest import (
     BLIND_CONCLUSION,
@@ -172,36 +172,12 @@ class TestOpenedPremise:
             assert sim(a, b, n, started(strategy, state)) == expected
 
 
-class SteppedMachine:
-    """A machine premise stepped by `hpm.step`, which counts the
-    non-blank cells of `cfg.tapes` after each cycle into `cells`; its
-    stretches report a peak of 0."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.cells = 0
-
-    def initial(self):
-        return initial_configuration(self.spec)
-
-    def feed(self, cfg, labmoves):
-        return cfg.extend(labmoves)
-
-    def stretch(self, cfg, limit):
-        for used in range(1, limit + 1):
-            cfg = step(self.spec, cfg)
-            self.cells = max([self.cells] + [len(t) - t.count(BLANK)
-                                             for t in cfg.tapes])
-            if cfg.last_move is not None:
-                break
-        return cfg, used, 0, cfg.last_move
-
-
 class TestSimCells:
     """Sim's U over premises with a work tape is the most cells any
-    work tape holds after a simulated cycle, as a twin that steps the
-    machine with `hpm.step` counts them.  Seed -1 draws legal.hpm, a
-    seed from 0 `zoo.random_machine`."""
+    work tape holds after a simulated cycle, as `oracles.SteppedMachine`,
+    the twin `oracle sim` also checks against, counts them when it steps
+    the machine with `hpm.step`.  Seed -1 draws legal.hpm, a seed from 0
+    `zoo.random_machine`."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-1, 9), st.lists(organs, max_size=3),
@@ -579,6 +555,19 @@ class TestIterationCounts:
         polls, classes = self.drive(runner, [(0, "#" + int_to_numer(32))])
         assert (polls, len(classes)) == (644, 609)
         assert classes == self.countdown(32) + self.AFTER_LOCK
+
+    def test_counter_game_locks_at_a_triangular_iteration(self):
+        """With the undelayed step premise the lock comes at iteration
+        (k+1)(k+2)/2 exactly: each index j from k down to 1 takes j + 1
+        iterations, and the lock one more."""
+        for k in [*range(1, 41), 100]:
+            runner = build_induction_solver(
+                counter_n_script(), counter_k_script(0),
+                fm.parse_formula(COUNTER_TEXT))
+            drive_solver(runner, [(0, "#" + int_to_numer(k))], settle=0)
+            assert runner.locked, k
+            assert len(runner.trace) == (k + 1) * (k + 2) // 2, k
+            assert runner.trace[-1]["classification"].startswith("locking"), k
 
     def test_delayed_counter_game(self):
         """A step premise that waits 3 steps before answering runs

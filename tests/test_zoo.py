@@ -12,6 +12,8 @@ from clarith.zoo import (
     run_scenario,
 )
 
+from conftest import stepped_scenario
+
 
 class TestRandomMachine:
     def test_specs_are_well_formed(self):
@@ -57,11 +59,23 @@ class TestScenario:
             assert labels.index("B") >= labels.index("T") + 1
 
     def test_configs_cover_every_cycle(self):
+        """The stretched scenario ends in the configuration its stepped
+        twin ends in, with the same history and moves, over random
+        machines, schedules and cycle budgets; the twin's configurations
+        cover every cycle."""
         rng = random.Random(5)
-        spec = random_machine(rng)
-        out = run_scenario(spec, [], 30)
-        assert len(out["configs"]) == 31
-        assert all(c.cycle == i for i, c in enumerate(out["configs"]))
+        for case in range(300):
+            spec = random_machine(rng)
+            schedule = random_schedule(rng, spec)
+            cycles = rng.randint(0, 150)
+            out = run_scenario(spec, schedule, cycles)
+            twin = stepped_scenario(spec, schedule, cycles)
+            assert len(twin["configs"]) == cycles + 1
+            assert all(c.cycle == i for i, c in enumerate(twin["configs"]))
+            assert out["config"] == twin["config"], case
+            assert list(out["history"]) == list(twin["history"]), case
+            assert out["env_moves"] == twin["env_moves"], case
+            assert out["own_moves"] == twin["own_moves"], case
 
     def test_worktape_machines_consume_space(self):
         rng = random.Random(0)
@@ -69,7 +83,7 @@ class TestScenario:
         for _ in range(30):
             spec = random_machine(rng)
             out = run_scenario(spec, [(0, "#1")], 40)
-            if spacecost(out["configs"][-1]) > 0:
+            if spacecost(out["config"]) > 0:
                 grew = True
         assert grew
 
