@@ -38,9 +38,13 @@ and, from one more run with `hpm.run_until` and `hpm.step` wrapped in
 counters, the number of T moves played and how often each was called.
 Those three counts do not depend on the host.  `step` is a stretch of
 one cycle, so `run_until_calls` counts the calls through `step` too.
-`play` advances the runner only by stretches, of one cycle after each
-⊥ move and otherwise up to the next T move, so `step_calls` stays 0:
-it shows whether `play` ever steps one cycle at a time.
+`play` advances the runner only by stretches: of one cycle after each
+⊥ move, and otherwise to the end of the fuel through as many T moves
+as the script env will sit out, its horizon, which is unbounded once
+it has played its last entry.  So `run_until_calls` is at most one
+more than twice the env's entries, whatever the fuel: 10 for the
+chatter env, whose five entries start at @0.  `step_calls` stays 0: it
+shows whether `play` ever steps one cycle at a time.
 
 `vasa` is the same against fuel for `clarith transform vasa --play`:
 the responder machine and its legal environment that `perfbench/gen.py`

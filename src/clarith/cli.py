@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -87,17 +88,17 @@ def _vasa_consts(text, f):
 
 
 def _make_env(spec_text):
-    """Environment callable from an env spec.
+    """Environment callable from an env spec, as `hpm.play` calls it.
 
     "repl" prompts on stdin until its input ends; "x=5,k=3" plays the
     constants #<numer> in order; anything else is a script file whose
     lines are moves, each optionally prefixed "@t " to wait until t
-    ⊤-moves are visible.  Every env but "repl", which reads a line each
-    cycle, is a function of the visible run, as `hpm.play`'s
-    env_reads_run means it.
+    ⊤-moves are visible; no spec is the script of no lines.  Every env
+    but "repl" is a script env, with a horizon; "repl" reads a line each
+    cycle, so it promises nothing.
     """
     if spec_text is None:
-        return lambda run: None
+        return _script_env([])
     if spec_text == "repl":
         def lines():
             try:
@@ -106,7 +107,7 @@ def _make_env(spec_text):
             except EOFError:
                 return
         replies = lines()
-        return lambda run: next(replies, None) or None
+        return lambda run: (next(replies, None) or None, 0)
     if "=" in spec_text and not os.path.exists(spec_text):
         consts = [value for _, value in _parse_consts(spec_text, "--env")]
         return _script_env([(0, m) for _, m in game.constant_moves(consts)])
@@ -136,7 +137,9 @@ def _parse_env_script(text):
 
 def _script_env(entries):
     """Environment callable playing each (after, move) entry once at least
-    `after` T-moves are visible.  The run it is called with only extends,
+    `after` T-moves are visible.  Its horizon, when it makes no move, is
+    the next entry's `after` minus the T-moves visible, and unbounded
+    once every entry is played.  The run it is called with only extends,
     so T-moves are counted over the new entries alone, by index, and
     only when the run has grown; once every entry is played, not at all."""
     pending = list(entries)
@@ -145,17 +148,18 @@ def _script_env(entries):
     def env(run):
         nonlocal nxt, seen, tops
         if nxt == len(pending):
-            return None
+            return None, math.inf
         n = len(run)
         if n > seen:
             for i in range(seen, n):
                 if run[i][0] == "T":
                     tops += 1
             seen = n
-        if pending[nxt][0] <= tops:
+        after, move = pending[nxt]
+        if after <= tops:
             nxt += 1
-            return pending[nxt - 1][1]
-        return None
+            return move, 0
+        return None, after - tops
 
     return env
 
@@ -172,8 +176,8 @@ def _winner(f, run):
         return f"{'B' if label == 'T' else 'T'} (first illegal move by {label})"
 
 
-def _play_and_report(runner, f, env, env_reads_run, fuel, trace_path):
-    out = hpm.play(runner, env, fuel, env_reads_run)
+def _play_and_report(runner, f, env, fuel, trace_path):
+    out = hpm.play(runner, env, fuel)
     print(game.format_run(out["run"]), end="")
     try:
         print("winner:", _winner(f, out["run"]))
@@ -278,8 +282,7 @@ def cmd_run(args):
     if banner is not None:
         print(banner)
     if args.play:
-        _play_and_report(runner, f, env, args.env != "repl", fuel,
-                         getattr(args, "trace", None))
+        _play_and_report(runner, f, env, fuel, getattr(args, "trace", None))
     return 0
 
 
@@ -287,7 +290,7 @@ def cmd_meter(args):
     meter = hpm.Meter()
     for cycle, (label, move) in enumerate(_load(args.trace, game.parse_run)):
         meter.record_cycle(cycle, move if label == "B" else None, 0,
-                           [move] if label == "T" else [])
+                           [(1, move)] if label == "T" else [])
     for key, value in hpm.meter_report(meter).items():
         print(f"{key}: {json.dumps(value)}")
     return 0

@@ -41,9 +41,10 @@ class SimulationFault(Exception):
 def _one_verdict(premise, values, fuel):
     """Run the premise, given the constants values, until its first move."""
     st = premise.feed(premise.initial(), constant_moves(values))
-    mv = premise.stretch(st, fuel)[3]
-    if mv is None:
+    made = premise.stretch(st, fuel)[3]
+    if not made:
         raise SimulationFault(f"no verdict within {fuel} steps")
+    mv = made[0][1]
     if mv.startswith("0."):
         return True
     if mv.startswith("1."):
@@ -58,7 +59,7 @@ class ComprehensionRunner:
     plays, in the order `free_vars` lists them, then performs the whole
     probe loop and answers with the single move #d.  Faults in the
     premise are recorded, not raised; a faulted runner stays silent.
-    A stretch is of one cycle, whatever its limit.
+    A stretch is of one cycle, whatever its limit and budget.
     """
 
     def __init__(self, premise, p: fm.Formula, y: str, bound: BoundExpr):
@@ -71,7 +72,7 @@ class ComprehensionRunner:
         self.faults = []
         self.done = False
 
-    def stretch(self, visible_run, limit):
+    def stretch(self, visible_run, limit, budget=1):
         opened = None if self.done else opening(self.var_order, visible_run)
         if opened is None:
             return 1, 0, []
@@ -87,4 +88,4 @@ class ComprehensionRunner:
         except SimulationFault as exc:
             self.faults.append(str(exc))
             return 1, 0, []
-        return 1, 0, ["#" + bits.lstrip("0")]
+        return 1, 0, [(1, "#" + bits.lstrip("0"))]

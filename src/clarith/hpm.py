@@ -39,21 +39,25 @@ never rescans or copies it:
   if any, so the meter never reads the run: it keeps a running
   background maximum and per-background maxima, and does not grow with
   the cycles.
-- Machines advance in stretches.  `run_until` runs the machine up to
-  its next move in one loop that keeps the state, tapes, heads, run
-  head, buffer and cell counts in local variables and builds one
-  `Configuration` at the end; `step` is a stretch of one cycle.  A
-  strategy advances only by `stretch`.  The peak of a one-cycle
-  stretch is the cell count after that cycle, so Sim, which simulates
-  a premise one cycle at a time, reads U off its stretches.  `play`
-  hands every runner a stretch: of one cycle after a ⊥ move, or while
-  the env is no function of the visible run, and otherwise up to the
-  next own move, where one env call, one `stretch` and one meter
-  record stand for all its cycles, so a quiet cycle costs one
-  `_transition` and a few compares.  A machine that finds no row stays
-  halted until the run grows, so that cycle ends the stretch and uses
-  up its limit.  On one work tape, `_transition` writes and moves the
-  head with no zip, list or tuple.
+- Machines advance in stretches.  `run_until` runs the machine for up
+  to `limit` cycles and through up to `budget` of its own moves in one
+  loop that keeps the state, tapes, heads, run head, buffer and cell
+  counts in local variables and builds one `Configuration` at the end;
+  `step` is a stretch of one cycle.  Each own move extends the log in
+  the loop, and the loop re-reads the run tape's cells and length,
+  since the machine may read that move later in the same stretch.  A
+  strategy advances only by `stretch`, and a stretch hands back each
+  move with the cycle it was flushed at.  The peak of a one-cycle
+  stretch is the cell count after that cycle, so Sim, which simulates a
+  premise one cycle at a time, reads U off its stretches.  `play` hands
+  every runner a stretch: of one cycle after a ⊥ move or when the env
+  promises nothing, and otherwise up to the end of the fuel through as
+  many own moves as the env's horizon says it will sit out, where one
+  env call, one `stretch` and one meter record stand for all its
+  cycles, so a quiet cycle costs one `_transition` and a few compares.
+  A machine that finds no row stays halted until the run grows, so that
+  cycle ends the stretch and uses up its limit.  On one work tape,
+  `_transition` writes and moves the head with no zip, list or tuple.
 
 A sketch reads the run through a `History`, the reason wrapper's
 append-only list of (label, size) records.  Next to the records it keeps
@@ -427,18 +431,21 @@ def _write_cell(t, h, w, d):
     return t, h
 
 
-def run_until(spec: HPMSpec, cfg: Configuration, limit: int, incoming=()):
+def run_until(spec: HPMSpec, cfg: Configuration, limit: int, incoming=(),
+              budget=1):
     """At most `limit` (at least 1) machine cycles in one loop, the first
-    absorbing incoming ⊥-moves; it stops after the first cycle that
-    makes a move.
+    absorbing incoming ⊥-moves, through at most `budget` (at least 1)
+    moves: it stops after the cycle that makes the budget's last move.
 
-    -> (configuration after the stretch, cycles used, peak cell count),
-    the peak being the largest `spacecost` of the configurations after
-    each cycle of the stretch.  A cycle that finds no row leaves the
-    machine as it was, and no cycle after it can find one, since nothing
-    feeds the run meanwhile: that cycle uses up every remaining cycle.
-    The run symbol and the tape length are read off the run log; a write
-    changes one cell, the one under its head, so each work tape's
+    -> (configuration after the stretch, cycles used, peak cell count,
+    moves), the peak being the largest `spacecost` of the configurations
+    after each cycle of the stretch, and the moves a list of (cycle, move)
+    pairs, the cycle counted from 1 at the stretch's first.  A cycle that
+    finds no row leaves the machine as it was, and no cycle after it can
+    find one, since nothing feeds the run meanwhile: that cycle uses up
+    every remaining cycle.  The run symbol and the tape length are read
+    off the run log, and read again after each move, which extends it; a
+    write changes one cell, the one under its head, so each work tape's
     non-blank count moves by what that cell held and now holds.
     """
     log, length = cfg.log, cfg.length
@@ -449,7 +456,7 @@ def run_until(spec: HPMSpec, cfg: Configuration, limit: int, incoming=()):
     buffer, moves_made, counts = cfg.buffer, cfg.moves_made, cfg.counts
     one, move_states = len(tapes) == 1, spec.move_states
     cur = max(counts) if counts else 0
-    peak, used, last_move = cur, 0, None
+    peak, used, made = cur, 0, []
     while used < limit:
         used += 1
         if runhead >= run_len:
@@ -476,11 +483,15 @@ def run_until(spec: HPMSpec, cfg: Configuration, limit: int, incoming=()):
             buffer += append
         if state in move_states:
             log, length = log.extended(length, (("T", buffer),))
-            buffer, moves_made, last_move = "", moves_made + 1, buffer
-            break
+            made.append((used, buffer))
+            buffer, moves_made = "", moves_made + 1
+            if len(made) == budget:
+                break
+            cells, run_len = log.cells, log.starts[length]
+    last_move = made[-1][1] if made and made[-1][0] == used else None
     return (_fill(_new(Configuration), state, tapes, heads, log, length,
                   runhead, buffer, cfg.cycle + used, moves_made, append,
-                  last_move, counts), used, peak)
+                  last_move, counts), used, peak, made)
 
 
 def step(spec: HPMSpec, cfg: Configuration, incoming=()) -> Configuration:
@@ -511,10 +522,9 @@ class HPMStrategy:
     def feed(self, cfg, labmoves):
         return cfg.extend(labmoves)
 
-    def stretch(self, cfg, limit):
-        """`run_until` over at most limit cycles."""
-        nxt, used, peak = run_until(self.spec, cfg, limit)
-        return nxt, used, peak, nxt.last_move
+    def stretch(self, cfg, limit, budget=1):
+        """`run_until` over at most limit cycles and budget moves."""
+        return run_until(self.spec, cfg, limit, (), budget)
 
 
 class ScriptStrategy:
@@ -530,25 +540,30 @@ class ScriptStrategy:
         run, waited = st
         return (run + tuple(labmoves), waited)
 
-    def stretch(self, st, limit):
-        """fn once per cycle, up to limit cycles, up to a move; the peak
-        is 0."""
+    def stretch(self, st, limit, budget=1):
+        """fn once per cycle, up to limit cycles, through up to budget
+        moves; the peak is 0."""
         run, waited = st
         fn = self.fn
-        mv = fn(run, waited)
-        used = 1
-        while mv is None and used < limit:
-            waited += 1
-            mv = fn(run, waited)
+        made = []
+        used = 0
+        while used < limit:
             used += 1
-        if mv is None:
-            return (run, waited + 1), used, 0, None
-        return (run + (("T", mv),), 0), used, 0, mv
+            mv = fn(run, waited)
+            if mv is None:
+                waited += 1
+                continue
+            run += (("T", mv),)
+            waited = 0
+            made.append((used, mv))
+            if len(made) == budget:
+                break
+        return (run, waited), used, 0, made
 
     # `stretch(st, 1)`, kept because perfbench/tracer.py wraps it
     def step(self, st):
-        st, _, _, mv = self.stretch(st, 1)
-        return st, mv
+        st, _, _, made = self.stretch(st, 1)
+        return st, made[0][1] if made else None
 
 
 class StrategyRunner:
@@ -556,21 +571,25 @@ class StrategyRunner:
 
     A strategy advances over immutable states: `initial()`, `feed(st,
     labmoves)` (the ⊕, appending labmoves to the run seen) and
-    `stretch(st, limit)` -> (next state, cycles used, peak cells, move
-    or None), up to `limit` cycles up to and including the first move,
-    the peak being the most work-tape cells in use after any of them.
-    `HPMStrategy` and `ScriptStrategy` are the two kinds.
+    `stretch(st, limit, budget=1)` -> (next state, cycles used, peak
+    cells, moves): up to `limit` cycles, through at most `budget` moves,
+    the peak being the most work-tape cells in use after any of them and
+    the moves a list of (cycle, move) pairs, each cycle counted from 1 at
+    the stretch's first.  `HPMStrategy` and `ScriptStrategy` are the two
+    kinds.
 
-    `stretch(visible_run, limit)` is the runner's one advance: up to
-    `limit` cycles handed the same visible run, up to and including the
-    first that makes a move, -> (cycles used, peak of the `spacecost`
-    after each, moves).  A stretch of one cycle is a poll.  The harness
-    appends each returned move to the run before the next stretch, so
-    `seen`, the length of the last visible run plus the move returned,
-    is how much of the run the strategy has been fed.  The visible run
-    may be the harness's own list, which grows after `stretch` returns,
-    so a runner keeps the count of entries it has read, not the run
-    object.
+    `stretch(visible_run, limit, budget=1)` is the runner's one advance,
+    under the same contract: up to `limit` cycles handed the same visible
+    run, through at most `budget` own moves, -> (cycles used, peak of
+    the `spacecost` after each, moves as (cycle, move) pairs).  The
+    budget is an upper bound: a runner that must stop at its first move
+    does so whatever its budget.  A stretch of one cycle is a poll.  The
+    harness appends the returned moves to the run before the next
+    stretch, so `seen`, the length of the last visible run plus the
+    moves returned, is how much of the run the strategy has been fed.
+    The visible run may be the harness's own list, which grows after
+    `stretch` returns, so a runner keeps the count of entries it has
+    read, not the run object.
     """
 
     def __init__(self, strategy):
@@ -578,16 +597,14 @@ class StrategyRunner:
         self.st = strategy.initial()
         self.seen = 0
 
-    def stretch(self, visible_run, limit):
+    def stretch(self, visible_run, limit, budget=1):
         n = len(visible_run)
         if n > self.seen:
             self.st = self.strategy.feed(self.st, visible_run[self.seen:])
-        self.st, used, peak, mv = self.strategy.stretch(self.st, limit)
-        if mv is None:
-            self.seen = n
-            return used, peak, []
-        self.seen = n + 1
-        return used, peak, [mv]
+        self.st, used, peak, made = self.strategy.stretch(self.st, limit,
+                                                          budget)
+        self.seen = n + len(made)
+        return used, peak, made
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +620,13 @@ class Meter:
     `background` is a running maximum over the ⊥ moves given so far.
     `_cells` mirrors `spacecost[background]`: a quiet cycle costs one compare.
 
-    One call may stand for a stretch of cycles with no ⊥ move: `cycle`
-    is its last cycle, the one of its move if it made one, and `cells`
-    its peak.  The background stays fixed over the stretch, so the
-    readings are those of one call per cycle.
+    One call stands for a stretch of cycles: `cycle` is its first cycle,
+    the one its ⊥ move, if any, comes before, `cells` its peak, and
+    `made` its own moves as (k, move) pairs, k counting the stretch's
+    cycles from 1, so the move is made at cycle + k - 1.  The background
+    stays fixed over the stretch, since a ⊥ move comes only before its
+    first cycle, so the readings are those of one call per cycle, and
+    each move's time is counted to its own cycle.
     """
 
     def __init__(self):
@@ -624,12 +644,13 @@ class Meter:
             self._cells = self.spacecost.get(self.background, -1)
         if cells > self._cells:
             self._cells = self.spacecost[self.background] = cells
-        for m in made:
+        for k, m in made:
             bg = self.background
+            at = cycle + k - 1
             self.amplitude[bg] = max(self.amplitude.get(bg, 0), magnitude(m))
             self.max_timecost = max(self.max_timecost,
-                                    cycle - self._last_event_cycle)
-            self._last_event_cycle = cycle
+                                    at - self._last_event_cycle)
+            self._last_event_cycle = at
 
 
 def meter_report(meter: Meter):
@@ -666,42 +687,46 @@ def fuel_from_env() -> int:
     return fuel
 
 
-def play(runner, env, fuel: int, env_reads_run=False):
+def play(runner, env, fuel: int):
     """Interleave env moves (first) and machine cycles for fuel cycles.
 
-    runner: object with stretch(visible_run, limit) -> (cycles used,
-    peak cells, moves), as `StrategyRunner` describes.
-    env: callable(visible_run) -> move string or None.
+    runner: object with stretch(visible_run, limit, budget) -> (cycles
+    used, peak cells, moves), as `StrategyRunner` describes.
+    env: callable(visible_run) -> (move string or None, horizon), the
+    horizon being, when it makes no move, how many more ⊤ moves it will
+    surely let pass before its next one (`math.inf` for none ever), and
+    0 when it promises nothing.
     Both are handed one list that play appends to, so the visible run
     they were given grows after they return: they keep counts of the
     entries they have read, not the run itself.  The result's run is a
     tuple.
 
     Each env call is followed by one stretch.  It is a stretch of one
-    cycle when the env made a move, and also unless env_reads_run says
-    the env is a function of the visible run, as the CLI's scripts and
-    constants are and its stdin prompt is not.  Otherwise it runs up to
-    the runner's next move, or to the end of the fuel, with one env call
-    and one meter record.  The result is that of one env call and one
-    stretch per cycle: the run does not change before that move, so the
-    env would have returned None at each of those cycles, and with no ⊥
-    move among them the meter's background stays fixed, so the stretch's
-    peak cells stand for their per-cycle readings.
+    cycle when the env made a move or gave a horizon of 0.  Otherwise it
+    runs to the end of the fuel through at most the horizon's own moves,
+    with one env call and one meter record.  The result is that of one
+    env call and one stretch per cycle: before the horizon's last move
+    the env would have returned None at each of those cycles, and with
+    no ⊥ move among them the meter's background stays fixed, so the
+    stretch's peak cells stand for their per-cycle readings, and the
+    meter reads each move at its own cycle.
     """
     run = []
     meter = Meter()
     stretch, record = runner.stretch, meter.record_cycle
     cycle = 0
     while cycle < fuel:
-        mv = env(run)
+        mv, horizon = env(run)
         if mv is not None:
             run.append(("B", mv))
-        used, cells, made = stretch(
-            run, fuel - cycle if mv is None and env_reads_run else 1)
-        cycle += used
-        for m in made:
+        if mv is None and horizon > 0:
+            used, cells, made = stretch(run, fuel - cycle, horizon)
+        else:
+            used, cells, made = stretch(run, 1, 1)
+        for _, m in made:
             run.append(("T", m))
-        record(cycle - 1, mv, cells, made)
+        record(cycle, mv, cells, made)
+        cycle += used
     return {"run": tuple(run), "meter": meter}
 
 

@@ -67,10 +67,10 @@ def _sim_stepping(a, b, n, strategy, state, consequent=(), q=0):
             w = strategy.feed(w, tuple([("B", prefix + m) for m in payload]))
         t = w
         for _ in range(p):
-            t, _, cells, mv = stretch(t, 1)
+            t, _, cells, made = stretch(t, 1)
             if cells > u:
                 u = cells
-            if mv is not None:
+            for _, mv in made:
                 w = t  # witnessed; a stray unprefixed move is recorded nowhere
                 if n == 0:
                     nu.append(mv)
@@ -176,7 +176,7 @@ class InductionRunner:
     grow after a poll returns: each poll reads just the entries past the
     count it has read, the first ⊥ moves being the constants (the free
     variables', then k).  A stretch is one poll, of one cycle whatever
-    its limit.  `locked` turns true when a locking iteration is
+    its limit and budget.  `locked` turns true when a locking iteration is
     recorded.  `faults` stays empty: an invalid aggregation raises
     rather than being recorded as a fault.  Once the constants arrive,
     `census` and `statute_params` describe the body formula and the
@@ -224,8 +224,8 @@ class InductionRunner:
         next(self._gen, None)
         return self._out
 
-    def stretch(self, visible_run, limit):
-        return 1, 0, self.poll(visible_run)
+    def stretch(self, visible_run, limit, budget=1):
+        return 1, 0, [(1, m) for m in self.poll(visible_run)]
 
     # -- plumbing ------------------------------------------------------------
 
@@ -357,8 +357,8 @@ class InductionRunner:
             if len(env_moves) > fed:
                 st = strategy.feed(st, tuple(("B", m) for m in env_moves[fed:]))
                 fed = len(env_moves)
-            st, _, _, mv = strategy.stretch(st, 1)
-            if mv is not None:
+            st, _, _, made = strategy.stretch(st, 1)
+            for _, mv in made:
                 self._out.append("1." + mv)
             yield
 

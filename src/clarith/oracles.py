@@ -97,8 +97,8 @@ def _suite_windup(rng, cases):
 class SteppedMachine:
     """A machine premise stepped by `hpm.step`, which counts the
     non-blank cells of `cfg.tapes` after each cycle into `cells`; its
-    stretches report a peak of 0.  `oracle sim` and the tests check
-    Sim's U against it."""
+    stretches report a peak of 0 and end at its first move, whatever
+    their budget.  `oracle sim` and the tests check Sim's U against it."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -110,14 +110,14 @@ class SteppedMachine:
     def feed(self, cfg, labmoves):
         return cfg.extend(labmoves)
 
-    def stretch(self, cfg, limit):
+    def stretch(self, cfg, limit, budget=1):
         for used in range(1, limit + 1):
             cfg = hpm.step(self.spec, cfg)
             self.cells = max([self.cells] + [len(t) - t.count(hpm.BLANK)
                                              for t in cfg.tapes])
             if cfg.last_move is not None:
-                break
-        return cfg, used, 0, cfg.last_move
+                return cfg, used, 0, [(used, cfg.last_move)]
+        return cfg, used, 0, []
 
 
 def _suite_sim(rng, cases):
@@ -185,7 +185,7 @@ def _one_compr_case(table, c):
     moves = runner.stretch((), 1)[2]
     if len(moves) != 1:
         return f"comprehension made {len(moves)} moves for table {table!r}"
-    _, numer = game.split_move(moves[0])
+    _, numer = game.split_move(moves[0][1])
     got = game.numer_value(numer or "")
     want = sum(1 << y for y in range(c) if y < len(table) and table[y])
     if got != want:

@@ -98,9 +98,10 @@ class ReasonRunner:
     before the fetched move, which never changes, so a retry would fail
     the same way.  Raises ValueError for a choice-free formula.
 
-    `stretch` is as in `StrategyRunner`, peak 0.  A stretch reads
-    (`_ready`), then advances once per cycle (`_advance`: one
-    `update_sketch` call and the emission).  Once an advance returns
+    `stretch` is as in `StrategyRunner`, peak 0, and it ends at its
+    first move whatever its budget, as that move restarts the sketch.  A
+    stretch reads (`_ready`), then advances once per cycle (`_advance`:
+    one `update_sketch` call and the emission).  Once an advance returns
     the sketch it was given, the boolean `idle` stops advances until a
     record restarts the sketch: `sketch_advance` depends only on the
     sketch and the history, and a sketch that advances to an equal one
@@ -121,12 +122,12 @@ class ReasonRunner:
         self.faults = []
         self.idle = False
 
-    def stretch(self, visible_run, limit):
+    def stretch(self, visible_run, limit, budget=1):
         if self._ready(visible_run):
             for used in range(1, limit + 1):
-                made = self._advance()
-                if made:
-                    return used, 0, made
+                mv = self._advance()
+                if mv is not None:
+                    return used, 0, [(used, mv)]
                 if self.idle or self.faults:
                     break
         return limit, 0, []
@@ -155,24 +156,25 @@ class ReasonRunner:
         return not self.idle
 
     def _advance(self):
-        """One resimulated cycle of the sketch: -> the moves it emits."""
+        """One resimulated cycle of the sketch: -> the move it emits, or
+        None."""
         s = self.sketch
         try:
             nxt = update_sketch(self.spec, self.history, s, self.own_bots,
                                 self.ctx)
         except FetchError as exc:
             self.faults.append(str(exc))
-            return []
+            return None
         if nxt.moves_made > len(self.history.top_at):
             append = nxt.last_append
             self.history.append(("T", s.buffer_len + len(append)))
             trunc, _ = track_append(s.trunc, s._shape, append, self.ctx)
             self.sketch = initial_sketch(self.spec)
             self.restarts += 1
-            return [trunc]
+            return trunc
         self.idle = nxt.state == s.state and nxt == s
         self.sketch = nxt
-        return []
+        return None
 
 
 class VasaRunner(StrategyRunner):
@@ -183,10 +185,12 @@ class VasaRunner(StrategyRunner):
     so far is kept, and each stretch applies only the entries added
     since, so the visible run must only extend from stretch to stretch.
     It is checked before the machine is fed, so the windup reads the
-    configuration without the entries that made the run illegal.  The
-    stretch that retires the runner is a stretch of one cycle; a retired
-    runner never moves again, so it uses up the limit in one call; both
-    read the cells in use through `hpm.spacecost`.  Raises ValueError
+    configuration without the entries that made the run illegal, and
+    each stretch ends at the machine's first move whatever its budget,
+    so that move is checked before the next is made.  The stretch that
+    retires the runner is a stretch of one cycle; a retired runner never
+    moves again, so it uses up the limit in one call; both read the
+    cells in use through `hpm.spacecost`.  Raises ValueError
     for a choice-free formula and KeyError when c_env misses one of f's
     free variables.
     """
@@ -200,9 +204,9 @@ class VasaRunner(StrategyRunner):
 
     # a stretch of one cycle, kept because perfbench/tracer.py wraps it
     def poll(self, visible_run):
-        return self.stretch(visible_run, 1)[2]
+        return [m for _, m in self.stretch(visible_run, 1)[2]]
 
-    def stretch(self, visible_run, limit):
+    def stretch(self, visible_run, limit, budget=1):
         if self.retired:
             return limit, hpm.spacecost(self.st), []
         if not self._retires(visible_run):
@@ -228,7 +232,7 @@ class VasaRunner(StrategyRunner):
         v = Semiposition(tops + (("T", buf),), open_last=True)
         position = self.position
         try:
-            return [buf + windup(v, position.formula, position.c_env)]
+            return [(1, buf + windup(v, position.formula, position.c_env))]
         except ValueError:
             return []
 

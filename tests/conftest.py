@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -153,16 +154,26 @@ def stepped_scenario(spec, schedule, cycles):
 
 def make_scripted_env(entries):
     """Environment callable playing each move once at least the given
-    number of machine moves are visible."""
+    number of machine moves are visible, with the horizon `hpm.play`
+    reads, both rescanned off the run: the slow twin of
+    `cli._script_env`."""
     pending = list(entries)
 
     def env(run):
         tops = sum(1 for label, _ in run if label == "T")
-        if pending and pending[0][0] <= tops:
-            return pending.pop(0)[1]
-        return None
+        if not pending:
+            return None, math.inf
+        if pending[0][0] <= tops:
+            return pending.pop(0)[1], 0
+        return None, pending[0][0] - tops
 
     return env
+
+
+def without_horizon(env):
+    """env with its horizon dropped: `hpm.play` then stretches one cycle
+    per env call, as it does against an env that promises nothing."""
+    return lambda run: (env(run)[0], 0)
 
 
 def counter_n_script():

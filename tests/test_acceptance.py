@@ -161,10 +161,10 @@ def test_criterion_9_unconditional_wrapper(legal_machine,
     for _ in range(60):
         for env, runner, which in ((env_a, raw, "a"), (env_b, wrapped, "b")):
             run = run_a if which == "a" else run_b
-            mv = env(run)
+            mv, _ = env(run)
             if mv is not None:
                 run = run + (("B", mv),)
-            for m in runner.stretch(run, 1)[2]:
+            for _, m in runner.stretch(run, 1)[2]:
                 run = run + (("T", m),)
             if which == "a":
                 run_a = run

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import clarith.formula as fm
-from clarith import game, induction, oracles
+from clarith import game, hpm, induction, oracles
 from clarith.cli import main
 
 from conftest import (BLIND_CONCLUSION, FIXTURES, TWO_DISJUNCT_TEXT,
@@ -182,6 +182,27 @@ class TestPlay:
         assert capsys.readouterr().out.splitlines()[:4] == [
             "B #1001", "B #1", "T 0.1.#1111111",
             "winner: T (first illegal move by B)"]
+
+    def test_no_env_plays_as_one_stretch(self, formula_file, monkeypatch,
+                                         capsys):
+        """Without --env the env is the script of no entries, whose
+        horizon is unbounded: the whole play is one stretch, one
+        `run_until` call through every move, and prints what one cycle
+        per env call prints."""
+        calls = []
+
+        def counted(*args, run_until=hpm.run_until):
+            calls.append(args[2:])
+            return run_until(*args)
+
+        monkeypatch.setattr(hpm, "run_until", counted)
+        assert main(["play", fixture("echo.hpm"), formula_file,
+                     "--fuel", "30"]) == 0
+        assert capsys.readouterr().out == "T #1\n" * 8 + (
+            "winner: T (environment never instantiated the game)\n"
+            'meter: {"amplitude": {"1": 1}, "max_spacecost": 0, '
+            '"spacecost_by_background": {"1": 0}, "max_timecost": 4}\n')
+        assert calls == [(30, (), float("inf"))]
 
     def test_winner_of_an_uninstantiated_game(self, tmp_path, capsys):
         f = tmp_path / "eq.clf"

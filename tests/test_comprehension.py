@@ -105,7 +105,9 @@ class TestRunner:
     def assemble(self, mask, c):
         p = fm.Atom("Bit", (fm.TVar("y"), fm.TConst(format(mask, "b") if mask else "")))
         runner = ComprehensionRunner(bit_premise(mask), p, "y", Nat(c))
-        return runner, runner.stretch((), 1)[2]
+        used, _, made = runner.stretch((), 1)
+        assert used == 1 and [k for k, _ in made] == [1] * len(made)
+        return runner, [m for _, m in made]
 
     def test_worked_example(self):
         runner, moves = self.assemble(0b101, 3)
@@ -147,7 +149,7 @@ class TestRunner:
         assert runner.var_order == ["x"]
         assert runner.stretch((), 1)[2] == []
         moves = runner.stretch((("B", "#101"),), 1)[2]
-        assert moves == ["#101"]
+        assert moves == [(1, "#101")]
 
     def test_reads_constants_in_the_conclusions_order(self):
         p = fm.parse_formula("Bit(y, c) & q(e, y, a)")
@@ -177,7 +179,7 @@ class TestAgainstDirectComputation:
         p = fm.Atom("Bit", (fm.TVar("y"),
                             fm.TConst(format(mask, "b") if mask else "")))
         runner = ComprehensionRunner(bit_premise(mask), p, "y", Nat(c))
-        (move,) = runner.stretch((), 1)[2]
+        ((_, move),) = runner.stretch((), 1)[2]
         assert is_canonical_numer(move[1:])
         assert numer_value(move[1:]) == truncated
 
@@ -190,7 +192,7 @@ class TestAgainstDirectComputation:
                             fm.TConst(format(mask, "b") if mask else "")))
         g = comprehension_conclusion(p, "y", Nat(c))
         runner = ComprehensionRunner(bit_premise(mask), p, "y", Nat(c))
-        (move,) = runner.stretch((), 1)[2]
+        ((_, move),) = runner.stretch((), 1)[2]
         assert wins(g, {}, (("T", move),)) == "T"
 
 

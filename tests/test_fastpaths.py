@@ -74,6 +74,7 @@ from conftest import (
     formulas,
     make_scripted_env,
     read_fixture,
+    without_horizon,
 )
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(FIXTURES)), "perfbench")
@@ -227,20 +228,23 @@ def meter_rescan(cycles):
             last_event = max([0] + [i for i, (e, _, m) in enumerate(cycles[:c + 1])
                                     if e is not None or (m and i < c)])
             timecost = max(timecost, c - last_event)
-        for m in made:
+        for _, m in made:
             amplitude[bg] = max(amplitude.get(bg, 0), magnitude(m))
     return bg, space, amplitude, timecost
 
 
 moves = st.text(alphabet="01#.", max_size=6)
-meter_cycles = st.lists(st.tuples(st.none() | moves, st.integers(0, 9),
-                                  st.lists(moves, max_size=2)), max_size=16)
+# each cycle a stretch of one cycle, its moves made at its first
+meter_cycles = st.lists(st.tuples(
+    st.none() | moves, st.integers(0, 9),
+    st.lists(moves, max_size=2).map(lambda ms: [(1, m) for m in ms])),
+    max_size=16)
 
 
 class TestMeter:
     @settings(max_examples=300)
     @example([(None, 0, []), (None, 3, [])])
-    @example([("#11", 2, []), (None, 1, ["0.#1"]), (None, 4, [])])
+    @example([("#11", 2, []), (None, 1, [(1, "0.#1")]), (None, 4, [])])
     @given(meter_cycles)
     def test_running_background_matches_rescan(self, cycles):
         """The background and every reading, after each cycle, with random
@@ -423,11 +427,11 @@ class ReplayVasa(VasaRunner):
     stretch: its position and cursor go back to the start before every
     stretch."""
 
-    def stretch(self, visible_run, limit):
+    def stretch(self, visible_run, limit, budget=1):
         pos = self.position
         self.position = GamePosition.start(pos.formula, pos.c_env)
         self.checked = 0
-        return VasaRunner.stretch(self, visible_run, limit)
+        return VasaRunner.stretch(self, visible_run, limit, budget)
 
 
 def retire_cycle(runner, env, fuel):
@@ -436,8 +440,8 @@ def retire_cycle(runner, env, fuel):
     retired = []
     stretch = runner.stretch
 
-    def watched(run, limit):
-        out = stretch(run, limit)
+    def watched(run, limit, budget):
+        out = stretch(run, limit, budget)
         retired.append(runner.retired)
         return out
 
@@ -489,13 +493,14 @@ class TestVasaLegality:
 # stretches up to the next move against `play` one cycle at a time.
 
 FIXTURE_MACHINES = ("legal.hpm", "bigmove.hpm", "always_yes.hpm",
-                    "k_const.hpm", "n_const.hpm")
+                    "k_const.hpm", "n_const.hpm", "echo.hpm")
 
 
 @st.composite
 def stretch_machines(draw):
     """A zoo machine (its last phase halts), a two-tape rewriting machine
-    or a fixture machine."""
+    or a fixture machine, `echo.hpm` among them, which reads its own
+    moves."""
     kind = draw(st.sampled_from(("zoo", "rewriting") + FIXTURE_MACHINES))
     if kind in FIXTURE_MACHINES:
         return parse_hpm(read_fixture(kind))
@@ -504,16 +509,30 @@ def stretch_machines(draw):
 
 
 def stepped(spec, cfg, limit, incoming=()):
-    """The slow twin of `run_until`: one `step` after another, stopping
-    after the first that moves, and the largest rescanned spacecost
-    after any of them."""
+    """The slow twin of `run_until` with a budget of one move: one `step`
+    after another, stopping after the first that moves, and the largest
+    rescanned spacecost after any of them."""
     peak = -1
     for used in range(1, limit + 1):
         cfg = step(spec, cfg, incoming if used == 1 else ())
         peak = max(peak, spacecost_twin(cfg))
         if cfg.last_move is not None:
-            break
-    return cfg, used, peak
+            return cfg, used, peak, [(used, cfg.last_move)]
+    return cfg, used, peak, []
+
+
+def one_move_stretches(spec, cfg, limit, budget, incoming=()):
+    """The twin of `run_until` with a budget: one-move stretches back to
+    back, up to limit cycles and budget moves in all, each move's cycle
+    counted from the first stretch's first cycle, and the largest of
+    their peaks."""
+    used, peak, made = 0, -1, []
+    while used < limit and len(made) < budget:
+        cfg, n, p, moves = run_until(spec, cfg, limit - used,
+                                     incoming if used == 0 else ())
+        made += [(used + k, m) for k, m in moves]
+        used, peak = used + n, max(peak, p)
+    return cfg, used, peak, made
 
 
 class TestRunUntil:
@@ -534,17 +553,55 @@ class TestRunUntil:
 
     def test_a_halted_machine_uses_up_the_limit(self):
         spec = zoo.random_machine(random.Random(3), phases=1, phase_len=2)
-        moved, used, _ = run_until(spec, initial_configuration(spec), 50)
+        moved, used, _, _ = run_until(spec, initial_configuration(spec), 50)
         assert (used, moved.last_move is not None) == (2, True)
-        halted, used, _ = run_until(spec, moved, 1000)
+        halted, used, _, _ = run_until(spec, moved, 1000)
         assert (used, halted.cycle, halted.state) == (1000, 1002, moved.state)
         assert halted == stepped(spec, moved, 1000)[0]
 
+    @settings(max_examples=150)
+    @given(stretch_machines(), st.integers(0, 2 ** 30))
+    def test_a_budget_of_moves_is_one_move_stretches_back_to_back(self, spec,
+                                                                 seed):
+        """The final configuration, the moves with their cycles and the
+        peak, over several budgeted stretches, some absorbing a ⊥ move."""
+        rng = random.Random(seed)
+        cfg = initial_configuration(spec)
+        for _ in range(6):
+            incoming = ([("B", rng.choice(("#1", "0.#10", "1.#1")))]
+                        if rng.random() < 0.4 else [])
+            limit, budget = rng.randint(1, 60), rng.randint(1, 6)
+            whole = run_until(spec, cfg, limit, incoming, budget)
+            assert whole == one_move_stretches(spec, cfg, limit, budget,
+                                               incoming)
+            assert whole[0].counts == fresh(whole[0]).counts
+            cfg = whole[0]
 
-def played(runner, entries, fuel, env_reads_run, make_env=_script_env):
+    def test_a_machine_reads_its_own_moves_inside_one_stretch(self):
+        """`echo.hpm` copies each move it made into its next one, so every
+        move is #1 only if the stretch reads the run tape afresh after
+        each move; a view of the tape as it stood at the stretch's start
+        shows a blank past the first, and the echo moves empty."""
+        spec = parse_hpm(read_fixture("echo.hpm"))
+        cfg = initial_configuration(spec)
+        whole = run_until(spec, cfg, 100, (), 5)
+        assert whole[3] == [(1, "#1"), (5, "#1"), (9, "#1"), (13, "#1"),
+                            (17, "#1")]
+        assert whole == one_move_stretches(spec, cfg, 100, 5)
+        # an older configuration, whose first move forks the log that a
+        # later one has appended other entries to
+        older = cfg.extend([("B", "#1")])
+        older.extend([("B", "0.#10")])
+        assert run_until(spec, older, 100, (), 5) \
+            == one_move_stretches(spec, older, 100, 5)
+
+
+def played(runner, entries, fuel, horizon, make_env=_script_env):
     """What `play` shows of a match against the CLI's script env, or
-    against the env make_env builds from the entries."""
-    out = play(runner, make_env(entries), fuel, env_reads_run)
+    against the env make_env builds from the entries; without horizon,
+    `play` stretches one cycle per env call."""
+    env = make_env(entries)
+    out = play(runner, env if horizon else without_horizon(env), fuel)
     return (out["run"], meter_report(out["meter"]),
             getattr(runner, "retired", None), getattr(runner, "faults", None),
             getattr(runner, "restarts", None))
@@ -553,8 +610,8 @@ def played(runner, entries, fuel, env_reads_run, make_env=_script_env):
 def cycle_env(entries):
     """Env playing each (cycle, move) entry at that cycle, or at the first
     cycle after it that is free: it counts its calls, so it is no function
-    of the visible run, and `play` must stretch one cycle at a time against
-    it."""
+    of the visible run and has no horizon, and `play` must stretch one
+    cycle at a time against it."""
     pending = sorted(entries)
     calls = 0
 
@@ -562,8 +619,8 @@ def cycle_env(entries):
         nonlocal calls
         calls += 1
         if pending and pending[0][0] < calls:
-            return pending.pop(0)[1]
-        return None
+            return pending.pop(0)[1], 0
+        return None, 0
 
     return env
 
@@ -572,9 +629,9 @@ class BusyReason(ReasonRunner):
     """ReasonRunner that never skips: its idle flag is cleared before
     every stretch, so each stretch of one cycle advances the sketch."""
 
-    def stretch(self, visible_run, limit):
+    def stretch(self, visible_run, limit, budget=1):
         self.idle = False
-        return ReasonRunner.stretch(self, visible_run, limit)
+        return ReasonRunner.stretch(self, visible_run, limit, budget)
 
 
 @st.composite
@@ -614,12 +671,40 @@ delayed_entries = st.lists(st.tuples(
     max_size=5)
 
 
+# entries many ⊤ moves apart, the constants alone (as `--env x=5,k=3`
+# plays them) and no entry at all (no `--env`): long horizons
+late_entries = st.one_of(
+    st.lists(st.tuples(st.integers(0, 40), st.sampled_from(
+        ("#1", "0.#1", "0.#10", "1.#1", "1.1.#1"))), max_size=5),
+    st.just([(0, "#101"), (0, "#11")]),
+    st.just([]))
+
+
 class TestStretchedPlay:
     @settings(max_examples=150)
     @given(stretch_machines(), delayed_entries, st.integers(1, 150))
     def test_strategy_runner(self, spec, entries, fuel):
         assert played(StrategyRunner(HPMStrategy(spec)), entries, fuel, True) \
             == played(StrategyRunner(HPMStrategy(spec)), entries, fuel, False)
+
+    @settings(max_examples=150)
+    @given(stretch_machines(), late_entries, st.integers(1, 300))
+    def test_strategy_runner_through_a_horizon(self, spec, entries, fuel):
+        """Stretches through every own move the env sits out, against one
+        cycle per env call."""
+        assert played(StrategyRunner(HPMStrategy(spec)), entries, fuel, True) \
+            == played(StrategyRunner(HPMStrategy(spec)), entries, fuel, False)
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2 ** 30), st.integers(0, 2), st.integers(0, 1),
+           late_entries, st.integers(1, 300))
+    def test_script_runner_through_a_horizon(self, seed, cap, n, entries,
+                                             fuel):
+        def runner():
+            return StrategyRunner(zoo.random_script(random.Random(seed), cap,
+                                                    3, n))
+        assert played(runner(), entries, fuel, True) \
+            == played(runner(), entries, fuel, False)
 
     @settings(max_examples=150)
     @given(st.integers(0, 2 ** 30), st.integers(0, 2), st.integers(0, 1),
@@ -640,7 +725,8 @@ class TestStretchedPlay:
              TestVasaLegality.SCRIPTS["illegal-open"], 80)
     @example(parse_hpm(read_fixture("legal.hpm")),
              TestVasaLegality.SCRIPTS["illegal-late"], 80)
-    @given(stretch_machines(), delayed_entries, st.integers(1, 150))
+    @given(stretch_machines(), delayed_entries | late_entries,
+           st.integers(1, 150))
     def test_vasa_runner(self, spec, entries, fuel):
         f = fm.parse_formula(TWO_DISJUNCT_TEXT)
         assert played(VasaRunner(spec, f, {"x": 9}), entries, fuel, True) \
@@ -1249,8 +1335,8 @@ class TestInductionRunner:
 
             def env(run):
                 if pending and pending[0][0] <= next(polls):
-                    return pending.pop(0)[1]
-                return None
+                    return pending.pop(0)[1], 0
+                return None, 0
 
             got = hpm.play(runner, env, want["work"])
             assert got["run"] == want["run"]

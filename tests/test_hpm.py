@@ -25,7 +25,12 @@ from clarith.hpm import (
     step,
 )
 
-from conftest import make_scripted_env, read_fixture, shape_cases
+from conftest import (
+    make_scripted_env,
+    read_fixture,
+    shape_cases,
+    without_horizon,
+)
 
 
 class TestParsing:
@@ -220,7 +225,7 @@ class TestScriptStrategy:
         runner = StrategyRunner(ScriptStrategy(fn))
         run = ()
         for _ in range(6):
-            for m in runner.stretch(run, 1)[2]:
+            for _, m in runner.stretch(run, 1)[2]:
                 run = run + (("T", m),)
         assert calls == [0, 1, 2, 0, 1, 2]
         assert len(run) == 2
@@ -242,7 +247,7 @@ class TestMeter:
         m = Meter()
         m.record_cycle(0, "#101", 0, [])
         assert m.background == 3
-        m.record_cycle(5, None, 2, ["#11"])
+        m.record_cycle(5, None, 2, [(1, "#11")])
         rep = meter_report(m)
         assert rep["amplitude"] == {3: 2}
         assert rep["max_spacecost"] == 2
@@ -257,45 +262,63 @@ class TestMeter:
     def test_timecost_measured_from_last_event(self):
         m = Meter()
         m.record_cycle(0, "#", 0, [])
-        m.record_cycle(3, None, 0, ["#"])
+        m.record_cycle(3, None, 0, [(1, "#")])
         assert m.max_timecost == 3
-        m.record_cycle(4, None, 0, ["#1"])
+        m.record_cycle(4, None, 0, [(1, "#1")])
         assert m.max_timecost == 3      # 1 since the move at cycle 3, not 4
-        m.record_cycle(9, None, 0, ["#1"])
+        m.record_cycle(9, None, 0, [(1, "#1")])
         assert m.max_timecost == 5
+
+    def test_a_stretch_meters_each_move_at_its_own_cycle(self):
+        """One call for cycles 10 to 19, with moves at 12 and 19: the
+        times are 2 since the ⊥ move and 7 since the move at 12."""
+        m = Meter()
+        m.record_cycle(10, "#1", 3, [(3, "#"), (10, "#11")])
+        assert m.max_timecost == 7
+        assert meter_report(m)["amplitude"] == {1: 2}
+        m.record_cycle(20, None, 0, [(9, "#")])
+        assert m.max_timecost == 9      # cycle 28, 9 after the move at 19
 
 
 class StretchOnly:
     """A runner with `stretch` and nothing else: it records each limit
-    it is handed and makes one move, three cycles into its second
-    stretch, at a peak of 4 cells."""
+    and budget it is handed and makes one move, three cycles into its
+    second stretch, at a peak of 4 cells."""
 
     def __init__(self):
         self.calls = []
 
-    def stretch(self, visible_run, limit):
-        self.calls.append((len(visible_run), limit))
+    def stretch(self, visible_run, limit, budget):
+        self.calls.append((len(visible_run), limit, budget))
         if len(self.calls) == 2 and limit >= 3:
-            return 3, 4, ["#1"]
+            return 3, 4, [(3, "#1")]
         return limit, 0, []
 
 
 class TestPlay:
     def test_drives_a_runner_through_stretch_alone(self):
         """No `poll` and no `spacecost`: a stretch of one cycle after a ⊥
-        move, else up to the runner's move or the end of the fuel."""
+        move, else to the end of the fuel, through as many moves as the
+        env's horizon, here unbounded once its one entry is played."""
         runner = StretchOnly()
-        out = play(runner, make_scripted_env([(0, "#11")]), fuel=10,
-                   env_reads_run=True)
-        assert runner.calls == [(1, 1), (1, 9), (2, 6)]
+        out = play(runner, make_scripted_env([(0, "#11")]), fuel=10)
+        inf = float("inf")
+        assert runner.calls == [(1, 1, 1), (1, 9, inf), (2, 6, inf)]
         assert out["run"] == (("B", "#11"), ("T", "#1"))
         rep = meter_report(out["meter"])
         assert (rep["max_spacecost"], rep["max_timecost"]) == (4, 3)
 
     def test_an_env_of_no_run_gets_one_cycle_per_call(self):
         runner = StretchOnly()
-        play(runner, make_scripted_env([(0, "#11")]), fuel=4)
-        assert runner.calls == [(1, 1)] * 4
+        play(runner, without_horizon(make_scripted_env([(0, "#11")])), fuel=4)
+        assert runner.calls == [(1, 1, 1)] * 4
+
+    def test_the_horizon_is_the_move_budget(self):
+        """The entry at @2 is two ⊤ moves off, then one once the runner
+        has moved."""
+        runner = StretchOnly()
+        play(runner, make_scripted_env([(0, "#11"), (2, "0.#1")]), fuel=10)
+        assert runner.calls == [(1, 1, 1), (1, 9, 2), (2, 6, 1)]
 
 
 class TestHistoryPrefix:

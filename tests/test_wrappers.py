@@ -24,7 +24,7 @@ from clarith.wrappers import (
     update_sketch,
 )
 
-from conftest import make_scripted_env
+from conftest import make_scripted_env, without_horizon
 
 ENV_MOVES = [(0, "#1001"), (0, "0.#10"), (1, "1.#1")]
 
@@ -130,10 +130,11 @@ class TestReasonIdle:
                                            resimulation_calls):
         counts = set()
         for fuel in (300, 3000):
-            for reads_run in (True, False):
+            for horizon in (True, False):
                 resimulation_calls.clear()
                 runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-                play(runner, make_scripted_env(ENV_MOVES), fuel, reads_run)
+                env = make_scripted_env(ENV_MOVES)
+                play(runner, env if horizon else without_horizon(env), fuel)
                 counts.add(len(resimulation_calls))
         assert len(counts) == 1 and counts != {0}
 
@@ -142,11 +143,11 @@ class TestReasonIdle:
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
         run = [("B", "#1001"), ("B", "0.#10")]
         for _ in range(100):
-            run += [("T", m) for m in runner.stretch(run, 1)[2]]
+            run += [("T", m) for _, m in runner.stretch(run, 1)[2]]
         assert runner.idle and run[-1] == ("T", "0.1.#1111")
         run.append(("B", "1.#1"))
         used, _, made = runner.stretch(run, 100)
-        assert made == ["1.1.#0"] and used < 100 and not runner.idle
+        assert made == [(used, "1.1.#0")] and used < 100 and not runner.idle
 
 
 class TestReasonKeepsNoMoves:
@@ -218,12 +219,12 @@ class TestVasaRunner:
         pending_a = make_scripted_env(env_entries)
         pending_b = make_scripted_env(env_entries)
         for _ in range(60):
-            mv = pending_a(run_a)
+            mv, _ = pending_a(run_a)
             if mv is not None:
                 run_a = run_a + (("B", mv),)
-            for m in raw.stretch(run_a, 1)[2]:
+            for _, m in raw.stretch(run_a, 1)[2]:
                 run_a = run_a + (("T", m),)
-            mv = pending_b(run_b)
+            mv, _ = pending_b(run_b)
             if mv is not None:
                 run_b = run_b + (("B", mv),)
             for m in wrapped.poll(run_b):
