@@ -38,19 +38,23 @@ and, from one more run with `hpm.run_until` and `hpm.step` wrapped in
 counters, the number of T moves played and how often each was called.
 Those three counts do not depend on the host.  `step` is a stretch of
 one cycle, so `run_until_calls` counts the calls through `step` too.
-`play` advances the runner only by stretches: of one cycle after each
-⊥ move, and otherwise to the end of the fuel through as many T moves
-as the script env will sit out, its horizon, which is unbounded once
-it has played its last entry.  So `run_until_calls` is at most one
-more than twice the env's entries, whatever the fuel: 10 for the
-chatter env, whose five entries start at @0.  `step_calls` stays 0: it
-shows whether `play` ever steps one cycle at a time.
+`play` advances the runner only by stretches, one per env call: to
+the end of the fuel through as many T moves as the script env will sit
+out, its horizon, which it gives with each call, a move or none, and
+which is unbounded once it has played its last entry; of one cycle
+only on a horizon of 0, an entry already due.  So `run_until_calls` is
+at most one more than the env's entries, whatever the fuel: 5 for the
+chatter env, whose five entries start at @0 and are due one at a time.
+`step_calls` stays 0: it shows whether `play` ever steps one cycle at
+a time.
 
 `vasa` is the same against fuel for `clarith transform vasa --play`:
 the responder machine and its legal environment that `perfbench/gen.py`
 makes from `random.Random(1)`, with the constant x = VASA_X.  Each cycle
 adds the wrapper's legality check to the VM cycle; the run stays legal,
-so the wrapper never retires.
+so the wrapper never retires.  The wrapper ends each stretch at the
+machine's first move, so `run_until_calls` is 3 whatever the fuel: one
+stretch from each of the two entries to T's answer, and one to the end.
 
 `reason` is ms per `clarith transform reason --play` session against the
 number of phases of `gen.scanning_machine`, with --machines machines per

@@ -137,17 +137,19 @@ def _parse_env_script(text):
 
 def _script_env(entries):
     """Environment callable playing each (after, move) entry once at least
-    `after` T-moves are visible.  Its horizon, when it makes no move, is
-    the next entry's `after` minus the T-moves visible, and unbounded
-    once every entry is played.  The run it is called with only extends,
-    so T-moves are counted over the new entries alone, by index, and
-    only when the run has grown; once every entry is played, not at all."""
-    pending = list(entries)
+    `after` T-moves are visible.  Each call, moving or not, also gives its
+    horizon: the next entry's `after` minus the T-moves visible, 0 for one
+    already due (an `after` may fall or be negative), unbounded once all
+    are played.  The run it is called with only extends, so T-moves are
+    counted over the new entries alone, by index, and only when the run
+    has grown; once every entry is played, not at all."""
+    pending = [*entries, (math.inf, None)]
+    last = len(entries)
     nxt = seen = tops = 0
 
     def env(run):
         nonlocal nxt, seen, tops
-        if nxt == len(pending):
+        if nxt == last:
             return None, math.inf
         n = len(run)
         if n > seen:
@@ -156,10 +158,10 @@ def _script_env(entries):
                     tops += 1
             seen = n
         after, move = pending[nxt]
-        if after <= tops:
-            nxt += 1
-            return move, 0
-        return None, after - tops
+        if after > tops:
+            return None, after - tops
+        nxt += 1
+        return move, max(pending[nxt][0] - tops, 0)
 
     return env
 

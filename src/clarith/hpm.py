@@ -22,11 +22,12 @@ never rescans or copies it:
 - A `Configuration`'s run is the first `length` labmoves of a
   `RunLog`, an append-only log of labmoves, run-tape cells and the cell
   offset where each labmove starts.  A step makes its successor share
-  the log.  The fork rule: extending a configuration whose length is
-  the log's length appends in place; extending an older one (a branch)
-  copies its prefix into a new log first, so no configuration ever
-  sees its run change.  `InductionRunner` branches: its iterations
-  re-feed each premise's opened configuration, forking the log.
+  the log.  The fork rule is `owned(length)`: a configuration as long
+  as the log `push`es onto it in place; an older one (a branch) copies
+  its prefix into a new log first, so no configuration ever sees its
+  run change, and `run_until` forks at most once per stretch.
+  `InductionRunner` branches: its iterations re-feed each premise's
+  opened configuration, forking the log.
   `run_until` reads the run symbol and the tape length off the log;
   `run_tape_length` and `run_symbol` are the rescanning twins.
   `cfg.run` builds a tuple; no per-cycle code reads it.
@@ -37,23 +38,23 @@ never rescans or copies it:
   read.  Sketches do not carry counts.
 - `play` hands `Meter.record_cycle` the ⊥ move it has just appended,
   if any, so the meter never reads the run: it keeps a running
-  background maximum and per-background maxima, and does not grow with
-  the cycles.
+  background maximum and per-background maxima, reads a stretch's own
+  moves in one loop over locals, and does not grow with the cycles.
 - Machines advance in stretches.  `run_until` runs the machine for up
   to `limit` cycles and through up to `budget` of its own moves in one
   loop that keeps the state, tapes, heads, run head, buffer and cell
   counts in local variables and builds one `Configuration` at the end;
-  `step` is a stretch of one cycle.  Each own move extends the log in
-  the loop, and the loop re-reads the run tape's cells and length,
-  since the machine may read that move later in the same stretch.  A
+  `step` is a stretch of one cycle.  Each own move is pushed onto the
+  log in the loop, and the loop re-reads the run tape's cells and
+  length, since the machine may read that move later in the stretch.  A
   strategy advances only by `stretch`, and a stretch hands back each
   move with the cycle it was flushed at.  The peak of a one-cycle
   stretch is the cell count after that cycle, so Sim, which simulates a
   premise one cycle at a time, reads U off its stretches.  `play` hands
-  every runner a stretch: of one cycle after a ⊥ move or when the env
-  promises nothing, and otherwise up to the end of the fuel through as
-  many own moves as the env's horizon says it will sit out, where one
-  env call, one `stretch` and one meter record stand for all its
+  every runner one stretch per env call: of one cycle when the env
+  promises nothing, else to the end of the fuel through as many own
+  moves as the env will sit out, its horizon, given with each call.
+  One env call, one `stretch` and one meter record stand for all its
   cycles, so a quiet cycle costs one `_transition` and a few compares.
   A machine that finds no row stays halted until the run grows, so that
   cycle ends the stretch and uses up its limit.  On one work tape,
@@ -249,33 +250,38 @@ class RunLog:
     __slots__ = ("moves", "cells", "starts")
 
     def __init__(self, labmoves=()):
-        self.moves = []
-        self.cells = []
-        self.starts = [0]
-        self._append(labmoves)
-
-    def _append(self, labmoves):
-        moves, cells, starts = self.moves, self.cells, self.starts
+        self.moves, self.cells, self.starts = [], [], [0]
         for label, move in labmoves:
-            moves.append((label, move))
-            cells.append(label)
-            cells.extend(move)
-            starts.append(len(cells))
+            self.push(label, move)
+
+    def push(self, label, move):
+        """Append one labmove in place; -> the log's new length."""
+        moves, cells = self.moves, self.cells
+        moves.append((label, move))
+        cells.append(label)
+        cells.extend(move)
+        self.starts.append(len(cells))
+        return len(moves)
+
+    def owned(self, length):
+        """A log of this log's first `length` labmoves to push onto: this
+        one if it holds exactly `length`, else a fork, a copy of that
+        prefix, leaving the configurations reading the rest untouched."""
+        if length == len(self.moves):
+            return self
+        log = RunLog()
+        log.moves = self.moves[:length]
+        log.starts = self.starts[:length + 1]
+        log.cells = self.cells[:log.starts[-1]]
+        return log
 
     def extended(self, length, labmoves):
         """(log, length) holding this log's first `length` labmoves and
-        then labmoves.  The log is this one, appended in place, when it
-        holds exactly `length` labmoves; otherwise it is a fork, a copy
-        of that prefix, so the configurations reading the later entries
-        are left untouched."""
-        log = self
-        if length != len(self.moves):
-            log = RunLog()
-            log.moves = self.moves[:length]
-            log.starts = self.starts[:length + 1]
-            log.cells = self.cells[:log.starts[-1]]
-        log._append(labmoves)
-        return log, len(log.moves)
+        then labmoves, the log being `owned(length)`."""
+        log = self.owned(length)
+        for label, move in labmoves:
+            length = log.push(label, move)
+        return log, length
 
 
 _new = object.__new__
@@ -482,7 +488,9 @@ def run_until(spec: HPMSpec, cfg: Configuration, limit: int, incoming=(),
         if append:
             buffer += append
         if state in move_states:
-            log, length = log.extended(length, (("T", buffer),))
+            if not made:
+                log = log.owned(length)
+            length = log.push("T", buffer)
             made.append((used, buffer))
             buffer, moves_made = "", moves_made + 1
             if len(made) == budget:
@@ -626,7 +634,8 @@ class Meter:
     cycles from 1, so the move is made at cycle + k - 1.  The background
     stays fixed over the stretch, since a ⊥ move comes only before its
     first cycle, so the readings are those of one call per cycle, and
-    each move's time is counted to its own cycle.
+    each move's time is counted to its own cycle, as k - last in the
+    stretch's own cycles, in one loop over locals.
     """
 
     def __init__(self):
@@ -644,13 +653,21 @@ class Meter:
             self._cells = self.spacecost.get(self.background, -1)
         if cells > self._cells:
             self._cells = self.spacecost[self.background] = cells
-        for k, m in made:
+        if made:
             bg = self.background
-            at = cycle + k - 1
-            self.amplitude[bg] = max(self.amplitude.get(bg, 0), magnitude(m))
-            self.max_timecost = max(self.max_timecost,
-                                    at - self._last_event_cycle)
-            self._last_event_cycle = at
+            amp = self.amplitude.get(bg, 0)
+            gap = self.max_timecost
+            last = self._last_event_cycle - cycle + 1
+            for k, m in made:
+                size = magnitude(m)
+                if size > amp:
+                    amp = size
+                if k - last > gap:
+                    gap = k - last
+                last = k
+            self.amplitude[bg] = amp
+            self.max_timecost = gap
+            self._last_event_cycle = cycle + last - 1
 
 
 def meter_report(meter: Meter):
@@ -693,23 +710,24 @@ def play(runner, env, fuel: int):
     runner: object with stretch(visible_run, limit, budget) -> (cycles
     used, peak cells, moves), as `StrategyRunner` describes.
     env: callable(visible_run) -> (move string or None, horizon), the
-    horizon being, when it makes no move, how many more ⊤ moves it will
-    surely let pass before its next one (`math.inf` for none ever), and
-    0 when it promises nothing.
+    horizon being, whether it moves or not, how many more ⊤ moves it
+    will surely let pass before its next one (`math.inf` for none ever),
+    and 0 when it promises nothing.
     Both are handed one list that play appends to, so the visible run
     they were given grows after they return: they keep counts of the
     entries they have read, not the run itself.  The result's run is a
     tuple.
 
     Each env call is followed by one stretch.  It is a stretch of one
-    cycle when the env made a move or gave a horizon of 0.  Otherwise it
-    runs to the end of the fuel through at most the horizon's own moves,
-    with one env call and one meter record.  The result is that of one
-    env call and one stretch per cycle: before the horizon's last move
-    the env would have returned None at each of those cycles, and with
-    no ⊥ move among them the meter's background stays fixed, so the
-    stretch's peak cells stand for their per-cycle readings, and the
-    meter reads each move at its own cycle.
+    cycle when the env gave a horizon of 0.  Otherwise it runs to the
+    end of the fuel through at most the horizon's own moves, with one
+    env call and one meter record, its first cycle taking the env's
+    move, if any.  The result is that of one env call and one stretch
+    per cycle: before the horizon's last move the env would have
+    returned None at each later cycle, and with no ⊥ move after the
+    first the meter's background stays fixed, so the stretch's peak
+    cells stand for their per-cycle readings, and the meter reads each
+    move at its own cycle.
     """
     run = []
     meter = Meter()
@@ -719,7 +737,7 @@ def play(runner, env, fuel: int):
         mv, horizon = env(run)
         if mv is not None:
             run.append(("B", mv))
-        if mv is None and horizon > 0:
+        if horizon > 0:
             used, cells, made = stretch(run, fuel - cycle, horizon)
         else:
             used, cells, made = stretch(run, 1, 1)

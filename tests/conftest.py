@@ -163,9 +163,10 @@ def make_scripted_env(entries):
         tops = sum(1 for label, _ in run if label == "T")
         if not pending:
             return None, math.inf
-        if pending[0][0] <= tops:
-            return pending.pop(0)[1], 0
-        return None, pending[0][0] - tops
+        if pending[0][0] > tops:
+            return None, pending[0][0] - tops
+        move = pending.pop(0)[1]
+        return move, max(pending[0][0] - tops, 0) if pending else math.inf
 
     return env
 

@@ -47,7 +47,8 @@ def test_a_raised_count_fails_naming_its_point(name, tmp_path):
     done = check_counts(fresh)
     assert done.returncode == 1
     assert done.stdout == (f"{fresh}: counts differ from the committed "
-                           f"curve at [{key}]\n")
+                           f"curve at {key}: {field}: {record[field] - 1} → "
+                           f"{record[field]}\n")
 
 
 def test_a_point_the_committed_curve_lacks_fails(tmp_path):
@@ -57,4 +58,5 @@ def test_a_point_the_committed_curve_lacks_fails(tmp_path):
     fresh.write_text(json.dumps(result), encoding="utf-8")
     done = check_counts(fresh)
     assert done.returncode == 1
-    assert "at [(999,)]" in done.stdout
+    assert done.stdout == (f"{fresh}: counts differ from the committed "
+                           "curve at (999,): absent\n")

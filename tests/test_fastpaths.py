@@ -5,6 +5,7 @@ positions read off the formula's analysis against positions kept as
 rewritten trees."""
 
 import copy
+import math
 import os
 import random
 import sys
@@ -12,7 +13,7 @@ import types
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
@@ -182,6 +183,45 @@ class TestRunTape:
         assert younger.run == younger_run
         assert step(spec, younger) == step(spec, fresh(younger))
 
+    @settings(max_examples=60)
+    @given(st.sampled_from(("echo.hpm", "zoo")), st.integers(0, 2 ** 30),
+           st.integers(0, 4), st.integers(0, 40), st.integers(2, 5))
+    def test_a_stretch_from_an_older_configuration_forks_once(
+            self, kind, seed, before, after, budget):
+        """`run_until` through two or more moves from a configuration
+        whose log a younger one has appended to: the first move forks
+        the log, and the rest are pushed onto the fork."""
+        if kind == "echo.hpm":
+            spec = parse_hpm(read_fixture(kind))
+        else:
+            spec = zoo.random_machine(random.Random(seed), phases=4)
+        older = step(spec, initial_configuration(spec), [("B", "#1")])
+        for _ in range(before):
+            older = step(spec, older)
+        younger = step(spec, older, [("B", "0.#")])
+        for _ in range(after):
+            younger = step(spec, younger)
+        assert younger.log is older.log
+        younger_run = younger.run
+        cells, starts = list(younger.log.cells), list(younger.log.starts)
+        forks, owned = [], hpm.RunLog.owned
+
+        def counted(log, length):
+            out = owned(log, length)
+            if out is not log:
+                forks.append(out)
+            return out
+
+        with patch.object(hpm.RunLog, "owned", counted):
+            branch, _, _, made = run_until(spec, older, 400, (), budget)
+        assume(len(made) >= 2)
+        assert forks == [branch.log] and branch.log is not older.log
+        assert len(branch.log.moves) == branch.length
+        assert branch.run == older.run + tuple(("T", m) for _, m in made)
+        assert younger.run == younger_run
+        assert (younger.log.cells, younger.log.starts) == (cells, starts)
+        assert_tape_matches(branch, range(run_tape_length(branch.run) + 1))
+
     @given(st.integers(0, 2 ** 30))
     def test_trajectory_matches_stepping_without_cells(self, seed):
         rng = random.Random(seed)
@@ -239,6 +279,12 @@ meter_cycles = st.lists(st.tuples(
     st.none() | moves, st.integers(0, 9),
     st.lists(moves, max_size=2).map(lambda ms: [(1, m) for m in ms])),
     max_size=16)
+# a stretch: its ⊥ move, or None, and its cycles as (cells, own move or
+# None), so its moves come at increasing k, and it may make none
+stretch_cycles = st.tuples(
+    st.none() | moves,
+    st.lists(st.tuples(st.integers(0, 9), st.none() | moves), min_size=1,
+             max_size=8))
 
 
 class TestMeter:
@@ -256,6 +302,31 @@ class TestMeter:
             assert (meter.background, meter.spacecost, meter.amplitude,
                     meter.max_timecost) == meter_rescan(cycles[:cycle + 1])
 
+    @settings(max_examples=300)
+    @example([])
+    @example([(None, [(0, "0"), (1, None), (2, None)]),
+              (None, [(0, None), (3, "1#1")])])
+    @example([("#11", [(2, "0.#1"), (1, None)]), (None, [(1, "#1")])])
+    @given(st.lists(stretch_cycles, max_size=6))
+    def test_one_record_per_stretch_matches_rescan(self, stretches):
+        """Each stretch's cycles drawn as (cells, move or None), its ⊥
+        move, or none, before its first, and one `record_cycle` for it:
+        moves at increasing k from 1, and stretches with no move.  The
+        examples: a gap from a move in one stretch to a move in the next,
+        and a ⊥ move followed by a move at k = 1, the first cycle."""
+        meter, history, cycle = Meter(), [], 0
+        for env_move, cycles in stretches:
+            made = [(k, m) for k, (_, m) in enumerate(cycles, 1)
+                    if m is not None]
+            meter.record_cycle(cycle, env_move, max(c for c, _ in cycles),
+                               made)
+            history += [(env_move if k == 1 else None, c,
+                         [] if m is None else [(1, m)])
+                        for k, (c, m) in enumerate(cycles, 1)]
+            cycle += len(cycles)
+            assert (meter.background, meter.spacecost, meter.amplitude,
+                    meter.max_timecost) == meter_rescan(history)
+
 
 @given(st.text(alphabet="01#.2 ", max_size=8))
 def test_binary_check_matches_a_character_scan(s):
@@ -264,7 +335,7 @@ def test_binary_check_matches_a_character_scan(s):
 
 
 class TestScriptEnv:
-    @given(st.lists(st.tuples(st.integers(0, 4), st.text("01#.", max_size=3)),
+    @given(st.lists(st.tuples(st.integers(-2, 4), st.text("01#.", max_size=3)),
                     max_size=6),
            runs, st.lists(st.integers(0, 3), max_size=20))
     def test_incremental_count_matches_rescan(self, entries, run, chunks):
@@ -274,6 +345,16 @@ class TestScriptEnv:
         for size in chunks + [len(run)]:
             end = min(len(run), end + size)
             assert fast(tuple(run[:end])) == slow(tuple(run[:end]))
+
+    def test_a_move_comes_with_the_horizon_to_the_next_entry(self):
+        """@3 is three ⊤ moves off when @0 plays; @1 and @-1 are already
+        due when the entry before each plays, so they come with 0; the
+        last entry comes with no bound."""
+        env = _script_env([(0, "a"), (3, "b"), (1, "c"), (-1, "d")])
+        tops = (("T", "1"),) * 3
+        assert [env(()), env(tops[:1]), env(tops), env(tops), env(tops),
+                env(tops)] == [("a", 3), (None, 2), ("b", 0), ("c", 0),
+                               ("d", math.inf), (None, math.inf)]
 
 
 class TestHistory:
@@ -453,8 +534,8 @@ def retire_cycle(runner, env, fuel):
 def assert_same_retirement(spec, formula, c_env, entries, fuel=80):
     fast = VasaRunner(spec, formula, c_env)
     slow = ReplayVasa(spec, formula, c_env)
-    got = retire_cycle(fast, make_scripted_env(entries), fuel)
-    want = retire_cycle(slow, make_scripted_env(entries), fuel)
+    got = retire_cycle(fast, without_horizon(make_scripted_env(entries)), fuel)
+    want = retire_cycle(slow, without_horizon(make_scripted_env(entries)), fuel)
     assert got == want
     return got
 

@@ -297,16 +297,20 @@ class StretchOnly:
 
 class TestPlay:
     def test_drives_a_runner_through_stretch_alone(self):
-        """No `poll` and no `spacecost`: a stretch of one cycle after a ⊥
-        move, else to the end of the fuel, through as many moves as the
-        env's horizon, here unbounded once its one entry is played."""
+        """No `poll` and no `spacecost`: a stretch of one cycle on a
+        horizon of 0, here an entry already due, else to the end of the
+        fuel, through as many moves as the env's horizon, here unbounded
+        from its last entry on.  The ⊥ move #1 comes before the second
+        stretch's first cycle, cycle 1, so the move at its third cycle,
+        cycle 3, is metered 2 cycles after it."""
         runner = StretchOnly()
-        out = play(runner, make_scripted_env([(0, "#11")]), fuel=10)
+        out = play(runner, make_scripted_env([(0, "#11"), (0, "#1")]),
+                   fuel=10)
         inf = float("inf")
-        assert runner.calls == [(1, 1, 1), (1, 9, inf), (2, 6, inf)]
-        assert out["run"] == (("B", "#11"), ("T", "#1"))
+        assert runner.calls == [(1, 1, 1), (2, 9, inf), (3, 6, inf)]
+        assert out["run"] == (("B", "#11"), ("B", "#1"), ("T", "#1"))
         rep = meter_report(out["meter"])
-        assert (rep["max_spacecost"], rep["max_timecost"]) == (4, 3)
+        assert (rep["max_spacecost"], rep["max_timecost"]) == (4, 2)
 
     def test_an_env_of_no_run_gets_one_cycle_per_call(self):
         runner = StretchOnly()
@@ -314,11 +318,12 @@ class TestPlay:
         assert runner.calls == [(1, 1, 1)] * 4
 
     def test_the_horizon_is_the_move_budget(self):
-        """The entry at @2 is two ⊤ moves off, then one once the runner
-        has moved."""
+        """The entry at @2 is two ⊤ moves off when the env plays the one
+        before it, then one once the runner has moved."""
         runner = StretchOnly()
-        play(runner, make_scripted_env([(0, "#11"), (2, "0.#1")]), fuel=10)
-        assert runner.calls == [(1, 1, 1), (1, 9, 2), (2, 6, 1)]
+        play(runner, make_scripted_env([(0, "#11"), (0, "#1"), (2, "0.#1")]),
+             fuel=10)
+        assert runner.calls == [(1, 1, 1), (2, 9, 2), (3, 6, 1)]
 
 
 class TestHistoryPrefix:
