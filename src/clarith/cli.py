@@ -190,8 +190,9 @@ def _play_and_report(runner, f, env, fuel, trace_path):
         print("faults:", *runner.faults, sep="\n  ")
     if trace_path:
         try:
+            ranks = induction.diagnostics(runner)["ranks"]
             with open(trace_path, "w", encoding="utf-8") as fh:
-                for i, rec in enumerate(runner.trace):
+                for i, (rec, rank) in enumerate(zip(runner.trace, ranks)):
                     fh.write(json.dumps({
                         "iteration": i,
                         "classification": rec["classification"],
@@ -200,8 +201,7 @@ def _play_and_report(runner, f, env, fuel, trace_path):
                         "master_scale": rec["master_scale"],
                         "U": rec["U"],
                         "validity": rec["validity"],
-                        "rank": induction.iteration_rank(
-                            rec, runner.rank_base, runner.census),
+                        "rank": rank,
                         "rank_base": runner.rank_base,
                     }) + "\n")
         except OSError as exc:

@@ -59,7 +59,8 @@ class ComprehensionRunner:
     plays, in the order `free_vars` lists them, then performs the whole
     probe loop and answers with the single move #d.  Faults in the
     premise are recorded, not raised; a faulted runner stays silent.
-    A stretch is of one cycle, whatever its limit and budget.
+    A stretch is of one cycle, whatever its limit and budget, and the
+    constants are read off the ⊥ moves handed so far.
     """
 
     def __init__(self, premise, p: fm.Formula, y: str, bound: BoundExpr):
@@ -71,9 +72,13 @@ class ComprehensionRunner:
         self.fuel = fuel_from_env()
         self.faults = []
         self.done = False
+        self._bots = ()
 
-    def stretch(self, visible_run, limit, budget=1):
-        opened = None if self.done else opening(self.var_order, visible_run)
+    def stretch(self, incoming, limit, budget=1):
+        if self.done:
+            return 1, 0, []
+        self._bots += incoming
+        opened = opening(self.var_order, self._bots)
         if opened is None:
             return 1, 0, []
         self.done = True

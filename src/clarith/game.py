@@ -123,13 +123,12 @@ class GamePosition:
         return GamePosition(self.formula, self.c_env,
                             {**values, addr: numer_value(numer)})
 
-    def advance(self, run, start=0):
-        """(position, bad): the position after the legal prefix of
-        run[start:], and the index in run of its first illegal move, None
-        when every move is legal."""
+    def advance(self, run):
+        """(position, bad): the position after the legal prefix of run,
+        and the index in run of its first illegal move, None when every
+        move is legal."""
         pos = self
-        for i in range(start, len(run)):
-            label, move = run[i]
+        for i, (label, move) in enumerate(run):
             try:
                 pos = pos.apply(label, move, i)
             except IllegalMove:

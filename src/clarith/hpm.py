@@ -51,9 +51,10 @@ never rescans or copies it:
   move with the cycle it was flushed at.  The peak of a one-cycle
   stretch is the cell count after that cycle, so Sim, which simulates a
   premise one cycle at a time, reads U off its stretches.  `play` hands
-  every runner one stretch per env call: of one cycle when the env
-  promises nothing, else to the end of the fuel through as many own
-  moves as the env will sit out, its horizon, given with each call.
+  every runner one stretch per env call, and with it only the env's
+  move, if any: of one cycle when the env promises nothing, else to the
+  end of the fuel through as many own moves as the env will sit out,
+  its horizon, given with each call.
   One env call, one `stretch` and one meter record stand for all its
   cycles, so a quiet cycle costs one `_transition` and a few compares.
   A machine that finds no row stays halted until the run grows, so that
@@ -586,32 +587,24 @@ class StrategyRunner:
     the stretch's first.  `HPMStrategy` and `ScriptStrategy` are the two
     kinds.
 
-    `stretch(visible_run, limit, budget=1)` is the runner's one advance,
-    under the same contract: up to `limit` cycles handed the same visible
-    run, through at most `budget` own moves, -> (cycles used, peak of
-    the `spacecost` after each, moves as (cycle, move) pairs).  The
-    budget is an upper bound: a runner that must stop at its first move
-    does so whatever its budget.  A stretch of one cycle is a poll.  The
-    harness appends the returned moves to the run before the next
-    stretch, so `seen`, the length of the last visible run plus the
-    moves returned, is how much of the run the strategy has been fed.
-    The visible run may be the harness's own list, which grows after
-    `stretch` returns, so a runner keeps the count of entries it has
-    read, not the run object.
+    `stretch(incoming, limit, budget=1)` is the runner's one advance,
+    under the same contract: `incoming` is the tuple of ⊥ labmoves that
+    entered the run since the last stretch, fed before its first cycle,
+    and the stretch runs up to `limit` cycles through at most `budget`
+    own moves, -> (cycles used, peak of the `spacecost` after each,
+    moves as (cycle, move) pairs).  The budget is an upper bound: a
+    runner that must stop at its first move does so whatever its
+    budget.  A stretch of one cycle is a poll.  A runner's own moves
+    are in its state already, so it is never handed them.
     """
 
     def __init__(self, strategy):
         self.strategy = strategy
         self.st = strategy.initial()
-        self.seen = 0
 
-    def stretch(self, visible_run, limit, budget=1):
-        n = len(visible_run)
-        if n > self.seen:
-            self.st = self.strategy.feed(self.st, visible_run[self.seen:])
-        self.st, used, peak, made = self.strategy.stretch(self.st, limit,
-                                                          budget)
-        self.seen = n + len(made)
+    def stretch(self, incoming, limit, budget=1):
+        st = self.strategy.feed(self.st, incoming) if incoming else self.st
+        self.st, used, peak, made = self.strategy.stretch(st, limit, budget)
         return used, peak, made
 
 
@@ -707,16 +700,16 @@ def fuel_from_env() -> int:
 def play(runner, env, fuel: int):
     """Interleave env moves (first) and machine cycles for fuel cycles.
 
-    runner: object with stretch(visible_run, limit, budget) -> (cycles
-    used, peak cells, moves), as `StrategyRunner` describes.
+    runner: object with stretch(incoming, limit, budget) -> (cycles
+    used, peak cells, moves), as `StrategyRunner` describes; `incoming`
+    is the env's move as a ⊥ labmove, or ().
     env: callable(visible_run) -> (move string or None, horizon), the
     horizon being, whether it moves or not, how many more ⊤ moves it
     will surely let pass before its next one (`math.inf` for none ever),
-    and 0 when it promises nothing.
-    Both are handed one list that play appends to, so the visible run
-    they were given grows after they return: they keep counts of the
-    entries they have read, not the run itself.  The result's run is a
-    tuple.
+    and 0 when it promises nothing.  It is handed one list that play
+    appends to, so the run it was given grows after it returns: it keeps
+    counts of the entries it has read, not the run itself.  The result's
+    run is a tuple.
 
     Each env call is followed by one stretch.  It is a stretch of one
     cycle when the env gave a horizon of 0.  Otherwise it runs to the
@@ -735,12 +728,12 @@ def play(runner, env, fuel: int):
     cycle = 0
     while cycle < fuel:
         mv, horizon = env(run)
-        if mv is not None:
-            run.append(("B", mv))
+        incoming = () if mv is None else (("B", mv),)
+        run += incoming
         if horizon > 0:
-            used, cells, made = stretch(run, fuel - cycle, horizon)
+            used, cells, made = stretch(incoming, fuel - cycle, horizon)
         else:
-            used, cells, made = stretch(run, 1, 1)
+            used, cells, made = stretch(incoming, 1, 1)
         for _, m in made:
             run.append(("T", m))
         record(cycle, mv, cells, made)

@@ -172,17 +172,15 @@ class InductionRunner:
     alters an opened state.  No state is kept per level, as that would
     grow with k.  The count of absorbed consequent moves is carried, not
     recounted.
-    The visible run given to successive polls only extends, and may
-    grow after a poll returns: each poll reads just the entries past the
-    count it has read, the first ⊥ moves being the constants (the free
-    variables', then k).  A stretch is one poll, of one cycle whatever
-    its limit and budget.  `locked` turns true when a locking iteration is
-    recorded.  `faults` stays empty: an invalid aggregation raises
-    rather than being recorded as a fault.  Once the constants arrive,
-    `census` and `statute_params` describe the body formula and the
-    statute's parameters, and `rank_base` is the digit base of the
-    iteration ranks; each is None before.  The statute's r, g and q are
-    the premises' largest, DEFAULT_MACHINE_CENSUS for a scripted one.
+    The first ⊥ moves handed are the constants (the free variables',
+    then k).  A stretch is of one cycle whatever its limit and budget.
+    `locked` turns true when a locking iteration is recorded.  `faults`
+    stays empty: an invalid aggregation raises rather than being
+    recorded as a fault.  Once the constants arrive, `census` and
+    `statute_params` describe the body formula and the statute's
+    parameters, and `rank_base` is the digit base of the iteration
+    ranks; each is None before.  The statute's r, g and q are the
+    premises' largest, DEFAULT_MACHINE_CENSUS for a scripted one.
     """
 
     def __init__(self, n_strategy, k_strategy, conclusion):
@@ -210,22 +208,33 @@ class InductionRunner:
 
     # -- harness protocol --------------------------------------------------
 
+    def stretch(self, incoming, limit, budget=1):
+        if incoming:
+            self._take(incoming)
+        self._out = []
+        next(self._gen, None)
+        return 1, 0, [(1, m) for m in self._out]
+
+    # a stretch of one cycle handed the whole visible run, which only
+    # extends, read past `_seen`: perfbench's induct session calls it
     def poll(self, visible_run):
         if len(visible_run) > self._seen:
-            for label, m in visible_run[self._seen:]:
-                if label != "B":
-                    continue
-                if len(self._constants) <= len(self.free):
-                    self._constants.append(constant_value(m))
-                elif m.startswith("1."):
-                    self._consequent.append(m[2:])
+            self._take(visible_run[self._seen:])
             self._seen = len(visible_run)
         self._out = []
         next(self._gen, None)
         return self._out
 
-    def stretch(self, visible_run, limit, budget=1):
-        return 1, 0, [(1, m) for m in self.poll(visible_run)]
+    def _take(self, labmoves):
+        """Read the ⊥ moves among labmoves: constants, then consequent
+        moves."""
+        for label, m in labmoves:
+            if label != "B":
+                continue
+            if len(self._constants) <= len(self.free):
+                self._constants.append(constant_value(m))
+            elif m.startswith("1."):
+                self._consequent.append(m[2:])
 
     # -- plumbing ------------------------------------------------------------
 

@@ -10,8 +10,8 @@ label and the positions of the T records, so a resimulated cycle finds
 its run symbol without rescanning the history.
 
 The unconditional wrapper is a `StrategyRunner` over the machine while
-the seen run stays legal, and retires (optionally after one windup
-move) as soon as it turns illegitimate.
+the run stays legal, and retires (optionally after one windup move) as
+soon as it turns illegitimate.
 """
 
 from __future__ import annotations
@@ -85,10 +85,9 @@ class ReasonRunner:
     variables, then repeatedly resimulates the wrapped machine from its
     initial sketch, restarting whenever a globally new move (its own or
     the environment's) enters the history, and emitting the truncation
-    of each globally new move of the wrapped machine.  Each stretch
-    reads only the run entries added since the last one, so the visible
-    run must only extend from stretch to stretch; each ⊥ move it reads
-    becomes a B record at once.  A new move of the wrapped machine is
+    of each globally new move of the wrapped machine.  Each ⊥ move a
+    stretch is handed becomes a B record at once, and the constants are
+    read off the first of them.  A new move of the wrapped machine is
     read off the sketch it was flushed from, as `Sketch` describes, and
     restarts the sketch at once, not at the next cycle, so that each
     globally new move counts one restart even when a ⊥ move arrives at
@@ -115,15 +114,14 @@ class ReasonRunner:
         self.formula = f
         self.history = History()
         self.own_bots = []
-        self.seen = 0
         self.ctx = None
         self.sketch = None
         self.restarts = 0
         self.faults = []
         self.idle = False
 
-    def stretch(self, visible_run, limit, budget=1):
-        if self._ready(visible_run):
+    def stretch(self, incoming, limit, budget=1):
+        if self._ready(incoming):
             for used in range(1, limit + 1):
                 mv = self._advance()
                 if mv is not None:
@@ -132,20 +130,19 @@ class ReasonRunner:
                     break
         return limit, 0, []
 
-    def _ready(self, visible_run):
-        """Read the new entries, the opening and the restarts: -> whether
-        an advance is due (opened, not faulted, not idle)."""
+    def _ready(self, incoming):
+        """Read the ⊥ moves handed, the opening and the restarts: ->
+        whether an advance is due (opened, not faulted, not idle)."""
         if self.faults:
             return False
         restart = self.ctx is None  # the opening, once it is complete
-        for label, m in visible_run[self.seen:]:
-            if label == "B":
-                self.own_bots.append(m)
-                self.history.append(("B", len(m)))
-                restart = True
-        self.seen = len(visible_run)
+        for _, m in incoming:
+            self.own_bots.append(m)
+            self.history.append(("B", len(m)))
+            restart = True
         if self.ctx is None:
-            opened = opening(fm.free_vars(self.formula), visible_run)
+            opened = opening(fm.free_vars(self.formula),
+                             [("B", m) for m in self.own_bots])
             if opened is None:
                 return False
             self.ctx = TruncationContext(self.formula, opened[0])
@@ -181,18 +178,18 @@ class VasaRunner(StrategyRunner):
     """The retire-on-illegality wrapper, with constants fixed up front:
     a `StrategyRunner` over the machine while the run stays legal.
 
-    Legality is tracked incrementally: the game position of the run seen
-    so far is kept, and each stretch applies only the entries added
-    since, so the visible run must only extend from stretch to stretch.
-    It is checked before the machine is fed, so the windup reads the
-    configuration without the entries that made the run illegal, and
-    each stretch ends at the machine's first move whatever its budget,
-    so that move is checked before the next is made.  The stretch that
-    retires the runner is a stretch of one cycle; a retired runner never
-    moves again, so it uses up the limit in one call; both read the
-    cells in use through `hpm.spacecost`.  Raises ValueError
-    for a choice-free formula and KeyError when c_env misses one of f's
-    free variables.
+    Legality is tracked incrementally: the game position of the run so
+    far is kept, and each stretch first applies the moves that entered
+    the run since the last check, the last stretch's own moves and then
+    the ⊥ moves it is handed.  It is checked before the machine is fed,
+    so the windup reads the configuration without the entries that made
+    the run illegal, and each stretch ends at the machine's first move
+    whatever its budget, so that move is checked before the next is
+    made.  The stretch that retires the runner is a stretch of one
+    cycle; a retired runner never moves again, so it uses up the limit
+    in one call; both read the cells in use through `hpm.spacecost`.
+    Raises ValueError for a choice-free formula and KeyError when c_env
+    misses one of f's free variables.
     """
 
     def __init__(self, spec: HPMSpec, f, c_env):
@@ -200,27 +197,22 @@ class VasaRunner(StrategyRunner):
         super().__init__(HPMStrategy(spec))
         self.retired = False
         self.position = GamePosition.start(f, c_env)
-        self.checked = 0
+        self._own = ()  # the last stretch's moves, checked at the next
 
     # a stretch of one cycle, kept because perfbench/tracer.py wraps it
-    def poll(self, visible_run):
-        return [m for _, m in self.stretch(visible_run, 1)[2]]
+    def poll(self, incoming):
+        return [m for _, m in self.stretch(incoming, 1)[2]]
 
-    def stretch(self, visible_run, limit, budget=1):
+    def stretch(self, incoming, limit, budget=1):
         if self.retired:
             return limit, hpm.spacecost(self.st), []
-        if not self._retires(visible_run):
-            return StrategyRunner.stretch(self, visible_run, limit)
-        return 1, hpm.spacecost(self.st), self._windup()
-
-    def _retires(self, visible_run):
-        """Whether the run is illegal, after checking the entries added
-        since the last check."""
-        if len(visible_run) > self.checked:
-            self.position, bad = self.position.advance(visible_run, self.checked)
-            self.checked = len(visible_run)
-            self.retired = bad is not None
-        return self.retired
+        self.position, bad = self.position.advance(self._own + incoming)
+        if bad is not None:
+            self.retired = True
+            return 1, hpm.spacecost(self.st), self._windup()
+        used, peak, made = StrategyRunner.stretch(self, incoming, limit)
+        self._own = tuple([("T", m) for _, m in made])
+        return used, peak, made
 
     def _windup(self):
         """The retiring stretch's moves: the open buffer wound up, if it

@@ -162,9 +162,9 @@ def test_criterion_9_unconditional_wrapper(legal_machine,
         for env, runner, which in ((env_a, raw, "a"), (env_b, wrapped, "b")):
             run = run_a if which == "a" else run_b
             mv, _ = env(run)
-            if mv is not None:
-                run = run + (("B", mv),)
-            for _, m in runner.stretch(run, 1)[2]:
+            incoming = () if mv is None else (("B", mv),)
+            run += incoming
+            for _, m in runner.stretch(incoming, 1)[2]:
                 run = run + (("T", m),)
             if which == "a":
                 run_a = run

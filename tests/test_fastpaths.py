@@ -505,14 +505,22 @@ class TestTransition:
 
 class ReplayVasa(VasaRunner):
     """VasaRunner deciding legality by replaying the whole run each
-    stretch: its position and cursor go back to the start before every
-    stretch."""
+    stretch: it rebuilds the run from the entries it was handed and the
+    moves it made, and before every stretch its position goes back to
+    the start and the moves it checks before the entries are that whole
+    run."""
 
-    def stretch(self, visible_run, limit, budget=1):
+    def __init__(self, spec, formula, c_env):
+        super().__init__(spec, formula, c_env)
+        self.past = ()  # the whole run before this stretch
+
+    def stretch(self, incoming, limit, budget=1):
         pos = self.position
         self.position = GamePosition.start(pos.formula, pos.c_env)
-        self.checked = 0
-        return VasaRunner.stretch(self, visible_run, limit, budget)
+        self._own = self.past
+        used, peak, made = VasaRunner.stretch(self, incoming, limit, budget)
+        self.past += incoming + tuple([("T", m) for _, m in made])
+        return used, peak, made
 
 
 def retire_cycle(runner, env, fuel):
@@ -521,8 +529,8 @@ def retire_cycle(runner, env, fuel):
     retired = []
     stretch = runner.stretch
 
-    def watched(run, limit, budget):
-        out = stretch(run, limit, budget)
+    def watched(incoming, limit, budget):
+        out = stretch(incoming, limit, budget)
         retired.append(runner.retired)
         return out
 
@@ -710,9 +718,9 @@ class BusyReason(ReasonRunner):
     """ReasonRunner that never skips: its idle flag is cleared before
     every stretch, so each stretch of one cycle advances the sketch."""
 
-    def stretch(self, visible_run, limit, budget=1):
+    def stretch(self, incoming, limit, budget=1):
         self.idle = False
-        return ReasonRunner.stretch(self, visible_run, limit, budget)
+        return ReasonRunner.stretch(self, incoming, limit, budget)
 
 
 @st.composite
@@ -1392,8 +1400,9 @@ class TestInductionRunner:
                 rec["classification"].startswith("locking") for rec in runner.trace)
 
     def test_play_matches_the_tuple_fed_benchmark_harness(self):
-        """hpm.play hands the runner one growing list; the benchmark's
-        induct harness hands it a new tuple on every change."""
+        """hpm.play hands the runner's `stretch` only the ⊥ moves new to
+        it; the benchmark's induct harness hands its `poll` the whole
+        run, a new tuple on every change."""
         sys.path.insert(0, PERFBENCH)
         try:
             import workloads

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clarith.game import TruncationContext, track_append, truncate
@@ -223,12 +223,11 @@ class TestScriptStrategy:
             return "#1" if waited == 2 else None
 
         runner = StrategyRunner(ScriptStrategy(fn))
-        run = ()
+        made = []
         for _ in range(6):
-            for _, m in runner.stretch(run, 1)[2]:
-                run = run + (("T", m),)
+            made += runner.stretch((), 1)[2]
         assert calls == [0, 1, 2, 0, 1, 2]
-        assert len(run) == 2
+        assert len(made) == 2
 
     def test_feed_shows_environment_moves(self):
         seen = []
@@ -281,15 +280,15 @@ class TestMeter:
 
 
 class StretchOnly:
-    """A runner with `stretch` and nothing else: it records each limit
-    and budget it is handed and makes one move, three cycles into its
-    second stretch, at a peak of 4 cells."""
+    """A runner with `stretch` and nothing else: it records the ⊥ moves,
+    limit and budget it is handed and makes one move, three cycles into
+    its second stretch, at a peak of 4 cells."""
 
     def __init__(self):
         self.calls = []
 
-    def stretch(self, visible_run, limit, budget):
-        self.calls.append((len(visible_run), limit, budget))
+    def stretch(self, incoming, limit, budget):
+        self.calls.append((incoming, limit, budget))
         if len(self.calls) == 2 and limit >= 3:
             return 3, 4, [(3, "#1")]
         return limit, 0, []
@@ -307,7 +306,8 @@ class TestPlay:
         out = play(runner, make_scripted_env([(0, "#11"), (0, "#1")]),
                    fuel=10)
         inf = float("inf")
-        assert runner.calls == [(1, 1, 1), (2, 9, inf), (3, 6, inf)]
+        assert runner.calls == [((("B", "#11"),), 1, 1),
+                                ((("B", "#1"),), 9, inf), ((), 6, inf)]
         assert out["run"] == (("B", "#11"), ("B", "#1"), ("T", "#1"))
         rep = meter_report(out["meter"])
         assert (rep["max_spacecost"], rep["max_timecost"]) == (4, 2)
@@ -315,7 +315,7 @@ class TestPlay:
     def test_an_env_of_no_run_gets_one_cycle_per_call(self):
         runner = StretchOnly()
         play(runner, without_horizon(make_scripted_env([(0, "#11")])), fuel=4)
-        assert runner.calls == [(1, 1, 1)] * 4
+        assert runner.calls == [((("B", "#11"),), 1, 1)] + [((), 1, 1)] * 3
 
     def test_the_horizon_is_the_move_budget(self):
         """The entry at @2 is two ⊤ moves off when the env plays the one
@@ -323,7 +323,41 @@ class TestPlay:
         runner = StretchOnly()
         play(runner, make_scripted_env([(0, "#11"), (0, "#1"), (2, "0.#1")]),
              fuel=10)
-        assert runner.calls == [(1, 1, 1), (2, 9, 2), (3, 6, 1)]
+        assert runner.calls == [((("B", "#11"),), 1, 1),
+                                ((("B", "#1"),), 9, 2), ((), 6, 1)]
+
+
+class SpyRunner(StrategyRunner):
+    """A `StrategyRunner` over a script that moves #1 once it has waited
+    `every` cycles, recording every labmove each stretch is handed."""
+
+    def __init__(self, every):
+        super().__init__(ScriptStrategy(
+            lambda run, waited: "#1" if waited + 1 >= every else None))
+        self.handed = []
+
+    def stretch(self, incoming, limit, budget=1):
+        self.handed += incoming
+        return StrategyRunner.stretch(self, incoming, limit, budget)
+
+
+class TestPlayHandsOnlyNewMoves:
+    """The runner contract: each stretch is handed the ⊥ moves that
+    entered the run since the last, so the runner sees each env move
+    once, in order, as a ⊥ labmove, and never a ⊤ move."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=st.lists(st.tuples(st.integers(-1, 6),
+                                      st.sampled_from(["#1", "#10", "0.#1"])),
+                            max_size=8),
+           every=st.integers(1, 4), horizon=st.booleans(),
+           fuel=st.integers(1, 40))
+    def test_each_env_move_once_in_order(self, entries, every, horizon, fuel):
+        runner = SpyRunner(every)
+        env = make_scripted_env(entries)
+        run = play(runner, env if horizon else without_horizon(env), fuel)["run"]
+        assert runner.handed == [lm for lm in run if lm[0] == "B"]
+        assert runner.st[0] == run
 
 
 class TestHistoryPrefix:

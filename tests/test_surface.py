@@ -38,7 +38,8 @@ LEDGER = {
     "hpm.history_prefix": "perfbench: the tracer's span wraps it",
     "hpm.ScriptStrategy.step": "perfbench: the tracer's span wraps it",
     "wrappers.VasaRunner.poll": "perfbench: the tracer's span wraps it",
-    "induction.diagnostics": "perfbench: the induct check reads the iterations off it",
+    "induction.InductionRunner.poll":
+        "perfbench: the induct session calls it, the tracer wraps it",
 }
 KINDS = ("cli", "twin", "perfbench")
 

@@ -13,6 +13,7 @@ from clarith.hpm import (
     StrategyRunner,
     initial_sketch,
     meter_report,
+    parse_hpm,
     play,
     spacecost,
 )
@@ -24,7 +25,7 @@ from clarith.wrappers import (
     update_sketch,
 )
 
-from conftest import make_scripted_env, without_horizon
+from conftest import make_scripted_env, read_fixture, without_horizon
 
 ENV_MOVES = [(0, "#1001"), (0, "0.#10"), (1, "1.#1")]
 
@@ -117,12 +118,12 @@ class TestReasonIdle:
                                        two_disjunct_formula,
                                        resimulation_calls):
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-        run = play(runner, make_scripted_env(ENV_MOVES), fuel=300)["run"]
+        play(runner, make_scripted_env(ENV_MOVES), fuel=300)
         assert runner.idle and runner.faults == []
         resimulation_calls.clear()
         for _ in range(20):
-            assert runner.stretch(run, 1)[2] == []
-        assert runner.stretch(run, 1000) == (1000, 0, [])
+            assert runner.stretch((), 1)[2] == []
+        assert runner.stretch((), 1000) == (1000, 0, [])
         assert resimulation_calls == []
 
     def test_calls_stay_flat_past_the_halt(self, bigmove_machine,
@@ -142,11 +143,12 @@ class TestReasonIdle:
                                                two_disjunct_formula):
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
         run = [("B", "#1001"), ("B", "0.#10")]
+        incoming = tuple(run)
         for _ in range(100):
-            run += [("T", m) for _, m in runner.stretch(run, 1)[2]]
+            run += [("T", m) for _, m in runner.stretch(incoming, 1)[2]]
+            incoming = ()
         assert runner.idle and run[-1] == ("T", "0.1.#1111")
-        run.append(("B", "1.#1"))
-        used, _, made = runner.stretch(run, 100)
+        used, _, made = runner.stretch((("B", "1.#1"),), 100)
         assert made == [(used, "1.1.#0")] and used < 100 and not runner.idle
 
 
@@ -220,14 +222,14 @@ class TestVasaRunner:
         pending_b = make_scripted_env(env_entries)
         for _ in range(60):
             mv, _ = pending_a(run_a)
-            if mv is not None:
-                run_a = run_a + (("B", mv),)
-            for _, m in raw.stretch(run_a, 1)[2]:
+            incoming = () if mv is None else (("B", mv),)
+            run_a += incoming
+            for _, m in raw.stretch(incoming, 1)[2]:
                 run_a = run_a + (("T", m),)
             mv, _ = pending_b(run_b)
-            if mv is not None:
-                run_b = run_b + (("B", mv),)
-            for m in wrapped.poll(run_b):
+            incoming = () if mv is None else (("B", mv),)
+            run_b += incoming
+            for m in wrapped.poll(incoming):
                 run_b = run_b + (("T", m),)
             assert spacecost(wrapped.st) == spacecost(raw.st)
 
@@ -248,22 +250,31 @@ class TestVasaRunner:
                                                  two_disjunct_formula):
         wrapped = VasaRunner(
             legal_machine, two_disjunct_formula, {"x": 9})
-        run = (("B", "0.#10"),)
-        assert wrapped.poll(run) == []
+        assert wrapped.poll((("B", "0.#10"),)) == []
         assert wrapped.st.buffer == "0.1.#11"
-        run_bad = run + (("B", "0.#10"),)
-        final = wrapped.poll(run_bad)
+        final = wrapped.poll((("B", "0.#10"),))
         assert wrapped.retired
         assert final == ["0.1.#11"]
+
+    def test_retires_after_its_own_illegal_move(self, two_disjunct_formula):
+        """The legality check reads the machine's own moves too: echo's
+        first move, #1, resolves no choice quantifier, so the next
+        stretch retires the runner before the machine, which alone would
+        go on moving, makes a second move."""
+        echo = parse_hpm(read_fixture("echo.hpm"))
+        wrapped = VasaRunner(echo, two_disjunct_formula, {"x": 9})
+        run = play(wrapped, make_scripted_env([]), fuel=30)["run"]
+        assert wrapped.retired and run == (("T", "#1"),)
+        assert first_illegal_index(two_disjunct_formula, {"x": 9}, run) == 0
 
     def test_stays_silent_once_retired(self, legal_machine,
                                        two_disjunct_formula):
         wrapped = VasaRunner(
             legal_machine, two_disjunct_formula, {"x": 9})
-        bad = (("T", "0.#1"),)
+        bad = (("B", "0.1.#1"),)  # ⊥ may not resolve ⊤'s quantifier
         assert wrapped.poll(bad) == []
         assert wrapped.retired
-        assert wrapped.poll(bad) == []
+        assert wrapped.poll(()) == []
 
     def test_builder_rejects_choice_free_formula(self, legal_machine):
         with pytest.raises(ValueError):
