@@ -466,7 +466,10 @@ def analysis(f: Formula) -> Analysis:
     """f's Analysis, built on first use and kept on f itself.
 
     Formula nodes are never mutated after construction, so the cache
-    cannot go stale, and it is freed together with the formula.
+    cannot go stale.  When f's root is a choice, the first unit's node
+    is f itself, so f and its Analysis are freed only by the cyclic
+    collector, as are the recursive closures `walk` (in Analysis) and
+    `close` (in MoveShapes.completions) after each call.
     """
     a = f.__dict__.get("_analysis")
     if a is None:

@@ -9,6 +9,8 @@ nothing a simulation learns is ever trusted beyond its replayable part.
 
 from __future__ import annotations
 
+import weakref
+
 from . import formula as fm
 from .bounds import bitsize, statute_limit, unarify
 from .game import (TruncationContext, constant_moves, constant_value,
@@ -181,6 +183,9 @@ class InductionRunner:
     parameters, and `rank_base` is the digit base of the iteration
     ranks; each is None before.  The statute's r, g and q are the
     premises' largest, DEFAULT_MACHINE_CENSUS for a scripted one.
+    The generator running Main holds the runner through a weak proxy,
+    so no cycle joins them: a dropped runner frees its trace at once,
+    not at the next full collection.
     """
 
     def __init__(self, n_strategy, k_strategy, conclusion):
@@ -203,7 +208,7 @@ class InductionRunner:
         # environment moves inside the consequent, beyond the constants
         self._consequent = []
         self._out = []
-        self._gen = self._main()
+        self._gen = InductionRunner._main(weakref.proxy(self))
         self.census = self.statute_params = self.rank_base = None
 
     # -- harness protocol --------------------------------------------------
@@ -283,7 +288,8 @@ class InductionRunner:
         n_strategy, k_strategy = self.n_strategy, self.k_strategy
         n_open = n_strategy.feed(n_strategy.initial(), opening)
         if k == 0:
-            yield from self._replay_zero(n_open)
+            # a method read through the proxy is bound to the runner itself
+            yield from InductionRunner._replay_zero(self, n_open)
             return
         k_open = k_strategy.feed(k_strategy.initial(), opening)
 

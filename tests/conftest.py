@@ -27,6 +27,13 @@ COUNTER_TEXT = "ada x [val 1000] ade v [|x| + 1] (v = x)"
 # is the first constant, x the second
 BLIND_CONCLUSION = "cla y < 2 : ada x [val |k|] ade v [1] (v = 0)"
 
+# the formula files the whole-CLI tests write into their tmp directory
+CLI_FILES = {
+    "game.clf": TWO_DISJUNCT_TEXT,
+    "p.clf": "p(y)",
+    "concl.clf": "ada x [val 100] ade v [1] (v = 0)",
+}
+
 
 def read_fixture(name):
     with open(os.path.join(FIXTURES, name), "r", encoding="utf-8") as fh:

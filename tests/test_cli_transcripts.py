@@ -11,13 +11,7 @@ import pytest
 
 from clarith.cli import main
 
-from conftest import FIXTURES, TWO_DISJUNCT_TEXT
-
-FILES = {
-    "game.clf": TWO_DISJUNCT_TEXT,
-    "p.clf": "p(y)",
-    "concl.clf": "ada x [val 100] ade v [1] (v = 0)",
-}
+from conftest import CLI_FILES, FIXTURES
 
 METER_COMPR = ('{"amplitude": {"1": 3}, "max_spacecost": 0, '
                '"spacecost_by_background": {"1": 0}, "max_timecost": 0}')
@@ -93,7 +87,7 @@ CASES = {
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_transcript(name, tmp_path, capsys):
-    for file_name, text in FILES.items():
+    for file_name, text in CLI_FILES.items():
         (tmp_path / file_name).write_text(text + "\n")
     argv, want_out, want_trace = CASES[name]
     paths = (("<fixtures>", FIXTURES), ("<tmp>", str(tmp_path)))

@@ -1,0 +1,108 @@
+"""No runner outlives its session.
+
+With the cyclic collector off, reference counting alone must free every
+runner, `HPMSpec` and `TruncationContext` that a CLI command built once
+`main` returns, and a dropped `InductionRunner` together with its
+trace.  An object kept alive by a reference cycle would stay, with all
+it holds, until the next full collection.
+"""
+
+import gc
+import sys
+import weakref
+
+import pytest
+
+import clarith.formula as fm
+from clarith import comprehension, game, hpm, induction, wrappers
+from clarith.cli import main
+from clarith.game import int_to_numer
+
+from conftest import (CLI_FILES, COUNTER_TEXT, FIXTURES, counter_k_script,
+                      counter_n_script, drive_solver)
+
+TRACKED = (hpm.StrategyRunner, wrappers.ReasonRunner, wrappers.VasaRunner,
+           comprehension.ComprehensionRunner, induction.InductionRunner,
+           hpm.HPMSpec, game.TruncationContext)
+
+# name -> (the class of the runner it builds, argv)
+COMMANDS = {
+    "play": ("StrategyRunner", [
+        "play", "<fixtures>/legal.hpm", "<tmp>/game.clf", "--env", "x=9",
+        "--fuel", "60"]),
+    "reason": ("ReasonRunner", [
+        "transform", "reason", "--machine", "<fixtures>/bigmove.hpm",
+        "--f", "<tmp>/game.clf", "--play", "--env", "x=9", "--fuel", "60"]),
+    "vasa": ("VasaRunner", [
+        "transform", "vasa", "--machine", "<fixtures>/legal.hpm",
+        "--f", "<tmp>/game.clf", "--consts", "x=9", "--play", "--env", "x=9",
+        "--fuel", "60"]),
+    "compr": ("ComprehensionRunner", [
+        "transform", "compr", "--premise", "<fixtures>/always_yes.hpm",
+        "--p", "<tmp>/p.clf", "--y", "y", "--bound", "3", "--play",
+        "--fuel", "50"]),
+    "induct": ("InductionRunner", [
+        "transform", "induct", "--n", "<fixtures>/n_const.hpm",
+        "--k", "<fixtures>/k_const.hpm", "--f", "<tmp>/concl.clf",
+        "--env", "k=2", "--trace", "<tmp>/trace.jsonl", "--play",
+        "--fuel", "200"]),
+    # k = 0 replays the base premise through a second generator
+    "induct-zero": ("InductionRunner", [
+        "transform", "induct", "--n", "<fixtures>/n_const.hpm",
+        "--k", "<fixtures>/k_const.hpm", "--f", "<tmp>/concl.clf",
+        "--env", "k=0", "--play", "--fuel", "20"]),
+}
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """(class name, weakref) of every TRACKED object constructed."""
+    refs = []
+    for cls in TRACKED:
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            refs.append((type(self).__name__, weakref.ref(self)))
+        monkeypatch.setattr(cls, "__init__", init)
+    return refs
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_cli_command_frees_what_it_built(name, tmp_path, capsys,
+                                         no_cyclic_gc, built):
+    for file_name, text in CLI_FILES.items():
+        (tmp_path / file_name).write_text(text + "\n")
+    runner_cls, argv = COMMANDS[name]
+    assert main([arg.replace("<fixtures>", FIXTURES)
+                 .replace("<tmp>", str(tmp_path)) for arg in argv]) == 0
+    capsys.readouterr()
+    assert {runner_cls, "HPMSpec"} <= {cls for cls, _ in built}
+    assert [cls for cls, ref in built if ref() is not None] == []
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_dropped_induction_runner_frees_its_trace(k, no_cyclic_gc):
+    runner = induction.build_induction_solver(
+        counter_n_script(), counter_k_script(), fm.parse_formula(COUNTER_TEXT))
+    if k:
+        drive_solver(runner, [(0, "#" + int_to_numer(k))])
+        assert runner.locked and runner.trace
+    else:
+        run = (("B", "#"),)
+        assert sum((runner.poll(run) for _ in range(10)), []) == ["1.#"]
+    # a list takes no weakref: the trace is gone with the runner once
+    # this frame's name is its only holder, as `alone` is of a new list
+    ref, trace, alone = weakref.ref(runner), runner.trace, []
+    del runner
+    assert ref() is None
+    assert sys.getrefcount(trace) == sys.getrefcount(alone)
