@@ -27,6 +27,13 @@ given an A/A band, its median ratio lies beyond the band on the better
 side.  The script only reports: it reads `BENCHMARK.json` and runs
 `perfbench/`, and changes neither.  It exits 1 if any run failed to
 produce a result line, after writing the file.
+
+Seeds are spent once per base.  Each run appends its base, workloads and
+A/B seeds to LEDGER, under the gitignored `.perfbench_work/`, before its
+pairs start.  A workload whose A/B seeds overlap those of an earlier
+run against the same base still runs, but none of its gains holds, and
+its summary lists the reused seeds: pairs run while building a change
+cannot be its evidence.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LEDGER = os.path.join(ROOT, ".perfbench_work", "ab_pairs_ledger.jsonl")
 MIN_CLAIM_PAIRS = 10
 
 
@@ -55,6 +63,26 @@ def parse_seeds(text):
     if not seeds:
         raise ValueError(f"no seeds in {text!r}")
     return seeds
+
+
+def read_ledger(path):
+    """The ledger's entries, oldest first; none when there is no file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [json.loads(line) for line in fh if line.strip()]
+    except FileNotFoundError:
+        return []
+
+
+def spent_seeds(ledger, base):
+    """{workload: set of the A/B seeds the ledger's runs against base
+    used on it}."""
+    spent = {}
+    for entry in ledger:
+        if entry["base"] == base:
+            for workload in entry["workloads"]:
+                spent.setdefault(workload, set()).update(entry["seeds"])
+    return spent
 
 
 def result_line(stdout):
@@ -123,14 +151,20 @@ def metric_summary(pairs, aa_pairs, name, better):
     }
 
 
-def summarize(runs, metrics):
-    """{workload: {"failed": ..., "metrics": {name: statistics}}} over
-    runs, each a dict of kind ("ab" or "aa"), workload, pair, side
-    ("base", "change" or "copy") and result (the parsed result line, or
-    None for a run that gave none); metrics maps each metric's name to
-    the direction, "lower" or "higher", that is better."""
+def summarize(runs, metrics, spent=None):
+    """{workload: {"failed": ..., "reused_seeds": [...], "metrics": {name:
+    statistics}}} over runs, each a dict of kind ("ab" or "aa"),
+    workload, pair, seed, side ("base", "change" or "copy") and result
+    (the parsed result line, or None for a run that gave none); metrics
+    maps each metric's name to the direction, "lower" or "higher", that
+    is better.  spent is `spent_seeds` of the runs before these: a
+    workload whose A/B seeds it holds lists them, and no gain on it
+    holds."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
+        reused = sorted((spent or {}).get(workload, set()).intersection(
+            run["seed"] for run in runs
+            if (run["kind"], run["workload"]) == ("ab", workload)))
         failed = {}
         for run in runs:
             if run["workload"] == workload:
@@ -145,9 +179,12 @@ def summarize(runs, metrics):
                     side["failed"] += result["failed"]
         pairs = pair_results(runs, "ab", workload, "change")
         aa_pairs = pair_results(runs, "aa", workload, "copy")
-        out[workload] = {"failed": failed, "metrics": {
-            name: metric_summary(pairs, aa_pairs, name, better)
-            for name, better in metrics.items()} if pairs else {}}
+        stats = {name: metric_summary(pairs, aa_pairs, name, better)
+                 for name, better in metrics.items()} if pairs else {}
+        for s in stats.values():
+            s["holds"] = s["holds"] and not reused
+        out[workload] = {"failed": failed, "reused_seeds": reused,
+                         "metrics": stats}
     return out
 
 
@@ -238,12 +275,19 @@ def main(argv=None):
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     try:
         base = git("rev-parse", "--short", args.base)
+        base_full = git("rev-parse", args.base)
         change = git("rev-parse", "HEAD")
         dirty = subprocess.run(["git", "-C", ROOT, "diff", "--quiet", "HEAD"]).returncode
     except subprocess.CalledProcessError as exc:
         print(f"error: git: {exc.stderr.strip()}", file=sys.stderr)
         return 1
     out = args.out or os.path.join(ROOT, f"BENCH_pairs.{base}.json")
+    spent = spent_seeds(read_ledger(LEDGER), base_full)
+    seeds = sorted({args.seeds[i % len(args.seeds)] for i in range(args.pairs)})
+    os.makedirs(os.path.dirname(LEDGER), exist_ok=True)
+    with open(LEDGER, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"base": base_full, "workloads": workloads,
+                             "seeds": seeds}) + "\n")
     tmp = tempfile.mkdtemp(prefix="ab_pairs-")
     try:
         trees = {side: os.path.join(tmp, side)
@@ -260,7 +304,7 @@ def main(argv=None):
                               workload, args.seeds, args.pairs, args.seconds)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    summary = summarize(runs, metrics)
+    summary = summarize(runs, metrics, spent)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump({"base": base, "change": change + ("+dirty" if dirty else ""),
                    "seeds": args.seeds, "pairs": args.pairs,
@@ -270,6 +314,10 @@ def main(argv=None):
                    "runs": runs}, fh, indent=2)
         fh.write("\n")
     print("\n".join(summary_table(summary)))
+    for workload, entry in summary.items():
+        if entry["reused_seeds"]:
+            print(f"{workload}: seeds {entry['reused_seeds']} were spent on "
+                  f"{base} before, so no gain on it holds", file=sys.stderr)
     print(f"written to {out}")
     return 1 if any(run["result"] is None for run in runs) else 0
 

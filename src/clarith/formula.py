@@ -394,14 +394,14 @@ class MoveShapes:
         """Suffixes closing s into a move, least first in the order
         # < 0 < 1 < .: "" if s is a move already, else the rest of
         addr + "#" for each address s can still become."""
-        def close(state):
+        def close(state, close):  # handed itself, so no cell holds it
             if state >= self.numer:
                 return [""]
             return [c + rest for c in "#01." if c in self.delta[state]
-                    for rest in close(self.delta[state][c])]
+                    for rest in close(self.delta[state][c], close)]
 
         state, _ = self.scan(s)
-        return [] if state is None else close(state)
+        return [] if state is None else close(state, close)
 
 
 class Analysis:
@@ -421,27 +421,27 @@ class Analysis:
                 if n not in bound and n not in free:
                     free.append(n)
 
-        def walk(g, addr, pos, ancestors, bound):
+        stack = [(f, "", True, (), frozenset())]  # walked in preorder
+        while stack:
+            g, addr, pos, ancestors, bound = stack.pop()
             if isinstance(g, Atom):
                 for a in g.args:
                     note(a.variables(), bound)
             elif isinstance(g, Not):
-                walk(g.body, addr, not pos, ancestors, bound)
-            elif isinstance(g, Binary):
-                walk(g.left, addr + "0.", pos != isinstance(g, Implies),
-                     ancestors, bound)
-                walk(g.right, addr + "1.", pos, ancestors, bound)
+                stack.append((g.body, addr, not pos, ancestors, bound))
+            elif isinstance(g, Binary):  # the right side is popped last
+                stack.append((g.right, addr + "1.", pos, ancestors, bound))
+                stack.append((g.left, addr + "0.", pos != isinstance(g, Implies),
+                              ancestors, bound))
             elif isinstance(g, (Choice, Blind)):
                 note(g.bound.variables(), bound)
                 if isinstance(g, Choice):
                     mover = "T" if isinstance(g, ChoiceEx) == pos else "B"
                     units.append(Unit(addr, g, mover, ancestors))
                     addr, ancestors = addr + "1.", ancestors + (addr,)
-                walk(g.body, addr, pos, ancestors, bound | {g.var})
+                stack.append((g.body, addr, pos, ancestors, bound | {g.var}))
             else:
                 raise TypeError(f"not a formula: {g!r}")
-
-        walk(f, "", True, (), frozenset())
         self.units = units
         self.by_addr = {u.address: u for u in self.units}
         self.addresses = tuple(u.address for u in self.units)
@@ -468,8 +468,8 @@ def analysis(f: Formula) -> Analysis:
     Formula nodes are never mutated after construction, so the cache
     cannot go stale.  When f's root is a choice, the first unit's node
     is f itself, so f and its Analysis are freed only by the cyclic
-    collector, as are the recursive closures `walk` (in Analysis) and
-    `close` (in MoveShapes.completions) after each call.
+    collector.  Reference counting frees any other f with its Analysis:
+    the walk and `MoveShapes.completions` leave no cycle.
     """
     a = f.__dict__.get("_analysis")
     if a is None:

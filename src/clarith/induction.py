@@ -9,6 +9,7 @@ nothing a simulation learns is ever trusted beyond its replayable part.
 
 from __future__ import annotations
 
+import sys
 import weakref
 
 from . import formula as fm
@@ -51,19 +52,19 @@ def _sim_stepping(a, b, n, strategy, state, consequent=(), q=0):
     after that cycle.  A stretch of more cycles would run past the
     point where the synchronizer checks for a new consequent move.
     Returns (final signed organ, U), or None as soon as consequent
-    holds more than q moves when a cycle's yield is resumed.  state is
+    holds more than q moves when a cycle's yield is resumed.  The result
+    organ is `organ` of its moves and the last replayed organ's scale,
+    made as a tuple: that scale was checked when its organ was.  state is
     a value, so one opened premise state serves any number of replays;
     an organ with no moves is fed nothing.
     """
     check_sim_triple(a, b, n)
     stretch = strategy.stretch
-    w = state
-    u = 0
+    w, u = state, 0
     nu, psi = [], []
     ai, bi = 0, 1
-    sign, org = "+", b[0]
+    sign, (payload, p) = "+", b[0]
     while True:
-        payload, p = org
         if payload:
             prefix = "" if n == 0 else ("1." if sign == "+" else "0.")
             w = strategy.feed(w, tuple([("B", prefix + m) for m in payload]))
@@ -85,16 +86,14 @@ def _sim_stepping(a, b, n, strategy, state, consequent=(), q=0):
                 return None
         if nu:
             if bi == len(b):
-                return ("+", organ(nu, p)), u
+                return ("+", (tuple(nu), p)), u
+            sign, (payload, p), nu = "+", b[bi], []
             bi += 1
-            sign, org = "+", b[bi - 1]
-            nu = []
         else:
             if ai == len(a):
-                return ("-", organ(psi, p)), u
+                return ("-", (tuple(psi), p)), u
+            sign, (payload, p), psi = "-", a[ai], []
             ai += 1
-            sign, org = "-", a[ai - 1]
-            psi = []
 
 
 def sim(a, b, n, strategy):
@@ -118,25 +117,25 @@ def validate_aggregation(entries, k) -> str:
     if not entries or entries[-1][0] != k or len(entries[-1][1]) % 2 == 0:
         return "violated-i"
     first = 4  # index into _LATER_CONDITIONS of the first one broken so far
-    prev_idx = prev_even = prev_odd = None
-    last = len(entries) - 1
-    for pos, (idx, body) in enumerate(entries):
-        if prev_idx is not None and idx <= prev_idx:
+    # no len() reaches sys.maxsize, and an odd size is at least 1
+    prev_idx, prev_even, prev_odd = entries[0][0] - 1, sys.maxsize, 0
+    for idx, body in entries[:-1]:  # the last, odd, is read by i and ii only
+        if idx <= prev_idx:
             return "violated-ii"
         prev_idx, size = idx, len(body)
-        if size % 2 == 0:
-            if prev_odd is not None:
-                first = 0
-            elif prev_even is not None and prev_even <= size:
-                first = min(first, 1)
-            elif size == 0:
-                first = min(first, 3)
-            prev_even = size
-        elif pos < last:
-            if prev_odd is not None and prev_odd >= size:
-                first = min(first, 2)
+        if size % 2:
+            if prev_odd >= size and first > 2:
+                first = 2
             prev_odd = size
-    return _LATER_CONDITIONS[first]
+        elif prev_odd:
+            first = 0
+        elif prev_even <= size:
+            first = 1  # only iv and vi are broken before any odd size
+        else:
+            if size == 0 and first == 4:
+                first = 3
+            prev_even = size
+    return "violated-ii" if k <= prev_idx else _LATER_CONDITIONS[first]
 
 
 def central_triple(entries, k):
@@ -144,13 +143,14 @@ def central_triple(entries, k):
     status = validate_aggregation(entries, k)
     if status != "ok":
         raise ValueError(f"invalid aggregation: {status}")
-    for pos, (idx, body) in enumerate(entries):
-        if len(body) % 2 == 1:
-            left = ()
-            if pos > 0 and entries[pos - 1][0] == idx - 1:
-                left = tuple(entries[pos - 1][1])
-            return left, tuple(body), idx, pos
-    raise AssertionError("aggregation has no odd-size entry")
+    pos = 0
+    while len(entries[pos][1]) % 2 == 0:  # condition i: the last is odd
+        pos += 1
+    idx, body = entries[pos]
+    left = ()
+    if pos and entries[pos - 1][0] == idx - 1:
+        left = tuple(entries[pos - 1][1])
+    return left, tuple(body), idx, pos
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +159,10 @@ def central_triple(entries, k):
 class InductionRunner:
     """The synchronizing machine, packaged for the play harness.
 
-    The trace records, per completed iteration, the aggregation as it
-    stood when the iteration began plus the classification the
-    iteration earned; ranks are computed over these start states.
-    Bodies are immutable tuples, replaced on every change, so a record
+    Main's loop appends a record per completed iteration to `trace`,
+    the list it held when the constants arrived: the aggregation as the
+    iteration began and the classification it earned, over whose start
+    states ranks are computed.  Bodies are immutable tuples, so a record
     shares them with the live aggregation and later iterations never
     alter it.  Each iteration validates its start aggregation once and
     re-simulates its premise from that premise's opened state: each
@@ -241,23 +241,12 @@ class InductionRunner:
             elif m.startswith("1."):
                 self._consequent.append(m[2:])
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _record(self, start, u, classification):
-        _, scale = start[-1][1][-1]  # the master body's last organ
-        self.trace.append({
-            "entries": start,
-            "U": u,
-            "classification": classification,
-            "master_scale": scale,
-            "validity": "ok",  # central_triple rejects anything else
-        })
-
     # -- the generator -------------------------------------------------------
 
     def _main(self):
         while len(self._constants) <= len(self.free):
             yield
+        trace = self.trace  # read after the wait: a replaced one takes the records
         *values, k = self._constants
         c_env = dict(zip(self.free, values))
         limit = self.bound.evaluate(c_env)
@@ -316,22 +305,21 @@ class InductionRunner:
                 state = k_strategy.feed(k_open, (("B", "#" + int_to_numer(n - 1)),))
             else:
                 strategy, state = n_strategy, n_open
-            # the even organs of left, the odd ones of right; None if a
-            # new consequent move interrupts
+            # the even organs of left, the odd ones of right; no sign if
+            # a new consequent move interrupts
             result = yield from _sim_stepping(
                 left[1::2], right[0::2], n, strategy, state, consequent, q)
-            if result is not None:
-                (sign, org), u = result
-                if u > u_total:
-                    u_total = u
-            if result is None:
-                absorb_new_move()
-                classification = "restarting(new-move)"
-            elif sign == "+" and n < k:
+            (sign, org), u = result or ((None, None), 0)
+            if u > u_total:
+                u_total = u
+            if sign == "+" and n < k:
                 body = entries[pos][1] + (org,)
                 entries[pos] = (n, body)
-                size = len(body)
-                entries[:] = [e for e in entries if e[0] >= n or len(e[1]) > size]
+                # evens fall before pos: those breaking iv now end there
+                end, size = pos, len(body)
+                while pos and len(entries[pos - 1][1]) <= size:
+                    pos -= 1
+                del entries[pos:end]
                 classification = "repeating(2.1.1)"
             elif sign == "+":
                 omega, scale = org
@@ -339,30 +327,42 @@ class InductionRunner:
                 self._out.extend("1." + m for m in omega)
                 classification = "locking(2.1.2)"
                 self.locked = True
-            elif n > 0:
-                if pos > 0 and entries[pos - 1][0] == n - 1:
+            elif sign == "-" and n > 0:
+                if pos and entries[pos - 1][0] == n - 1:
                     body = entries[pos - 1][1] + (org,)
                     entries[pos - 1] = (n - 1, body)
                 else:
                     body = (org,)
                     entries.insert(pos, (n - 1, body))
-                size = len(body)
-                entries[:-1] = [e for e in entries[:-1]
-                                if e[0] < n or len(e[1]) > size]
+                    pos += 1
+                # common odds rise from pos: those breaking v now start there
+                end, size = pos, len(body)
+                while end < len(entries) - 1 and len(entries[end][1]) <= size:
+                    end += 1
+                del entries[pos:end]
                 classification = "repeating(2.2.1)"
-            elif master[-1][1] < statute_limit(ell, u_total, statute_params):
-                payload, v = master[-1]
-                entries[-1] = (k, master[:-1] + (organ(payload, v * 2),))
-                classification = "restarting(2.2.2.1)"
-            else:
-                while len(consequent) <= q:
-                    yield
-                absorb_new_move()
-                classification = "restarting(2.2.2.2)"
-            if classification.startswith("restarting"):
+            else:  # a restart keeps only the master, and resets U
+                if sign is None:
+                    absorb_new_move()
+                    classification = "restarting(new-move)"
+                elif master[-1][1] < statute_limit(ell, u_total, statute_params):
+                    payload, v = master[-1]
+                    entries[-1] = (k, master[:-1] + (organ(payload, v * 2),))
+                    classification = "restarting(2.2.2.1)"
+                else:
+                    while len(consequent) <= q:
+                        yield
+                    absorb_new_move()
+                    classification = "restarting(2.2.2.2)"
                 u_total = 0
                 del entries[:-1]
-            self._record(start, u_total, classification)
+            trace.append({
+                "entries": start,
+                "U": u_total,
+                "classification": classification,
+                "master_scale": master[-1][1],  # of its last organ
+                "validity": "ok",  # central_triple rejects anything else
+            })
 
     def _replay_zero(self, st):
         strategy = self.n_strategy

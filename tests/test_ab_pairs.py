@@ -120,3 +120,51 @@ def test_workloads_keep_their_order_and_the_table_has_a_row_per_metric():
     assert len(lines) == 2 + 4
     assert lines[2] == ("| play | peak_rss_mb | 36.45 [36.23, 36.68] | 30 "
                         "| 0.825 | 9/10 | - | yes |")
+
+
+LEDGER = [{"base": "aaa", "workloads": ["induct", "play"], "seeds": [11, 12]},
+          {"base": "bbb", "workloads": ["induct"], "seeds": [13, 14]},
+          {"base": "aaa", "workloads": ["play"], "seeds": [15]}]
+
+
+def test_spent_seeds_are_kept_per_base_and_workload():
+    assert ab_pairs.spent_seeds(LEDGER, "aaa") == {"induct": {11, 12},
+                                                   "play": {11, 12, 15}}
+    assert ab_pairs.spent_seeds(LEDGER, "ccc") == {}
+
+
+def test_a_missing_ledger_has_no_entries(tmp_path):
+    assert ab_pairs.read_ledger(tmp_path / "none.jsonl") == []
+    path = tmp_path / "ledger.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in LEDGER))
+    assert ab_pairs.read_ledger(path) == LEDGER
+
+
+def test_a_gain_on_spent_seeds_does_not_hold():
+    """Seeds 11-20 against base "aaa": 11 and 12 were spent on induct,
+    none on this run's other workload, analyze."""
+    both = (runs("ab", "base", BASE) + runs("ab", "change", CHANGE)
+            + runs("ab", "base", BASE, "analyze")
+            + runs("ab", "change", CHANGE, "analyze"))
+    s = ab_pairs.summarize(both, METRICS, ab_pairs.spent_seeds(LEDGER, "aaa"))
+    assert s["induct"]["reused_seeds"] == [11, 12]
+    assert not any(m["holds"] for m in s["induct"]["metrics"].values())
+    assert s["induct"]["metrics"]["peak_rss_mb"]["won"] == 9
+    assert s["analyze"]["reused_seeds"] == []
+    assert all(m["holds"] for m in s["analyze"]["metrics"].values())
+    fresh = ab_pairs.summarize(both, METRICS, ab_pairs.spent_seeds(LEDGER, "ccc"))
+    assert fresh["induct"]["reused_seeds"] == []
+    assert all(m["holds"] for m in fresh["induct"]["metrics"].values())
+
+
+def test_only_the_ab_seeds_count_as_reused():
+    """A/A pairs on a spent seed leave the claim alone: only the A/B
+    pairs are its evidence."""
+    aa = (runs("aa", "base", BASE) + runs("aa", "copy", BASE))
+    for run in aa:
+        run["seed"] = 99
+    s = ab_pairs.summarize(aa + runs("ab", "base", BASE)
+                           + runs("ab", "change", CHANGE), METRICS,
+                           {"induct": {99}})
+    assert s["induct"]["reused_seeds"] == []
+    assert s["induct"]["metrics"]["work_per_s"]["holds"]

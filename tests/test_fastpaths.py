@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
-from clarith import hpm, oracles, wrappers, zoo
+from clarith import hpm, induction, oracles, wrappers, zoo
 from clarith.cli import _script_env, main
 from clarith.bounds import Nat, bitsize, parse_bound
 from clarith.comprehension import ComprehensionRunner
@@ -60,6 +60,7 @@ from clarith.hpm import (
 )
 from clarith.induction import (
     build_induction_solver,
+    central_triple,
     organ,
     validate_aggregation,
 )
@@ -1331,6 +1332,19 @@ def validate_aggregation_spec(entries, k):
     return "ok"
 
 
+def central_triple_spec(entries, k):
+    """The list-based statement: the first odd-size entry, and the body
+    of its left neighbour only when that neighbour's index is n - 1."""
+    status = validate_aggregation_spec(entries, k)
+    if status != "ok":
+        raise ValueError(f"invalid aggregation: {status}")
+    pos = [len(body) % 2 for _, body in entries].index(1)
+    n, body = entries[pos]
+    indices = [idx for idx, _ in entries]
+    left = tuple(entries[pos - 1][1]) if n - 1 in indices[:pos] else ()
+    return left, tuple(body), n, pos
+
+
 def shaped(*pairs):
     """Entries with the given (index, body size) shape."""
     return [(idx, (organ((), 1),) * size) for idx, size in pairs]
@@ -1353,6 +1367,18 @@ class TestValidateAggregation:
     @given(aggregations, st.integers(0, 6))
     def test_single_pass_matches_the_spec(self, entries, k):
         assert validate_aggregation(entries, k) == validate_aggregation_spec(entries, k)
+
+    @given(aggregations, st.integers(0, 6))
+    @example(shaped((1, 2), (3, 1), (5, 1)), 5)  # a left neighbour, not at n - 1
+    @example(shaped((2, 2), (3, 1), (5, 1)), 5)
+    def test_central_triple_matches_the_spec(self, entries, k):
+        try:
+            want = central_triple_spec(entries, k)
+        except ValueError:
+            with pytest.raises(ValueError):
+                central_triple(entries, k)
+        else:
+            assert central_triple(entries, k) == want
 
     def test_single_pass_matches_the_spec_on_every_condition(self):
         want = [validate_aggregation_spec(e, 5) for e in CONDITION_EXAMPLES]
@@ -1450,3 +1476,38 @@ class TestInductionRunner:
         drive_solver(runner, [(0, "#" + int_to_numer(k))])
         assert runner.locked
         assert [rec["entries"] for rec in runner.trace] == snapshots
+
+    @pytest.mark.parametrize("game", ["counter0", "counter3", "midrun"])
+    def test_sim_result_organs_are_what_organ_makes(self, game):
+        """Sim builds its result organ as a tuple, without `organ`: over
+        whole runs at k <= 9 each one is `organ` of itself, a tuple of
+        moves and an int scale of at least 1."""
+        sys.path.insert(0, PERFBENCH)
+        try:
+            import gen
+        finally:
+            sys.path.remove(PERFBENCH)
+        stepping, results = induction._sim_stepping, []
+
+        def recording(*args):
+            result = yield from stepping(*args)
+            results.append(result)
+            return result
+
+        if game == "midrun":
+            base, step, text = gen.midrun_base, gen.midrun_step, gen.MIDRUN_FORMULA
+        else:
+            base, step = gen.counter_base, gen.counter_step(int(game[-1]))
+            text = gen.COUNTER_FORMULA
+        with patch.object(induction, "_sim_stepping", recording):
+            for k in range(1, 10):
+                runner = build_induction_solver(
+                    hpm.ScriptStrategy(base), hpm.ScriptStrategy(step),
+                    fm.parse_formula(text))
+                drive_solver(runner, [(0, "#" + int_to_numer(k)), (5, "1.#10")]
+                             if game == "midrun" else [(0, "#" + int_to_numer(k))])
+                assert runner.locked
+        organs = [o for (_, o), _ in filter(None, results)]
+        assert len(organs) > 100
+        for o in organs:
+            assert type(o[0]) is tuple and type(o[1]) is int and o == organ(*o)

@@ -18,8 +18,8 @@ from clarith import comprehension, game, hpm, induction, wrappers
 from clarith.cli import main
 from clarith.game import int_to_numer
 
-from conftest import (CLI_FILES, COUNTER_TEXT, FIXTURES, counter_k_script,
-                      counter_n_script, drive_solver)
+from conftest import (CLI_FILES, COUNTER_TEXT, FIXTURES, TWO_DISJUNCT_TEXT,
+                      counter_k_script, counter_n_script, drive_solver)
 
 TRACKED = (hpm.StrategyRunner, wrappers.ReasonRunner, wrappers.VasaRunner,
            comprehension.ComprehensionRunner, induction.InductionRunner,
@@ -106,3 +106,16 @@ def test_dropped_induction_runner_frees_its_trace(k, no_cyclic_gc):
     del runner
     assert ref() is None
     assert sys.getrefcount(trace) == sys.getrefcount(alone)
+
+
+def test_an_analysis_not_rooted_at_a_choice_leaves_no_cycle(no_cyclic_gc):
+    """Neither the walk that builds an `Analysis` nor
+    `MoveShapes.completions` refers to itself through a closure cell, so
+    reference counting alone frees a formula whose root is not a choice,
+    with its analysis."""
+    gc.collect()
+    f = fm.parse_formula(TWO_DISJUNCT_TEXT)
+    a = fm.analysis(f)
+    assert a.shapes.completions("") == ["0.#", "0.1.#", "1.#", "1.1.#"]
+    del f, a
+    assert gc.collect() == 0
