@@ -58,9 +58,9 @@ class ComprehensionRunner:
     Waits for one constant per free variable of `conclusion`, the game it
     plays, in the order `free_vars` lists them, then performs the whole
     probe loop and answers with the single move #d.  Faults in the
-    premise are recorded, not raised; a faulted runner stays silent.
-    A stretch is of one cycle, whatever its limit and budget, and the
-    constants are read off the ⊥ moves handed so far.
+    premise are recorded, not raised.  The constants are read off the ⊥
+    moves handed so far.  The stretch that answers is one cycle long; one
+    that cannot move (done, faulted or awaiting constants) uses up its limit.
     """
 
     def __init__(self, premise, p: fm.Formula, y: str, bound: BoundExpr):
@@ -76,11 +76,11 @@ class ComprehensionRunner:
 
     def stretch(self, incoming, limit, budget=1):
         if self.done:
-            return 1, 0, []
+            return limit, 0, []
         self._bots += incoming
         opened = opening(self.var_order, self._bots)
         if opened is None:
-            return 1, 0, []
+            return limit, 0, []
         self.done = True
         env = opened[0]
         c = self.bound.evaluate(env)
@@ -92,5 +92,5 @@ class ComprehensionRunner:
                 else "0" for j in range(c - 1, -1, -1))
         except SimulationFault as exc:
             self.faults.append(str(exc))
-            return 1, 0, []
+            return limit, 0, []
         return 1, 0, [(1, "#" + bits.lstrip("0"))]

@@ -331,17 +331,17 @@ class _Parser(Scanner):
 # analysis
 
 class Unit:
-    """One choice quantifier occurrence, with its address in move space."""
+    """One choice quantifier occurrence, with its address in move space;
+    it keeps the quantifier's var and bound, not the quantifier node."""
 
-    def __init__(self, address, node, mover, ancestors):
+    def __init__(self, address, var, bound, mover, ancestors):
         self.address = address          # e.g. "0.1."
-        self.node = node
-        self.bound = node.bound
+        self.var, self.bound = var, bound
         self.mover = mover              # 'T' or 'B': who resolves it
         self.ancestors = ancestors      # addresses of the enclosing units
 
     def __repr__(self):
-        return f"Unit({self.address!r}, var={self.node.var}, mover={self.mover})"
+        return f"Unit({self.address!r}, var={self.var}, mover={self.mover})"
 
 
 def units(f: Formula):
@@ -393,15 +393,17 @@ class MoveShapes:
     def completions(self, s):
         """Suffixes closing s into a move, least first in the order
         # < 0 < 1 < .: "" if s is a move already, else the rest of
-        addr + "#" for each address s can still become."""
-        def close(state, close):  # handed itself, so no cell holds it
-            if state >= self.numer:
-                return [""]
-            return [c + rest for c in "#01." if c in self.delta[state]
-                    for rest in close(self.delta[state][c], close)]
-
+        addr + "#" for each address s can still become, by `_closings`."""
         state, _ = self.scan(s)
-        return [] if state is None else close(state, close)
+        return [] if state is None else _closings(self.delta, self.numer, state)
+
+
+def _closings(delta, numer, state):
+    """The suffixes leading from state to a whole move, least first."""
+    if state >= numer:
+        return [""]
+    return [c + rest for c in "#01." if c in delta[state]
+            for rest in _closings(delta, numer, delta[state][c])]
 
 
 class Analysis:
@@ -437,7 +439,7 @@ class Analysis:
                 note(g.bound.variables(), bound)
                 if isinstance(g, Choice):
                     mover = "T" if isinstance(g, ChoiceEx) == pos else "B"
-                    units.append(Unit(addr, g, mover, ancestors))
+                    units.append(Unit(addr, g.var, g.bound, mover, ancestors))
                     addr, ancestors = addr + "1.", ancestors + (addr,)
                 stack.append((g.body, addr, pos, ancestors, bound | {g.var}))
             else:
@@ -466,10 +468,8 @@ def analysis(f: Formula) -> Analysis:
     """f's Analysis, built on first use and kept on f itself.
 
     Formula nodes are never mutated after construction, so the cache
-    cannot go stale.  When f's root is a choice, the first unit's node
-    is f itself, so f and its Analysis are freed only by the cyclic
-    collector.  Reference counting frees any other f with its Analysis:
-    the walk and `MoveShapes.completions` leave no cycle.
+    cannot go stale.  Nothing an Analysis holds refers back to f, so
+    reference counting frees f together with its Analysis.
     """
     a = f.__dict__.get("_analysis")
     if a is None:

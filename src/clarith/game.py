@@ -201,7 +201,7 @@ def wins(f, c_env, run, atoms=None):
     """Winner 'T' or 'B' of a finished legal run; IllegalMove, with the
     index of the first illegal move, otherwise.
 
-    The formula is walked with the run's resolved units' values.  A
+    `_holds` walks the formula with the run's resolved units' values.  A
     resolved choice checks its condition in the enclosing scope and
     binds its value for its body only, as a blind quantifier does.  A
     choice that is unresolved, or resolved to a value breaking its size
@@ -212,37 +212,44 @@ def wins(f, c_env, run, atoms=None):
     pos, bad = GamePosition.start(f, c_env).advance(run)
     if bad is not None:
         pos.apply(*run[bad], bad)  # raises the IllegalMove advance met
+    return "T" if _holds(f, pos.c_env, "", pos.values, atoms) else "B"
 
-    def ev(node, env, addr):
-        if isinstance(node, fm.Atom):
-            args = tuple(t.evaluate(env) for t in node.args)
-            if node.name in _BUILTIN_ATOMS:
-                return _BUILTIN_ATOMS[node.name](args)
-            if atoms is None:
-                raise KeyError(f"no evaluator for atom {node.name!r}")
-            return bool(atoms(node.name, args))
-        if isinstance(node, fm.Not):
-            return not ev(node.body, env, addr)
+
+def _holds(node, env, addr, values, atoms):
+    """Whether node, at address addr, holds under env and the resolved
+    units' values: the walk `wins` makes."""
+    if isinstance(node, fm.Atom):
+        args = tuple(t.evaluate(env) for t in node.args)
+        if node.name in _BUILTIN_ATOMS:
+            return _BUILTIN_ATOMS[node.name](args)
+        if atoms is None:
+            raise KeyError(f"no evaluator for atom {node.name!r}")
+        return bool(atoms(node.name, args))
+    if isinstance(node, fm.Not):
+        return not _holds(node.body, env, addr, values, atoms)
+    if isinstance(node, fm.Binary):
+        left, right = addr + "0.", addr + "1."
         if isinstance(node, fm.And):
-            return ev(node.left, env, addr + "0.") and ev(node.right, env, addr + "1.")
+            return (_holds(node.left, env, left, values, atoms)
+                    and _holds(node.right, env, right, values, atoms))
         if isinstance(node, fm.Or):
-            return ev(node.left, env, addr + "0.") or ev(node.right, env, addr + "1.")
-        if isinstance(node, fm.Implies):
-            return not ev(node.left, env, addr + "0.") or ev(node.right, env, addr + "1.")
-        if isinstance(node, fm.Choice):
-            if addr in pos.values:
-                limit = node.bound.evaluate(env)
-                val = pos.values[addr]
-                if (bitsize(val) if node.kind == "size" else val) <= limit:
-                    return ev(node.body, {**env, node.var: val}, addr + "1.")
-            return isinstance(node, fm.ChoiceAll)
-        if isinstance(node, fm.Blind):
-            outcomes = (ev(node.body, {**env, node.var: w}, addr)
-                        for w in range(node.bound.evaluate(env)))
-            return all(outcomes) if isinstance(node, fm.BlindAll) else any(outcomes)
-        raise TypeError(f"not a formula: {node!r}")
-
-    return "T" if ev(f, pos.c_env, "") else "B"
+            return (_holds(node.left, env, left, values, atoms)
+                    or _holds(node.right, env, right, values, atoms))
+        return (not _holds(node.left, env, left, values, atoms)
+                or _holds(node.right, env, right, values, atoms))
+    if isinstance(node, fm.Choice):
+        if addr in values:
+            limit = node.bound.evaluate(env)
+            val = values[addr]
+            if (bitsize(val) if node.kind == "size" else val) <= limit:
+                return _holds(node.body, {**env, node.var: val}, addr + "1.",
+                              values, atoms)
+        return isinstance(node, fm.ChoiceAll)
+    if isinstance(node, fm.Blind):
+        outcomes = (_holds(node.body, {**env, node.var: w}, addr, values, atoms)
+                    for w in range(node.bound.evaluate(env)))
+        return all(outcomes) if isinstance(node, fm.BlindAll) else any(outcomes)
+    raise TypeError(f"not a formula: {node!r}")
 
 
 # ---------------------------------------------------------------------------

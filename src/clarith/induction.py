@@ -178,14 +178,15 @@ class InductionRunner:
     then k).  A stretch is of one cycle whatever its limit and budget.
     `locked` turns true when a locking iteration is recorded.  `faults`
     stays empty: an invalid aggregation raises rather than being
-    recorded as a fault.  Once the constants arrive, `census` and
-    `statute_params` describe the body formula and the statute's
-    parameters, and `rank_base` is the digit base of the iteration
-    ranks; each is None before.  The statute's r, g and q are the
-    premises' largest, DEFAULT_MACHINE_CENSUS for a scripted one.
-    The generator running Main holds the runner through a weak proxy,
-    so no cycle joins them: a dropped runner frees its trace at once,
-    not at the next full collection.
+    recorded as a fault.  `census` and `statute_params` (the body
+    formula's census, the statute's parameters) are set at construction,
+    `rank_base`, the iteration ranks' digit base, once the constants
+    give ℓ.  The statute's r, g and q are the premises' largest,
+    DEFAULT_MACHINE_CENSUS for a scripted one.  At k = 0 Main plays the
+    base premise itself, fed each consequent move, with no iteration.
+    The generator running Main holds the runner through a weak proxy:
+    the one cycle the package breaks by design, so that a dropped runner
+    frees its trace at once, not at the next full collection.
     """
 
     def __init__(self, n_strategy, k_strategy, conclusion):
@@ -209,7 +210,18 @@ class InductionRunner:
         self._consequent = []
         self._out = []
         self._gen = InductionRunner._main(weakref.proxy(self))
-        self.census = self.statute_params = self.rank_base = None
+        body = fm.analysis(self.body_formula)
+        census = self.census = body.census
+        premises = [s.spec.census() if isinstance(s, HPMStrategy)
+                    else DEFAULT_MACHINE_CENSUS for s in (n_strategy, k_strategy)]
+        self.statute_params = {
+            **{key: max(c[key] for c in premises) for key in "rgq"},
+            "e": census["e"],
+            "v": len([v for v in body.free if v != self.var]),
+            "h": census["h"],
+            "G": body.aggregate["G"],
+        }
+        self.rank_base = None
 
     # -- harness protocol --------------------------------------------------
 
@@ -255,42 +267,35 @@ class InductionRunner:
 
         game_env = dict(c_env)
         game_env[self.var] = k
-        ctx = TruncationContext(self.body_formula, game_env)
-        census = self.census = ctx.analysis.census
+        threshold = TruncationContext(self.body_formula, game_env).threshold
         ell = bitsize(max([k] + list(c_env.values()), default=0))
-        premises = [s.spec.census() if isinstance(s, HPMStrategy)
-                    else DEFAULT_MACHINE_CENSUS
-                    for s in (self.n_strategy, self.k_strategy)]
-        statute_params = self.statute_params = {
-            "r": max(c["r"] for c in premises),
-            "g": max(c["g"] for c in premises),
-            "q": max(c["q"] for c in premises),
-            "e": census["e"],
-            "v": len([v for v in ctx.analysis.free if v != self.var]),
-            "h": census["h"],
-            "G": ctx.analysis.aggregate["G"],
-        }
-        self.rank_base = rank_base(ell, census, statute_params,
+        self.rank_base = rank_base(ell, self.census, self.statute_params,
                                    unarify(self.bound))
 
         opening = constant_moves(values)
         n_strategy, k_strategy = self.n_strategy, self.k_strategy
         n_open = n_strategy.feed(n_strategy.initial(), opening)
-        if k == 0:
-            # a method read through the proxy is bound to the runner itself
-            yield from InductionRunner._replay_zero(self, n_open)
-            return
+        consequent = self._consequent
+        if k == 0:  # the base premise plays the consequent as it stands
+            fed = 0
+            while True:
+                if len(consequent) > fed:
+                    n_open = n_strategy.feed(
+                        n_open, tuple([("B", m) for m in consequent[fed:]]))
+                    fed = len(consequent)
+                n_open, _, _, made = n_strategy.stretch(n_open, 1)
+                self._out.extend("1." + mv for _, mv in made)
+                yield
         k_open = k_strategy.feed(k_strategy.initial(), opening)
 
         # (index, body) pairs; each body a tuple of organs
         entries = [(k, (organ((), 1),))]
-        consequent = self._consequent
         u_total = 0
         q = 0  # consequent moves absorbed into the master body
 
         def absorb_new_move():
             nonlocal q
-            theta_p = prudentize(consequent[q], ctx.threshold)
+            theta_p = prudentize(consequent[q], threshold)
             q += 1
             body = entries[-1][1]
             payload, _ = body[-1]
@@ -345,7 +350,7 @@ class InductionRunner:
                 if sign is None:
                     absorb_new_move()
                     classification = "restarting(new-move)"
-                elif master[-1][1] < statute_limit(ell, u_total, statute_params):
+                elif master[-1][1] < statute_limit(ell, u_total, self.statute_params):
                     payload, v = master[-1]
                     entries[-1] = (k, master[:-1] + (organ(payload, v * 2),))
                     classification = "restarting(2.2.2.1)"
@@ -363,19 +368,6 @@ class InductionRunner:
                 "master_scale": master[-1][1],  # of its last organ
                 "validity": "ok",  # central_triple rejects anything else
             })
-
-    def _replay_zero(self, st):
-        strategy = self.n_strategy
-        fed = 0
-        while True:
-            env_moves = self._consequent
-            if len(env_moves) > fed:
-                st = strategy.feed(st, tuple(("B", m) for m in env_moves[fed:]))
-                fed = len(env_moves)
-            st, _, _, made = strategy.stretch(st, 1)
-            for _, mv in made:
-                self._out.append("1." + mv)
-            yield
 
 
 def build_induction_solver(n_strategy, k_strategy, conclusion) -> InductionRunner:

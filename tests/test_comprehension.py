@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -14,7 +15,7 @@ from clarith.comprehension import (
     comprehension_conclusion,
 )
 from clarith.game import is_canonical_numer, numer_value, wins
-from clarith.hpm import DEFAULT_FUEL, BadFuelSetting, ScriptStrategy
+from clarith.hpm import DEFAULT_FUEL, BadFuelSetting, ScriptStrategy, play
 
 from conftest import FIXTURES
 
@@ -150,6 +151,23 @@ class TestRunner:
         assert runner.stretch((), 1)[2] == []
         moves = runner.stretch((("B", "#101"),), 1)[2]
         assert moves == [(1, "#101")]
+
+    @pytest.mark.parametrize("premise, p, bound, stretches", [
+        (bit_premise(0b101), "Bit(y, 101)", Nat(3), 2),  # moves, then done
+        (silent_premise(), "Bit(y, 101)", Nat(2), 1),  # faults
+        (bit_premise(5, n_constants=2), "Bit(y, x)", parse_bound("|x|"), 1),
+    ], ids=["done", "faulted", "no-constants"])
+    def test_a_runner_that_cannot_move_uses_up_its_limit(
+            self, premise, p, bound, stretches, monkeypatch):
+        """Done, faulted or never given its constants, the runner cannot
+        move again, so `play` at a large fuel stretches it only until then."""
+        monkeypatch.setenv("CLARITH_FUEL_DEFAULT", "20")
+        runner = ComprehensionRunner(premise, fm.parse_formula(p), "y", bound)
+        calls, stretch = [], runner.stretch
+        runner.stretch = lambda *args: calls.append(args) or stretch(*args)
+        out = play(runner, lambda run: (None, math.inf), 100000)
+        assert len(calls) == stretches
+        assert len(out["run"]) == stretches - 1
 
     def test_reads_constants_in_the_conclusions_order(self):
         p = fm.parse_formula("Bit(y, c) & q(e, y, a)")

@@ -1183,8 +1183,10 @@ class TestFormulaWalk:
     @settings(max_examples=300, deadline=None)
     @given(named_formulas())
     def test_one_walk_matches_the_two_walks(self, f):
-        assert [(u.address, u.node, u.mover, u.ancestors)
-                for u in fm.units(f)] == _spec_units(f)
+        units, spec = fm.units(f), _spec_units(f)
+        assert [(u.address, u.var, u.mover, u.ancestors) for u in units] == [
+            (addr, g.var, mover, ancestors) for addr, g, mover, ancestors in spec]
+        assert all(u.bound is g.bound for u, (_, g, _, _) in zip(units, spec))
         assert fm.free_vars(f) == _spec_free_vars(f)
 
 

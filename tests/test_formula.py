@@ -31,7 +31,7 @@ class TestParsing:
         text = "ada x [|s|] (p(x) & ade x [|x|] q(x)) v cla x < |s| : ade x [|s|] p(x)"
         f = fm.parse_formula(text)
         assert fm.to_text(f) == text
-        assert [u.node.var for u in fm.units(f)] == ["x"] * 3
+        assert [u.var for u in fm.units(f)] == ["x"] * 3
 
     def test_counter_shape(self):
         f = fm.parse_formula(COUNTER_TEXT)

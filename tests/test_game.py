@@ -1,4 +1,3 @@
-import gc
 import random
 import re
 import weakref
@@ -332,16 +331,17 @@ class TestSharedAnalysis:
         assert len(calls) == 1
 
     def test_compiled_formula_is_freed_once_dropped(self):
-        # the root unit's node is the formula itself, so the analysis it
-        # carries refers back to it; the pair must still be collectable
+        # the root unit is the formula's own quantifier, but it keeps only
+        # its var and bound, so the analysis the formula carries does not
+        # refer back to it: reference counting frees the pair at `del`
         f = fm.parse_formula("ade y [|x| + 1] ada z [|y|] p(y, z)")
         ctx = TruncationContext(f, {"x": 9})
         v = Semiposition((("T", ""),), open_last=True)
         assert windup(v, f, {"x": 9}) == "#"
-        assert ctx.analysis.units[0].node is f
+        root = ctx.analysis.units[0]
+        assert root.var == f.var and root.bound is f.bound
         ref = weakref.ref(f)
-        del f, ctx
-        gc.collect()
+        del f, ctx, root
         assert ref() is None
 
 

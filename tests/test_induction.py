@@ -448,6 +448,25 @@ class TestMidRunEnvironmentMove:
         assert all(a < b for a, b in zip(d["ranks"], d["ranks"][1:]))
         assert all(v == "ok" for v in d["validity"])
 
+    def test_zero_target_answers_a_late_consequent_move(self):
+        """At k = 0 the base premise is replayed as it stands, one cycle
+        per poll: it waits, silent, until the consequent move that the
+        env makes at poll 4 is fed to it, then answers it once."""
+        concl = fm.parse_formula(self.CONCL_TEXT)
+        runner = build_induction_solver(
+            ScriptStrategy(self._n_fn), ScriptStrategy(self._k_fn), concl)
+        run = (("B", "#"),)
+        made = []
+        for i in range(12):
+            if i == 4:
+                run += (("B", "1.#10"),)
+            for m in runner.poll(run):
+                made.append((i, m))
+                run += (("T", m),)
+        assert made == [(4, "1.1.#10")]
+        assert runner.trace == [] and not runner.locked
+        assert wins(concl, {}, run) == "T"
+
     def test_new_move_ends_the_wait_at_the_statute_limit(self):
         """A silent base premise makes the master scale double up to the
         statute limit; the synchronizer then waits for a consequent

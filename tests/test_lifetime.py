@@ -1,10 +1,11 @@
-"""No runner outlives its session.
+"""No runner outlives its session, and no command leaves garbage.
 
 With the cyclic collector off, reference counting alone must free every
-runner, `HPMSpec` and `TruncationContext` that a CLI command built once
-`main` returns, and a dropped `InductionRunner` together with its
-trace.  An object kept alive by a reference cycle would stay, with all
-it holds, until the next full collection.
+object a CLI command built once `main` returns: its runner, `HPMSpec`
+and `TruncationContext`, its formulas and their analyses, and a dropped
+`InductionRunner` together with its trace.  An object kept alive by a
+reference cycle would stay, with all it holds, until the next full
+collection.
 """
 
 import gc
@@ -54,6 +55,35 @@ COMMANDS = {
 }
 
 
+# the commands that build no runner, on the files `_write_files` writes
+OTHER_COMMANDS = {
+    "fmt-check": ["fmt", "check", "<tmp>/concl.clf"],  # root a choice
+    "meter": ["meter", "<tmp>/run.txt"],
+    "diag-induct": ["diag", "induct", "<tmp>/diag.jsonl"],
+    "oracle-fetch": ["oracle", "fetch", "--cases", "5"],
+    "oracle-windup": ["oracle", "windup", "--cases", "2"],
+    "oracle-sim": ["oracle", "sim", "--cases", "5"],
+    "oracle-compr": ["oracle", "compr", "--cases", "5"],
+}
+
+DIAG_ROWS = (
+    '{"iteration": 0, "classification": "repeating(2.2.1)", '
+    '"entries": [[2, 1]], "master_scale": 1, "U": 0, "rank": 5}\n'
+    '{"iteration": 1, "classification": "locking(2.1.2)", '
+    '"entries": [[1, 1], [2, 1]], "master_scale": 1, "U": 0, "rank": 7}\n')
+
+
+def _write_files(tmp_path):
+    for file_name, text in {**CLI_FILES, "run.txt": "B #1001\nT 0.#11",
+                            "diag.jsonl": DIAG_ROWS}.items():
+        (tmp_path / file_name).write_text(text + "\n")
+
+
+def _argv(argv, tmp_path):
+    return [arg.replace("<fixtures>", FIXTURES).replace("<tmp>", str(tmp_path))
+            for arg in argv]
+
+
 @pytest.fixture
 def no_cyclic_gc():
     enabled = gc.isenabled()
@@ -80,14 +110,30 @@ def built(monkeypatch):
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_cli_command_frees_what_it_built(name, tmp_path, capsys,
                                          no_cyclic_gc, built):
-    for file_name, text in CLI_FILES.items():
-        (tmp_path / file_name).write_text(text + "\n")
+    _write_files(tmp_path)
     runner_cls, argv = COMMANDS[name]
-    assert main([arg.replace("<fixtures>", FIXTURES)
-                 .replace("<tmp>", str(tmp_path)) for arg in argv]) == 0
+    assert main(_argv(argv, tmp_path)) == 0
     capsys.readouterr()
     assert {runner_cls, "HPMSpec"} <= {cls for cls, _ in built}
     assert [cls for cls, ref in built if ref() is not None] == []
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in COMMANDS.values()]
+                         + list(OTHER_COMMANDS.values()),
+                         ids=list(COMMANDS) + list(OTHER_COMMANDS))
+def test_cli_command_leaves_no_garbage(argv, tmp_path, capsys, no_cyclic_gc):
+    """A second run of the command, once the first has built what a
+    process builds once (the argument parser), leaves `gc.collect()`
+    nothing: each object it made was freed by reference counting.  The
+    induct conclusion and the compr conclusion are rooted at a choice,
+    and the induct run's winner is the judge's."""
+    _write_files(tmp_path)
+    argv = _argv(argv, tmp_path)
+    assert main(argv) == 0
+    gc.collect()
+    assert main(argv) == 0
+    assert gc.collect() == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("k", [0, 5])
@@ -118,4 +164,19 @@ def test_an_analysis_not_rooted_at_a_choice_leaves_no_cycle(no_cyclic_gc):
     a = fm.analysis(f)
     assert a.shapes.completions("") == ["0.#", "0.1.#", "1.#", "1.1.#"]
     del f, a
+    assert gc.collect() == 0
+
+
+def test_an_analysis_rooted_at_a_choice_leaves_no_cycle(no_cyclic_gc):
+    """A `Unit` keeps its quantifier's var and bound, not the quantifier,
+    so the root unit of a formula whose root is a choice does not refer
+    back to the formula that holds its analysis."""
+    gc.collect()
+    f = fm.parse_formula(COUNTER_TEXT)
+    a = fm.analysis(f)
+    assert a.shapes.completions("") == ["#", "1.#"]
+    assert (a.units[0].var, a.units[0].bound) == (f.var, f.bound)
+    ref = weakref.ref(f)
+    del f, a
+    assert ref() is None
     assert gc.collect() == 0
