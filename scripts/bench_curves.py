@@ -82,9 +82,10 @@ of the default machines).
 `analyze` is ms per `clarith fmt check` session against the number of
 choice quantifiers of the formula, drawn by `gen.analysis_formula` from
 a fresh `random.Random(1)` for each unit count, so a point does not
-depend on which others are asked for.  Each point records the session
-time and the `formula.parse_formula` time (the best of PARSE_CALLS
-calls, as for `reason`), each wall and scaled, over --reps rounds.
+depend on which others are asked for.  Each point records the length
+of the formula text, which a fresh run reproduces, the session time and
+the `formula.parse_formula` time (the best of PARSE_CALLS calls, as for
+`reason`), each wall and scaled, over --reps rounds.
 
 `induct` is ms per synchronizer session against the induction bound k:
 `workloads.induct_session`, the benchmark's `induct` session, polls an
@@ -479,7 +480,7 @@ CURVES = {
     "reason": Curve("reason_phases", reason_curve, REASON_KEY, REASON_COUNTS),
     "reason_fuel": Curve("reason_fuel", reason_fuel_curve, REASON_KEY,
                          REASON_COUNTS),
-    "analyze": Curve("analyze_units", analyze_curve, (), ()),
+    "analyze": Curve("analyze_units", analyze_curve, ("units",), ("chars",)),
     "induct": Curve("induct_k", induct_curve, ("variant", "k"),
                     ("polls", "iterations", "classifications")),
 }

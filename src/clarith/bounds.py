@@ -15,9 +15,10 @@ brackets every + and *); a nat is a run of digits, an ident is
     atom    := nat | '|' ident '|' | '(' bound ')'
              | 'max' '(' bound (',' bound)* ')' | 'log' '(' bound ')'
 
-The superaggregate G(z) = max(f(z), ..., f^n(z)) and its partial family
-S_i are evaluated numerically: iterate_max wraps f in one IteratedMax
-node that applies f to a number n times, so evaluating G costs n
+The superaggregate G(z) = max(f(z), ..., f^n(z)), n being the number of
+units, is evaluated numerically: iterate_max wraps f in one IteratedMax
+node that applies f to a number n times, and iterate_max(f, i) is the
+partial maximum over the first i iterates.  Evaluating G costs n
 evaluations of f, each one walk of f's tree with z rebound in one dict.
 f is the max of the n unit bounds, so one value of G costs about n^2
 node evaluations when each unit bound is a few nodes.

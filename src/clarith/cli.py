@@ -140,28 +140,20 @@ def _script_env(entries):
     `after` T-moves are visible.  Each call, moving or not, also gives its
     horizon: the next entry's `after` minus the T-moves visible, 0 for one
     already due (an `after` may fall or be negative), unbounded once all
-    are played.  The run it is called with only extends, so T-moves are
-    counted over the new entries alone, by index, and only when the run
-    has grown; once every entry is played, not at all."""
-    pending = [*entries, (math.inf, None)]
-    last = len(entries)
-    nxt = seen = tops = 0
+    are played.  Its only state is the list of entries still pending: it
+    returns at once when none is left, and otherwise counts the T-moves
+    of the run it is handed; `hpm.play` calls it once a stretch."""
+    pending = list(entries)
 
     def env(run):
-        nonlocal nxt, seen, tops
-        if nxt == last:
+        if not pending:
             return None, math.inf
-        n = len(run)
-        if n > seen:
-            for i in range(seen, n):
-                if run[i][0] == "T":
-                    tops += 1
-            seen = n
-        after, move = pending[nxt]
+        tops = sum(1 for label, _ in run if label == "T")
+        after, move = pending[0]
         if after > tops:
             return None, after - tops
-        nxt += 1
-        return move, max(pending[nxt][0] - tops, 0)
+        del pending[0]
+        return move, max(pending[0][0] - tops, 0) if pending else math.inf
 
     return env
 

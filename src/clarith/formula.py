@@ -460,8 +460,7 @@ class Analysis:
             "v": v,
         }
         sub = unarify(Max(tuple(u.bound for u in self.units))) if n else ZERO_BOUND
-        family = {i: iterate_max(sub, i) for i in range(n + 1)}
-        self.aggregate = {"f": sub, "G": family[n], "S": family, "n": n}
+        self.aggregate = {"f": sub, "G": iterate_max(sub, n)}
 
 
 def analysis(f: Formula) -> Analysis:
@@ -483,5 +482,6 @@ def choice_census(f: Formula):
 
 
 def aggregate_bounds(f: Formula):
-    """Subaggregate bound f, superaggregate G, and the partial family S_i."""
+    """Subaggregate bound f and superaggregate G = max(f, ..., f^e) over
+    the e choice units; iterate_max(f, i) is the partial maximum."""
     return dict(analysis(f).aggregate)

@@ -618,8 +618,8 @@ class Meter:
     move magnitude and work-tape cell count seen under it; `max_timecost`
     is the most cycles any own move took since the last event.  Each
     `record_cycle` call is given the cycle's ⊥ move, or None, and
-    `background` is a running maximum over the ⊥ moves given so far.
-    `_cells` mirrors `spacecost[background]`: a quiet cycle costs one compare.
+    `background` is a running maximum over the ⊥ moves given so far, and
+    each call compares its peak with `spacecost[background]` directly.
 
     One call stands for a stretch of cycles: `cycle` is its first cycle,
     the one its ⊥ move, if any, comes before, `cells` its peak, and
@@ -637,15 +637,13 @@ class Meter:
         self.max_timecost = 0
         self.background = 1
         self._last_event_cycle = 0
-        self._cells = -1  # spacecost[background], -1 before it is set
 
     def record_cycle(self, cycle, env_move, cells, made):
         if env_move is not None:
             self.background = max(self.background, magnitude(env_move))
             self._last_event_cycle = cycle
-            self._cells = self.spacecost.get(self.background, -1)
-        if cells > self._cells:
-            self._cells = self.spacecost[self.background] = cells
+        if cells > self.spacecost.get(self.background, -1):
+            self.spacecost[self.background] = cells
         if made:
             bg = self.background
             amp = self.amplitude.get(bg, 0)
@@ -707,8 +705,8 @@ def play(runner, env, fuel: int):
     horizon being, whether it moves or not, how many more ⊤ moves it
     will surely let pass before its next one (`math.inf` for none ever),
     and 0 when it promises nothing.  It is handed one list that play
-    appends to, so the run it was given grows after it returns: it keeps
-    counts of the entries it has read, not the run itself.  The result's
+    appends to, so the run it was given grows after it returns: it reads
+    the run during the call and keeps no reference to it.  The result's
     run is a tuple.
 
     Each env call is followed by one stretch.  It is a stretch of one
@@ -724,19 +722,18 @@ def play(runner, env, fuel: int):
     """
     run = []
     meter = Meter()
-    stretch, record = runner.stretch, meter.record_cycle
     cycle = 0
     while cycle < fuel:
         mv, horizon = env(run)
         incoming = () if mv is None else (("B", mv),)
         run += incoming
         if horizon > 0:
-            used, cells, made = stretch(incoming, fuel - cycle, horizon)
+            used, cells, made = runner.stretch(incoming, fuel - cycle, horizon)
         else:
-            used, cells, made = stretch(incoming, 1, 1)
+            used, cells, made = runner.stretch(incoming, 1, 1)
         for _, m in made:
             run.append(("T", m))
-        record(cycle, mv, cells, made)
+        meter.record_cycle(cycle, mv, cells, made)
         cycle += used
     return {"run": tuple(run), "meter": meter}
 

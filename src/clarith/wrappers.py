@@ -178,16 +178,16 @@ class VasaRunner(StrategyRunner):
     """The retire-on-illegality wrapper, with constants fixed up front:
     a `StrategyRunner` over the machine while the run stays legal.
 
-    Legality is tracked incrementally: the game position of the run so
-    far is kept, and each stretch first applies the moves that entered
-    the run since the last check, the last stretch's own moves and then
-    the ⊥ moves it is handed.  It is checked before the machine is fed,
-    so the windup reads the configuration without the entries that made
-    the run illegal, and each stretch ends at the machine's first move
-    whatever its budget, so that move is checked before the next is
-    made.  The stretch that retires the runner is a stretch of one
-    cycle; a retired runner never moves again, so it uses up the limit
-    in one call; both read the cells in use through `hpm.spacecost`.
+    Each stretch first checks the whole run, from the start position:
+    the configuration's run, which is the ⊥ moves fed and the moves
+    made in run order, and then the ⊥ moves it is handed.  It is checked
+    before the machine is fed, so the windup reads the configuration
+    without the entries that made the run illegal, and each stretch ends
+    at the machine's first move whatever its budget, so that move is
+    checked before the next is made.  The stretch that retires the
+    runner is a stretch of one cycle; a retired runner never moves
+    again, so it uses up the limit in one call; both read the cells in
+    use through `hpm.spacecost`.
     Raises ValueError for a choice-free formula and KeyError when c_env
     misses one of f's free variables.
     """
@@ -196,8 +196,7 @@ class VasaRunner(StrategyRunner):
         _needs_choice(f)
         super().__init__(HPMStrategy(spec))
         self.retired = False
-        self.position = GamePosition.start(f, c_env)
-        self._own = ()  # the last stretch's moves, checked at the next
+        self.start = GamePosition.start(f, c_env)
 
     # a stretch of one cycle, kept because perfbench/tracer.py wraps it
     def poll(self, incoming):
@@ -206,13 +205,10 @@ class VasaRunner(StrategyRunner):
     def stretch(self, incoming, limit, budget=1):
         if self.retired:
             return limit, hpm.spacecost(self.st), []
-        self.position, bad = self.position.advance(self._own + incoming)
-        if bad is not None:
+        if self.start.advance(self.st.run + incoming)[1] is not None:
             self.retired = True
             return 1, hpm.spacecost(self.st), self._windup()
-        used, peak, made = StrategyRunner.stretch(self, incoming, limit)
-        self._own = tuple([("T", m) for _, m in made])
-        return used, peak, made
+        return StrategyRunner.stretch(self, incoming, limit)
 
     def _windup(self):
         """The retiring stretch's moves: the open buffer wound up, if it
@@ -222,9 +218,7 @@ class VasaRunner(StrategyRunner):
             return []
         tops = tuple(lm for lm in self.st.run if lm[0] == "T")
         v = Semiposition(tops + (("T", buf),), open_last=True)
-        position = self.position
         try:
-            return [(1, buf + windup(v, position.formula, position.c_env))]
+            return [(1, buf + windup(v, self.start.formula, self.start.c_env))]
         except ValueError:
             return []
-

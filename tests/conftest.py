@@ -1,4 +1,3 @@
-import math
 import os
 
 import pytest
@@ -157,25 +156,6 @@ def stepped_scenario(spec, schedule, cycles):
             incoming = release(cfg.moves_made)
     return {"config": configs[-1], "configs": configs, "history": history,
             "env_moves": env_moves, "own_moves": own_moves}
-
-
-def make_scripted_env(entries):
-    """Environment callable playing each move once at least the given
-    number of machine moves are visible, with the horizon `hpm.play`
-    reads, both rescanned off the run: the slow twin of
-    `cli._script_env`."""
-    pending = list(entries)
-
-    def env(run):
-        tops = sum(1 for label, _ in run if label == "T")
-        if not pending:
-            return None, math.inf
-        if pending[0][0] > tops:
-            return None, pending[0][0] - tops
-        move = pending.pop(0)[1]
-        return move, max(pending[0][0] - tops, 0) if pending else math.inf
-
-    return env
 
 
 def without_horizon(env):

@@ -6,6 +6,7 @@ import time
 
 import clarith.formula as fm
 from clarith import oracles, wrappers, zoo
+from clarith.cli import _script_env
 from clarith.game import (
     TruncationContext,
     first_illegal_index,
@@ -31,7 +32,6 @@ from conftest import (
     counter_k_script,
     counter_n_script,
     drive_solver,
-    make_scripted_env,
     stepped_scenario,
 )
 from clarith.game import int_to_numer
@@ -50,7 +50,7 @@ class Budget:
 def test_criterion_1_fixture_run(bigmove_machine, two_disjunct_formula):
     budget = Budget(1.0)
     runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-    env = make_scripted_env([(0, "#1001"), (0, "0.#10"), (1, "1.#1")])
+    env = _script_env([(0, "#1001"), (0, "0.#10"), (1, "1.#1")])
     out = play(runner, env, fuel=3000)
     compact = tuple(lm for lm in out["run"])
     assert compact == (
@@ -156,8 +156,8 @@ def test_criterion_9_unconditional_wrapper(legal_machine,
     raw = StrategyRunner(HPMStrategy(legal_machine))
     wrapped = VasaRunner(legal_machine, two_disjunct_formula, c_env)
     run_a = run_b = ()
-    env_a = make_scripted_env(env_entries)
-    env_b = make_scripted_env(env_entries)
+    env_a = _script_env(env_entries)
+    env_b = _script_env(env_entries)
     for _ in range(60):
         for env, runner, which in ((env_a, raw, "a"), (env_b, wrapped, "b")):
             run = run_a if which == "a" else run_b
@@ -179,7 +179,7 @@ def test_criterion_9_unconditional_wrapper(legal_machine,
                       [(0, "0.#1"), (0, "junk")]):
         wrapped = VasaRunner(
             legal_machine, two_disjunct_formula, c_env)
-        out = play(wrapped, make_scripted_env(bad_moves), fuel=60)
+        out = play(wrapped, _script_env(bad_moves), fuel=60)
         run = out["run"]
         bad = first_illegal_index(two_disjunct_formula, c_env, run)
         assert bad is not None

@@ -218,13 +218,14 @@ class TestNumericIteration:
     @given(st.lists(bound_exprs([SizeVar("s")], 2), min_size=1, max_size=4),
            st.integers(min_value=0, max_value=64))
     def test_aggregate_family_matches_symbolic_composition(self, bounds, z):
-        agg = fm.aggregate_bounds(nested_units(bounds))
+        f = nested_units(bounds)
+        agg = fm.aggregate_bounds(f)
         sub = unarify(Max(tuple(bounds)))
-        assert agg["n"] == len(bounds)
+        assert fm.choice_census(f)["e"] == len(bounds)
         assert agg["f"](z) == sub(z)
-        for i, s_i in agg["S"].items():
-            assert s_i(z) == composed_iterate_max(sub, i, z)
-        assert agg["G"](z) == agg["S"][len(bounds)](z)
+        for i in range(len(bounds) + 1):
+            assert iterate_max(agg["f"], i)(z) == composed_iterate_max(sub, i, z)
+        assert agg["G"](z) == composed_iterate_max(sub, len(bounds), z)
 
     def test_iterated_node_acts_on_its_argument_only(self):
         g = iterate_max(unarify(parse_bound("|x| + 1")), 3)
@@ -244,7 +245,7 @@ class TestNumericIteration:
         agg = fm.aggregate_bounds(f)
         samples = [agg["G"](z) for z in range(9)]
         assert time.perf_counter() - start < 0.5
-        assert agg["n"] == 12
+        assert fm.choice_census(f)["e"] == 12
         assert samples == [z + 12 for z in range(9)]
 
 

@@ -15,6 +15,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # each counted curve file, with the count to raise: (path to the record
 # inside the file, its field) and the point key the gate must name
 COUNTED = {
+    "BENCH_analyze_units.json": ((0,), "chars", "(1,)"),
     "BENCH_play_fuel.json": ((0,), "step_calls", "(1000,)"),
     "BENCH_vasa_fuel.json": ((1,), "moves", "(4000,)"),
     "BENCH_reason_phases.json": ((1, 2), "fetch_symbol_calls", "(4, None, 2)"),

@@ -22,7 +22,6 @@ from clarith.cli import _script_env, main
 from clarith.bounds import Nat, bitsize, parse_bound
 from clarith.comprehension import ComprehensionRunner
 from clarith.game import (
-    GamePosition,
     IllegalMove,
     LegalityResult,
     TruncationContext,
@@ -74,7 +73,6 @@ from conftest import (
     counter_n_script,
     drive_solver,
     formulas,
-    make_scripted_env,
     read_fixture,
     without_horizon,
 )
@@ -336,17 +334,6 @@ def test_binary_check_matches_a_character_scan(s):
 
 
 class TestScriptEnv:
-    @given(st.lists(st.tuples(st.integers(-2, 4), st.text("01#.", max_size=3)),
-                    max_size=6),
-           runs, st.lists(st.integers(0, 3), max_size=20))
-    def test_incremental_count_matches_rescan(self, entries, run, chunks):
-        fast = _script_env(entries)
-        slow = make_scripted_env(entries)
-        end = 0
-        for size in chunks + [len(run)]:
-            end = min(len(run), end + size)
-            assert fast(tuple(run[:end])) == slow(tuple(run[:end]))
-
     def test_a_move_comes_with_the_horizon_to_the_next_entry(self):
         """@3 is three ⊤ moves off when @0 plays; @1 and @-1 are already
         due when the entry before each plays, so they come with 0; the
@@ -504,26 +491,6 @@ class TestTransition:
         assert _transition(*case) == transition_spec(*case)
 
 
-class ReplayVasa(VasaRunner):
-    """VasaRunner deciding legality by replaying the whole run each
-    stretch: it rebuilds the run from the entries it was handed and the
-    moves it made, and before every stretch its position goes back to
-    the start and the moves it checks before the entries are that whole
-    run."""
-
-    def __init__(self, spec, formula, c_env):
-        super().__init__(spec, formula, c_env)
-        self.past = ()  # the whole run before this stretch
-
-    def stretch(self, incoming, limit, budget=1):
-        pos = self.position
-        self.position = GamePosition.start(pos.formula, pos.c_env)
-        self._own = self.past
-        used, peak, made = VasaRunner.stretch(self, incoming, limit, budget)
-        self.past += incoming + tuple([("T", m) for _, m in made])
-        return used, peak, made
-
-
 def retire_cycle(runner, env, fuel):
     """The played run and the index of the cycle that retired the runner:
     `play` hands a runner one stretch of one cycle per env call here."""
@@ -540,13 +507,10 @@ def retire_cycle(runner, env, fuel):
     return run, retired.index(True) if True in retired else None
 
 
-def assert_same_retirement(spec, formula, c_env, entries, fuel=80):
-    fast = VasaRunner(spec, formula, c_env)
-    slow = ReplayVasa(spec, formula, c_env)
-    got = retire_cycle(fast, without_horizon(make_scripted_env(entries)), fuel)
-    want = retire_cycle(slow, without_horizon(make_scripted_env(entries)), fuel)
-    assert got == want
-    return got
+def vasa_retirement(spec, formula, c_env, entries, fuel=80):
+    """`retire_cycle` of a VasaRunner against the script env of entries."""
+    runner = VasaRunner(spec, formula, c_env)
+    return retire_cycle(runner, without_horizon(_script_env(entries)), fuel)
 
 
 class TestVasaLegality:
@@ -560,7 +524,7 @@ class TestVasaLegality:
                                           two_disjunct_formula):
         retired = {}
         for name, entries in self.SCRIPTS.items():
-            _, cycle = assert_same_retirement(
+            _, cycle = vasa_retirement(
                 legal_machine, two_disjunct_formula, {"x": 9}, entries)
             retired[name] = cycle is not None
         assert retired == {"legal": False, "illegal-open": True,
@@ -572,7 +536,7 @@ class TestVasaLegality:
         for _ in range(40):
             spec = zoo.random_machine(rng)
             entries = [(0, "0.#1")] + zoo.random_schedule(rng, spec)
-            _, cycle = assert_same_retirement(
+            _, cycle = vasa_retirement(
                 spec, two_disjunct_formula, {"x": 9}, entries)
             retired_at.add(cycle)
         assert len(retired_at - {None}) > 1

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clarith.formula as fm
-from clarith.bounds import parse_bound
+from clarith.bounds import iterate_max, parse_bound
 
 from conftest import TWO_DISJUNCT_TEXT, COUNTER_TEXT, formulas
 
@@ -210,7 +210,8 @@ class TestFreeVars:
 class TestAggregates:
     def test_identity_sub_and_super(self, two_disjunct_formula):
         agg = fm.aggregate_bounds(two_disjunct_formula)
-        assert agg["n"] == 4
+        assert sorted(agg) == ["G", "f"]
+        assert fm.choice_census(two_disjunct_formula)["e"] == 4
         assert [agg["f"](z) for z in range(6)] == list(range(6))
         assert [agg["G"](z) for z in range(6)] == list(range(6))
 
@@ -219,10 +220,11 @@ class TestAggregates:
         agg = fm.aggregate_bounds(f)
         assert agg["f"](3) == 4
         assert agg["G"](3) == 5
-        assert agg["S"][0](3) == 0
+        assert iterate_max(agg["f"], 0)(3) == 0
 
     @given(st.integers(min_value=0, max_value=40))
     def test_superaggregate_dominates_family(self, z):
         f = fm.parse_formula("ade y [|x| * 2] ade z [|y|] p(y, z)")
         agg = fm.aggregate_bounds(f)
-        assert all(agg["S"][i](z) <= agg["G"](z) for i in agg["S"])
+        assert all(iterate_max(agg["f"], i)(z) <= agg["G"](z)
+                   for i in range(fm.choice_census(f)["e"] + 1))

@@ -290,6 +290,25 @@ class TestWindup:
         with pytest.raises(ValueError):
             windup(v, two_disjunct_formula, {"x": 9})
 
+    @pytest.mark.parametrize("v", [
+        Semiposition((), open_last=True),  # nothing to leave open
+        Semiposition((("T", "0.1."),)),
+        Semiposition((("T", "1.1.#1"), ("T", "0.1.")), open_last=False),
+    ])
+    def test_refuses_a_semiposition_that_is_not_open(self, v,
+                                                     two_disjunct_formula):
+        with pytest.raises(ValueError, match="incomplete semiposition"):
+            windup(v, two_disjunct_formula, {"x": 9})
+
+    @pytest.mark.parametrize("pairs", [
+        (("B", "0.#1"), ("T", "1.")),
+        (("T", "1.1.#1"), ("B", "0.")),
+    ])
+    def test_refuses_a_bot_pair(self, pairs, two_disjunct_formula):
+        v = Semiposition(pairs, open_last=True)
+        with pytest.raises(ValueError, match="all-T semipositions"):
+            windup(v, two_disjunct_formula, {"x": 9})
+
     def test_agrees_with_oracle_on_random_buffers(self, two_disjunct_formula):
         rng = random.Random(7)
         checked = 0
@@ -326,7 +345,8 @@ class TestSharedAnalysis:
         assert windup(v, f, {"x": 9}) == "1.#"
         assert windup_oracle(v, f, {"x": 9}) == "1.#"
         assert legal_status(f, {"x": 9}, (("T", "0.1.#1"),)) == "T-quasilegal"
-        assert fm.choice_census(f)["e"] == fm.aggregate_bounds(f)["n"] == 4
+        assert fm.choice_census(f)["e"] == 4
+        assert fm.aggregate_bounds(f)["G"](5) == 5
         assert TruncationContext(f, {"x": 3}).analysis is ctx.analysis
         assert len(calls) == 1
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clarith.cli import _script_env
 from clarith.game import TruncationContext, track_append, truncate
 from clarith.hpm import (
     BLANK,
@@ -26,7 +27,6 @@ from clarith.hpm import (
 )
 
 from conftest import (
-    make_scripted_env,
     read_fixture,
     shape_cases,
     without_horizon,
@@ -172,13 +172,13 @@ class TestStepping:
         assert cfg2.state == "a1" and cfg2.runhead == 1
 
     def test_buffer_flush_on_move_state(self, bigmove_machine):
-        env = make_scripted_env([(0, "#1001"), (0, "0.#10")])
+        env = _script_env([(0, "#1001"), (0, "0.#10")])
         out = play(StrategyRunner(HPMStrategy(bigmove_machine)), env, fuel=40)
         tops = tuple(lm for lm in out["run"] if lm[0] == "T")
         assert tops == (("T", "0.1.#1111111"),)
 
     def test_full_exchange(self, bigmove_machine):
-        env = make_scripted_env([(0, "#1001"), (0, "0.#10"), (1, "1.#1")])
+        env = _script_env([(0, "#1001"), (0, "0.#10"), (1, "1.#1")])
         out = play(StrategyRunner(HPMStrategy(bigmove_machine)), env, fuel=60)
         tops = tuple(lm for lm in out["run"] if lm[0] == "T")
         assert tops == (("T", "0.1.#1111111"), ("T", "1.1.#0"))
@@ -199,7 +199,7 @@ class TestStepping:
         assert cfg2.tapes == ("XX",) and cfg2.heads == (2,)
 
     def test_spacecost_counts_written_cells(self, legal_machine):
-        env = make_scripted_env([(0, "#1001")])
+        env = _script_env([(0, "#1001")])
         runner = StrategyRunner(HPMStrategy(legal_machine))
         play(runner, env, fuel=10)
         assert spacecost(runner.st) == 2
@@ -303,7 +303,7 @@ class TestPlay:
         stretch's first cycle, cycle 1, so the move at its third cycle,
         cycle 3, is metered 2 cycles after it."""
         runner = StretchOnly()
-        out = play(runner, make_scripted_env([(0, "#11"), (0, "#1")]),
+        out = play(runner, _script_env([(0, "#11"), (0, "#1")]),
                    fuel=10)
         inf = float("inf")
         assert runner.calls == [((("B", "#11"),), 1, 1),
@@ -314,14 +314,14 @@ class TestPlay:
 
     def test_an_env_of_no_run_gets_one_cycle_per_call(self):
         runner = StretchOnly()
-        play(runner, without_horizon(make_scripted_env([(0, "#11")])), fuel=4)
+        play(runner, without_horizon(_script_env([(0, "#11")])), fuel=4)
         assert runner.calls == [((("B", "#11"),), 1, 1)] + [((), 1, 1)] * 3
 
     def test_the_horizon_is_the_move_budget(self):
         """The entry at @2 is two ⊤ moves off when the env plays the one
         before it, then one once the runner has moved."""
         runner = StretchOnly()
-        play(runner, make_scripted_env([(0, "#11"), (0, "#1"), (2, "0.#1")]),
+        play(runner, _script_env([(0, "#11"), (0, "#1"), (2, "0.#1")]),
              fuel=10)
         assert runner.calls == [((("B", "#11"),), 1, 1),
                                 ((("B", "#1"),), 9, 2), ((), 6, 1)]
@@ -354,7 +354,7 @@ class TestPlayHandsOnlyNewMoves:
            fuel=st.integers(1, 40))
     def test_each_env_move_once_in_order(self, entries, every, horizon, fuel):
         runner = SpyRunner(every)
-        env = make_scripted_env(entries)
+        env = _script_env(entries)
         run = play(runner, env if horizon else without_horizon(env), fuel)["run"]
         assert runner.handed == [lm for lm in run if lm[0] == "B"]
         assert runner.st[0] == run

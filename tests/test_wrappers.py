@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import clarith.formula as fm
 from clarith import wrappers, zoo
+from clarith.cli import _script_env
 from clarith.game import first_illegal_index, is_quasilegal
 from clarith.hpm import (
     History,
@@ -25,7 +26,7 @@ from clarith.wrappers import (
     update_sketch,
 )
 
-from conftest import make_scripted_env, read_fixture, without_horizon
+from conftest import read_fixture, without_horizon
 
 ENV_MOVES = [(0, "#1001"), (0, "0.#10"), (1, "1.#1")]
 
@@ -57,14 +58,14 @@ class TestFetch:
 class TestReasonRunner:
     def test_emits_truncated_moves(self, bigmove_machine, two_disjunct_formula):
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-        out = play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
+        out = play(runner, _script_env(ENV_MOVES), fuel=3000)
         tops = tuple(lm for lm in out["run"] if lm[0] == "T")
         assert tops == (("T", "0.1.#1111"), ("T", "1.1.#0"))
         assert runner.faults == []
 
     def test_run_is_legal(self, bigmove_machine, two_disjunct_formula):
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-        out = play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
+        out = play(runner, _script_env(ENV_MOVES), fuel=3000)
         # the first env move carries the constant; the game run starts after
         game_run = out["run"][1:]
         assert first_illegal_index(two_disjunct_formula, {"x": 9}, game_run) is None
@@ -77,7 +78,7 @@ class TestReasonRunner:
     def test_restarts_on_every_new_move(self, bigmove_machine,
                                         two_disjunct_formula):
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-        play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
+        play(runner, _script_env(ENV_MOVES), fuel=3000)
         # one per constant batch, one per later env move, one per own move
         assert runner.restarts == 5
 
@@ -85,14 +86,14 @@ class TestReasonRunner:
         outs = []
         for _ in range(2):
             runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-            out = play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
+            out = play(runner, _script_env(ENV_MOVES), fuel=3000)
             outs.append(tuple(lm for lm in out["run"] if lm[0] == "T"))
         assert outs[0] == outs[1]
 
     def test_reports_no_storage_spacecost(self, bigmove_machine,
                                           two_disjunct_formula):
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-        out = play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
+        out = play(runner, _script_env(ENV_MOVES), fuel=3000)
         assert meter_report(out["meter"])["max_spacecost"] == 0
 
     def test_fault_is_recorded_once(self, bigmove_machine,
@@ -100,7 +101,7 @@ class TestReasonRunner:
         # two replay cycles are too few to fetch back the first move
         monkeypatch.setattr(wrappers, "FETCH_CAP", 2)
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-        out = play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
+        out = play(runner, _script_env(ENV_MOVES), fuel=3000)
         tops = tuple(lm for lm in out["run"] if lm[0] == "T")
         assert tops == (("T", "0.1.#1111"),)
         assert runner.faults == ["replay did not reproduce the requested symbol"]
@@ -118,7 +119,7 @@ class TestReasonIdle:
                                        two_disjunct_formula,
                                        resimulation_calls):
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-        play(runner, make_scripted_env(ENV_MOVES), fuel=300)
+        play(runner, _script_env(ENV_MOVES), fuel=300)
         assert runner.idle and runner.faults == []
         resimulation_calls.clear()
         for _ in range(20):
@@ -134,7 +135,7 @@ class TestReasonIdle:
             for horizon in (True, False):
                 resimulation_calls.clear()
                 runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-                env = make_scripted_env(ENV_MOVES)
+                env = _script_env(ENV_MOVES)
                 play(runner, env if horizon else without_horizon(env), fuel)
                 counts.add(len(resimulation_calls))
         assert len(counts) == 1 and counts != {0}
@@ -164,7 +165,7 @@ class TestReasonKeepsNoMoves:
         entries = [(0, "#101")] + zoo.random_schedule(rng, spec)
         f = fm.parse_formula("ada x [|s|] (ade y [|s|] p(x,y))")
         runner = ReasonRunner(spec, f)
-        run = play(runner, make_scripted_env(entries), fuel=300)["run"]
+        run = play(runner, _script_env(entries), fuel=300)["run"]
         history = runner.history
         assert all(label in ("T", "B") and type(size) is int
                    for label, size in history)
@@ -182,7 +183,7 @@ class TestResimulationIndexOrder:
                                                  two_disjunct_formula,
                                                  resimulation_calls):
         runner = ReasonRunner(bigmove_machine, two_disjunct_formula)
-        play(runner, make_scripted_env(ENV_MOVES), fuel=3000)
+        play(runner, _script_env(ENV_MOVES), fuel=3000)
         fetches = [c for c in resimulation_calls if c[0] == "fetch"]
         callbacks = [c for c in resimulation_calls
                      if c[0] == "update" and c[2] is not None]
@@ -203,11 +204,11 @@ class TestUpdateSketch:
 
 class TestVasaRunner:
     def test_mimics_on_legal_runs(self, legal_machine, two_disjunct_formula):
-        env = make_scripted_env(ENV_MOVES[1:])
+        env = _script_env(ENV_MOVES[1:])
         raw = play(StrategyRunner(HPMStrategy(legal_machine)), env, fuel=60)
         wrapped = VasaRunner(
             legal_machine, two_disjunct_formula, {"x": 9})
-        env2 = make_scripted_env(ENV_MOVES[1:])
+        env2 = _script_env(ENV_MOVES[1:])
         got = play(wrapped, env2, fuel=60)
         assert got["run"] == raw["run"]
 
@@ -218,8 +219,8 @@ class TestVasaRunner:
         wrapped = VasaRunner(
             legal_machine, two_disjunct_formula, {"x": 9})
         run_a = run_b = ()
-        pending_a = make_scripted_env(env_entries)
-        pending_b = make_scripted_env(env_entries)
+        pending_a = _script_env(env_entries)
+        pending_b = _script_env(env_entries)
         for _ in range(60):
             mv, _ = pending_a(run_a)
             incoming = () if mv is None else (("B", mv),)
@@ -237,7 +238,7 @@ class TestVasaRunner:
                                                     two_disjunct_formula):
         wrapped = VasaRunner(
             legal_machine, two_disjunct_formula, {"x": 9})
-        env = make_scripted_env([(0, "0.#10"), (0, "0.#10")])
+        env = _script_env([(0, "0.#10"), (0, "0.#10")])
         out = play(wrapped, env, fuel=60)
         assert wrapped.retired
         run = out["run"]
@@ -263,7 +264,7 @@ class TestVasaRunner:
         go on moving, makes a second move."""
         echo = parse_hpm(read_fixture("echo.hpm"))
         wrapped = VasaRunner(echo, two_disjunct_formula, {"x": 9})
-        run = play(wrapped, make_scripted_env([]), fuel=30)["run"]
+        run = play(wrapped, _script_env([]), fuel=30)["run"]
         assert wrapped.retired and run == (("T", "#1"),)
         assert first_illegal_index(two_disjunct_formula, {"x": 9}, run) == 0
 
