@@ -97,7 +97,10 @@ and variant it records the wall (best) and scaled (median) ms over
 --reps runs, the polls and synchronizer iterations up to the lock, the
 polls per k², and how many iterations earned each classification over
 the whole session.  Every session's run must pass the benchmark's
-`reference.check_induct`.
+`reference.check_induct`.  One more, untimed run per point gives
+`trace_bytes`, the bytes the finished session still holds (its runner
+with the trace of records, and its run), read by `tracemalloc`.  It is
+reported, not compared: object sizes differ between Python versions.
 
 Every file also holds the Python version and CPU count of the host and
 the calibration's `CAL_REFERENCE_S`.  Its `curve` field names its entry
@@ -110,6 +113,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -119,6 +123,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 import types
 from collections import Counter, namedtuple
 from functools import partial
@@ -417,6 +422,21 @@ def induct_input(kind, delay, k):
     return inp
 
 
+def held_bytes(session, *args):
+    """The bytes that session(*args)'s result still holds once it returns,
+    by tracemalloc.  A full collection empties the interpreter's free
+    lists before and after, so no object is counted that one of them
+    handed out or kept."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = session(*args)  # noqa: F841, held while the memory is read
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def induct_curve(args, workdir):
     """(description, points) of the induct k curve."""
     lib = types.SimpleNamespace(fm=formula, game=game, hpm=hpm,
@@ -441,17 +461,22 @@ def induct_curve(args, workdir):
             point = {"variant": name, "k": k, **_ms("session", timing, 3),
                      "polls": polls, "iterations": iterations,
                      "polls_per_k2": round(polls / k ** 2, 4),
-                     "classifications": dict(sorted(classes.items()))}
+                     "classifications": dict(sorted(classes.items())),
+                     "trace_bytes": held_bytes(workloads.induct_session,
+                                               lib, inp)}
             points.append(point)
             print(f"{name:>8} k {k:>4}: {point['session_ms']:.2f} ms "
                   f"({point['session_scaled_ms']:.2f} scaled), "
                   f"{polls} polls, {iterations} iterations, "
-                  f"{polls / k ** 2:.3f} polls/k^2")
+                  f"{polls / k ** 2:.3f} polls/k^2, "
+                  f"{point['trace_bytes']} bytes held")
     return {
         "workload": "workloads.induct_session polled to the lock and "
                     f"{workloads.INDUCT_SETTLE} polls past it; the best "
                     "wall and the median host-scaled time over reps; polls "
-                    "and iterations count up to the lock",
+                    "and iterations count up to the lock; trace_bytes, the "
+                    "bytes a finished session holds, by tracemalloc in one "
+                    "more untimed run",
         "reps": args.reps,
     }, points
 

@@ -156,24 +156,47 @@ def central_triple(entries, k):
 # ---------------------------------------------------------------------------
 # Main
 
+class Record:
+    """One iteration of Main's trace, read by key: `entries`, the
+    aggregation as the iteration began, `U`, `classification`,
+    `master_scale`, of the master's last organ, and `validity`, always
+    "ok" as `central_triple` rejects anything else.  Records compare
+    equal when their values do."""
+
+    __slots__ = ("entries", "U", "classification", "master_scale")
+    validity = "ok"
+
+    def __init__(self, entries, U, classification, master_scale):
+        self.entries, self.U = entries, U
+        self.classification, self.master_scale = classification, master_scale
+
+    def __getitem__(self, key):
+        return getattr(self, key)
+
+    def __eq__(self, other):
+        if type(other) is not Record:
+            return NotImplemented
+        return all(self[key] == other[key] for key in Record.__slots__)
+
+
 class InductionRunner:
     """The synchronizing machine, packaged for the play harness.
 
-    Main's loop appends a record per completed iteration to `trace`,
-    the list it held when the constants arrived: the aggregation as the
-    iteration began and the classification it earned, over whose start
-    states ranks are computed.  Bodies are immutable tuples, so a record
-    shares them with the live aggregation and later iterations never
-    alter it.  Each iteration validates its start aggregation once and
-    re-simulates its premise from that premise's opened state: each
-    premise is fed the constants' moves once per run, and a level n > 0
-    feeds the step premise's opened state just #<n-1>.  That is sound
-    because states are values: a scripted state is a tuple, and an
-    HPMStrategy configuration shares its RunLog, whose fork rule copies
-    the prefix when an older configuration is extended, so no iteration
-    alters an opened state.  No state is kept per level, as that would
-    grow with k.  The count of absorbed consequent moves is carried, not
-    recounted.
+    Main's loop appends a `Record`, slotted and read by key, per
+    completed iteration to `trace`, the list it held when the constants
+    arrived: a tuple snapshot of the aggregation as the iteration began
+    and the classification it earned, over whose start states ranks are
+    computed.  Bodies are immutable tuples, so a record shares them with
+    the live aggregation and later iterations never alter it.  Each
+    iteration validates its start aggregation once and re-simulates its
+    premise from that premise's opened state: each premise is fed the
+    constants' moves once per run, and a level n > 0 feeds the step
+    premise's opened state just #<n-1>.  That is sound because states
+    are values: a scripted state is a tuple, and an HPMStrategy
+    configuration shares its RunLog, whose fork rule copies the prefix
+    when an older configuration is extended, so no iteration alters an
+    opened state.  No state is kept per level, as that would grow with
+    k.  The count of absorbed consequent moves is carried, not recounted.
     The first ⊥ moves handed are the constants (the free variables',
     then k).  A stretch is of one cycle whatever its limit and budget.
     `locked` turns true when a locking iteration is recorded.  `faults`
@@ -302,7 +325,7 @@ class InductionRunner:
             entries[-1] = (k, body[:-1] + (organ(payload + (theta_p,), 1),))
 
         while True:
-            start = entries[:]
+            start = tuple(entries)
             left, right, n, pos = central_triple(start, k)
             master = start[-1][1]
             if n:
@@ -361,13 +384,7 @@ class InductionRunner:
                     classification = "restarting(2.2.2.2)"
                 u_total = 0
                 del entries[:-1]
-            trace.append({
-                "entries": start,
-                "U": u_total,
-                "classification": classification,
-                "master_scale": master[-1][1],  # of its last organ
-                "validity": "ok",  # central_triple rejects anything else
-            })
+            trace.append(Record(start, u_total, classification, master[-1][1]))
 
 
 def build_induction_solver(n_strategy, k_strategy, conclusion) -> InductionRunner:

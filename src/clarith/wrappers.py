@@ -184,10 +184,12 @@ class VasaRunner(StrategyRunner):
     before the machine is fed, so the windup reads the configuration
     without the entries that made the run illegal, and each stretch ends
     at the machine's first move whatever its budget, so that move is
-    checked before the next is made.  The stretch that retires the
-    runner is a stretch of one cycle; a retired runner never moves
-    again, so it uses up the limit in one call; both read the cells in
-    use through `hpm.spacecost`.
+    checked before the next is made.  So a stretch handed no ⊥ move
+    after one that made no move finds the run already checked, and
+    checks nothing.  The stretch that retires the runner is a stretch of
+    one cycle; a retired runner never moves again, so it uses up the
+    limit in one call; both read the cells in use through
+    `hpm.spacecost`.
     Raises ValueError for a choice-free formula and KeyError when c_env
     misses one of f's free variables.
     """
@@ -205,7 +207,8 @@ class VasaRunner(StrategyRunner):
     def stretch(self, incoming, limit, budget=1):
         if self.retired:
             return limit, hpm.spacecost(self.st), []
-        if self.start.advance(self.st.run + incoming)[1] is not None:
+        if (incoming or self.st.last_move is not None) and \
+                self.start.advance(self.st.run + incoming)[1] is not None:
             self.retired = True
             return 1, hpm.spacecost(self.st), self._windup()
         return StrategyRunner.stretch(self, incoming, limit)

@@ -22,6 +22,7 @@ from clarith.cli import _script_env, main
 from clarith.bounds import Nat, bitsize, parse_bound
 from clarith.comprehension import ComprehensionRunner
 from clarith.game import (
+    GamePosition,
     IllegalMove,
     LegalityResult,
     TruncationContext,
@@ -540,6 +541,31 @@ class TestVasaLegality:
                 spec, two_disjunct_formula, {"x": 9}, entries)
             retired_at.add(cycle)
         assert len(retired_at - {None}) > 1
+
+    def test_a_quiet_stretch_checks_nothing(self):
+        """A stretch handed no ⊥ move after one that made no move finds
+        the run as last checked: a 4000-cycle responder session, one
+        cycle per env call, advances the start position at most once per
+        run entry, plus one, not once per cycle."""
+        sys.path.insert(0, PERFBENCH)
+        try:
+            import gen
+        finally:
+            sys.path.remove(PERFBENCH)
+        rng = random.Random(5)
+        spec = parse_hpm(gen.machine_text(gen.responder_machine(rng)))
+        entries = gen.responder_env(rng, "legal")
+        runner = VasaRunner(spec, fm.parse_formula(gen.PLAY_FORMULA), {"x": 9})
+        advance, calls = GamePosition.advance, []
+
+        def counted(pos, run):
+            calls.append(len(run))
+            return advance(pos, run)
+
+        with patch.object(GamePosition, "advance", counted):
+            run = play(runner, without_horizon(_script_env(entries)), 4000)["run"]
+        assert not runner.retired and len(run) == 4
+        assert len(calls) <= len(run) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from clarith.game import (constant_moves, int_to_numer, numer_value, opening,
 from clarith.hpm import HPMStrategy, ScriptStrategy, parse_hpm
 from clarith.induction import (
     InductionRunner,
+    Record,
     SimContractError,
     build_induction_solver,
     central_triple,
@@ -661,3 +663,60 @@ class TestDiagnostics:
         assert d["locking"]
         assert d["birthtimes"][3] == 0
         assert min(d["birthtimes"].values()) == 0
+
+
+def counter_trace(k, delay=0):
+    runner = build_induction_solver(
+        counter_n_script(), counter_k_script(delay),
+        fm.parse_formula(COUNTER_TEXT))
+    drive_solver(runner, [(0, "#" + int_to_numer(k))])
+    assert runner.locked
+    return runner.trace
+
+
+class TestRecords:
+    """A trace record is read by key, compares by value, and costs less
+    than the five-key dict and list copy it replaced."""
+
+    KEYS = ("entries", "U", "classification", "master_scale", "validity")
+
+    def test_every_record_reads_its_five_keys(self):
+        trace = counter_trace(5)
+        for rec in trace:
+            entries, u, classification, scale, validity = [
+                rec[key] for key in self.KEYS]
+            assert entries[-1][0] == 5 and all(
+                isinstance(body, tuple) for _, body in entries)
+            assert (u, validity) == (0, "ok")
+            assert classification.split("(")[0] in ("repeating", "locking",
+                                                    "restarting")
+            assert scale == entries[-1][1][-1][1] >= 1
+
+    def test_traces_compare_equal_exactly_when_their_values_do(self):
+        assert counter_trace(6) == counter_trace(6)
+        assert counter_trace(6) != counter_trace(6, delay=2)
+        assert counter_trace(6) != counter_trace(5)
+        records = counter_trace(4) + counter_trace(4, delay=3)
+        twins = 0
+        for a in records:
+            for b in records:
+                assert (a == b) == all(a[key] == b[key] for key in self.KEYS)
+                twins += a is not b and a == b
+        assert twins
+
+    def test_a_record_differs_from_one_that_differs_in_any_value(self):
+        values = [((3, ((("#",), 2),)),), 4, "restarting(2.2.2.1)", 2]
+        assert Record(*values) == Record(*values)
+        for i in range(len(values)):
+            assert Record(*values) != Record(*values[:i], None, *values[i + 1:])
+
+    def test_a_record_costs_under_six_tenths_of_a_dict_and_a_list_copy(self):
+        for rec in counter_trace(16):
+            entries = rec["entries"]
+            as_dict = {"entries": entries, "U": rec["U"],
+                       "classification": rec["classification"],
+                       "master_scale": rec["master_scale"],
+                       "validity": rec["validity"]}
+            held = sys.getsizeof(rec) + sys.getsizeof(entries)
+            assert held < 0.6 * (sys.getsizeof(as_dict)
+                                 + sys.getsizeof(list(entries)))
